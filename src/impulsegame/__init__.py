@@ -23,7 +23,6 @@ from .model import (
 )
 from .policy import (
     ThresholdPolicy,
-    ValueSample,
     build_policy,
     gamma_star,
     impulse_map,
@@ -68,7 +67,7 @@ __all__ = [
     "intervention_cost", "player1_impulse_cost", "min_intervention_cost",
     "RiccatiConstants", "CoefficientPath", "constants",
     "p1_closed_form", "p2_closed_form", "a_x", "solve_backward",
-    "ThresholdPolicy", "ValueSample", "build_policy", "gamma_star",
+    "ThresholdPolicy", "build_policy", "gamma_star",
     "impulse_map", "value_v1", "value_v2",
     "ImpulseEvent", "Trajectory", "AdmissibilityReport", "rollout",
     "impulse_bound", "impulse_bound_parts", "admissibility_check",

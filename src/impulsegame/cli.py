@@ -203,7 +203,7 @@ def cmd_value(cfg: RunConfig, t: float) -> int:
     else:
         hook = make_rollout_hook(path, policy, cfg.params, cfg.sim_step)
         v1 = np.array([hook(t, x).j1 for x in xs])
-    regions = [policy.region(t, x) for x in xs]
+    regions = policy.region(t, xs)
     _write_csv(
         _outpath(cfg, f"values_t{_fmt(t)}.csv"),
         ["x0", "V1", "V2", "region"],

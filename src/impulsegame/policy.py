@@ -5,13 +5,11 @@ Player 2 plays a band policy: wait while the state stays strictly between
 the moving thresholds ``ell1(t)`` and ``ell2(t)``, and on exit reset it to
 ``alpha(t)`` from below or ``beta(t)`` from above.  The band boundaries
 follow from value matching and the reset targets from the stationarity
-conditions ``p2*alpha + q2 = -c`` and ``p2*beta + q2 = d``.
+conditions ``p2*alpha + q2 = -c`` and ``p2*beta + q2 = d``, so all four
+are explicit functions of ``(p2(t), q2(t))``.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import ConvexityViolation, OrderingViolation
 from .model import GameParams
@@ -22,49 +20,41 @@ REGION_INTERIOR = "interior"
 REGION_ABOVE = "above"
 
 
-@dataclass(frozen=True)
-class ValueSample:
-    """Both players' values at one (t, x) point, with the region it lies in."""
-
-    t: float
-    x: float
-    v1: float
-    v2: float
-    region: str
+def _band(p2, q2, params: GameParams):
+    """(ell1, alpha, beta, ell2) from p2 and q2, elementwise."""
+    alpha = -(q2 + params.c) / p2
+    beta = (params.d - q2) / p2
+    ell1 = (-params.c - q2 - np.sqrt(2.0 * params.C * p2)) / p2
+    ell2 = (-q2 + params.d + np.sqrt(2.0 * params.D * p2)) / p2
+    return ell1, alpha, beta, ell2
 
 
 class ThresholdPolicy:
-    """Sampled threshold curves ell1 < alpha < beta < ell2 on the path grid."""
+    """Threshold curves ell1 < alpha < beta < ell2 as functions of time.
 
-    def __init__(self, time_grid, ell1, alpha, beta, ell2, params):
-        self.time_grid = time_grid
-        self.ell1 = ell1
-        self.alpha = alpha
-        self.beta = beta
-        self.ell2 = ell2
+    The curves are evaluated from the path's p2 and q2 at any time, so
+    ordering and value matching hold between grid nodes as they do on
+    them.  The node arrays ``ell1, alpha, beta, ell2`` tabulate the
+    curves on the path grid.
+    """
+
+    def __init__(self, path, params):
+        self.path = path
+        self.time_grid = path.time_grid
         self.params = params
-        for arr in (ell1, alpha, beta, ell2):
+        self.ell1, self.alpha, self.beta, self.ell2 = _band(path.p2, path.q2, params)
+        for arr in (self.ell1, self.alpha, self.beta, self.ell2):
             arr.flags.writeable = False
-        self._ell1 = PchipInterpolator(time_grid, ell1)
-        self._alpha = PchipInterpolator(time_grid, alpha)
-        self._beta = PchipInterpolator(time_grid, beta)
-        self._ell2 = PchipInterpolator(time_grid, ell2)
 
     def thresholds_at(self, t):
         """(ell1, alpha, beta, ell2) at time ``t`` (scalar or array)."""
-        if np.ndim(t) == 0:
-            return (float(self._ell1(t)), float(self._alpha(t)),
-                    float(self._beta(t)), float(self._ell2(t)))
-        return self._ell1(t), self._alpha(t), self._beta(t), self._ell2(t)
+        return _band(self.path.p2_at(t), self.path.q2_at(t), self.params)
 
-    def region(self, t, x) -> str:
-        """Classify ``x`` at time ``t``; the intervention set is closed."""
+    def region(self, t, x):
+        """Classify ``x`` (scalar or array) at time ``t``; the intervention set is closed."""
         ell1, _, _, ell2 = self.thresholds_at(t)
-        if x <= ell1:
-            return REGION_BELOW
-        if x >= ell2:
-            return REGION_ABOVE
-        return REGION_INTERIOR
+        out = np.where(x <= ell1, REGION_BELOW, np.where(x >= ell2, REGION_ABOVE, REGION_INTERIOR))
+        return str(out) if np.ndim(out) == 0 else out
 
 
 def _check_ordering(time_grid, ell1, alpha, beta, ell2):
@@ -81,18 +71,14 @@ def _check_ordering(time_grid, ell1, alpha, beta, ell2):
 def build_policy(path: CoefficientPath, params: GameParams) -> ThresholdPolicy:
     """Fill all four threshold curves at every path node and verify ordering."""
     p2 = path.p2
-    q2 = path.q2
     if np.any(p2 <= 0.0):
         idx = int(np.flatnonzero(p2 <= 0.0)[0])
         raise ConvexityViolation(
             f"p2(t) <= 0 at node {idx} (t={path.time_grid[idx]!r}, p2={p2[idx]!r})"
         )
-    alpha = -(q2 + params.c) / p2
-    beta = (params.d - q2) / p2
-    ell1 = (-params.c - q2 - np.sqrt(2.0 * params.C * p2)) / p2
-    ell2 = (-q2 + params.d + np.sqrt(2.0 * params.D * p2)) / p2
-    _check_ordering(path.time_grid, ell1, alpha, beta, ell2)
-    return ThresholdPolicy(path.time_grid, ell1, alpha, beta, ell2, params)
+    policy = ThresholdPolicy(path, params)
+    _check_ordering(path.time_grid, policy.ell1, policy.alpha, policy.beta, policy.ell2)
+    return policy
 
 
 def gamma_star(path: CoefficientPath, params: GameParams, t, x):
@@ -125,17 +111,6 @@ def phi2(path: CoefficientPath, t, x):
         + path.q2_at(t) * np.asarray(x, dtype=float) + path.n2_at(t)
 
 
-def phi1(path: CoefficientPath, t, x):
-    """Interior quadratic of Player 1's value between interventions.
-
-    Uses the backward n1 with no jump corrections, so it tracks Player
-    1's value only on impulse-free subintervals; exposed for diagnostic
-    comparison against the rollout-based value.
-    """
-    return 0.5 * path.p1_at(t) * np.asarray(x, dtype=float) ** 2 \
-        + path.q1_at(t) * np.asarray(x, dtype=float) + path.n1_at(t)
-
-
 def value_v2(path: CoefficientPath, policy: ThresholdPolicy, params: GameParams, t, x):
     """Player 2's value at (t, x): quadratic inside the band, linear outside.
 
@@ -161,13 +136,3 @@ def value_v1(path, policy, params: GameParams, t, x, rollout_hook):
     """
     return rollout_hook(t, x).j1
 
-
-def value_sample(path, policy, params, t, x, rollout_hook) -> ValueSample:
-    """Bundle both values and the region flag at one (t, x) point."""
-    return ValueSample(
-        t=float(t),
-        x=float(x),
-        v1=value_v1(path, policy, params, t, x, rollout_hook),
-        v2=value_v2(path, policy, params, t, x),
-        region=policy.region(t, x),
-    )

@@ -1,18 +1,21 @@
 """Time-varying coefficients of both players' quadratic value terms.
 
 Player 1's quadratic coefficient ``p1`` and Player 2's ``p2`` have closed
-forms built from the constants ``theta``, ``c1`` and ``h_const``; the
-linear and constant coefficients ``q1, n1, q2, n2`` are integrated
-backward from their terminal conditions with classical fourth-order
-Runge-Kutta on a uniform grid.  Between grid nodes the integrated paths
-are evaluated with monotone cubic Hermite interpolation while ``p1``,
-``p2`` and the closed-loop gain ``a_x`` always use their closed forms.
+forms built from the constants ``theta``, ``c1`` and ``h_const``.  The
+linear and constant coefficients ``q1, n1, q2, n2`` solve a
+lower-triangular affine system: q1 stands alone, q2 is forced by q1, and
+n1, n2 are quadratures of them.  Each is integrated backward from its
+terminal condition with classical fourth-order Runge-Kutta on a uniform
+grid, every step written as an affine map by :func:`affine_rk4`.  Between
+grid nodes the integrated paths are evaluated with the cubic Hermite
+interpolant :func:`hermite`, whose node slopes come from the defining
+equations, while ``p1``, ``p2`` and the closed-loop gain ``a_x`` always
+use their closed forms.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DegenerateParameterError, NonFiniteStateError
 from .model import GameParams, validate
@@ -102,12 +105,59 @@ def p2_closed_form(consts: RiccatiConstants, params: GameParams, t):
     return float(out) if np.ndim(t) == 0 else out
 
 
-class CoefficientPath:
-    """Sampled coefficient paths on a uniform grid over [0, T].
+def affine_rk4(h, a, b):
+    """One classical RK4 step of ``y' = a(t)*y + b(t)`` written as affine maps.
 
-    Node arrays are read-only; evaluation at arbitrary times mixes exact
-    closed forms (p1, p2, a_x) with monotone cubic interpolation of the
-    integrated paths (q1, n1, q2, n2).
+    ``a`` and ``b`` hold the coefficients at the four stages, at times
+    t, t + h/2, t + h/2 and t + h; each entry may be a scalar or an array
+    (one step per element).  Returns ``(stages, mult, add)``: stage j's
+    state is ``s_j*y + r_j`` with ``stages[j] = (s_j, r_j)``, and the step
+    is ``y -> mult*y + add``.
+    """
+    stages = [(1.0, 0.0)]
+    u_sum = v_sum = 0.0
+    for aj, bj, weight, c in zip(a, b, (1.0, 2.0, 2.0, 1.0), (0.5 * h, 0.5 * h, h, None)):
+        s, r = stages[-1]
+        u, v = aj * s, aj * r + bj            # stage slope k_j = u*y + v
+        u_sum = u_sum + weight * u
+        v_sum = v_sum + weight * v
+        if c is not None:
+            stages.append((1.0 + c * u, c * v))
+    return stages, 1.0 + h / 6.0 * u_sum, h / 6.0 * v_sum
+
+
+def hermite(ts, ys, dys, t):
+    """Cubic Hermite interpolant through ``(ts, ys)`` with slopes ``dys``.
+
+    ``ts`` is increasing with at least two nodes; ``t`` is a scalar or an
+    array.  Outside ``[ts[0], ts[-1]]`` the end cubics extrapolate.
+    """
+    k = np.searchsorted(ts[1:-1], t, side="right")
+    t0 = ts[k]
+    h = ts[k + 1] - t0
+    s = (t - t0) / h
+    s1 = 1.0 - s
+    return (s1 * s1 * ((1.0 + 2.0 * s) * ys[k] + s * h * dys[k])
+            + s * s * ((3.0 - 2.0 * s) * ys[k + 1] - s1 * h * dys[k + 1]))
+
+
+def _slopes(params: GameParams, b_x, ax, p2, q1, q2):
+    """(q1', n1', q2', n2') from their defining equations, elementwise."""
+    return (
+        -ax * q1 + params.w1 * params.rho1,
+        -0.5 * b_x * q1 * q1 - 0.5 * params.w1 * params.rho1 ** 2,
+        -ax * q2 - b_x * p2 * q1 + params.w2 * params.rho2,
+        -b_x * q1 * q2 - 0.5 * params.w2 * params.rho2 ** 2,
+    )
+
+
+class CoefficientPath:
+    """Coefficient paths on a uniform grid over [0, T].
+
+    Node arrays are read-only.  Evaluation at arbitrary times uses the
+    exact closed forms for p1, p2 and a_x, and cubic Hermite
+    interpolation for the integrated paths q1, n1, q2, n2, with node
+    slopes taken from their defining equations.
     """
 
     def __init__(self, time_grid, p1, q1, n1, p2, q2, n2, ax_vals, consts, params):
@@ -121,12 +171,10 @@ class CoefficientPath:
         self.a_x = ax_vals
         self.constants = consts
         self.params = params
+        self._dq1, self._dn1, self._dq2, self._dn2 = _slopes(
+            params, consts.b_x, ax_vals, p2, q1, q2)
         for arr in (time_grid, p1, q1, n1, p2, q2, n2, ax_vals):
             arr.flags.writeable = False
-        self._q1 = PchipInterpolator(time_grid, q1)
-        self._n1 = PchipInterpolator(time_grid, n1)
-        self._q2 = PchipInterpolator(time_grid, q2)
-        self._n2 = PchipInterpolator(time_grid, n2)
 
     # closed-form evaluations
     def p1_at(self, t):
@@ -139,21 +187,21 @@ class CoefficientPath:
         return a_x(self.constants, t)
 
     # interpolated evaluations
-    def q1_at(self, t):
-        out = self._q1(t)
+    def _interp(self, ys, dys, t):
+        out = hermite(self.time_grid, ys, dys, t)
         return float(out) if np.ndim(t) == 0 else out
+
+    def q1_at(self, t):
+        return self._interp(self.q1, self._dq1, t)
 
     def n1_at(self, t):
-        out = self._n1(t)
-        return float(out) if np.ndim(t) == 0 else out
+        return self._interp(self.n1, self._dn1, t)
 
     def q2_at(self, t):
-        out = self._q2(t)
-        return float(out) if np.ndim(t) == 0 else out
+        return self._interp(self.q2, self._dq2, t)
 
     def n2_at(self, t):
-        out = self._n2(t)
-        return float(out) if np.ndim(t) == 0 else out
+        return self._interp(self.n2, self._dn2, t)
 
     def ode_rhs_at(self, t):
         """Time derivatives of all six coefficients from their defining ODEs.
@@ -166,16 +214,24 @@ class CoefficientPath:
         ax_v = self.a_x_at(t)
         p1_v = self.p1_at(t)
         p2_v = self.p2_at(t)
-        q1_v = self.q1_at(t)
-        q2_v = self.q2_at(t)
-        b_x = self.constants.b_x
-        p1dot = -pr.w1 - b_x * p1_v * p1_v - 2.0 * pr.a * p1_v
-        q1dot = -ax_v * q1_v + pr.w1 * pr.rho1
-        n1dot = -0.5 * b_x * q1_v * q1_v - 0.5 * pr.w1 * pr.rho1 ** 2
+        p1dot = -pr.w1 - self.constants.b_x * p1_v * p1_v - 2.0 * pr.a * p1_v
         p2dot = -pr.w2 - 2.0 * p2_v * ax_v
-        q2dot = -ax_v * q2_v - b_x * p2_v * q1_v + pr.w2 * pr.rho2
-        n2dot = -b_x * q1_v * q2_v - 0.5 * pr.w2 * pr.rho2 ** 2
+        q1dot, n1dot, q2dot, n2dot = _slopes(
+            pr, self.constants.b_x, ax_v, p2_v, self.q1_at(t), self.q2_at(t))
         return p1dot, q1dot, n1dot, p2dot, q2dot, n2dot
+
+
+def _scan_back(mult, add, y_end):
+    """Nodes of the backward recurrence y[i] = mult[i]*y[i+1] + add[i].
+
+    A plain loop over floats: a cumulative product of ``mult`` would
+    underflow on long horizons where the recurrence itself does not.
+    """
+    mult = np.broadcast_to(mult, np.shape(add)).tolist()
+    ys = [y_end]
+    for m, c in zip(reversed(mult), reversed(add.tolist())):
+        ys.append(m * ys[-1] + c)
+    return np.array(ys[::-1])
 
 
 def solve_backward(params: GameParams, consts: RiccatiConstants = None,
@@ -184,6 +240,8 @@ def solve_backward(params: GameParams, consts: RiccatiConstants = None,
 
     Classical RK4 on a uniform grid of ``n_steps`` intervals over [0, T];
     p1, p2 and a_x are filled from their closed forms at every node.
+    q1 is integrated first; its stage values force q2 and are integrated
+    into n1, and both stage values are integrated into n2.
     """
     if n_steps < 2:
         raise ValueError(f"n_steps must be >= 2 (got {n_steps})")
@@ -191,46 +249,38 @@ def solve_backward(params: GameParams, consts: RiccatiConstants = None,
     if consts is None:
         consts = constants(params)
 
-    T = params.T
-    ts = np.linspace(0.0, T, n_steps + 1)
-    h = T / n_steps
-    w1, rho1, w2, rho2 = params.w1, params.rho1, params.w2, params.rho2
-    b_x = consts.b_x
+    ts = np.linspace(0.0, params.T, n_steps + 1)
+    h = -params.T / n_steps             # step i runs from node i + 1 to node i
+    mids = ts[1:] + 0.5 * h
+    ax_n, ax_m = a_x(consts, ts), a_x(consts, mids)
+    p2_n, p2_m = p2_closed_form(consts, params, ts), p2_closed_form(consts, params, mids)
+    ax_st = (ax_n[1:], ax_m, ax_m, ax_n[:-1])
+    p2_st = (p2_n[1:], p2_m, p2_m, p2_n[:-1])
+    neg_ax = [-ax for ax in ax_st]      # q1 and q2 share the linear part -a_x*y
+    zeros = (0.0,) * 4                  # n1 and n2 have none
 
-    def rhs(t, y):
-        q1v, n1v, q2v, n2v = y
-        axv = a_x(consts, t)
-        p2v = p2_closed_form(consts, params, t)
-        return np.array([
-            -axv * q1v + w1 * rho1,
-            -0.5 * b_x * q1v * q1v - 0.5 * w1 * rho1 ** 2,
-            -axv * q2v - b_x * p2v * q1v + w2 * rho2,
-            -b_x * q1v * q2v - 0.5 * w2 * rho2 ** 2,
-        ])
+    def slopes(q1_st, q2_st):
+        return [_slopes(params, consts.b_x, ax, p2, q1, q2)
+                for ax, p2, q1, q2 in zip(ax_st, p2_st, q1_st, q2_st)]
 
-    y = np.array([
-        -params.s1 * rho1,
-        0.5 * params.s1 * rho1 ** 2,
-        -params.s2 * rho2,
-        0.5 * params.s2 * rho2 ** 2,
-    ])
-    out = np.empty((n_steps + 1, 4))
-    out[n_steps] = y
-    for i in range(n_steps, 0, -1):
-        t = ts[i]
-        k1 = rhs(t, y)
-        k2 = rhs(t - 0.5 * h, y - 0.5 * h * k1)
-        k3 = rhs(t - 0.5 * h, y - 0.5 * h * k2)
-        k4 = rhs(t - h, y - h * k3)
-        y = y - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            raise NonFiniteStateError(f"coefficient integration diverged at node {i - 1}")
-        out[i - 1] = y
+    def integrate(coef, rates, y_end):
+        stages, mult, add = affine_rk4(h, coef, rates)
+        ys = _scan_back(mult, add, y_end)
+        return ys, [s * ys[1:] + r for s, r in stages]
 
+    # with an equation's own state at zero, its slope is its forcing term
+    q1, q1_st = integrate(neg_ax, [s[0] for s in slopes(zeros, zeros)], -params.s1 * params.rho1)
+    sl = slopes(q1_st, zeros)
+    n1, _ = integrate(zeros, [s[1] for s in sl], 0.5 * params.s1 * params.rho1 ** 2)
+    q2, q2_st = integrate(neg_ax, [s[2] for s in sl], -params.s2 * params.rho2)
+    n2, _ = integrate(zeros, [s[3] for s in slopes(q1_st, q2_st)],
+                      0.5 * params.s2 * params.rho2 ** 2)
+
+    bad = np.flatnonzero(~np.isfinite([q1, n1, q2, n2]).all(axis=0))
+    if bad.size:
+        raise NonFiniteStateError(f"coefficient integration diverged at node {bad[-1]}")
     p1_vals = p1_closed_form(consts, params, ts)
-    p2_vals = p2_closed_form(consts, params, ts)
-    ax_vals = a_x(consts, ts)
-    for name, arr in (("p1", p1_vals), ("p2", p2_vals), ("a_x", ax_vals)):
+    for name, arr in (("p1", p1_vals), ("p2", p2_n), ("a_x", ax_n)):
         bad = np.flatnonzero(~np.isfinite(arr))
         if bad.size:
             raise NonFiniteStateError(f"{name} non-finite at node {bad[0]}")
@@ -238,12 +288,12 @@ def solve_backward(params: GameParams, consts: RiccatiConstants = None,
     return CoefficientPath(
         time_grid=ts,
         p1=p1_vals,
-        q1=out[:, 0].copy(),
-        n1=out[:, 1].copy(),
-        p2=p2_vals,
-        q2=out[:, 2].copy(),
-        n2=out[:, 3].copy(),
-        ax_vals=ax_vals,
+        q1=q1,
+        n1=n1,
+        p2=p2_n,
+        q2=q2,
+        n2=n2,
+        ax_vals=ax_n,
         consts=consts,
         params=params,
     )

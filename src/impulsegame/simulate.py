@@ -2,11 +2,12 @@
 
 Between interventions the closed loop is the scalar linear ODE
 ``xdot = a_x(t)*x + b_x*q1(t)``, integrated with classical RK4 on a
-uniform grid.  A threshold crossing detected between two nodes is
-located by bisection on the step, the impulse resets the state exactly
-to the interpolated target, and integration resumes.  Running costs are
-accumulated per step with Simpson's rule, using a cubic-Hermite
-midpoint state so the quadrature matches the integrator's accuracy.
+uniform grid; each step is the affine map of :func:`affine_rk4`.  A
+threshold crossing detected between two nodes is located by bisection on
+the step, the impulse resets the state exactly to the target, and
+integration resumes.  Running costs are summed over the finished
+trajectory with Simpson's rule, using the cubic-Hermite midpoint state
+so the quadrature matches the integrator's accuracy.
 """
 
 import math
@@ -24,6 +25,7 @@ from .model import (
     validate_box,
 )
 from .policy import ThresholdPolicy, impulse_map
+from .riccati import affine_rk4, hermite
 
 EVENT_TIME_TOL = 1e-10   # bisection resolution; exits this close to T are discarded
 CHATTER_TOL = 1e-8       # two events closer than this abort the rollout
@@ -53,7 +55,9 @@ class Trajectory:
 
     ``segments`` is a list of (time array, state array) pairs between
     consecutive interventions; an event time closes one segment at
-    ``x_minus`` and opens the next at ``x_plus``.
+    ``x_minus`` and opens the next at ``x_plus``.  Between samples the
+    state is the cubic Hermite interpolant with the closed-loop drift as
+    slope.
     """
 
     def __init__(self, segments, events, j1, j2, terminal_state, path, policy, params):
@@ -65,6 +69,7 @@ class Trajectory:
         self._path = path
         self._policy = policy
         self._params = params
+        self._slopes = [_drift(path, seg_t, seg_x) for seg_t, seg_x in segments]
 
     @property
     def start_time(self):
@@ -73,9 +78,9 @@ class Trajectory:
     def state_at(self, t):
         """State at time ``t``, right-continuous across interventions."""
         t = float(t)
-        for seg_t, seg_x in reversed(self.segments):
+        for (seg_t, seg_x), seg_f in zip(reversed(self.segments), reversed(self._slopes)):
             if seg_t[0] <= t <= seg_t[-1]:
-                return _hermite_state(self._path, seg_t, seg_x, t)
+                return float(seg_x[0] if len(seg_t) == 1 else hermite(seg_t, seg_x, seg_f, t))
         raise ValueError(f"t={t!r} outside the trajectory span")
 
     def control_range(self):
@@ -113,19 +118,17 @@ class Trajectory:
             raise ValueError(f"t1={t1!r} precedes the trajectory start")
         pr = self._params
         j1 = j2 = 0.0
-        for seg_t, seg_x in self.segments:
+        for (seg_t, seg_x), seg_f in zip(self.segments, self._slopes):
             if seg_t[-1] <= t1:
                 continue
-            if seg_t[0] >= t1:
-                a1, a2 = _segment_costs(self._path, pr, seg_t, seg_x)
-            else:
-                k = int(np.searchsorted(seg_t, t1, side="right")) - 1
-                x1 = _hermite_state(self._path, seg_t, seg_x, t1)
-                a1, a2 = _step_cost(self._path, pr, t1, x1, seg_t[k + 1],
-                                    _hermite_state(self._path, seg_t, seg_x, seg_t[k + 1]))
-                if k + 1 < len(seg_t) - 1:
-                    b1, b2 = _segment_costs(self._path, pr, seg_t[k + 1:], seg_x[k + 1:])
-                    a1, a2 = a1 + b1, a2 + b2
+            if seg_t[0] < t1:
+                # start the segment at t1 on its interpolant
+                k = int(np.searchsorted(seg_t, t1, side="right"))
+                x1 = float(hermite(seg_t, seg_x, seg_f, t1))
+                seg_t = np.r_[t1, seg_t[k:]]
+                seg_x = np.r_[x1, seg_x[k:]]
+                seg_f = np.r_[_drift(self._path, t1, x1), seg_f[k:]]
+            a1, a2 = _segment_costs(self._path, pr, seg_t, seg_x, seg_f)
             j1 += a1
             j2 += a2
         for ev in self.events:
@@ -142,26 +145,6 @@ def _drift(path, t, x):
     return path.a_x_at(t) * x + path.constants.b_x * path.q1_at(t)
 
 
-def _hermite_state(path, seg_t, seg_x, t):
-    """Cubic Hermite interpolation of the state inside one segment."""
-    if t <= seg_t[0]:
-        return float(seg_x[0])
-    if t >= seg_t[-1]:
-        return float(seg_x[-1])
-    k = int(np.searchsorted(seg_t, t, side="right")) - 1
-    t0, t1 = seg_t[k], seg_t[k + 1]
-    x0, x1 = seg_x[k], seg_x[k + 1]
-    h = t1 - t0
-    s = (t - t0) / h
-    f0 = _drift(path, t0, x0)
-    f1 = _drift(path, t1, x1)
-    h00 = (1.0 + 2.0 * s) * (1.0 - s) ** 2
-    h10 = s * (1.0 - s) ** 2
-    h01 = s * s * (3.0 - 2.0 * s)
-    h11 = s * s * (s - 1.0)
-    return float(h00 * x0 + h10 * h * f0 + h01 * x1 + h11 * h * f1)
-
-
 def _running_costs(path, params, t, x):
     """Both players' running-cost integrands at (t, x); vectorized."""
     u = -(params.b / params.r1) * (path.p1_at(t) * x + path.q1_at(t))
@@ -170,62 +153,50 @@ def _running_costs(path, params, t, x):
     return g1, g2
 
 
-def _step_cost(path, params, t0, x0, t1, x1):
-    """Simpson quadrature of both running costs over one step [t0, t1]."""
-    h = t1 - t0
-    if h <= 0.0:
-        return 0.0, 0.0
-    f0 = _drift(path, t0, x0)
-    f1 = _drift(path, t1, x1)
-    xm = 0.5 * (x0 + x1) + 0.125 * h * (f0 - f1)
-    tm = t0 + 0.5 * h
-    g1a, g2a = _running_costs(path, params, t0, x0)
-    g1m, g2m = _running_costs(path, params, tm, xm)
-    g1b, g2b = _running_costs(path, params, t1, x1)
-    return h / 6.0 * (g1a + 4.0 * g1m + g1b), h / 6.0 * (g2a + 4.0 * g2m + g2b)
+def _segment_costs(path, params, seg_t, seg_x, seg_f):
+    """Simpson quadrature of both running costs over all steps of one segment.
 
-
-def _segment_costs(path, params, seg_t, seg_x):
-    """Vectorized Simpson accumulation over all steps of one segment."""
+    ``seg_f`` holds the drift at the samples; the midpoint state is the
+    Hermite interpolant's.
+    """
     if len(seg_t) < 2:
         return 0.0, 0.0
     t0, t1 = seg_t[:-1], seg_t[1:]
-    x0, x1 = seg_x[:-1], seg_x[1:]
     h = t1 - t0
-    f0 = path.a_x_at(t0) * x0 + path.constants.b_x * path.q1_at(t0)
-    f1 = path.a_x_at(t1) * x1 + path.constants.b_x * path.q1_at(t1)
-    xm = 0.5 * (x0 + x1) + 0.125 * h * (f0 - f1)
     tm = t0 + 0.5 * h
-    g1a, g2a = _running_costs(path, params, t0, x0)
+    xm = hermite(seg_t, seg_x, seg_f, tm)
+    g1a, g2a = _running_costs(path, params, t0, seg_x[:-1])
     g1m, g2m = _running_costs(path, params, tm, xm)
-    g1b, g2b = _running_costs(path, params, t1, x1)
+    g1b, g2b = _running_costs(path, params, t1, seg_x[1:])
     j1 = float(np.sum(h / 6.0 * (g1a + 4.0 * g1m + g1b)))
     j2 = float(np.sum(h / 6.0 * (g2a + 4.0 * g2m + g2b)))
     return j1, j2
 
 
+def _step_map(path, t, h):
+    """RK4 steps of the closed loop from ``t`` over ``h`` as x -> mult*x + add.
+
+    ``t`` and ``h`` are scalars or arrays of equal shape.
+    """
+    st = np.array([t, t + 0.5 * h, t + h])
+    a = path.a_x_at(st)
+    b = path.constants.b_x * path.q1_at(st)
+    _, mult, add = affine_rk4(h, (a[0], a[1], a[1], a[2]), (b[0], b[1], b[1], b[2]))
+    return mult, add
+
+
 def _rk4_step(path, t, x, h):
     """One explicit RK4 step of the closed-loop dynamics."""
-    b_x = path.constants.b_x
-    a0 = path.a_x_at(t)
-    a1 = path.a_x_at(t + 0.5 * h)
-    a2 = path.a_x_at(t + h)
-    b0 = b_x * path.q1_at(t)
-    b1 = b_x * path.q1_at(t + 0.5 * h)
-    b2 = b_x * path.q1_at(t + h)
-    k1 = a0 * x + b0
-    k2 = a1 * (x + 0.5 * h * k1) + b1
-    k3 = a1 * (x + 0.5 * h * k2) + b1
-    k4 = a2 * (x + h * k3) + b2
-    return x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    mult, add = _step_map(path, t, h)
+    return float(mult * x + add)
 
 
 class _RolloutGrid:
     """Precomputed stepping data for rollouts sharing one (t0, step) grid.
 
-    Each RK4 step of the affine dynamics collapses to x -> m*x + q with
-    per-step constants m, q assembled from the stage coefficients, so
-    trajectories with different starting states reuse the same arrays.
+    Each RK4 step of the affine dynamics is the map x -> m*x + q from
+    :func:`affine_rk4`, so trajectories with different starting states
+    reuse the same per-step arrays and the thresholds at the nodes.
     """
 
     def __init__(self, path, policy, params, t0, step):
@@ -238,24 +209,7 @@ class _RolloutGrid:
         self.params = params
         self.t0 = t0
         self.ts = ts
-        h = np.diff(ts)
-        mids = ts[:-1] + 0.5 * h
-        b_x = path.constants.b_x
-        a_n = path.a_x_at(ts)
-        b_n = b_x * path.q1_at(ts)
-        a_m = path.a_x_at(mids)
-        b_m = b_x * path.q1_at(mids)
-        a0, a1, a2 = a_n[:-1], a_m, a_n[1:]
-        b0, b1, b2 = b_n[:-1], b_m, b_n[1:]
-        u1, v1 = a0, b0
-        u2 = a1 * (1.0 + 0.5 * h * u1)
-        v2 = a1 * (0.5 * h * v1) + b1
-        u3 = a1 * (1.0 + 0.5 * h * u2)
-        v3 = a1 * (0.5 * h * v2) + b1
-        u4 = a2 * (1.0 + h * u3)
-        v4 = a2 * (h * v3) + b2
-        self.step_mult = 1.0 + h / 6.0 * (u1 + 2.0 * u2 + 2.0 * u3 + u4)
-        self.step_add = h / 6.0 * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
+        self.step_mult, self.step_add = _step_map(path, ts[:-1], np.diff(ts))
         self.ell1, self.alpha, self.beta, self.ell2 = policy.thresholds_at(ts)
 
     def propagate(self, i0, x_start):
@@ -303,9 +257,14 @@ def _terminal_trajectory(path, policy, params, x0):
     """
     x0 = float(x0)
     seg = (np.array([params.T]), np.array([x0]))
-    j1 = 0.5 * params.s1 * (x0 - params.rho1) ** 2
-    j2 = 0.5 * params.s2 * (x0 - params.rho2) ** 2
-    return Trajectory([seg], [], j1, j2, x0, path, policy, params)
+    return _finished([seg], [], x0, path, policy, params)
+
+
+def _finished(segments, events, x_end, path, policy, params):
+    """Trajectory whose j1, j2 are ``costs_from`` its start time."""
+    traj = Trajectory(segments, events, None, None, x_end, path, policy, params)
+    traj.j1, traj.j2 = traj.costs_from(traj.start_time)
+    return traj
 
 
 def rollout(path, policy, params: GameParams, t0, x0, step=None, max_events=None):
@@ -386,7 +345,6 @@ def _rollout_on_grid(grid, x0, max_events):
 
     events = []
     segments = []
-    j1 = j2 = 0.0
 
     def fire(tau, x_minus):
         hit = impulse_map(policy, tau, x_minus)
@@ -419,8 +377,6 @@ def _rollout_on_grid(grid, x0, max_events):
     ell1, _, _, ell2 = policy.thresholds_at(t_cur)
     if (x_cur <= ell1 or x_cur >= ell2) and t_cur < T - EVENT_TIME_TOL:
         ev = fire(t_cur, x_cur)
-        j1 += ev.cost_p1
-        j2 += ev.cost_p2
         segments.append((np.array([t_cur]), np.array([x_cur])))
         x_cur = ev.x_plus
 
@@ -438,11 +394,7 @@ def _rollout_on_grid(grid, x0, max_events):
                 crossing = _bisect_crossing(grid, t_cur, x_cur, h)
                 if crossing is not None:
                     break
-                x_next = _rk4_step(path, t_cur, x_cur, h)
-                d1, d2 = _step_cost(path, params, t_cur, x_cur, ts[node], x_next)
-                j1 += d1
-                j2 += d2
-                t_cur, x_cur = float(ts[node]), x_next
+                t_cur, x_cur = float(ts[node]), _rk4_step(path, t_cur, x_cur, h)
                 seg_t.append(t_cur)
                 seg_x.append(x_cur)
             if t_cur >= T:
@@ -456,9 +408,6 @@ def _rollout_on_grid(grid, x0, max_events):
             exits = np.flatnonzero(margins <= 0.0)
             keep = len(xs) if exits.size == 0 else int(exits[0]) + 1
             if keep > 1:
-                d1, d2 = _segment_costs(path, params, ts[node:node + keep], xs[:keep])
-                j1 += d1
-                j2 += d2
                 seg_t.extend(ts[node + 1:node + keep])
                 seg_x.extend(xs[1:keep])
                 t_cur, x_cur = float(ts[node + keep - 1]), float(xs[keep - 1])
@@ -470,11 +419,7 @@ def _rollout_on_grid(grid, x0, max_events):
             if crossing is not None:
                 break
             # endpoint margin was a spurious nonpositive; accept the node and go on
-            x_next = _rk4_step(path, t_cur, x_cur, h)
-            d1, d2 = _step_cost(path, params, t_cur, x_cur, ts[node + keep], x_next)
-            j1 += d1
-            j2 += d2
-            t_cur, x_cur = float(ts[node + keep]), x_next
+            t_cur, x_cur = float(ts[node + keep]), _rk4_step(path, t_cur, x_cur, h)
             seg_t.append(t_cur)
             seg_x.append(x_cur)
             if t_cur >= T:
@@ -483,34 +428,20 @@ def _rollout_on_grid(grid, x0, max_events):
 
         if crossing is not None:
             tau, x_minus = crossing
-            d1, d2 = _step_cost(path, params, t_cur, x_cur, tau, x_minus)
-            j1 += d1
-            j2 += d2
             if tau >= T - EVENT_TIME_TOL:
                 # an exit this close to the horizon carries no impulse
-                if tau < T:
-                    x_end = _rk4_step(path, tau, x_minus, T - tau)
-                    e1, e2 = _step_cost(path, params, tau, x_minus, T, x_end)
-                    j1 += e1
-                    j2 += e2
-                else:
-                    x_end = x_minus
+                x_cur = _rk4_step(path, tau, x_minus, T - tau) if tau < T else x_minus
                 seg_t.append(T)
-                seg_x.append(x_end)
-                t_cur, x_cur = T, x_end
+                seg_x.append(x_cur)
+                t_cur = T
                 done = True
             else:
                 seg_t.append(tau)
                 seg_x.append(x_minus)
-                ev = fire(tau, x_minus)
-                j1 += ev.cost_p1
-                j2 += ev.cost_p2
-                t_cur, x_cur = tau, ev.x_plus
+                t_cur, x_cur = tau, fire(tau, x_minus).x_plus
         segments.append((np.asarray(seg_t), np.asarray(seg_x)))
 
-    j1 += 0.5 * params.s1 * (x_cur - params.rho1) ** 2
-    j2 += 0.5 * params.s2 * (x_cur - params.rho2) ** 2
-    return Trajectory(segments, events, j1, j2, x_cur, path, policy, params)
+    return _finished(segments, events, x_cur, path, policy, params)
 
 
 def admissibility_check(traj: Trajectory, policy: ThresholdPolicy) -> AdmissibilityReport:

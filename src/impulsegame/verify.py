@@ -112,6 +112,18 @@ def _phi2_time_derivative(path, t, x):
     return 0.5 * p2dot * x * x + q2dot * x + n2dot
 
 
+def _hjb1(path, params, t, x):
+    """Player 1's residual at (t, x) with no region check; broadcasts."""
+    u = gamma_star(path, params, t, x)
+    dphi1_dx = path.p1_at(t) * x + path.q1_at(t)
+    return (
+        _phi1_time_derivative(path, t, x)
+        + 0.5 * params.w1 * (x - params.rho1) ** 2
+        + 0.5 * params.r1 * u * u
+        + dphi1_dx * (params.a * x + params.b * u)
+    )
+
+
 def hjb1_residual(path: CoefficientPath, policy: ThresholdPolicy,
                   params: GameParams, t, x) -> float:
     """Signed residual of Player 1's optimality equation at an interior point.
@@ -122,14 +134,7 @@ def hjb1_residual(path: CoefficientPath, policy: ThresholdPolicy,
     """
     if policy.region(t, x) != REGION_INTERIOR:
         raise RegionError(f"(t={t!r}, x={x!r}) is not in the continuation region")
-    u = gamma_star(path, params, t, x)
-    dphi1_dx = path.p1_at(t) * x + path.q1_at(t)
-    return float(
-        _phi1_time_derivative(path, t, x)
-        + 0.5 * params.w1 * (x - params.rho1) ** 2
-        + 0.5 * params.r1 * u * u
-        + dphi1_dx * (params.a * x + params.b * u)
-    )
+    return float(_hjb1(path, params, t, x))
 
 
 def brute_force_rv2(path, policy, params, t, x, box: StateBox, xi_resolution=None):
@@ -322,7 +327,6 @@ def run_verification(path, policy, params: GameParams, box: StateBox,
     gap_tol = DEFAULT_GAP_BASE_TOL + xi_resolution * (params.c + params.d)
 
     shape = (nt + 1, nx + 1)
-    hjb1 = np.full(shape, np.nan)
     residual = np.empty(shape)
     gap = np.empty(shape)
     comp = np.empty(shape)
@@ -336,17 +340,8 @@ def run_verification(path, policy, params: GameParams, box: StateBox,
         gap[k] = gap_k
         comp[k] = comp_k
         region[k] = reg_k
-        inside = reg_k == REGION_INTERIOR
-        if inside.any():
-            xs = x_nodes[inside]
-            u = gamma_star(path, params, float(t), xs)
-            dphi1_dx = path.p1_at(float(t)) * xs + path.q1_at(float(t))
-            hjb1[k, inside] = (
-                _phi1_time_derivative(path, float(t), xs)
-                + 0.5 * params.w1 * (xs - params.rho1) ** 2
-                + 0.5 * params.r1 * u * u
-                + dphi1_dx * (params.a * xs + params.b * u)
-            )
+    interior_mask = region == REGION_INTERIOR
+    hjb1 = np.where(interior_mask, _hjb1(path, params, t_nodes[:, None], x_nodes), np.nan)
 
     x11, x22, theta_a, theta_b, margin1, margin2, alpha_ok, beta_ok = \
         _sufficiency_arrays(path, policy, params, t_nodes)
@@ -361,7 +356,6 @@ def run_verification(path, policy, params: GameParams, box: StateBox,
 
     conditions = []
 
-    interior_mask = region == REGION_INTERIOR
     abs_hjb = np.where(interior_mask, np.abs(hjb1), -np.inf)
     w, wt, wx = worst_node(abs_hjb, np.argmax)
     conditions.append(ConditionResult(

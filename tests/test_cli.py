@@ -235,6 +235,17 @@ def test_console_entry_point_runs():
     assert "K = 42" in proc.stdout
 
 
+def test_import_does_not_load_scipy():
+    # scipy is a test-only dependency; the package runs on numpy alone
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, impulsegame; print('scipy' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_csv_uses_12_significant_digits(tmp_path):
     cfg = write_cfg(tmp_path, output_dir=tmp_path / "out")
     assert main(["solve", "--config", str(cfg)]) == 0

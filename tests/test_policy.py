@@ -219,18 +219,6 @@ def test_value_v1_jump_condition_against_reset_point(path, policy, params):
     assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
-def test_value_sample_bundles_consistent_region(path, policy, params):
-    from impulsegame.policy import value_sample
-
-    hook = make_rollout_hook(path, policy, params)
-    ell1, _, _, _ = policy.thresholds_at(0.0)
-    sample = value_sample(path, policy, params, 0.0, ell1 - 0.5, hook)
-    assert sample.region == "below"
-    assert sample.v2 == pytest.approx(
-        value_v2(path, policy, params, 0.0, ell1 - 0.5), rel=1e-14)
-    assert sample.v1 == pytest.approx(hook(0.0, ell1 - 0.5).j1, rel=1e-14)
-
-
 def test_interior_quadratic_matches_value_between_jumps(path, policy, params):
     # on a jump-free rollout, v2 equals its interior quadratic along the path
     hook = make_rollout_hook(path, policy, params)

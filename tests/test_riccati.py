@@ -4,6 +4,7 @@ from scipy.integrate import quad
 
 from impulsegame import (
     DegenerateParameterError,
+    NonFiniteStateError,
     a_x,
     constants,
     p1_closed_form,
@@ -33,6 +34,59 @@ def rk4_terminal_value(rhs, y_terminal, t_grid):
         y = y - h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         out[i - 1] = y
     return out
+
+
+def seed_backward_rk4(params, n_steps=4096):
+    """The original backward solve, kept as a reference: one RK4 step of the
+    four-component system per loop pass, stages evaluated numerically."""
+    consts = constants(params)
+    ts = np.linspace(0.0, params.T, n_steps + 1)
+    h = params.T / n_steps
+    w1, rho1, w2, rho2 = params.w1, params.rho1, params.w2, params.rho2
+    b_x = consts.b_x
+
+    def rhs(t, y):
+        q1v, n1v, q2v, n2v = y
+        axv = a_x(consts, t)
+        p2v = p2_closed_form(consts, params, t)
+        return np.array([
+            -axv * q1v + w1 * rho1,
+            -0.5 * b_x * q1v * q1v - 0.5 * w1 * rho1 ** 2,
+            -axv * q2v - b_x * p2v * q1v + w2 * rho2,
+            -b_x * q1v * q2v - 0.5 * w2 * rho2 ** 2,
+        ])
+
+    y = np.array([-params.s1 * rho1, 0.5 * params.s1 * rho1 ** 2,
+                  -params.s2 * rho2, 0.5 * params.s2 * rho2 ** 2])
+    out = np.empty((n_steps + 1, 4))
+    out[n_steps] = y
+    for i in range(n_steps, 0, -1):
+        t = ts[i]
+        k1 = rhs(t, y)
+        k2 = rhs(t - 0.5 * h, y - 0.5 * h * k1)
+        k3 = rhs(t - 0.5 * h, y - 0.5 * h * k2)
+        k4 = rhs(t - h, y - h * k3)
+        y = y - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[i - 1] = y
+    return out
+
+
+@pytest.mark.parametrize("params", [BASELINE, variant(w2=1.0), variant(T=200.0)],
+                         ids=["table1", "table1_w2_1", "T200"])
+def test_affine_solve_matches_stagewise_reference(params):
+    path = solve_backward(params)
+    ref = seed_backward_rk4(params)
+    for j, name in enumerate(("q1", "n1", "q2", "n2")):
+        np.testing.assert_allclose(getattr(path, name), ref[:, j], rtol=1e-12, atol=0.0,
+                                   err_msg=name)
+
+
+def test_overflowing_p2_reported_at_first_node():
+    # theta*T = 360: p2's closed form overflows next to the horizon, and the
+    # first backward step already carries the non-finite forcing
+    with pytest.raises(NonFiniteStateError, match="coefficient integration diverged at node 4095"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            solve_backward(variant(b=-30.0, T=6.0))
 
 
 def test_constants_baseline(consts):
