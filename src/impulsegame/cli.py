@@ -24,7 +24,7 @@ from .errors import (
 )
 from .model import GameParams, StateBox, validate, validate_box
 from .policy import build_policy, gamma_star, value_v2
-from .riccati import constants, solve_backward
+from .riccati import solve_backward
 from .simulate import impulse_bound_parts, make_rollout_hook, rollout
 from .verify import run_verification
 
@@ -139,8 +139,7 @@ def _write_csv(path, header, rows):
 
 
 def _build(cfg: RunConfig):
-    consts = constants(cfg.params)
-    path = solve_backward(cfg.params, consts, cfg.n_steps)
+    path = solve_backward(cfg.params, cfg.n_steps)
     policy = build_policy(path, cfg.params)
     return path, policy
 

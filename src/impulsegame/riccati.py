@@ -234,8 +234,7 @@ def _scan_back(mult, add, y_end):
     return np.array(ys[::-1])
 
 
-def solve_backward(params: GameParams, consts: RiccatiConstants = None,
-                   n_steps: int = DEFAULT_STEPS) -> CoefficientPath:
+def solve_backward(params: GameParams, n_steps: int = DEFAULT_STEPS) -> CoefficientPath:
     """Integrate q1, n1, q2, n2 backward from their terminal conditions.
 
     Classical RK4 on a uniform grid of ``n_steps`` intervals over [0, T];
@@ -245,9 +244,7 @@ def solve_backward(params: GameParams, consts: RiccatiConstants = None,
     """
     if n_steps < 2:
         raise ValueError(f"n_steps must be >= 2 (got {n_steps})")
-    validate(params)
-    if consts is None:
-        consts = constants(params)
+    consts = constants(params)
 
     ts = np.linspace(0.0, params.T, n_steps + 1)
     h = -params.T / n_steps             # step i runs from node i + 1 to node i

@@ -347,13 +347,9 @@ def _rollout_on_grid(grid, x0, max_events):
     segments = []
 
     def fire(tau, x_minus):
-        hit = impulse_map(policy, tau, x_minus)
-        if hit is None:
-            # bisection stopped a hair inside the band; snap to the nearer side
-            ell1, alpha, beta, ell2 = policy.thresholds_at(tau)
-            hit = (alpha, alpha - x_minus) if (x_minus - ell1) <= (ell2 - x_minus) \
-                else (beta, beta - x_minus)
-        target, xi = hit
+        # every caller has just found x_minus on or outside the band at tau
+        # with the same thresholds_at(tau), so the reset rule always fires
+        target, xi = impulse_map(policy, tau, x_minus)
         ev = ImpulseEvent(
             tau=float(tau),
             x_minus=float(x_minus),

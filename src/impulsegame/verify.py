@@ -8,6 +8,11 @@ operator, and their complementarity), the root conditions that certify
 the residual's sign outside the band, the strict-convexity margin of
 Player 2's quadratic coefficient, and an independent coarse dynamic
 programming oracle for Player 2's value.
+
+The time derivatives in the residuals are central differences of the
+value quadratics themselves (closed-form p1, p2 and the interpolated
+q1, n1, q2, n2), never the defining equations, so a residual measures
+how well the computed paths solve those equations.
 """
 
 from dataclasses import dataclass, field
@@ -26,13 +31,20 @@ from .policy import (
 )
 from .riccati import CoefficientPath, RiccatiConstants
 
-DEFAULT_RESIDUAL_TOL = 1e-5
-DEFAULT_GAP_BASE_TOL = 1e-6
+RESIDUAL_TOL = 1e-5
+GAP_BASE_TOL = 1e-6
+XI_RESOLUTION = 1e-3     # brute-force target spacing, as a fraction of the box width
+# central-difference step for the time derivatives, as a fraction of T:
+# the cube root of machine epsilon balances truncation against rounding
+TIME_STEP = np.finfo(float).eps ** (1.0 / 3.0)
 
 
 @dataclass(frozen=True)
 class QviSample:
-    """The three inequality-system quantities at one (t, x) node."""
+    """The three inequality-system quantities and the region at one time.
+
+    Scalars for one state, arrays of the states' shape for several.
+    """
 
     residual: float
     gap: float
@@ -42,7 +54,9 @@ class QviSample:
 
 @dataclass(frozen=True)
 class SufficiencySample:
-    """Root conditions certifying the exterior residual sign at one time.
+    """Root conditions certifying the exterior residual sign.
+
+    Scalars at one time, arrays of the times' shape at several.
 
     ``x11``/``x22`` are the relevant roots of the residual quadratics
     below and above the band; the sufficient conditions are
@@ -102,22 +116,30 @@ class VerificationReport:
         return all(c.passed for c in self.conditions)
 
 
-def _phi1_time_derivative(path, t, x):
-    p1dot, q1dot, n1dot, _, _, _ = path.ode_rhs_at(t)
-    return 0.5 * p1dot * x * x + q1dot * x + n1dot
+def _phi_rates(path, t, x):
+    """(dphi1/dt, dphi2/dt) at (t, x) by central differences; broadcasts.
 
+    Both value quadratics are differenced through their coefficients:
+    the closed forms of p1 and p2 and the Hermite interpolants of q1, n1,
+    q2 and n2, which extrapolate past either end of the horizon.
+    """
+    h = TIME_STEP * path.params.T
 
-def _phi2_time_derivative(path, t, x):
-    _, _, _, p2dot, q2dot, n2dot = path.ode_rhs_at(t)
-    return 0.5 * p2dot * x * x + q2dot * x + n2dot
+    def coefficients(s):
+        return np.array([path.p1_at(s), path.q1_at(s), path.n1_at(s),
+                         path.p2_at(s), path.q2_at(s), path.n2_at(s)])
+
+    p1, q1, n1, p2, q2, n2 = (coefficients(t + h) - coefficients(t - h)) / (2.0 * h)
+    return 0.5 * p1 * x * x + q1 * x + n1, 0.5 * p2 * x * x + q2 * x + n2
 
 
 def _hjb1(path, params, t, x):
     """Player 1's residual at (t, x) with no region check; broadcasts."""
     u = gamma_star(path, params, t, x)
+    dphi1_dt, _ = _phi_rates(path, t, x)
     dphi1_dx = path.p1_at(t) * x + path.q1_at(t)
     return (
-        _phi1_time_derivative(path, t, x)
+        dphi1_dt
         + 0.5 * params.w1 * (x - params.rho1) ** 2
         + 0.5 * params.r1 * u * u
         + dphi1_dx * (params.a * x + params.b * u)
@@ -128,24 +150,22 @@ def hjb1_residual(path: CoefficientPath, policy: ThresholdPolicy,
                   params: GameParams, t, x) -> float:
     """Signed residual of Player 1's optimality equation at an interior point.
 
-    Zero (up to integration error) wherever the coefficient paths solve
-    their defining equations; raises RegionError outside the band, where
-    Player 1's value is not differentiable in this sense.
+    The time derivative is a central difference of Player 1's value
+    quadratic, independent of the defining equations, so the residual
+    is zero only up to integration, interpolation and differencing
+    error.  Raises RegionError outside the band, where Player 1's value
+    is not differentiable in this sense.
     """
     if policy.region(t, x) != REGION_INTERIOR:
         raise RegionError(f"(t={t!r}, x={x!r}) is not in the continuation region")
     return float(_hjb1(path, params, t, x))
 
 
-def brute_force_rv2(path, policy, params, t, x, box: StateBox, xi_resolution=None):
+def brute_force_rv2(path, policy, params, t, x, box: StateBox):
     """Intervention operator by brute force: min over a dense target grid
     of (value at the target) + (cost of jumping there).  Vectorized in x."""
     validate_box(box)
-    width = box.x_hi - box.x_lo
-    if xi_resolution is None:
-        xi_resolution = 1e-3 * width
-    n_targets = max(2, int(round(width / xi_resolution)) + 1)
-    targets = np.linspace(box.x_lo, box.x_hi, n_targets)
+    targets = np.linspace(box.x_lo, box.x_hi, round(1.0 / XI_RESOLUTION) + 1)
     v2_targets = value_v2(path, policy, params, t, targets)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     jump_cost = intervention_cost(params, targets[None, :] - x_arr[:, None])
@@ -153,59 +173,47 @@ def brute_force_rv2(path, policy, params, t, x, box: StateBox, xi_resolution=Non
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
-def _qvi_arrays(path, policy, params, t, x_arr, box, xi_resolution):
-    """residual, gap, complementarity, region codes at one time, vectorized."""
+def qvi_check(path, policy, params, t, x, box: StateBox) -> QviSample:
+    """Evaluate the inequality-system triple at time ``t`` and state(s) ``x``.
+
+    ``x`` is a scalar or an array; the sample's fields have its shape.
+    Inside the band the residual should vanish and the gap be strictly
+    negative; outside, the residual should be nonnegative and the gap
+    zero up to the target-grid resolution.
+    """
     ell1, alpha, beta, ell2 = policy.thresholds_at(t)
-    p2 = path.p2_at(t)
-    q2 = path.q2_at(t)
+    x_arr = np.asarray(x, dtype=float)
     below = x_arr <= ell1
     above = x_arr >= ell2
     interior = ~(below | above)
 
-    dv2_dt = np.where(
-        below,
-        _phi2_time_derivative(path, t, alpha),
-        np.where(above, _phi2_time_derivative(path, t, beta),
-                 _phi2_time_derivative(path, t, x_arr)),
-    )
-    dv2_dx = np.where(below, -params.c, np.where(above, params.d, p2 * x_arr + q2))
+    # outside the band V2 is phi2 at the reset target plus a jump cost
+    # affine in x; the target's stationarity cancels its own motion, so
+    # dV2/dt there is phi2's time derivative at the target
+    _, dv2_dt = _phi_rates(path, t, np.where(below, alpha, np.where(above, beta, x_arr)))
+    dv2_dx = np.where(below, -params.c,
+                      np.where(above, params.d, path.p2_at(t) * x_arr + path.q2_at(t)))
     # Player 1's feedback only acts while the state is inside the band.
     drift = params.a * x_arr + np.where(
         interior, params.b * gamma_star(path, params, t, x_arr), 0.0
     )
     residual = dv2_dt + 0.5 * params.w2 * (x_arr - params.rho2) ** 2 + dv2_dx * drift
-
-    v2 = value_v2(path, policy, params, t, x_arr)
-    rv2 = brute_force_rv2(path, policy, params, t, x_arr, box, xi_resolution)
-    gap = v2 - rv2
+    gap = value_v2(path, policy, params, t, x_arr) - brute_force_rv2(
+        path, policy, params, t, x_arr, box)
     region = np.where(below, REGION_BELOW, np.where(above, REGION_ABOVE, REGION_INTERIOR))
-    return residual, gap, gap * residual, region
+    if np.ndim(x) == 0:
+        return QviSample(float(residual), float(gap), float(gap * residual), str(region))
+    return QviSample(residual, gap, gap * residual, region)
 
 
-def qvi_check(path, policy, params, t, x, box: StateBox, xi_resolution=None) -> QviSample:
-    """Evaluate the inequality-system triple at one (t, x) point.
+def sufficiency_margins(path, policy, params, t) -> SufficiencySample:
+    """Root conditions for the exterior residual sign at time(s) ``t``.
 
-    Inside the band the residual should vanish and the gap be strictly
-    negative; outside, the residual should be nonnegative and the gap
-    zero up to the target-grid resolution.
+    ``t`` is a scalar or an array; the sample's fields have its shape.
     """
-    x_arr = np.array([float(x)])
-    residual, gap, comp, region = _qvi_arrays(
-        path, policy, params, float(t), x_arr, box, xi_resolution
-    )
-    return QviSample(
-        residual=float(residual[0]),
-        gap=float(gap[0]),
-        complementarity=float(comp[0]),
-        region=str(region[0]),
-    )
-
-
-def _sufficiency_arrays(path, policy, params, t_arr):
     a, c, d, w2, rho2 = params.a, params.c, params.d, params.w2, params.rho2
-    ell1, alpha, beta, ell2 = policy.thresholds_at(t_arr)
-    dphi2_alpha = _phi2_time_derivative(path, t_arr, alpha)
-    dphi2_beta = _phi2_time_derivative(path, t_arr, beta)
+    ell1, alpha, beta, ell2 = policy.thresholds_at(t)
+    _, (dphi2_alpha, dphi2_beta) = _phi_rates(path, t, np.array([alpha, beta]))
     theta_alpha = c * c * a * a + 2.0 * w2 * (c * a * rho2 - dphi2_alpha)
     theta_beta = d * d * a * a - 2.0 * w2 * (d * a * rho2 + dphi2_beta)
     alpha_ok = theta_alpha >= 0.0
@@ -220,25 +228,12 @@ def _sufficiency_arrays(path, policy, params, t_arr):
         (-(d * a - w2 * rho2) + np.sqrt(np.maximum(theta_beta, 0.0))) / w2,
         np.nan,
     )
-    margin1 = np.where(alpha_ok, x11 - ell1, np.inf)
-    margin2 = np.where(beta_ok, ell2 - x22, np.inf)
-    return x11, x22, theta_alpha, theta_beta, margin1, margin2, alpha_ok, beta_ok
-
-
-def sufficiency_margins(path, policy, params, t) -> SufficiencySample:
-    """Root conditions for the exterior residual sign at one time node."""
-    t_arr = np.array([float(t)])
-    x11, x22, ta, tb, m1, m2, aok, bok = _sufficiency_arrays(path, policy, params, t_arr)
-    return SufficiencySample(
-        x11=float(x11[0]),
-        x22=float(x22[0]),
-        theta_alpha=float(ta[0]),
-        theta_beta=float(tb[0]),
-        margin_ell1=float(m1[0]),
-        margin_ell2=float(m2[0]),
-        alpha_applicable=bool(aok[0]),
-        beta_applicable=bool(bok[0]),
-    )
+    fields = (x11, x22, theta_alpha, theta_beta,
+              np.where(alpha_ok, x11 - ell1, np.inf),
+              np.where(beta_ok, ell2 - x22, np.inf))
+    if np.ndim(t) == 0:
+        return SufficiencySample(*map(float, fields), bool(alpha_ok), bool(beta_ok))
+    return SufficiencySample(*fields, alpha_ok, beta_ok)
 
 
 def convexity_margin(consts: RiccatiConstants, params: GameParams, t):
@@ -315,36 +310,23 @@ def dp_oracle_v2(params: GameParams, path: CoefficientPath, box: StateBox,
 
 
 def run_verification(path, policy, params: GameParams, box: StateBox,
-                     nt: int = 200, nx: int = 200, xi_resolution=None,
-                     residual_tol: float = DEFAULT_RESIDUAL_TOL) -> VerificationReport:
+                     nt: int = 200, nx: int = 200) -> VerificationReport:
     """Evaluate every certification condition on an (nt+1) x (nx+1) grid."""
     validate_box(box)
     t_nodes = np.linspace(0.0, params.T, nt + 1)
     x_nodes = np.linspace(box.x_lo, box.x_hi, nx + 1)
-    width = box.x_hi - box.x_lo
-    if xi_resolution is None:
-        xi_resolution = 1e-3 * width
-    gap_tol = DEFAULT_GAP_BASE_TOL + xi_resolution * (params.c + params.d)
+    xi_resolution = XI_RESOLUTION * (box.x_hi - box.x_lo)
+    gap_tol = GAP_BASE_TOL + xi_resolution * (params.c + params.d)
 
-    shape = (nt + 1, nx + 1)
-    residual = np.empty(shape)
-    gap = np.empty(shape)
-    comp = np.empty(shape)
-    region = np.empty(shape, dtype="U8")
-
-    for k, t in enumerate(t_nodes):
-        res_k, gap_k, comp_k, reg_k = _qvi_arrays(
-            path, policy, params, float(t), x_nodes, box, xi_resolution
-        )
-        residual[k] = res_k
-        gap[k] = gap_k
-        comp[k] = comp_k
-        region[k] = reg_k
+    rows = [qvi_check(path, policy, params, float(t), x_nodes, box) for t in t_nodes]
+    residual = np.array([r.residual for r in rows])
+    gap = np.array([r.gap for r in rows])
+    comp = np.array([r.complementarity for r in rows])
+    region = np.array([r.region for r in rows])
     interior_mask = region == REGION_INTERIOR
     hjb1 = np.where(interior_mask, _hjb1(path, params, t_nodes[:, None], x_nodes), np.nan)
 
-    x11, x22, theta_a, theta_b, margin1, margin2, alpha_ok, beta_ok = \
-        _sufficiency_arrays(path, policy, params, t_nodes)
+    suff = sufficiency_margins(path, policy, params, t_nodes)
     convexity = convexity_margin(path.constants, params, t_nodes)
     p2_vals = path.p2_at(t_nodes)
 
@@ -359,19 +341,19 @@ def run_verification(path, policy, params: GameParams, box: StateBox,
     abs_hjb = np.where(interior_mask, np.abs(hjb1), -np.inf)
     w, wt, wx = worst_node(abs_hjb, np.argmax)
     conditions.append(ConditionResult(
-        "hjb1_interior_residual", w <= residual_tol, w, wt, wx,
-        f"max interior |residual|, tol {residual_tol:g}"))
+        "hjb1_interior_residual", w <= RESIDUAL_TOL, w, wt, wx,
+        f"max interior |residual|, tol {RESIDUAL_TOL:g}"))
 
     w, wt, wx = worst_node(residual, np.argmin)
     conditions.append(ConditionResult(
-        "qvi_residual_nonnegative", w >= -residual_tol, w, wt, wx,
-        f"min residual over all nodes, tol -{residual_tol:g}"))
+        "qvi_residual_nonnegative", w >= -RESIDUAL_TOL, w, wt, wx,
+        f"min residual over all nodes, tol -{RESIDUAL_TOL:g}"))
 
     abs_res_int = np.where(interior_mask, np.abs(residual), -np.inf)
     w, wt, wx = worst_node(abs_res_int, np.argmax)
     conditions.append(ConditionResult(
-        "qvi_interior_equality", w <= residual_tol, w, wt, wx,
-        f"max interior |residual|, tol {residual_tol:g}"))
+        "qvi_interior_equality", w <= RESIDUAL_TOL, w, wt, wx,
+        f"max interior |residual|, tol {RESIDUAL_TOL:g}"))
 
     w, wt, wx = worst_node(gap, np.argmax)
     conditions.append(ConditionResult(
@@ -384,7 +366,7 @@ def run_verification(path, policy, params: GameParams, box: StateBox,
         "exterior_obstacle_equality", w <= gap_tol, w, wt, wx,
         f"max exterior |gap|, tol {gap_tol:g}"))
 
-    comp_tol = float(np.max(np.abs(gap))) * residual_tol \
+    comp_tol = float(np.max(np.abs(gap))) * RESIDUAL_TOL \
         + float(np.max(np.abs(residual))) * gap_tol
     w, wt, wx = worst_node(np.abs(comp), np.argmax)
     conditions.append(ConditionResult(
@@ -395,17 +377,17 @@ def run_verification(path, policy, params: GameParams, box: StateBox,
         idx = pick(values1d)
         return float(values1d[idx]), float(t_nodes[idx])
 
-    finite1 = np.where(np.isfinite(margin1), margin1, np.inf)
-    w, wt = worst_t(finite1, np.argmin)
+    w, wt = worst_t(suff.margin_ell1, np.argmin)
     conditions.append(ConditionResult(
         "band_margin_lower", w >= 0.0, w, wt, None,
-        f"min (x11 - ell1) over applicable nodes; {int((~alpha_ok).sum())} inapplicable"))
+        f"min (x11 - ell1) over applicable nodes; "
+        f"{int((~suff.alpha_applicable).sum())} inapplicable"))
 
-    finite2 = np.where(np.isfinite(margin2), margin2, np.inf)
-    w, wt = worst_t(finite2, np.argmin)
+    w, wt = worst_t(suff.margin_ell2, np.argmin)
     conditions.append(ConditionResult(
         "band_margin_upper", w >= 0.0, w, wt, None,
-        f"min (ell2 - x22) over applicable nodes; {int((~beta_ok).sum())} inapplicable"))
+        f"min (ell2 - x22) over applicable nodes; "
+        f"{int((~suff.beta_applicable).sum())} inapplicable"))
 
     w, wt = worst_t(convexity, np.argmin)
     conditions.append(ConditionResult(
@@ -426,16 +408,16 @@ def run_verification(path, policy, params: GameParams, box: StateBox,
         qvi_residual=residual,
         gap=gap,
         complementarity=comp,
-        x11=x11,
-        x22=x22,
-        theta_alpha=theta_a,
-        theta_beta=theta_b,
-        margin_ell1=margin1,
-        margin_ell2=margin2,
+        x11=suff.x11,
+        x22=suff.x22,
+        theta_alpha=suff.theta_alpha,
+        theta_beta=suff.theta_beta,
+        margin_ell1=suff.margin_ell1,
+        margin_ell2=suff.margin_ell2,
         convexity_margin=convexity,
         p2=p2_vals,
         tolerances={
-            "residual_tol": residual_tol,
+            "residual_tol": RESIDUAL_TOL,
             "gap_tol": gap_tol,
             "xi_resolution": xi_resolution,
         },

@@ -42,8 +42,8 @@ def consts(params):
 
 
 @pytest.fixture(scope="session")
-def path(params, consts):
-    return solve_backward(params, consts)
+def path(params):
+    return solve_backward(params)
 
 
 @pytest.fixture(scope="session")

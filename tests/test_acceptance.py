@@ -10,7 +10,6 @@ import numpy as np
 from impulsegame import (
     StateBox,
     build_policy,
-    constants,
     dp_oracle_v2,
     impulse_bound,
     make_rollout_hook,
@@ -37,8 +36,7 @@ def _gate(num, label, fn):
 
 
 def _solve_pipeline(params):
-    consts = constants(params)
-    path = solve_backward(params, consts)
+    path = solve_backward(params)
     policy = build_policy(path, params)
     return path, policy
 

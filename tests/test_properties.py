@@ -48,7 +48,7 @@ def test_structural_invariants_hold_for_random_models(seed):
     rng = np.random.default_rng(1000 + seed)
     params = validate(random_params(rng))
     consts = constants(params)
-    path = solve_backward(params, consts, n_steps=1024)
+    path = solve_backward(params, n_steps=1024)
     policy = build_policy(path, params)
     ts = path.time_grid
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from impulsegame import (
+    CoefficientPath,
     RegionError,
     StateBox,
     build_policy,
@@ -16,8 +17,22 @@ from impulsegame import (
     sufficiency_margins,
     value_v2,
 )
+from impulsegame.verify import _phi_rates
 
 from conftest import variant
+
+
+def _shifted(path, name, slope=1e-3):
+    """Copy of ``path`` with node array ``name`` plus slope*t, slopes untouched."""
+    arrays = {k: getattr(path, k) for k in ("p1", "q1", "n1", "p2", "q2", "n2")}
+    arrays[name] = arrays[name] + slope * path.time_grid
+    return CoefficientPath(time_grid=path.time_grid, ax_vals=path.a_x,
+                           consts=path.constants, params=path.params, **arrays)
+
+
+def _failed(pth, params, box):
+    report = run_verification(pth, build_policy(pth, params), params, box, nt=60, nx=60)
+    return {c.name for c in report.conditions if not c.passed}
 
 
 def test_hjb1_residual_small_on_interior_grid(path, policy, params):
@@ -43,24 +58,27 @@ def test_hjb1_rejects_exterior_points(path, policy, params):
         hjb1_residual(path, policy, params, 0.0, ell1 - 0.5)
 
 
-def test_hjb1_residual_sensitive_to_coefficient_error(path, policy, params):
-    # recompute the residual with p1 shifted by 1e-3: it must light up,
-    # confirming the check can catch integration or interpolation bugs
-    delta = 1e-3
-    worst = 0.0
-    for t in np.linspace(0.05, 0.95, 10):
-        p1 = path.p1_at(t) + delta
-        q1, n1 = path.q1_at(t), path.n1_at(t)
-        p1dot, q1dot, n1dot, _, _, _ = path.ode_rhs_at(t)
-        ell1, _, _, ell2 = policy.thresholds_at(t)
-        for x in np.linspace(ell1 + 0.05, ell2 - 0.05, 10):
-            u = -(params.b / params.r1) * (p1 * x + q1)
-            res = (0.5 * p1dot * x * x + q1dot * x + n1dot
-                   + 0.5 * params.w1 * (x - params.rho1) ** 2
-                   + 0.5 * params.r1 * u * u
-                   + (p1 * x + q1) * (params.a * x + params.b * u))
-            worst = max(worst, abs(res))
-    assert worst > 1e-4
+def test_hjb1_residual_sensitive_to_coefficient_error(path, params, box):
+    # n1 + 1e-3*t no longer solves its defining equation; the residual's
+    # time derivative comes from the stored nodes, so the check must fail
+    assert "hjb1_interior_residual" in _failed(_shifted(path, "n1"), params, box)
+
+
+def test_qvi_interior_equality_sensitive_to_coefficient_error(path, params, box):
+    assert "qvi_interior_equality" in _failed(_shifted(path, "n2"), params, box)
+
+
+@pytest.mark.parametrize("scenario", ["path", "path_w2_1"])
+def test_phi_rates_match_defining_equations(scenario, request):
+    # the central differences agree with the defining equations on the
+    # solved paths, including at both ends of the horizon
+    pth = request.getfixturevalue(scenario)
+    t = np.linspace(0.0, pth.params.T, 41)[:, None]
+    x = np.linspace(0.0, 10.0, 21)
+    p1dot, q1dot, n1dot, p2dot, q2dot, n2dot = pth.ode_rhs_at(t)
+    dphi1, dphi2 = _phi_rates(pth, t, x)
+    assert np.max(np.abs(dphi1 - (0.5 * p1dot * x * x + q1dot * x + n1dot))) < 1e-6
+    assert np.max(np.abs(dphi2 - (0.5 * p2dot * x * x + q2dot * x + n2dot))) < 1e-6
 
 
 def test_qvi_interior_node(path, policy, params, box):
@@ -77,6 +95,25 @@ def test_qvi_exterior_node(path, policy, params, box):
     assert sample.region == "above"
     assert abs(sample.gap) < resolution * (params.c + params.d)
     assert sample.residual > -1e-5
+
+
+def test_qvi_check_on_array_equals_scalar_loop(path, policy, params, box):
+    xs = np.linspace(box.x_lo, box.x_hi, 23)
+    for t in (0.0, 0.37, params.T):
+        batch = qvi_check(path, policy, params, t, xs, box)
+        for j, x in enumerate(xs):
+            one = qvi_check(path, policy, params, t, float(x), box)
+            assert (one.residual, one.gap, one.complementarity, one.region) == (
+                batch.residual[j], batch.gap[j], batch.complementarity[j], batch.region[j])
+
+
+def test_sufficiency_margins_on_array_equals_scalar_loop(path, policy, params):
+    ts = np.linspace(0.0, params.T, 31)
+    batch = sufficiency_margins(path, policy, params, ts)
+    for k, t in enumerate(ts):
+        one = sufficiency_margins(path, policy, params, float(t))
+        for name, value in vars(one).items():
+            np.testing.assert_array_equal(value, getattr(batch, name)[k], err_msg=name)
 
 
 def test_qvi_terminal_value_identity(path, policy, params):
@@ -105,8 +142,7 @@ def test_sufficiency_root_zeroes_exterior_residual(path, policy, params):
     s = sufficiency_margins(path, policy, params, 0.0)
     assert s.alpha_applicable
     _, alpha, _, _ = policy.thresholds_at(0.0)
-    _, _, _, p2dot, q2dot, n2dot = path.ode_rhs_at(0.0)
-    dphi2_alpha = 0.5 * p2dot * alpha ** 2 + q2dot * alpha + n2dot
+    _, dphi2_alpha = _phi_rates(path, 0.0, alpha)
     residual_below = (dphi2_alpha - params.c * params.a * s.x11
                       + 0.5 * params.w2 * (s.x11 - params.rho2) ** 2)
     assert abs(residual_below) < 1e-9
@@ -128,8 +164,7 @@ def test_sufficiency_collapse_without_drift():
     pol0 = build_policy(path0, p)
     s = sufficiency_margins(path0, pol0, p, 0.3)
     _, alpha, _, _ = pol0.thresholds_at(0.3)
-    _, _, _, p2dot, q2dot, n2dot = path0.ode_rhs_at(0.3)
-    dphi2 = 0.5 * p2dot * alpha ** 2 + q2dot * alpha + n2dot
+    _, dphi2 = _phi_rates(path0, 0.3, alpha)
     assert s.theta_alpha == pytest.approx(2.0 * p.w2 * (-dphi2), rel=1e-10)
     if s.alpha_applicable:
         assert s.x11 == pytest.approx(p.rho2 - np.sqrt(s.theta_alpha) / p.w2, rel=1e-10)
@@ -246,19 +281,30 @@ def test_run_verification_passes_both_scenarios(path, policy, params,
 
 
 def test_report_flags_recomputable_from_stored_arrays(path, policy, params, box):
-    report = run_verification(path, policy, params, box, nt=40, nx=40)
-    tol = report.tolerances["residual_tol"]
-    named = {c.name: c for c in report.conditions}
-    assert named["qvi_residual_nonnegative"].passed == bool(
-        np.min(report.qvi_residual) >= -tol
-    )
-    interior = report.region == "interior"
-    assert named["hjb1_interior_residual"].passed == bool(
-        np.nanmax(np.abs(report.hjb1[interior])) <= tol
-    )
-    assert named["obstacle_gap"].passed == bool(
-        np.max(report.gap) <= report.tolerances["gap_tol"]
-    )
+    # on a certified model and on one that fails two conditions
+    p_bad = variant(C=1e-6)
+    path_bad = solve_backward(p_bad, n_steps=1024)
+    for pth, pol, prm in ((path, policy, params),
+                          (path_bad, build_policy(path_bad, p_bad), p_bad)):
+        r = run_verification(pth, pol, prm, box, nt=40, nx=40)
+        tol = r.tolerances["residual_tol"]
+        gap_tol = r.tolerances["gap_tol"]
+        interior = r.region == "interior"
+        comp_tol = np.max(np.abs(r.gap)) * tol + np.max(np.abs(r.qvi_residual)) * gap_tol
+        expected = {
+            "hjb1_interior_residual": np.max(np.abs(r.hjb1[interior])) <= tol,
+            "qvi_residual_nonnegative": np.min(r.qvi_residual) >= -tol,
+            "qvi_interior_equality": np.max(np.abs(r.qvi_residual[interior])) <= tol,
+            "obstacle_gap": np.max(r.gap) <= gap_tol,
+            "exterior_obstacle_equality": np.max(np.abs(r.gap[~interior])) <= gap_tol,
+            "complementarity": np.max(np.abs(r.complementarity)) <= comp_tol,
+            "band_margin_lower": np.min(r.margin_ell1) >= 0.0,
+            "band_margin_upper": np.min(r.margin_ell2) >= 0.0,
+            "convexity_margin": np.min(r.convexity_margin) > 0.0,
+            "convexity_sign_agreement": np.all(np.sign(r.convexity_margin) == np.sign(r.p2)),
+        }
+        assert {c.name: c.passed for c in r.conditions} == \
+            {name: bool(flag) for name, flag in expected.items()}
 
 
 def test_drift_suppressed_outside_band_in_residual(path, policy, params, box):
@@ -270,9 +316,8 @@ def test_drift_suppressed_outside_band_in_residual(path, policy, params, box):
     sample = qvi_check(path, policy, params, t, x, box)
     u = gamma_star(path, params, t, x)
     assert abs(params.d * params.b * u) > 1e-3  # the suppressed term is not tiny
-    _, _, _, p2dot, q2dot, n2dot = path.ode_rhs_at(t)
     _, _, beta, _ = policy.thresholds_at(t)
-    dphi2_beta = 0.5 * p2dot * beta ** 2 + q2dot * beta + n2dot
+    _, dphi2_beta = _phi_rates(path, t, beta)
     manual = dphi2_beta + 0.5 * params.w2 * (x - params.rho2) ** 2 \
         + params.d * params.a * x
     assert sample.residual == pytest.approx(manual, rel=1e-12)
