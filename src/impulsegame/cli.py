@@ -10,6 +10,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -131,11 +132,21 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path, header, rows):
+    """Write ``header`` and ``rows``, one line per row.
+
+    Each line is formatted by one ``%`` template built from the first
+    row: ``%s`` for str cells and ``%.12g`` for numbers, the same float
+    formatter as :func:`_fmt`.  Every row must have the first row's cell
+    types.
+    """
+    rows = iter(rows)
+    first = next(rows, None)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
-            fh.write("\n")
+        if first is not None:
+            template = ",".join("%s" if isinstance(cell, str) else "%.12g"
+                                for cell in first) + "\n"
+            fh.writelines(template % tuple(row) for row in chain((first,), rows))
 
 
 def _build(cfg: RunConfig):
@@ -211,25 +222,35 @@ def cmd_value(cfg: RunConfig, t: float) -> int:
     return EXIT_OK
 
 
+def _report_rows(report):
+    """report.csv rows, one per (t, x) node, t-major."""
+    xs = report.x_nodes.tolist()
+    per_t = zip(report.t_nodes.tolist(), report.x11.tolist(), report.x22.tolist(),
+                report.theta_alpha.tolist(), report.theta_beta.tolist(),
+                report.margin_ell1.tolist(), report.margin_ell2.tolist(),
+                report.convexity_margin.tolist())
+    per_node = zip(report.region.tolist(), report.hjb1.tolist(),
+                   report.qvi_residual.tolist(), report.gap.tolist(),
+                   report.complementarity.tolist())
+    for (t, *tail), cells in zip(per_t, per_node):
+        tail = tuple(tail)
+        for row in zip(xs, *cells):
+            yield (t,) + row + tail
+
+
 def cmd_verify(cfg: RunConfig) -> int:
     """Run the full certification grid; report to stdout and report.csv."""
+    if cfg.n_steps < 4:
+        # the residuals' finite-difference slopes need five solver nodes
+        raise ConfigError(f"verify needs n_steps >= 4 (got {cfg.n_steps})")
     path, policy = _build(cfg)
     report = run_verification(path, policy, cfg.params, cfg.box, nt=cfg.nt, nx=cfg.nx)
-    rows = []
-    for k, t in enumerate(report.t_nodes):
-        per_t = (report.x11[k], report.x22[k], report.theta_alpha[k],
-                 report.theta_beta[k], report.margin_ell1[k], report.margin_ell2[k],
-                 report.convexity_margin[k])
-        for j, x in enumerate(report.x_nodes):
-            rows.append((t, x, str(report.region[k, j]), report.hjb1[k, j],
-                         report.qvi_residual[k, j], report.gap[k, j],
-                         report.complementarity[k, j]) + per_t)
     _write_csv(
         _outpath(cfg, "report.csv"),
         ["t", "x", "region", "hjb1_residual", "qvi_residual", "gap", "complementarity",
          "x11", "x22", "theta_alpha", "theta_beta", "margin_ell1", "margin_ell2",
          "convexity_margin"],
-        rows,
+        _report_rows(report),
     )
     for cond in report.conditions:
         where = "" if cond.t is None else (

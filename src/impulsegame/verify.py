@@ -3,16 +3,18 @@
 Checks, on a rectangular (t, x) grid over the horizon and a declared
 state box: the interior residual of Player 1's optimality equation, the
 three coupled relations of Player 2's impulse-control inequality system
-(residual sign, obstacle gap against a brute-force intervention
-operator, and their complementarity), the root conditions that certify
-the residual's sign outside the band, the strict-convexity margin of
-Player 2's quadratic coefficient, and an independent coarse dynamic
-programming oracle for Player 2's value.
+(residual sign, obstacle gap against the intervention operator, taken as
+the exact minimum over the 1001-point target grid in linear time, and
+their complementarity), the root conditions that certify the residual's
+sign outside the band, the strict-convexity margin of Player 2's
+quadratic coefficient, and an independent coarse dynamic programming
+oracle for Player 2's value.
 
 The time derivatives in the residuals are central differences of the
-value quadratics themselves (closed-form p1, p2 and the interpolated
-q1, n1, q2, n2), never the defining equations, so a residual measures
-how well the computed paths solve those equations.
+value quadratics themselves (closed-form p1, p2, and q1, n1, q2, n2
+interpolated with finite-difference node slopes), never the defining
+equations, so a residual measures how well the computed node values
+solve those equations, at solver nodes as well as between them.
 """
 
 from dataclasses import dataclass, field
@@ -29,11 +31,11 @@ from .policy import (
     gamma_star,
     value_v2,
 )
-from .riccati import CoefficientPath, RiccatiConstants
+from .riccati import CoefficientPath, RiccatiConstants, hermite
 
 RESIDUAL_TOL = 1e-5
 GAP_BASE_TOL = 1e-6
-XI_RESOLUTION = 1e-3     # brute-force target spacing, as a fraction of the box width
+XI_RESOLUTION = 1e-3     # intervention-target spacing, as a fraction of the box width
 # central-difference step for the time derivatives, as a fraction of T:
 # the cube root of machine epsilon balances truncation against rounding
 TIME_STEP = np.finfo(float).eps ** (1.0 / 3.0)
@@ -120,14 +122,18 @@ def _phi_rates(path, t, x):
     """(dphi1/dt, dphi2/dt) at (t, x) by central differences; broadcasts.
 
     Both value quadratics are differenced through their coefficients:
-    the closed forms of p1 and p2 and the Hermite interpolants of q1, n1,
-    q2 and n2, which extrapolate past either end of the horizon.
+    the closed forms of p1 and p2, and cubic Hermite interpolants of the
+    q1, n1, q2 and n2 node values whose node slopes are the paths'
+    finite-difference slopes, so the rates depend on the node values
+    alone.  The interpolants extrapolate past either end of the horizon.
     """
     h = TIME_STEP * path.params.T
+    ts = path.time_grid
+    integrated = list(zip((path.q1, path.n1, path.q2, path.n2), path.difference_slopes))
 
     def coefficients(s):
-        return np.array([path.p1_at(s), path.q1_at(s), path.n1_at(s),
-                         path.p2_at(s), path.q2_at(s), path.n2_at(s)])
+        q1, n1, q2, n2 = (hermite(ts, ys, dys, s) for ys, dys in integrated)
+        return np.array([path.p1_at(s), q1, n1, path.p2_at(s), q2, n2])
 
     p1, q1, n1, p2, q2, n2 = (coefficients(t + h) - coefficients(t - h)) / (2.0 * h)
     return 0.5 * p1 * x * x + q1 * x + n1, 0.5 * p2 * x * x + q2 * x + n2
@@ -161,15 +167,43 @@ def hjb1_residual(path: CoefficientPath, policy: ThresholdPolicy,
     return float(_hjb1(path, params, t, x))
 
 
+def _running_argmin(w):
+    """Index of the first minimum of ``w[:i + 1]``, for every i."""
+    run = np.minimum.accumulate(w)
+    drop = np.concatenate(([True], run[1:] < run[:-1]))
+    return np.maximum.accumulate(np.where(drop, np.arange(w.size), 0))
+
+
+def _min_jump(params, targets, v_targets, x):
+    """min over m of ``v_targets[m] + intervention_cost(targets[m] - x)``.
+
+    ``targets`` is strictly increasing, ``v_targets`` finite and ``x`` a
+    1-D array.  The jump cost is ``D - d*xi`` downward and ``C + c*xi``
+    upward, so the best target below x minimises ``v - d*y`` over a
+    prefix and the best above x minimises ``v + c*y`` over a suffix; a
+    target equal to x is the zero-size jump.  Those (at most) three
+    winners are scored exactly as the dense minimum scores every target,
+    in O(len(targets) + len(x)) time.
+    """
+    m = targets.size
+    below = _running_argmin(v_targets - params.d * targets)
+    above = m - 1 - _running_argmin((v_targets + params.c * targets)[::-1])[::-1]
+    lo = np.searchsorted(targets, x, side="left")   # targets[:lo] < x
+    hi = np.searchsorted(targets, x, side="right")  # targets[hi:] > x
+    valid = np.stack([lo > 0, hi > lo, hi < m])
+    idx = np.where(valid, np.stack([below[lo - 1], lo, above[np.minimum(hi, m - 1)]]), 0)
+    score = v_targets[idx] + intervention_cost(params, targets[idx] - x)
+    return np.min(np.where(valid, score, np.inf), axis=0)
+
+
 def brute_force_rv2(path, policy, params, t, x, box: StateBox):
-    """Intervention operator by brute force: min over a dense target grid
-    of (value at the target) + (cost of jumping there).  Vectorized in x."""
+    """Intervention operator at time ``t``: the exact minimum over the
+    1001-point target grid of (value at the target) + (cost of jumping
+    there), found in linear time.  Vectorized in x."""
     validate_box(box)
     targets = np.linspace(box.x_lo, box.x_hi, round(1.0 / XI_RESOLUTION) + 1)
     v2_targets = value_v2(path, policy, params, t, targets)
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    jump_cost = intervention_cost(params, targets[None, :] - x_arr[:, None])
-    out = np.min(v2_targets[None, :] + jump_cost, axis=1)
+    out = _min_jump(params, targets, v2_targets, np.atleast_1d(np.asarray(x, dtype=float)))
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
@@ -273,7 +307,8 @@ def dp_oracle_v2(params: GameParams, path: CoefficientPath, box: StateBox,
     Backward induction on an (nt+1) x (nx+1) grid: at each layer the
     waiting value advances the state one explicit Euler step through
     Player 1's feedback and adds one rectangle of running cost; the
-    jumping value is the best target-node value plus the jump cost.
+    jumping value is the best target-node value plus the jump cost, the
+    exact minimum over all nodes found in linear time per layer.
     Against the closed-form value this scheme is first-order accurate.
     """
     if nt < 16 or nx < 16:
@@ -285,8 +320,6 @@ def dp_oracle_v2(params: GameParams, path: CoefficientPath, box: StateBox,
     values = np.empty((nt + 1, nx + 1))
     intervene = np.zeros((nt + 1, nx + 1), dtype=bool)
     values[nt] = 0.5 * params.s2 * (xg - params.rho2) ** 2
-    # jump cost from node j to target node m
-    jump_cost = intervention_cost(params, xg[None, :] - xg[:, None])
     run_cost = dt * 0.5 * params.w2 * (xg - params.rho2) ** 2
     for k in range(nt - 1, -1, -1):
         t = k * dt
@@ -302,7 +335,7 @@ def dp_oracle_v2(params: GameParams, path: CoefficientPath, box: StateBox,
         cont = v_adv + run_cost
         # a second jump never helps: each jump pays a fixed cost, so the
         # obstacle uses waiting values at the targets
-        jump = np.min(cont[None, :] + jump_cost, axis=1)
+        jump = _min_jump(params, xg, cont, xg)
         values[k] = np.minimum(cont, jump)
         intervene[k] = jump < cont
     return DpOracleResult(t_grid=np.linspace(0.0, params.T, nt + 1), x_grid=xg,

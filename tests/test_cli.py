@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from impulsegame.cli import main, parse_config
+from impulsegame.cli import _write_csv, main, parse_config
 from impulsegame.errors import ConfigError
 
 REPO = Path(__file__).resolve().parent.parent
@@ -190,6 +190,11 @@ def test_verify_fails_with_named_condition_on_adversarial_config(tmp_path, capsy
     assert "verification FAILED" in out
 
 
+def test_verify_rejects_grid_too_short_for_difference_slopes(tmp_path):
+    cfg = write_cfg(tmp_path, output_dir=tmp_path / "out", n_steps=3, nt=20, nx=20)
+    assert main(["verify", "--config", str(cfg)]) == 1
+
+
 def test_bound_prints_k_and_ingredients(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     assert main(["bound", "--config", str(cfg)]) == 0
@@ -255,3 +260,22 @@ def test_csv_uses_12_significant_digits(tmp_path):
     mantissa = cell.replace("-", "").replace(".", "").lstrip("0")
     assert len(mantissa) == 12
     assert "," not in cell and "." in cell
+
+
+def test_write_csv_matches_per_cell_format(tmp_path):
+    # one %-template per file must give the bytes of formatting each cell
+    # with format(cell, ".12g") (str cells verbatim)
+    row = (np.float64(1.0 / 3.0), 2.0 / 3.0, 7, 10 ** 15, np.nan, np.inf, -np.inf, -0.0,
+           1e-300, 1e300, np.float64(-2.5e-7), "interior", np.str_("above"))
+    rng = np.random.default_rng(3)
+    rows = [row] + [tuple(float(v) for v in rng.normal(size=11) * 10.0 ** rng.integers(-20, 20))
+                    + ("below", np.str_("interior")) for _ in range(50)]
+    header = [f"c{k}" for k in range(len(row))]
+    expected = ",".join(header) + "\n" + "".join(
+        ",".join(c if isinstance(c, str) else format(c, ".12g") for c in r) + "\n"
+        for r in rows)
+    for name, given in (("list.csv", rows), ("gen.csv", iter(rows))):
+        _write_csv(tmp_path / name, header, given)
+        assert (tmp_path / name).read_bytes() == expected.encode("utf-8")
+    _write_csv(tmp_path / "empty.csv", ["x", "y"], [])
+    assert (tmp_path / "empty.csv").read_bytes() == b"x,y\n"

@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from impulsegame import (
+    CoefficientPath,
     DegenerateParameterError,
     NonFiniteStateError,
     a_x,
@@ -244,3 +245,28 @@ def test_between_node_interpolation_tracks_fine_grid(path):
 def test_solve_backward_rejects_tiny_grid():
     with pytest.raises(ValueError):
         solve_backward(BASELINE, n_steps=1)
+
+
+def _node_path(ts, q1, n1, q2, n2):
+    zeros = np.zeros_like(ts)
+    return CoefficientPath(time_grid=ts, p1=zeros.copy(), q1=q1, n1=n1, p2=zeros.copy(),
+                           q2=q2, n2=n2, ax_vals=zeros.copy(),
+                           consts=constants(BASELINE), params=BASELINE)
+
+
+def test_difference_slopes_exact_on_quartics():
+    # the fourth-order stencils, central and one-sided at both ends, are
+    # exact for polynomials of degree four
+    ts = np.linspace(0.5, 2.5, 9)
+    coefs = ([1.0, -2.0, 3.0, -0.5, 0.25], [0.0, 1.0, 0.0, 0.0, -1.0],
+             [2.0, 0.0, -1.0, 1.0, 0.0], [-1.0, 0.5, 0.5, 0.0, 0.125])
+    polys = [np.polynomial.Polynomial(c) for c in coefs]
+    slopes = _node_path(ts, *(poly(ts) for poly in polys)).difference_slopes
+    for got, poly in zip(slopes, polys):
+        np.testing.assert_allclose(got, poly.deriv()(ts), rtol=1e-12, atol=1e-12)
+
+
+def test_difference_slopes_need_five_nodes():
+    ts = np.linspace(0.0, 1.0, 4)
+    with pytest.raises(ValueError, match="at least 5 nodes"):
+        _node_path(ts, ts.copy(), ts.copy(), ts.copy(), ts.copy()).difference_slopes

@@ -5,6 +5,7 @@ from impulsegame import (
     CoefficientPath,
     RegionError,
     StateBox,
+    brute_force_rv2,
     build_policy,
     convexity_margin,
     constants,
@@ -17,7 +18,8 @@ from impulsegame import (
     sufficiency_margins,
     value_v2,
 )
-from impulsegame.verify import _phi_rates
+from impulsegame.model import intervention_cost
+from impulsegame.verify import DpOracleResult, _min_jump, _phi_rates
 
 from conftest import variant
 
@@ -66,6 +68,17 @@ def test_hjb1_residual_sensitive_to_coefficient_error(path, params, box):
 
 def test_qvi_interior_equality_sensitive_to_coefficient_error(path, params, box):
     assert "qvi_interior_equality" in _failed(_shifted(path, "n2"), params, box)
+
+
+def test_residual_sees_node_value_error_at_solver_nodes(path, params, box):
+    # every 25th row of a 200-row grid falls on a solver node (n_steps=4096);
+    # the residual there must see the 1e-3 error in n1's rate, not only the
+    # rows between nodes
+    shifted = _shifted(path, "n1")
+    report = run_verification(shifted, build_policy(shifted, params), params, box,
+                              nt=200, nx=60)
+    assert np.all(np.isin(report.t_nodes[::25], path.time_grid))
+    assert np.nanmax(np.abs(report.hjb1[::25])) >= 5e-4
 
 
 @pytest.mark.parametrize("scenario", ["path", "path_w2_1"])
@@ -321,3 +334,91 @@ def test_drift_suppressed_outside_band_in_residual(path, policy, params, box):
     manual = dphi2_beta + 0.5 * params.w2 * (x - params.rho2) ** 2 \
         + params.d * params.a * x
     assert sample.residual == pytest.approx(manual, rel=1e-12)
+
+
+# Dense references: every target scored, as the operator and the oracle
+# were first written.  The linear-time forms must reproduce them.
+
+def _dense_rv2(path, policy, params, t, x, box):
+    targets = np.linspace(box.x_lo, box.x_hi, 1001)
+    v2_targets = value_v2(path, policy, params, t, targets)
+    jump_cost = intervention_cost(params, targets[None, :] - x[:, None])
+    return np.min(v2_targets[None, :] + jump_cost, axis=1)
+
+
+def _dense_dp_oracle(params, path, box, nt, nx):
+    xg = np.linspace(box.x_lo, box.x_hi, nx + 1)
+    dt = params.T / nt
+    dx = (box.x_hi - box.x_lo) / nx
+    values = np.empty((nt + 1, nx + 1))
+    intervene = np.zeros((nt + 1, nx + 1), dtype=bool)
+    values[nt] = 0.5 * params.s2 * (xg - params.rho2) ** 2
+    jump_cost = intervention_cost(params, xg[None, :] - xg[:, None])
+    run_cost = dt * 0.5 * params.w2 * (xg - params.rho2) ** 2
+    for k in range(nt - 1, -1, -1):
+        t = k * dt
+        v_next = values[k + 1]
+        x_adv = xg + dt * (params.a * xg + params.b * gamma_star(path, params, t, xg))
+        v_adv = np.interp(x_adv, xg, v_next)
+        low = x_adv < xg[0]
+        high = x_adv > xg[-1]
+        if low.any():
+            v_adv[low] = v_next[0] + (v_next[1] - v_next[0]) / dx * (x_adv[low] - xg[0])
+        if high.any():
+            v_adv[high] = v_next[-1] + (v_next[-1] - v_next[-2]) / dx * (x_adv[high] - xg[-1])
+        cont = v_adv + run_cost
+        jump = np.min(cont[None, :] + jump_cost, axis=1)
+        values[k] = np.minimum(cont, jump)
+        intervene[k] = jump < cont
+    return DpOracleResult(t_grid=np.linspace(0.0, params.T, nt + 1), x_grid=xg,
+                          values=values, intervene=intervene)
+
+
+@pytest.mark.parametrize("scenario", ["", "_w2_1"])
+def test_intervention_operator_equals_dense_minimum(scenario, request, box):
+    pth, pol, prm = (request.getfixturevalue(name + scenario)
+                     for name in ("path", "policy", "params"))
+    xs = np.linspace(box.x_lo, box.x_hi, 201)
+    for t in np.linspace(0.0, prm.T, 201):
+        np.testing.assert_array_equal(
+            brute_force_rv2(pth, pol, prm, float(t), xs, box),
+            _dense_rv2(pth, pol, prm, float(t), xs, box), err_msg=f"t={t}")
+
+
+@pytest.mark.parametrize("scenario", ["", "_w2_1"])
+@pytest.mark.parametrize("n", [200, 400])
+def test_dp_oracle_equals_dense_layers(scenario, n, request, box):
+    pth, prm = (request.getfixturevalue(name + scenario) for name in ("path", "params"))
+    fast = dp_oracle_v2(prm, pth, box, nt=n, nx=n)
+    dense = _dense_dp_oracle(prm, pth, box, nt=n, nx=n)
+    np.testing.assert_array_equal(fast.values, dense.values)
+    np.testing.assert_array_equal(fast.intervene, dense.intervene)
+
+
+def _dense_min_jump(params, targets, v, x):
+    return np.min(v[None, :] + intervention_cost(params, targets[None, :] - x[:, None]),
+                  axis=1)
+
+
+@pytest.mark.parametrize("fixed", [(3.0, 5.0), (5.0, 3.0)], ids=["C<D", "C>D"])
+def test_min_jump_matches_dense_on_random_cases(fixed):
+    rng = np.random.default_rng(20240501)
+    C, D = fixed
+    for case in range(40):
+        prm = variant(C=C, D=D, c=rng.uniform(0.1, 4.0), d=rng.uniform(0.1, 4.0))
+        m = 1 if case % 8 == 0 else int(rng.integers(2, 60))
+        targets = np.sort(rng.choice(np.linspace(-5.0, 5.0, 400), m, replace=False))
+        if case % 4 == 1:
+            v = np.full(m, rng.normal())           # every target ties
+        else:
+            v = rng.normal(size=m) * rng.uniform(0.1, 10.0)
+        x = np.concatenate([
+            targets[rng.integers(0, m, 5)],        # exactly on a target
+            rng.uniform(-7.0, -5.5, 3),            # below every target
+            rng.uniform(5.5, 7.0, 3),              # above every target
+            rng.uniform(-5.0, 5.0, 20),
+        ])
+        got = _min_jump(prm, targets, v, x)
+        expected = _dense_min_jump(prm, targets, v, x)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0,
+                                   err_msg=f"case {case}")
