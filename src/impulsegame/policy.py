@@ -9,6 +9,8 @@ conditions ``p2*alpha + q2 = -c`` and ``p2*beta + q2 = d``, so all four
 are explicit functions of ``(p2(t), q2(t))``.
 """
 
+import math
+
 import numpy as np
 
 from .errors import ConvexityViolation, OrderingViolation
@@ -20,12 +22,17 @@ REGION_INTERIOR = "interior"
 REGION_ABOVE = "above"
 
 
+def _sqrt(x):
+    """``np.sqrt``, taken on a nonnegative float by ``math.sqrt`` (both exact)."""
+    return math.sqrt(x) if isinstance(x, float) and x >= 0.0 else np.sqrt(x)
+
+
 def _band(p2, q2, params: GameParams):
-    """(ell1, alpha, beta, ell2) from p2 and q2, elementwise."""
+    """(ell1, alpha, beta, ell2) from p2 and q2: floats or arrays, elementwise."""
     alpha = -(q2 + params.c) / p2
     beta = (params.d - q2) / p2
-    ell1 = (-params.c - q2 - np.sqrt(2.0 * params.C * p2)) / p2
-    ell2 = (-q2 + params.d + np.sqrt(2.0 * params.D * p2)) / p2
+    ell1 = (-params.c - q2 - _sqrt(2.0 * params.C * p2)) / p2
+    ell2 = (-q2 + params.d + _sqrt(2.0 * params.D * p2)) / p2
     return ell1, alpha, beta, ell2
 
 
@@ -47,7 +54,7 @@ class ThresholdPolicy:
             arr.flags.writeable = False
 
     def thresholds_at(self, t):
-        """(ell1, alpha, beta, ell2) at time ``t`` (scalar or array)."""
+        """(ell1, alpha, beta, ell2) at time ``t``: floats for a scalar, else arrays."""
         return _band(self.path.p2_at(t), self.path.q2_at(t), self.params)
 
     def region(self, t, x):

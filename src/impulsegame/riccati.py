@@ -12,8 +12,18 @@ interpolant :func:`hermite`, whose node slopes come from the defining
 equations, while ``p1``, ``p2`` and the closed-loop gain ``a_x`` always
 use their closed forms.  ``CoefficientPath.difference_slopes`` gives the
 verifier node slopes from finite differences of the node values instead.
+
+Every formula here has one body that serves a Python float and an array.
+A scalar time (float, int or 0-d array) runs through it on Python floats
+and returns a float: no array round trip, and :func:`hermite` finds the
+cell with :func:`bisect.bisect_right` on node lists that each
+``CoefficientPath`` builds once.  This is the path a rollout's event
+locator takes on every probe.  The float path equals the array path bit
+for bit: both round each operation once, and both use ``np.exp``
+(``math.exp`` differs from it in the last ulp for some arguments).
 """
 
+import bisect
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -48,7 +58,7 @@ def constants(params: GameParams) -> RiccatiConstants:
     w2, s2, T = params.w2, params.s2, params.T
 
     b_x = -b * b / r1
-    theta = 2.0 * np.sqrt(a * a + w1 * b * b / r1)
+    theta = float(2.0 * np.sqrt(a * a + w1 * b * b / r1))
     # Same quantity written through b_x; guards against sign mistakes.
     assert np.isclose(theta, 2.0 * np.sqrt(a * a - w1 * b_x), rtol=1e-12, atol=0.0)
 
@@ -57,11 +67,11 @@ def constants(params: GameParams) -> RiccatiConstants:
         raise DegenerateParameterError(
             f"theta + 2*(b^2/r1)*s1 - 2*a vanished (theta={theta!r})"
         )
-    c1 = (2.0 * theta / divisor - 1.0) * np.exp(-theta * T)
+    c1 = (2.0 * theta / divisor - 1.0) * _exp(-theta * T)
 
     if theta == 0.0:
         raise DegenerateParameterError("theta = 0: control has no authority")
-    eT = np.exp(theta * T)
+    eT = _exp(theta * T)
     h_const = (
         2.0 * c1 * s2
         + s2 / eT
@@ -72,9 +82,22 @@ def constants(params: GameParams) -> RiccatiConstants:
     return RiccatiConstants(theta=theta, c1=c1, h_const=h_const, b_x=b_x)
 
 
+def _float_or_array(t):
+    """``t`` as a Python float if it is a scalar, else as a float array."""
+    if isinstance(t, float):
+        return t
+    t = np.asarray(t, dtype=float)
+    return float(t) if t.ndim == 0 else t
+
+
+def _exp(x):
+    """``np.exp``, returned as a Python float for a float argument."""
+    return float(np.exp(x)) if isinstance(x, float) else np.exp(x)
+
+
 def _denominator(consts: RiccatiConstants, t):
-    den = consts.c1 * np.exp(consts.theta * np.asarray(t, dtype=float)) + 1.0
-    if np.any(den == 0.0):
+    den = consts.c1 * _exp(consts.theta * t) + 1.0
+    if den == 0.0 if isinstance(den, float) else np.any(den == 0.0):
         raise DegenerateParameterError("c1*exp(theta*t) + 1 vanished")
     return den
 
@@ -84,27 +107,25 @@ def a_x(consts: RiccatiConstants, t):
 
     Identically equal to a + b_x*p1(t).
     """
-    out = consts.theta / 2.0 - consts.theta / _denominator(consts, t)
-    return float(out) if np.ndim(t) == 0 else out
+    return consts.theta / 2.0 - consts.theta / _denominator(consts, _float_or_array(t))
 
 
 def p1_closed_form(consts: RiccatiConstants, params: GameParams, t):
     """Player 1 quadratic coefficient p1(t); p1(T) = s1 by construction."""
     if consts.b_x == 0.0:
         raise DegenerateParameterError("b = 0: p1 closed form undefined")
-    out = (a_x(consts, t) - params.a) / consts.b_x
-    return float(out) if np.ndim(t) == 0 else out
+    return (a_x(consts, t) - params.a) / consts.b_x
 
 
 def p2_closed_form(consts: RiccatiConstants, params: GameParams, t):
     """Player 2 quadratic coefficient p2(t); p2(T) = s2 by construction."""
-    t_arr = np.asarray(t, dtype=float)
+    t = _float_or_array(t)
     theta, c1, h = consts.theta, consts.c1, consts.h_const
     w2 = params.w2
-    e = np.exp(theta * t_arr)
-    num = -w2 * e * e * c1 * c1 - 2.0 * t_arr * theta * w2 * e * c1 + w2 + h * theta * e
-    out = num / (theta * _denominator(consts, t_arr) ** 2)
-    return float(out) if np.ndim(t) == 0 else out
+    e = _exp(theta * t)
+    num = -w2 * e * e * c1 * c1 - 2.0 * t * theta * w2 * e * c1 + w2 + h * theta * e
+    den = _denominator(consts, t)
+    return num / (theta * (den * den))
 
 
 def affine_rk4(h, a, b):
@@ -131,10 +152,15 @@ def affine_rk4(h, a, b):
 def hermite(ts, ys, dys, t):
     """Cubic Hermite interpolant through ``(ts, ys)`` with slopes ``dys``.
 
-    ``ts`` is increasing with at least two nodes; ``t`` is a scalar or an
-    array.  Outside ``[ts[0], ts[-1]]`` the end cubics extrapolate.
+    ``ts`` is increasing with at least two nodes; ``t`` is a float or an
+    array.  Outside ``[ts[0], ts[-1]]`` the end cubics extrapolate.  A
+    float ``t`` takes the cell by bisection, which is cheapest when
+    ``ts``, ``ys`` and ``dys`` are lists; the arithmetic is the same.
     """
-    k = np.searchsorted(ts[1:-1], t, side="right")
+    if isinstance(t, float):
+        k = bisect.bisect_right(ts, t, 1, len(ts) - 1) - 1
+    else:
+        k = np.searchsorted(ts[1:-1], t, side="right")
     t0 = ts[k]
     h = ts[k + 1] - t0
     s = (t - t0) / h
@@ -192,10 +218,17 @@ class CoefficientPath:
         self.a_x = ax_vals
         self.constants = consts
         self.params = params
-        self._dq1, self._dn1, self._dq2, self._dn2 = _slopes(
-            params, consts.b_x, ax_vals, p2, q1, q2)
+        slopes = _slopes(params, consts.b_x, ax_vals, p2, q1, q2)
         for arr in (time_grid, p1, q1, n1, p2, q2, n2, ax_vals):
             arr.flags.writeable = False
+        # (nodes, node slopes) of q1, n1, q2, n2 for the interpolants
+        self._tables = dict(zip(("q1", "n1", "q2", "n2"), zip((q1, n1, q2, n2), slopes)))
+
+    @cached_property
+    def _lists(self):
+        """The grid and ``_tables`` as lists, for float times; built on first use."""
+        tables = {k: (ys.tolist(), dys.tolist()) for k, (ys, dys) in self._tables.items()}
+        return self.time_grid.tolist(), tables
 
     # closed-form evaluations
     def p1_at(self, t):
@@ -208,21 +241,24 @@ class CoefficientPath:
         return a_x(self.constants, t)
 
     # interpolated evaluations
-    def _interp(self, ys, dys, t):
-        out = hermite(self.time_grid, ys, dys, t)
-        return float(out) if np.ndim(t) == 0 else out
+    def _interp(self, which, t):
+        t = _float_or_array(t)
+        if isinstance(t, float):
+            grid, tables = self._lists
+            return hermite(grid, *tables[which], t)
+        return hermite(self.time_grid, *self._tables[which], t)
 
     def q1_at(self, t):
-        return self._interp(self.q1, self._dq1, t)
+        return self._interp("q1", t)
 
     def n1_at(self, t):
-        return self._interp(self.n1, self._dn1, t)
+        return self._interp("n1", t)
 
     def q2_at(self, t):
-        return self._interp(self.q2, self._dq2, t)
+        return self._interp("q2", t)
 
     def n2_at(self, t):
-        return self._interp(self.n2, self._dn2, t)
+        return self._interp("n2", t)
 
     @cached_property
     def difference_slopes(self):

@@ -2,12 +2,22 @@
 
 Between interventions the closed loop is the scalar linear ODE
 ``xdot = a_x(t)*x + b_x*q1(t)``, integrated with classical RK4 on a
-uniform grid; each step is the affine map of :func:`affine_rk4`.  A
-threshold crossing detected between two nodes is located by bisection on
-the step, the impulse resets the state exactly to the target, and
-integration resumes.  Running costs are summed over the finished
-trajectory with Simpson's rule, using the cubic-Hermite midpoint state
-so the quadrature matches the integrator's accuracy.
+uniform grid; each step is the affine map of :func:`affine_rk4`, so a
+whole impulse-free stretch propagates as one cumulative product.  The
+first node outside the open band marks the step holding the exit, and
+:func:`_bisect_crossing` locates the exit inside it to EVENT_TIME_TOL.
+It returns bisection's point but probes far fewer substeps: Illinois
+regula falsi brackets the sign change of the band margin, two probes
+tighten the bracket, and bisection's own midpoint sequence is replayed,
+probing only the midpoints inside the bracket (event location as in
+Shampine & Thompson 2000).  That is bit-identical to plain bisection
+whenever the margin changes sign once on the step; where no bracket
+forms, plain bisection runs.  Each probe evaluates the coefficients and
+thresholds on Python floats (see :mod:`.riccati`).  The impulse resets
+the state exactly to the target, and integration resumes.  Running
+costs are summed over the finished trajectory with Simpson's rule,
+using the cubic-Hermite midpoint state so the quadrature matches the
+integrator's accuracy.
 """
 
 import math
@@ -27,7 +37,12 @@ from .model import (
 from .policy import ThresholdPolicy, impulse_map
 from .riccati import affine_rk4, hermite
 
-EVENT_TIME_TOL = 1e-10   # bisection resolution; exits this close to T are discarded
+# Resolution of the event locator: tau is the right end of bisection's
+# final interval on the step, no wider than this.  _bisect_crossing
+# finds that same point with fewer probes when the band margin changes
+# sign once on the step.  Exits this close to T are discarded.
+EVENT_TIME_TOL = 1e-10
+ILLINOIS_MAX_ITER = 40   # safety cap on the bracket narrowing; tau stays exact past it
 CHATTER_TOL = 1e-8       # two events closer than this abort the rollout
 BOUNDARY_MATCH_TOL = 1e-6
 
@@ -176,12 +191,12 @@ def _segment_costs(path, params, seg_t, seg_x, seg_f):
 def _step_map(path, t, h):
     """RK4 steps of the closed loop from ``t`` over ``h`` as x -> mult*x + add.
 
-    ``t`` and ``h`` are scalars or arrays of equal shape.
+    ``t`` and ``h`` are floats, or arrays of equal shape.
     """
-    st = np.array([t, t + 0.5 * h, t + h])
-    a = path.a_x_at(st)
-    b = path.constants.b_x * path.q1_at(st)
-    _, mult, add = affine_rk4(h, (a[0], a[1], a[1], a[2]), (b[0], b[1], b[1], b[2]))
+    st = (t, t + 0.5 * h, t + h)
+    a0, am, a1 = [path.a_x_at(s) for s in st]
+    b0, bm, b1 = [path.constants.b_x * path.q1_at(s) for s in st]
+    _, mult, add = affine_rk4(h, (a0, am, am, a1), (b0, bm, bm, b1))
     return mult, add
 
 
@@ -307,32 +322,100 @@ def make_rollout_hook(path, policy, params, step=None):
     return hook
 
 
+def _falsi(a, fa, b, fb):
+    """Regula falsi point of the bracket [a, b], or its midpoint if not strictly inside."""
+    d = fa - fb
+    s = a + fa * (b - a) / d if d > 0.0 else 0.5 * (a + b)
+    return s if a < s < b else 0.5 * (a + b)
+
+
+def _illinois(probe, a, fa, b, fb):
+    """Narrow a bracket with fa = m(a) > 0 >= m(b) = fb around its sign change.
+
+    Illinois iteration (Dowell & Jarratt 1971): regula falsi, halving
+    the margin kept at an end that two steps in a row left in place.  It
+    stops once the estimate moves by at most EVENT_TIME_TOL/4, then two
+    probes EVENT_TIME_TOL/2 either side of the estimate tighten the
+    bracket.  Returns the narrowed (a, b).
+    """
+    side = 0
+    s_prev = None
+    for _ in range(ILLINOIS_MAX_ITER):
+        s = _falsi(a, fa, b, fb)
+        if s_prev is not None and abs(s - s_prev) <= 0.25 * EVENT_TIME_TOL:
+            break
+        s_prev = s
+        fs = probe(s)
+        if fs <= 0.0:
+            b, fb = s, fs
+            if side < 0:
+                fa *= 0.5
+            side = -1
+        else:
+            a, fa = s, fs
+            if side > 0:
+                fb *= 0.5
+            side = 1
+    for s_t in (s - 0.5 * EVENT_TIME_TOL, s + 0.5 * EVENT_TIME_TOL):
+        if a < s_t < b:
+            if probe(s_t) <= 0.0:
+                b = s_t
+            else:
+                a = s_t
+    return a, b
+
+
 def _bisect_crossing(grid, t_lo, x_lo, h):
     """Locate the first threshold crossing inside one step to EVENT_TIME_TOL.
 
     The state at a trial offset s is an RK4 substep of size s from the
     step's left node, so the located point is on the integrator's own
-    trajectory up to its local error.
+    trajectory up to its local error.  Returns ``(tau, x_minus)`` at the
+    crossing, or ``(None, x_end)`` with the step's end state when the
+    margin ``m(s) = min(x - ell1, ell2 - x)`` is positive at s = h.
+
+    tau is bisection's on [0, h]: midpoints ``0.5*(lo + hi)``, ``hi``
+    moving where m <= 0, until ``hi - lo <= EVENT_TIME_TOL``; tau is
+    ``t_lo`` plus the final ``hi``.  It takes fewer probes.  When
+    m(0) > 0 >= m(h), :func:`_illinois` narrows the sign change to a
+    bracket [a, b] with m(a) > 0 >= m(b).  Bisection is then replayed: a
+    midpoint at or below a goes to lo, one at or above b goes to hi, and
+    only a midpoint strictly inside (a, b) is probed, tightening the
+    bracket.  Whenever m changes sign once on the step this gives
+    bisection's tau bit for bit.  Otherwise no bracket is formed (m(0)
+    <= 0, or m(h) is NaN) and every midpoint is probed: plain bisection.
     """
-    policy = grid.policy
+    path, policy = grid.path, grid.policy
+    states = {}
+
+    def margin(s, x):
+        ell1, _, _, ell2 = policy.thresholds_at(t_lo + s)
+        return min(x - ell1, ell2 - x)
 
     def probe(s):
-        x = _rk4_step(grid.path, t_lo, x_lo, s)
-        ell1, _, _, ell2 = policy.thresholds_at(t_lo + s)
-        return x, min(x - ell1, ell2 - x)
+        x = states[s] = _rk4_step(path, t_lo, x_lo, s)
+        return margin(s, x)
 
+    m_h = probe(h)
+    if m_h > 0.0:
+        return None, states[h]
+    a, b = 0.0, h
+    if h > EVENT_TIME_TOL and m_h <= 0.0:    # m_h is not NaN
+        m_0 = margin(0.0, x_lo)
+        if m_0 > 0.0:
+            a, b = _illinois(probe, a, m_0, b, m_h)
     lo, hi = 0.0, h
-    x_hi, m_hi = probe(hi)
-    if m_hi > 0.0:
-        return None
     while hi - lo > EVENT_TIME_TOL:
         mid = 0.5 * (lo + hi)
-        _, m_mid = probe(mid)
-        if m_mid <= 0.0:
-            hi = mid
-        else:
+        if mid <= a:
             lo = mid
-    x_minus, _ = probe(hi)
+        elif mid >= b:
+            hi = mid
+        elif probe(mid) <= 0.0:
+            hi = b = mid
+        else:
+            lo = a = mid
+    x_minus = states[hi] if hi in states else _rk4_step(path, t_lo, x_lo, hi)
     return t_lo + hi, x_minus
 
 
@@ -386,11 +469,12 @@ def _rollout_on_grid(grid, x0, max_events):
             node = int(np.searchsorted(ts, t_cur, side="left"))
             if node < n_nodes and abs(ts[node] - t_cur) > 1e-12:
                 # off-grid start (just after an event): one step back onto the grid
-                h = ts[node] - t_cur
-                crossing = _bisect_crossing(grid, t_cur, x_cur, h)
-                if crossing is not None:
+                h = float(ts[node]) - t_cur
+                tau, x_new = _bisect_crossing(grid, t_cur, x_cur, h)
+                if tau is not None:
+                    crossing = tau, x_new
                     break
-                t_cur, x_cur = float(ts[node]), _rk4_step(path, t_cur, x_cur, h)
+                t_cur, x_cur = float(ts[node]), x_new
                 seg_t.append(t_cur)
                 seg_x.append(x_cur)
             if t_cur >= T:
@@ -410,12 +494,13 @@ def _rollout_on_grid(grid, x0, max_events):
             if exits.size == 0:
                 done = True
                 break
-            h = ts[node + keep] - t_cur
-            crossing = _bisect_crossing(grid, t_cur, x_cur, h)
-            if crossing is not None:
+            h = float(ts[node + keep]) - t_cur
+            tau, x_new = _bisect_crossing(grid, t_cur, x_cur, h)
+            if tau is not None:
+                crossing = tau, x_new
                 break
             # endpoint margin was a spurious nonpositive; accept the node and go on
-            t_cur, x_cur = float(ts[node + keep]), _rk4_step(path, t_cur, x_cur, h)
+            t_cur, x_cur = float(ts[node + keep]), x_new
             seg_t.append(t_cur)
             seg_x.append(x_cur)
             if t_cur >= T:

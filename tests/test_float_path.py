@@ -1,0 +1,98 @@
+"""The float path of every closed form and interpolant equals the array path.
+
+A rollout's event locator evaluates a_x, q1, p2, q2 and the band one
+Python float at a time; everything else evaluates them on arrays.  Both
+must give the same double bit for bit, so equality here is exact.
+"""
+
+import numpy as np
+import pytest
+
+from impulsegame import build_policy, solve_backward
+from impulsegame.riccati import a_x, hermite, p1_closed_form, p2_closed_form
+from impulsegame.simulate import _step_map
+
+from conftest import BASELINE, variant
+
+SCENARIOS = {
+    "table1": BASELINE,
+    "table1_w2_1": variant(w2=1.0),
+    "table1_T200": variant(T=200.0),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(SCENARIOS))
+def solved(request):
+    params = SCENARIOS[request.param]
+    path = solve_backward(params)
+    return params, path, build_policy(path, params)
+
+
+def probe_times(params, path):
+    """10 000 seeded times in [0, T], every node, and times past either end."""
+    T = params.T
+    rng = np.random.default_rng(20260)
+    nodes = path.time_grid
+    ulp = np.spacing(nodes)
+    outside = T * np.array([-0.5, -0.01, -1e-6, 1.0 + 1e-6, 1.01, 1.5])
+    return np.concatenate([
+        rng.uniform(0.0, T, 10_000), nodes, nodes + ulp, nodes - ulp, [0.0, T], outside,
+    ])
+
+
+def assert_same(got, want):
+    """Exact equality, NaN matching NaN (the band past p2's sign change)."""
+    got = np.asarray(got)
+    bad = np.flatnonzero(~((got == want) | (np.isnan(got) & np.isnan(want))))
+    assert bad.size == 0, f"{bad.size} mismatches, first at index {bad[0]}"
+
+
+def assert_float_path_equals(fn, ts):
+    """fn(t) on each float of ts equals fn(ts) on the array."""
+    got = [fn(t) for t in ts.tolist()]
+    assert all(type(v) is float for v in got)
+    assert_same(got, fn(ts))
+
+
+def test_closed_forms(solved):
+    params, path, _ = solved
+    ts = probe_times(params, path)
+    consts = path.constants
+    assert_float_path_equals(lambda t: a_x(consts, t), ts)
+    assert_float_path_equals(lambda t: p1_closed_form(consts, params, t), ts)
+    assert_float_path_equals(lambda t: p2_closed_form(consts, params, t), ts)
+
+
+def test_hermite_and_interpolated_paths(solved):
+    params, path, _ = solved
+    ts = probe_times(params, path)
+    grid, grid_list = path.time_grid, path.time_grid.tolist()
+    for name, ys, dys in zip(("q1", "n1", "q2", "n2"),
+                             (path.q1, path.n1, path.q2, path.n2), path.difference_slopes):
+        assert_float_path_equals(getattr(path, f"{name}_at"), ts)
+        want = hermite(grid, ys, dys, ts)
+        ys_list, dys_list = ys.tolist(), dys.tolist()
+        assert_same([hermite(grid_list, ys_list, dys_list, t) for t in ts.tolist()], want)
+        assert_same([hermite(grid, ys, dys, t) for t in ts[::10].tolist()], want[::10])
+
+
+def test_thresholds(solved):
+    params, path, policy = solved
+    ts = probe_times(params, path)
+    with np.errstate(invalid="ignore"):   # p2 < 0 far past T: NaN on both paths
+        got = [policy.thresholds_at(t) for t in ts.tolist()]
+        want = policy.thresholds_at(ts)
+    for k, curve in enumerate(want):
+        assert_same([g[k] for g in got], curve)
+
+
+def test_step_map(solved):
+    params, path, _ = solved
+    ts = probe_times(params, path)
+    rng = np.random.default_rng(7)
+    step = params.T / 4096
+    hs = np.concatenate([rng.uniform(0.0, step, ts.size - 3), [step, 1e-11, 0.0]])
+    got = [_step_map(path, t, h) for t, h in zip(ts.tolist(), hs.tolist())]
+    mult, add = _step_map(path, ts, hs)
+    assert_same([g[0] for g in got], mult)
+    assert_same([g[1] for g in got], add)

@@ -6,6 +6,7 @@ from impulsegame import (
     CoefficientPath,
     DegenerateParameterError,
     NonFiniteStateError,
+    RiccatiConstants,
     a_x,
     constants,
     p1_closed_form,
@@ -108,6 +109,16 @@ def test_degenerate_divisor_raises():
     # b = 0 with a > 0 makes theta + 2*(b^2/r1)*s1 - 2*a vanish
     with pytest.raises(DegenerateParameterError):
         constants(variant(b=0.0))
+
+
+@pytest.mark.parametrize("t", [0.0, 0, np.float64(0.0), np.array(0.0), np.array([0.0]),
+                               np.array([0.5, 0.0])])
+def test_vanishing_denominator_raises_for_float_and_array(t):
+    # c1 = -1 makes c1*e^(theta*t) + 1 vanish at t = 0; the float path
+    # must keep the zero check the array path has
+    consts = RiccatiConstants(theta=1.0, c1=-1.0, h_const=0.0, b_x=-0.09)
+    with pytest.raises(DegenerateParameterError):
+        a_x(consts, t)
 
 
 def test_p1_terminal_condition(consts, params):

@@ -6,12 +6,16 @@ from impulsegame import (
     ImpulseEvent,
     StateBox,
     admissibility_check,
+    build_policy,
     impulse_bound,
     impulse_bound_parts,
     rollout,
+    simulate,
+    solve_backward,
     value_v2,
 )
-from impulsegame.simulate import Trajectory
+from impulsegame.riccati import affine_rk4
+from impulsegame.simulate import EVENT_TIME_TOL, Trajectory, _bisect_crossing, _RolloutGrid
 
 from conftest import variant
 
@@ -243,3 +247,137 @@ def test_deterministic_replay(path, policy, params):
     assert len(a.segments) == len(b.segments)
     for (ta, xa), (tb, xb) in zip(a.segments, b.segments):
         assert np.array_equal(ta, tb) and np.array_equal(xa, xb)
+
+
+# ---------------------------------------------------------------------------
+# Event location against the reference: plain bisection with every probe on
+# the array path, an RK4 substep whose stage coefficients are one array and
+# thresholds evaluated on an array.
+
+
+def reference_step(path, t, x, h):
+    """One RK4 step of the closed loop, stage coefficients evaluated as one array."""
+    st = np.array([t, t + 0.5 * h, t + h])
+    a = path.a_x_at(st)
+    b = path.constants.b_x * path.q1_at(st)
+    _, mult, add = affine_rk4(h, (a[0], a[1], a[1], a[2]), (b[0], b[1], b[1], b[2]))
+    return float(mult * x + add)
+
+
+def reference_bisect(grid, t_lo, x_lo, h):
+    """First threshold crossing inside one step by plain bisection, or None."""
+    policy = grid.policy
+
+    def probe(s):
+        x = reference_step(grid.path, t_lo, x_lo, s)
+        ell1, _, _, ell2 = (float(c[0]) for c in policy.thresholds_at(np.array([t_lo + s])))
+        return x, min(x - ell1, ell2 - x)
+
+    lo, hi = 0.0, h
+    _, m_hi = probe(hi)
+    if m_hi > 0.0:
+        return None
+    while hi - lo > EVENT_TIME_TOL:
+        mid = 0.5 * (lo + hi)
+        _, m_mid = probe(mid)
+        if m_mid <= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    x_minus, _ = probe(hi)
+    return t_lo + hi, x_minus
+
+
+def reference_locate(grid, t_lo, x_lo, h):
+    """reference_bisect with the locator's return: (tau, x_minus) or (None, x_end)."""
+    hit = reference_bisect(grid, t_lo, x_lo, h)
+    return hit if hit is not None else (None, reference_step(grid.path, t_lo, x_lo, h))
+
+
+LONG_HORIZON = {"table1_T200": variant(T=200.0), "table1_w2_1_T400": variant(w2=1.0, T=400.0)}
+# on the shipped horizon T=1 the closed loop never reaches an edge mid-run,
+# so the short-horizon steps use test_mid_horizon_event_chain's game
+STEP_SCENARIOS = {"event_chain": variant(rho1=-30.0, w1=8.0, C=0.8, c=0.3), **LONG_HORIZON}
+
+
+@pytest.fixture(scope="module")
+def grids():
+    out = {}
+    for name, p in STEP_SCENARIOS.items():
+        pth = solve_backward(p)
+        out[name] = _RolloutGrid(pth, build_policy(pth, p), p, 0.0, p.T / 4096)
+    return out
+
+
+def seeded_steps(grid, n, seed):
+    """(t_lo, x_lo, h) near the band edge the state drifts toward: on and
+    off the grid, starting inside, on and outside the edge, and steps no
+    longer than EVENT_TIME_TOL."""
+    rng = np.random.default_rng(seed)
+    ts, policy = grid.ts, grid.policy
+    for k in range(n):
+        i = int(rng.integers(0, len(ts) - 1))
+        t_lo = float(ts[i]) if k % 2 else float(ts[i] + rng.uniform(0.0, 0.9) * (ts[i + 1] - ts[i]))
+        h = float(ts[i + 1]) - t_lo
+        kind = k % 5
+        if kind == 4:
+            h *= rng.uniform(0.0, EVENT_TIME_TOL / h)
+        ell1, _, _, ell2 = policy.thresholds_at(t_lo)
+        ell1_h, _, _, ell2_h = policy.thresholds_at(t_lo + h)
+        # outward motion of the state relative to each edge over the step
+        out1 = (ell1_h - ell1) - (reference_step(grid.path, t_lo, ell1, h) - ell1)
+        out2 = (reference_step(grid.path, t_lo, ell2, h) - ell2) - (ell2_h - ell2)
+        edge, inward, reach = (ell1, 1.0, out1) if out1 >= out2 else (ell2, -1.0, out2)
+        offset = 0.0 if kind == 3 else abs(reach) * rng.uniform(-0.1, 1.5)
+        yield t_lo, edge + inward * offset, h
+
+
+def test_locator_equals_bisection_on_seeded_steps(grids):
+    counts = dict.fromkeys(("steps", "crossing", "none", "tiny_h", "no_bracket"), 0)
+    for j, (name, grid) in enumerate(grids.items()):
+        for t_lo, x_lo, h in seeded_steps(grid, 670, seed=100 + j):
+            got = _bisect_crossing(grid, t_lo, x_lo, h)
+            assert got == reference_locate(grid, t_lo, x_lo, h), (name, t_lo, x_lo, h)
+            ell1, _, _, ell2 = grid.policy.thresholds_at(t_lo)
+            counts["steps"] += 1
+            counts["crossing" if got[0] is not None else "none"] += 1
+            counts["tiny_h"] += h <= EVENT_TIME_TOL
+            counts["no_bracket"] += got[0] is not None and min(x_lo - ell1, ell2 - x_lo) <= 0.0
+    assert counts["steps"] >= 2000 and counts["crossing"] >= 1000, counts
+    assert min(counts.values()) >= 100, counts
+
+
+def test_locator_falls_back_to_bisection_without_bracket(grids, monkeypatch):
+    # m(0) <= 0: a start on or just outside an edge; no bracket may be formed
+    def no_bracket(*args):
+        raise AssertionError("bracket narrowing ran with m(0) <= 0")
+
+    monkeypatch.setattr(simulate, "_illinois", no_bracket)
+    hits = 0
+    for name, grid in grids.items():
+        for i in range(0, len(grid.ts) - 1, 97):
+            t_lo, h = float(grid.ts[i]), float(grid.ts[i + 1] - grid.ts[i])
+            ell1, _, _, ell2 = grid.policy.thresholds_at(t_lo)
+            for x_lo in (ell1, ell2, ell1 - 1e-3, ell2 + 1e-3):
+                got = _bisect_crossing(grid, t_lo, x_lo, h)
+                assert got == reference_locate(grid, t_lo, x_lo, h), (name, t_lo, x_lo)
+                hits += got[0] is not None
+    assert hits >= 100
+
+
+@pytest.mark.parametrize("name, x0s", [("table1_T200", (0.7, 4.2, 9.2)),
+                                       ("table1_w2_1_T400", (0.5, 6.3, 9.9))])
+def test_long_horizon_rollouts_equal_bisection_rollouts(grids, monkeypatch, name, x0s):
+    grid = grids[name]
+    p, pth, pol = grid.params, grid.path, grid.policy
+    for x0 in x0s:
+        got = rollout(pth, pol, p, 0.0, x0, step=p.T / 4096)
+        with monkeypatch.context() as m:
+            m.setattr(simulate, "_bisect_crossing", reference_locate)
+            want = rollout(pth, pol, p, 0.0, x0, step=p.T / 4096)
+        assert len(got.events) >= 150
+        assert got.events == want.events
+        assert (got.j1, got.j2, got.terminal_state) == (want.j1, want.j2, want.terminal_state)
+        assert len(got.segments) == len(want.segments)
+        for (ta, xa), (tb, xb) in zip(got.segments, want.segments):
+            assert np.array_equal(ta, tb) and np.array_equal(xa, xb)
