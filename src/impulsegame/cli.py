@@ -7,6 +7,7 @@ digits, header row, newline-terminated rows.  Exit codes: 0 success,
 """
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -95,6 +96,11 @@ def parse_config(text: str) -> RunConfig:
         except ValueError:
             raise ConfigError(f"line {lineno}: {key} is not an integer: {value!r}") from None
 
+    def check_finite(key, numbers):
+        if not all(map(math.isfinite, numbers)):
+            lineno, value = raw[key]
+            raise ConfigError(f"line {lineno}: {key} must be finite: {value!r}")
+
     params = validate(GameParams(**{k: as_float(k) for k in PARAM_KEYS}))
     box = validate_box(StateBox(x_lo=as_float("x_lo"), x_hi=as_float("x_hi")))
 
@@ -102,7 +108,10 @@ def parse_config(text: str) -> RunConfig:
     cfg.n_steps = as_int("n_steps", 4096)
     cfg.nt = as_int("nt", 200)
     cfg.nx = as_int("nx", 200)
-    cfg.sim_step = as_float("sim_step") if "sim_step" in raw else params.T / 4096.0
+    cfg.sim_step = params.T / 4096.0
+    if "sim_step" in raw:
+        cfg.sim_step = as_float("sim_step")
+        check_finite("sim_step", [cfg.sim_step])
     if "initial_states" in raw:
         lineno, value = raw["initial_states"]
         try:
@@ -111,6 +120,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(
                 f"line {lineno}: initial_states must be comma-separated numbers: {value!r}"
             ) from None
+        check_finite("initial_states", cfg.initial_states)
     if "output_dir" in raw:
         cfg.output_dir = raw["output_dir"][1]
 

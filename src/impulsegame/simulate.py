@@ -18,10 +18,22 @@ the state exactly to the target, and integration resumes.  Running
 costs are summed over the finished trajectory with Simpson's rule,
 using the cubic-Hermite midpoint state so the quadrature matches the
 integrator's accuracy.
+
+Everything a rollout needs of the coefficients on its grid is the same
+for every start state, so :class:`_RolloutGrid` computes it once: the
+step maps, the thresholds, the drift and running-cost coefficients at
+the nodes and cell midpoints, the Hermite midpoint weights, the impulse
+budget's extremes and the last cumulative product.  A rollout only does
+the arithmetic that involves its own states.  Cells with an end off the
+grid (at an event, or at a start within 1e-12 of a node) are evaluated
+directly by the same functions that fill the cache, and each segment is
+still summed by one ``np.sum`` over its per-cell array in order, so the
+costs equal a cell-by-cell evaluation bit for bit.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -72,10 +84,13 @@ class Trajectory:
     consecutive interventions; an event time closes one segment at
     ``x_minus`` and opens the next at ``x_plus``.  Between samples the
     state is the cubic Hermite interpolant with the closed-loop drift as
-    slope.
+    slope.  ``grid`` is the :class:`_RolloutGrid` the segments were built
+    on; its cached coefficients serve the costs and slopes.  Without it
+    every cell is evaluated directly.
     """
 
-    def __init__(self, segments, events, j1, j2, terminal_state, path, policy, params):
+    def __init__(self, segments, events, j1, j2, terminal_state, path, policy, params,
+                 grid=None):
         self.segments = segments
         self.events = events
         self.j1 = j1
@@ -84,11 +99,24 @@ class Trajectory:
         self._path = path
         self._policy = policy
         self._params = params
-        self._slopes = [_drift(path, seg_t, seg_x) for seg_t, seg_x in segments]
+        self._grid = grid
 
     @property
     def start_time(self):
         return float(self.segments[0][0][0])
+
+    def _terms(self, seg_t):
+        """(node terms, cell terms) of a segment of two or more samples."""
+        if self._grid is not None:
+            return self._grid.terms(seg_t)
+        return (np.array(_node_terms(self._path, seg_t)),
+                np.array(_cell_terms(self._path, seg_t[:-1], seg_t[1:])))
+
+    @cached_property
+    def _slopes(self):
+        """Closed-loop drift at every sample, per segment (None for a lone sample)."""
+        return [_drift(self._terms(seg_t)[0], seg_x) if len(seg_t) > 1 else None
+                for seg_t, seg_x in self.segments]
 
     def state_at(self, t):
         """State at time ``t``, right-continuous across interventions."""
@@ -133,17 +161,20 @@ class Trajectory:
             raise ValueError(f"t1={t1!r} precedes the trajectory start")
         pr = self._params
         j1 = j2 = 0.0
-        for (seg_t, seg_x), seg_f in zip(self.segments, self._slopes):
-            if seg_t[-1] <= t1:
+        for seg_t, seg_x in self.segments:
+            if len(seg_t) < 2 or seg_t[-1] <= t1:
                 continue
+            nodes, cells = self._terms(seg_t)
             if seg_t[0] < t1:
                 # start the segment at t1 on its interpolant
                 k = int(np.searchsorted(seg_t, t1, side="right"))
-                x1 = float(hermite(seg_t, seg_x, seg_f, t1))
-                seg_t = np.r_[t1, seg_t[k:]]
+                x1 = float(hermite(seg_t, seg_x, _drift(nodes, seg_x), t1))
                 seg_x = np.r_[x1, seg_x[k:]]
-                seg_f = np.r_[_drift(self._path, t1, x1), seg_f[k:]]
-            a1, a2 = _segment_costs(self._path, pr, seg_t, seg_x, seg_f)
+                nodes = np.concatenate((_column(_node_terms(self._path, t1)),
+                                        nodes[:, k:]), axis=1)
+                cells = np.concatenate((_column(_cell_terms(self._path, t1, float(seg_t[k]))),
+                                        cells[:, k:]), axis=1)
+            a1, a2 = _simpson(pr, nodes, cells, seg_x)
             j1 += a1
             j2 += a2
         for ev in self.events:
@@ -156,35 +187,57 @@ class Trajectory:
         return j1, j2
 
 
-def _drift(path, t, x):
-    return path.a_x_at(t) * x + path.constants.b_x * path.q1_at(t)
+def _node_terms(path, t):
+    """(a_x, b_x*q1, p1, q1) at the times ``t`` (a float or an array): the
+    coefficients the drift and the running costs take at a sample."""
+    q1 = path.q1_at(t)
+    return path.a_x_at(t), path.constants.b_x * q1, path.p1_at(t), q1
 
 
-def _running_costs(path, params, t, x):
-    """Both players' running-cost integrands at (t, x); vectorized."""
-    u = -(params.b / params.r1) * (path.p1_at(t) * x + path.q1_at(t))
+def _cell_terms(path, t0, t1):
+    """Terms of the cells [t0, t1] (floats or arrays): h/6, p1 and q1 at the
+    midpoint, and the weights of the Hermite midpoint state.
+
+    Each weight is the expression :func:`hermite` evaluates at the
+    midpoint, ``s1*s1``, ``1+2s``, ``s*h``, ``s*s``, ``3-2s`` and
+    ``s1*h``, so :func:`_simpson` reproduces its midpoint bit for bit.
+    """
+    h = t1 - t0
+    tm = t0 + 0.5 * h
+    s = (tm - t0) / h
+    s1 = 1.0 - s
+    return (h / 6.0, path.p1_at(tm), path.q1_at(tm),
+            s1 * s1, 1.0 + 2.0 * s, s * h, s * s, 3.0 - 2.0 * s, s1 * h)
+
+
+def _drift(nodes, x):
+    """Closed-loop drift a_x*x + b_x*q1 at samples with node terms ``nodes``."""
+    return nodes[0] * x + nodes[1]
+
+
+def _running_costs(params, p1, q1, x):
+    """Both players' running-cost integrands at states ``x`` with coefficients p1, q1."""
+    u = -(params.b / params.r1) * (p1 * x + q1)
     g1 = 0.5 * (params.w1 * (x - params.rho1) ** 2 + params.r1 * u * u)
     g2 = 0.5 * params.w2 * (x - params.rho2) ** 2
     return g1, g2
 
 
-def _segment_costs(path, params, seg_t, seg_x, seg_f):
-    """Simpson quadrature of both running costs over all steps of one segment.
+def _simpson(params, nodes, cells, x):
+    """Simpson quadrature of both running costs over all cells of one segment.
 
-    ``seg_f`` holds the drift at the samples; the midpoint state is the
-    Hermite interpolant's.
+    ``nodes`` holds :func:`_node_terms` at the samples and ``cells``
+    :func:`_cell_terms` of the cells between them, one row per term; the
+    midpoint state is the Hermite interpolant's with the drift as slope.
     """
-    if len(seg_t) < 2:
-        return 0.0, 0.0
-    t0, t1 = seg_t[:-1], seg_t[1:]
-    h = t1 - t0
-    tm = t0 + 0.5 * h
-    xm = hermite(seg_t, seg_x, seg_f, tm)
-    g1a, g2a = _running_costs(path, params, t0, seg_x[:-1])
-    g1m, g2m = _running_costs(path, params, tm, xm)
-    g1b, g2b = _running_costs(path, params, t1, seg_x[1:])
-    j1 = float(np.sum(h / 6.0 * (g1a + 4.0 * g1m + g1b)))
-    j2 = float(np.sum(h / 6.0 * (g2a + 4.0 * g2m + g2b)))
+    _, _, p1, q1 = nodes
+    h6, p1m, q1m, w_y0, w_b0, w_f0, w_y1, w_b1, w_f1 = cells
+    f = _drift(nodes, x)
+    xm = w_y0 * (w_b0 * x[:-1] + w_f0 * f[:-1]) + w_y1 * (w_b1 * x[1:] - w_f1 * f[1:])
+    g1, g2 = _running_costs(params, p1, q1, x)
+    g1m, g2m = _running_costs(params, p1m, q1m, xm)
+    j1 = float(np.sum(h6 * (g1[:-1] + 4.0 * g1m + g1[1:])))
+    j2 = float(np.sum(h6 * (g2[:-1] + 4.0 * g2m + g2[1:])))
     return j1, j2
 
 
@@ -207,11 +260,23 @@ def _rk4_step(path, t, x, h):
 
 
 class _RolloutGrid:
-    """Precomputed stepping data for rollouts sharing one (t0, step) grid.
+    """Precomputed rollout data on one (t0, step) grid, shared by every start.
 
     Each RK4 step of the affine dynamics is the map x -> m*x + q from
     :func:`affine_rk4`, so trajectories with different starting states
-    reuse the same per-step arrays and the thresholds at the nodes.
+    reuse the same per-step arrays and the thresholds at the nodes.  None
+    of the following depends on the start state either, so it is cached
+    here once:
+
+    - ``nodes``: :func:`_node_terms` (a_x, b_x*q1, p1, q1) at every node;
+    - ``cells``: :func:`_cell_terms` (h/6, p1 and q1 at the midpoint, the
+      six Hermite midpoint weights) of every cell;
+    - ``ell1_min``, ``ell2_max``: the policy extremes of the impulse budget;
+    - the cumulative product and sum of the last :meth:`propagate` start.
+
+    The cached rows are the same expressions, evaluated elementwise, that
+    a cell-by-cell evaluation would compute, so costs taken from them are
+    bit-identical to it.
     """
 
     def __init__(self, path, policy, params, t0, step):
@@ -226,14 +291,51 @@ class _RolloutGrid:
         self.ts = ts
         self.step_mult, self.step_add = _step_map(path, ts[:-1], np.diff(ts))
         self.ell1, self.alpha, self.beta, self.ell2 = policy.thresholds_at(ts)
+        self.nodes = np.array(_node_terms(path, ts))
+        self.cells = np.array(_cell_terms(path, ts[:-1], ts[1:]))
+        self.ell1_min = float(np.min(policy.ell1))
+        self.ell2_max = float(np.max(policy.ell2))
+        self._last = None       # (i0, prod, shift) of the last propagate
 
     def propagate(self, i0, x_start):
         """All node states from grid node i0 onward, starting at x_start."""
-        m = self.step_mult[i0:]
-        q = self.step_add[i0:]
-        prod = np.concatenate(([1.0], np.cumprod(m)))
-        shift = np.concatenate(([0.0], np.cumsum(q / prod[1:])))
+        if self._last is None or self._last[0] != i0:
+            prod = np.concatenate(([1.0], np.cumprod(self.step_mult[i0:])))
+            shift = np.concatenate(([0.0], np.cumsum(self.step_add[i0:] / prod[1:])))
+            self._last = i0, prod, shift
+        _, prod, shift = self._last
         return prod * (x_start + shift)
+
+    def terms(self, seg_t):
+        """(node terms, cell terms) of a segment of two or more samples on this grid.
+
+        The segment's interior times are consecutive grid nodes, as
+        :func:`_rollout_on_grid` builds them.  Its first and last times
+        may be off the grid; their samples and cells are evaluated
+        directly, every other one is a slice of the cache.
+        """
+        ts, path = self.ts, self.path
+        n = len(seg_t) - 1
+        lo = int(np.searchsorted(ts, seg_t[1])) - 1     # the grid index seg_t[0] has if on it
+        a = 0 if lo >= 0 and ts[lo] == seg_t[0] else 1  # first sample taken from the cache
+        b = n if lo + n < len(ts) and ts[lo + n] == seg_t[-1] else n - 1   # last one
+        m = max(a, b)                                   # cells [a, m) are grid cells
+        nodes = [self.nodes[:, lo + a:lo + b + 1]]
+        cells = [self.cells[:, lo + a:lo + m]]
+        t_first, t_last = float(seg_t[0]), float(seg_t[-1])
+        if a:
+            nodes.insert(0, _column(_node_terms(path, t_first)))
+            cells.insert(0, _column(_cell_terms(path, t_first, float(seg_t[1]))))
+        if b < n:
+            nodes.append(_column(_node_terms(path, t_last)))
+        if m < n:
+            cells.append(_column(_cell_terms(path, float(seg_t[-2]), t_last)))
+        return tuple(np.concatenate(p, axis=1) if len(p) > 1 else p[0] for p in (nodes, cells))
+
+
+def _column(terms):
+    """Terms at one time (floats) as a one-column block of the cache's layout."""
+    return np.array(terms)[:, None]
 
 
 def impulse_bound(params: GameParams, box: StateBox) -> int:
@@ -257,11 +359,11 @@ def impulse_bound_parts(params: GameParams, box: StateBox):
     return k, h2_sup, s2_sup, mu
 
 
-def _auto_budget(policy, params, x0):
+def _auto_budget(grid, x0):
     """Impulse cap over a box that covers everything a rollout can reach."""
-    lo = min(float(np.min(policy.ell1)), x0) - 1.0
-    hi = max(float(np.max(policy.ell2)), x0) + 1.0
-    return impulse_bound(params, StateBox(lo, hi))
+    lo = min(grid.ell1_min, x0) - 1.0
+    hi = max(grid.ell2_max, x0) + 1.0
+    return impulse_bound(grid.params, StateBox(lo, hi))
 
 
 def _terminal_trajectory(path, policy, params, x0):
@@ -275,9 +377,9 @@ def _terminal_trajectory(path, policy, params, x0):
     return _finished([seg], [], x0, path, policy, params)
 
 
-def _finished(segments, events, x_end, path, policy, params):
+def _finished(segments, events, x_end, path, policy, params, grid=None):
     """Trajectory whose j1, j2 are ``costs_from`` its start time."""
-    traj = Trajectory(segments, events, None, None, x_end, path, policy, params)
+    traj = Trajectory(segments, events, None, None, x_end, path, policy, params, grid)
     traj.j1, traj.j2 = traj.costs_from(traj.start_time)
     return traj
 
@@ -424,7 +526,7 @@ def _rollout_on_grid(grid, x0, max_events):
     T = params.T
     ts = grid.ts
     n_nodes = len(ts)
-    budget = max_events if max_events is not None else _auto_budget(policy, params, x0)
+    budget = max_events if max_events is not None else _auto_budget(grid, x0)
 
     events = []
     segments = []
@@ -461,9 +563,9 @@ def _rollout_on_grid(grid, x0, max_events):
 
     done = False
     while not done:
-        # one pass of this loop builds one impulse-free segment
-        seg_t = [t_cur]
-        seg_x = [x_cur]
+        # one pass of this loop builds one impulse-free segment from array pieces
+        seg_t = [[t_cur]]
+        seg_x = [[x_cur]]
         crossing = None
         while True:
             node = int(np.searchsorted(ts, t_cur, side="left"))
@@ -475,8 +577,8 @@ def _rollout_on_grid(grid, x0, max_events):
                     crossing = tau, x_new
                     break
                 t_cur, x_cur = float(ts[node]), x_new
-                seg_t.append(t_cur)
-                seg_x.append(x_cur)
+                seg_t.append([t_cur])
+                seg_x.append([x_cur])
             if t_cur >= T:
                 done = True
                 break
@@ -488,8 +590,8 @@ def _rollout_on_grid(grid, x0, max_events):
             exits = np.flatnonzero(margins <= 0.0)
             keep = len(xs) if exits.size == 0 else int(exits[0]) + 1
             if keep > 1:
-                seg_t.extend(ts[node + 1:node + keep])
-                seg_x.extend(xs[1:keep])
+                seg_t.append(ts[node + 1:node + keep])
+                seg_x.append(xs[1:keep])
                 t_cur, x_cur = float(ts[node + keep - 1]), float(xs[keep - 1])
             if exits.size == 0:
                 done = True
@@ -501,8 +603,8 @@ def _rollout_on_grid(grid, x0, max_events):
                 break
             # endpoint margin was a spurious nonpositive; accept the node and go on
             t_cur, x_cur = float(ts[node + keep]), x_new
-            seg_t.append(t_cur)
-            seg_x.append(x_cur)
+            seg_t.append([t_cur])
+            seg_x.append([x_cur])
             if t_cur >= T:
                 done = True
                 break
@@ -512,17 +614,17 @@ def _rollout_on_grid(grid, x0, max_events):
             if tau >= T - EVENT_TIME_TOL:
                 # an exit this close to the horizon carries no impulse
                 x_cur = _rk4_step(path, tau, x_minus, T - tau) if tau < T else x_minus
-                seg_t.append(T)
-                seg_x.append(x_cur)
+                seg_t.append([T])
+                seg_x.append([x_cur])
                 t_cur = T
                 done = True
             else:
-                seg_t.append(tau)
-                seg_x.append(x_minus)
+                seg_t.append([tau])
+                seg_x.append([x_minus])
                 t_cur, x_cur = tau, fire(tau, x_minus).x_plus
-        segments.append((np.asarray(seg_t), np.asarray(seg_x)))
+        segments.append((np.concatenate(seg_t), np.concatenate(seg_x)))
 
-    return _finished(segments, events, x_cur, path, policy, params)
+    return _finished(segments, events, x_cur, path, policy, params, grid)
 
 
 def admissibility_check(traj: Trajectory, policy: ThresholdPolicy) -> AdmissibilityReport:

@@ -68,6 +68,20 @@ def test_parse_config_bad_number_with_line_number():
             if not line.startswith("a =")))
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["sim_step", "initial_states"])
+def test_nonfinite_run_setting_is_config_error_with_line(tmp_path, capsys, key, bad):
+    # before, nan steps raised a traceback and inf states or steps were
+    # reported as model violations or as a state box the user never set
+    value = bad if key == "sim_step" else f"2, {bad}"
+    cfg = write_cfg(tmp_path, output_dir=tmp_path / "out", **{key: value})
+    lineno = len(cfg.read_text().splitlines())          # the override is the last line
+    with pytest.raises(ConfigError, match=f"line {lineno}: {key} must be finite"):
+        parse_config(cfg.read_text())
+    assert main(["simulate", "--config", str(cfg)]) == 1
+    assert f"line {lineno}: {key} must be finite" in capsys.readouterr().err
+
+
 def test_solve_outputs_threshold_row(tmp_path):
     cfg = write_cfg(tmp_path, output_dir=tmp_path / "out")
     assert main(["solve", "--config", str(cfg)]) == 0

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,14 @@ from impulsegame import (
     build_policy,
     impulse_bound,
     impulse_bound_parts,
+    make_rollout_hook,
     rollout,
     simulate,
     solve_backward,
     value_v2,
 )
-from impulsegame.riccati import affine_rk4
+from impulsegame.cli import load_config
+from impulsegame.riccati import affine_rk4, hermite
 from impulsegame.simulate import EVENT_TIME_TOL, Trajectory, _bisect_crossing, _RolloutGrid
 
 from conftest import variant
@@ -381,3 +385,136 @@ def test_long_horizon_rollouts_equal_bisection_rollouts(grids, monkeypatch, name
         assert len(got.segments) == len(want.segments)
         for (ta, xa), (tb, xb) in zip(got.segments, want.segments):
             assert np.array_equal(ta, tb) and np.array_equal(xa, xb)
+
+
+def test_propagate_memo_equals_fresh_sweep():
+    p = LONG_HORIZON["table1_T200"]
+    pth = solve_backward(p)
+    grid = _RolloutGrid(pth, build_policy(pth, p), p, 0.0, p.T / 4096)
+    for i0, x in ((0, 4.2), (1234, 4.2), (0, 6.1), (3000, 5.0), (3000, 3.9), (17, 5.5), (0, 4.2)):
+        prod = np.concatenate(([1.0], np.cumprod(grid.step_mult[i0:])))
+        shift = np.concatenate(([0.0], np.cumsum(grid.step_add[i0:] / prod[1:])))
+        want = prod * (x + shift)
+        got = grid.propagate(i0, x)
+        assert got.tobytes() == want.tobytes(), (i0, x)
+
+
+# ---------------------------------------------------------------------------
+# Cost accounting against the reference: Simpson's rule over each segment
+# with every coefficient, slope and Hermite weight evaluated at the
+# segment's own times, instead of taken from the grid's cache.
+
+
+def reference_drift(path, t, x):
+    return path.a_x_at(t) * x + path.constants.b_x * path.q1_at(t)
+
+
+def reference_running_costs(path, params, t, x):
+    u = -(params.b / params.r1) * (path.p1_at(t) * x + path.q1_at(t))
+    g1 = 0.5 * (params.w1 * (x - params.rho1) ** 2 + params.r1 * u * u)
+    g2 = 0.5 * params.w2 * (x - params.rho2) ** 2
+    return g1, g2
+
+
+def reference_segment_costs(path, params, seg_t, seg_x, seg_f):
+    """Simpson quadrature of both running costs over all steps of one segment."""
+    if len(seg_t) < 2:
+        return 0.0, 0.0
+    t0, t1 = seg_t[:-1], seg_t[1:]
+    h = t1 - t0
+    tm = t0 + 0.5 * h
+    xm = hermite(seg_t, seg_x, seg_f, tm)
+    g1a, g2a = reference_running_costs(path, params, t0, seg_x[:-1])
+    g1m, g2m = reference_running_costs(path, params, tm, xm)
+    g1b, g2b = reference_running_costs(path, params, t1, seg_x[1:])
+    j1 = float(np.sum(h / 6.0 * (g1a + 4.0 * g1m + g1b)))
+    j2 = float(np.sum(h / 6.0 * (g2a + 4.0 * g2m + g2b)))
+    return j1, j2
+
+
+def reference_costs_from(path, params, traj, t1):
+    """Trajectory.costs_from(t1) with reference_segment_costs on every segment."""
+    t1 = float(t1)
+    j1 = j2 = 0.0
+    for seg_t, seg_x in traj.segments:
+        if seg_t[-1] <= t1:
+            continue
+        seg_f = reference_drift(path, seg_t, seg_x)
+        if seg_t[0] < t1:
+            k = int(np.searchsorted(seg_t, t1, side="right"))
+            x1 = float(hermite(seg_t, seg_x, seg_f, t1))
+            seg_t = np.r_[t1, seg_t[k:]]
+            seg_x = np.r_[x1, seg_x[k:]]
+            seg_f = np.r_[reference_drift(path, t1, x1), seg_f[k:]]
+        a1, a2 = reference_segment_costs(path, params, seg_t, seg_x, seg_f)
+        j1 += a1
+        j2 += a2
+    for ev in traj.events:
+        if ev.tau >= t1:
+            j1 += ev.cost_p1
+            j2 += ev.cost_p2
+    xT = traj.terminal_state
+    j1 += 0.5 * params.s1 * (xT - params.rho1) ** 2
+    j2 += 0.5 * params.s2 * (xT - params.rho2) ** 2
+    return j1, j2
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("name", ["table1", "table1_w2_1"])
+def test_value_sweep_costs_equal_reference(name):
+    cfg = load_config(CONFIGS / f"{name}.cfg")
+    pth = solve_backward(cfg.params, cfg.n_steps)
+    hook = make_rollout_hook(pth, build_policy(pth, cfg.params), cfg.params, cfg.sim_step)
+    jumps = 0
+    for t in (0.0, 0.3, 0.77):
+        for x in np.linspace(cfg.box.x_lo, cfg.box.x_hi, cfg.nx + 1):
+            traj = hook(t, x)
+            want = reference_costs_from(pth, cfg.params, traj, t)
+            assert (traj.j1, traj.j2) == want, (name, t, x)
+            jumps += len(traj.events)
+    assert jumps >= 100     # starts outside the band jump at t0 and resume on the grid
+
+
+@pytest.mark.parametrize("name, x0s", [("table1_T200", (0.7, 4.2, 9.2)),
+                                       ("table1_w2_1_T400", (0.5, 6.3, 9.9))])
+def test_long_horizon_costs_equal_reference(grids, name, x0s):
+    # mid-run events put segment ends off the grid: first cells after an
+    # event and last cells ending at tau are evaluated directly
+    grid = grids[name]
+    p, pth, pol = grid.params, grid.path, grid.policy
+    rng = np.random.default_rng(7)
+    for x0 in x0s:
+        traj = rollout(pth, pol, p, 0.0, x0, step=p.T / 4096)
+        assert len(traj.events) >= 150
+        assert (traj.j1, traj.j2) == reference_costs_from(pth, p, traj, 0.0)
+        assert traj.costs_from(traj.start_time) == (traj.j1, traj.j2)
+        bare = Trajectory(traj.segments, traj.events, None, None, traj.terminal_state,
+                          pth, pol, p)
+        assert bare.costs_from(0.0) == (traj.j1, traj.j2)
+        # t1 strictly inside segments: inside a cell, on a node, inside a first
+        # or last cell that ends off the grid, and at an event
+        t1s = [traj.events[len(traj.events) // 2].tau, *rng.uniform(0.0, p.T, 2)]
+        for k in (len(traj.segments) // 3, 2 * len(traj.segments) // 3):
+            seg_t = traj.segments[k][0]
+            assert len(seg_t) > 3 and seg_t[0] not in grid.ts and seg_t[-1] not in grid.ts
+            t1s += [0.5 * (seg_t[1] + seg_t[2]), seg_t[2],
+                    0.5 * (seg_t[0] + seg_t[1]), 0.5 * (seg_t[-2] + seg_t[-1])]
+        for t1 in t1s:
+            assert traj.costs_from(t1) == reference_costs_from(pth, p, traj, t1), (x0, t1)
+        assert bare.costs_from(t1s[0]) == traj.costs_from(t1s[0])
+
+
+def test_start_within_1e12_of_a_node_costs_equal_reference(path, policy, params):
+    # a start this close to a node is taken as on it: the first cell runs from
+    # the start to the next node and is evaluated directly
+    grid = _RolloutGrid(path, policy, params, 0.0, params.T / 4096)
+    grid.t0 = float(grid.ts[5]) - 4e-13
+    for x0 in (2.0, 5.0, 8.0):
+        traj = simulate._rollout_on_grid(grid, x0, None)
+        seg_t = traj.segments[-1][0]
+        assert seg_t[0] == grid.t0 and seg_t[1] == grid.ts[6]
+        assert (traj.j1, traj.j2) == reference_costs_from(path, params, traj, grid.t0)
+        for t1 in (grid.t0 + 1e-5, float(grid.ts[6]), 0.5):
+            assert traj.costs_from(t1) == reference_costs_from(path, params, traj, t1)
