@@ -26,7 +26,6 @@ from .policy import (
     build_policy,
     gamma_star,
     impulse_map,
-    value_v1,
     value_v2,
 )
 from .riccati import (
@@ -68,7 +67,7 @@ __all__ = [
     "RiccatiConstants", "CoefficientPath", "constants",
     "p1_closed_form", "p2_closed_form", "a_x", "solve_backward",
     "ThresholdPolicy", "build_policy", "gamma_star",
-    "impulse_map", "value_v1", "value_v2",
+    "impulse_map", "value_v2",
     "ImpulseEvent", "Trajectory", "AdmissibilityReport", "rollout",
     "impulse_bound", "impulse_bound_parts", "admissibility_check",
     "make_rollout_hook",

@@ -27,7 +27,7 @@ from .errors import (
 from .model import GameParams, StateBox, validate, validate_box
 from .policy import build_policy, gamma_star, value_v2
 from .riccati import solve_backward
-from .simulate import impulse_bound_parts, make_rollout_hook, rollout
+from .simulate import impulse_bound_parts, make_rollout_hook
 from .verify import run_verification
 
 PARAM_KEYS = ("a", "b", "w1", "r1", "z1", "s1", "rho1",
@@ -192,9 +192,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
     if not cfg.initial_states:
         raise ConfigError("simulate needs a non-empty initial_states list")
     path, policy = _build(cfg)
+    hook = make_rollout_hook(path, policy, cfg.params, cfg.sim_step)
     cost_rows = []
     for x0 in cfg.initial_states:
-        traj = rollout(path, policy, cfg.params, 0.0, x0, cfg.sim_step)
+        traj = hook(0.0, x0)
         tag = _fmt(x0)
         rows = []
         for seg_t, seg_x in traj.segments:

@@ -132,14 +132,3 @@ def value_v2(path: CoefficientPath, policy: ThresholdPolicy, params: GameParams,
     out = np.where(x_arr <= ell1, below, np.where(x_arr >= ell2, above, interior))
     return float(out) if np.ndim(x) == 0 else out
 
-
-def value_v1(path, policy, params: GameParams, t, x, rollout_hook):
-    """Player 1's value at (t, x), realized as the equilibrium cost-to-go.
-
-    ``rollout_hook(t, x)`` must produce the equilibrium trajectory object
-    from (t, x); its accumulated j1 is the value.  Evaluation by rollout
-    avoids tracking the jump corrections of the constant coefficient n1,
-    which depend on the pre-impulse state.
-    """
-    return rollout_hook(t, x).j1
-

@@ -19,16 +19,16 @@ costs are summed over the finished trajectory with Simpson's rule,
 using the cubic-Hermite midpoint state so the quadrature matches the
 integrator's accuracy.
 
-Everything a rollout needs of the coefficients on its grid is the same
-for every start state, so :class:`_RolloutGrid` computes it once: the
-step maps, the thresholds, the drift and running-cost coefficients at
-the nodes and cell midpoints, the Hermite midpoint weights, the impulse
-budget's extremes and the last cumulative product.  A rollout only does
-the arithmetic that involves its own states.  Cells with an end off the
-grid (at an event, or at a start within 1e-12 of a node) are evaluated
-directly by the same functions that fill the cache, and each segment is
-still summed by one ``np.sum`` over its per-cell array in order, so the
-costs equal a cell-by-cell evaluation bit for bit.
+:func:`rollout` (one start) and :func:`make_rollout_hook` (many starts)
+are two names for one checked body, which keeps one :class:`_RolloutGrid`
+per start time.  The grid computes what every start shares: the step
+maps, the thresholds, the drift and running-cost coefficients at the
+nodes and cell midpoints, the Hermite midpoint weights, the impulse
+budget's extremes and the last cumulative product.  Every cost and slope
+term of a trajectory comes from its grid: cells with an end off the grid
+(at an event, at a start within 1e-12 of a node, or at the ``t1`` of
+``costs_from``) are evaluated by the same functions that fill the cache,
+and each segment is summed by one ``np.sum`` over its cells in order.
 """
 
 import math
@@ -85,19 +85,17 @@ class Trajectory:
     ``x_minus`` and opens the next at ``x_plus``.  Between samples the
     state is the cubic Hermite interpolant with the closed-loop drift as
     slope.  ``grid`` is the :class:`_RolloutGrid` the segments were built
-    on; its cached coefficients serve the costs and slopes.  Without it
-    every cell is evaluated directly.
+    on; every segment of two or more samples takes its cost and slope
+    terms from it.
     """
 
-    def __init__(self, segments, events, j1, j2, terminal_state, path, policy, params,
-                 grid=None):
+    def __init__(self, segments, events, j1, j2, terminal_state, path, params, grid):
         self.segments = segments
         self.events = events
         self.j1 = j1
         self.j2 = j2
         self.terminal_state = terminal_state
         self._path = path
-        self._policy = policy
         self._params = params
         self._grid = grid
 
@@ -105,17 +103,10 @@ class Trajectory:
     def start_time(self):
         return float(self.segments[0][0][0])
 
-    def _terms(self, seg_t):
-        """(node terms, cell terms) of a segment of two or more samples."""
-        if self._grid is not None:
-            return self._grid.terms(seg_t)
-        return (np.array(_node_terms(self._path, seg_t)),
-                np.array(_cell_terms(self._path, seg_t[:-1], seg_t[1:])))
-
     @cached_property
     def _slopes(self):
         """Closed-loop drift at every sample, per segment (None for a lone sample)."""
-        return [_drift(self._terms(seg_t)[0], seg_x) if len(seg_t) > 1 else None
+        return [_drift(self._grid.terms(seg_t)[0], seg_x) if len(seg_t) > 1 else None
                 for seg_t, seg_x in self.segments]
 
     def state_at(self, t):
@@ -161,20 +152,15 @@ class Trajectory:
             raise ValueError(f"t1={t1!r} precedes the trajectory start")
         pr = self._params
         j1 = j2 = 0.0
-        for seg_t, seg_x in self.segments:
+        for i, (seg_t, seg_x) in enumerate(self.segments):
             if len(seg_t) < 2 or seg_t[-1] <= t1:
                 continue
-            nodes, cells = self._terms(seg_t)
             if seg_t[0] < t1:
                 # start the segment at t1 on its interpolant
                 k = int(np.searchsorted(seg_t, t1, side="right"))
-                x1 = float(hermite(seg_t, seg_x, _drift(nodes, seg_x), t1))
-                seg_x = np.r_[x1, seg_x[k:]]
-                nodes = np.concatenate((_column(_node_terms(self._path, t1)),
-                                        nodes[:, k:]), axis=1)
-                cells = np.concatenate((_column(_cell_terms(self._path, t1, float(seg_t[k]))),
-                                        cells[:, k:]), axis=1)
-            a1, a2 = _simpson(pr, nodes, cells, seg_x)
+                x1 = float(hermite(seg_t, seg_x, self._slopes[i], t1))
+                seg_t, seg_x = np.r_[t1, seg_t[k:]], np.r_[x1, seg_x[k:]]
+            a1, a2 = _simpson(pr, *self._grid.terms(seg_t), seg_x)
             j1 += a1
             j2 += a2
         for ev in self.events:
@@ -366,60 +352,65 @@ def _auto_budget(grid, x0):
     return impulse_bound(grid.params, StateBox(lo, hi))
 
 
-def _terminal_trajectory(path, policy, params, x0):
-    """Degenerate rollout started at the horizon: terminal costs only.
-
-    No impulse can fire at the horizon itself, so the state is left
-    where it is regardless of region.
-    """
-    x0 = float(x0)
-    seg = (np.array([params.T]), np.array([x0]))
-    return _finished([seg], [], x0, path, policy, params)
-
-
-def _finished(segments, events, x_end, path, policy, params, grid=None):
+def _finished(segments, events, x_end, path, params, grid):
     """Trajectory whose j1, j2 are ``costs_from`` its start time."""
-    traj = Trajectory(segments, events, None, None, x_end, path, policy, params, grid)
+    traj = Trajectory(segments, events, None, None, x_end, path, params, grid)
     traj.j1, traj.j2 = traj.costs_from(traj.start_time)
     return traj
+
+
+def _rollouts(path, policy, params, step):
+    """The one rollout body: a checked ``run(t0, x0, max_events=None)``.
+
+    ``run`` builds one :class:`_RolloutGrid` per start time and keeps it
+    for later starts at that time.  The step defaults to T/4096.
+    """
+    T = params.T
+    step = T / 4096.0 if step is None else float(step)
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"step must be finite and > 0 (got {step!r})")
+    grids = {}
+
+    def run(t0, x0, max_events=None):
+        if not 0.0 <= t0 <= T:
+            raise ValueError(f"t0 must lie in [0, T] (got {t0!r})")
+        x0 = float(x0)
+        if not math.isfinite(x0):
+            raise ValueError(f"x0 must be finite (got {x0!r})")
+        if T - t0 <= 1e-12:
+            # no impulse fires at the horizon itself: the state stays, terminal costs only
+            return _finished([(np.array([T]), np.array([x0]))], [], x0, path, params, None)
+        grid = grids.get(t0)
+        if grid is None:
+            grid = grids[t0] = _RolloutGrid(path, policy, params, float(t0), step)
+        return _rollout_on_grid(grid, x0, max_events)
+
+    return run
 
 
 def rollout(path, policy, params: GameParams, t0, x0, step=None, max_events=None):
     """Simulate equilibrium play from (t0, x0) until the horizon.
 
     If x0 is on or outside a threshold at t0 an intervention fires
-    immediately.  Raises ImpulseBudgetExceeded when the event count
-    passes the analytic bound or two events chatter, NonFiniteStateError
-    if the state diverges.  Starting exactly at the horizon yields the
-    bare terminal evaluation.
+    immediately.  Raises ValueError for t0 outside [0, T], a non-finite
+    x0 or a step that is not finite and positive; ImpulseBudgetExceeded
+    when the event count passes ``max_events`` (by default the analytic
+    bound) or two events chatter; NonFiniteStateError if the state
+    diverges.  Starting exactly at the horizon yields the bare terminal
+    evaluation.
     """
-    T = params.T
-    if not 0.0 <= t0 <= T:
-        raise ValueError(f"t0 must lie in [0, T] (got {t0!r})")
-    if T - t0 <= 1e-12:
-        return _terminal_trajectory(path, policy, params, x0)
-    if step is None:
-        step = T / 4096.0
-    if step <= 0.0:
-        raise ValueError(f"step must be > 0 (got {step!r})")
-    grid = _RolloutGrid(path, policy, params, float(t0), float(step))
-    return _rollout_on_grid(grid, float(x0), max_events)
+    return _rollouts(path, policy, params, step)(t0, x0, max_events)
 
 
 def make_rollout_hook(path, policy, params, step=None):
-    """Rollout closure (t, x) -> Trajectory reusing grids across calls."""
-    if step is None:
-        step = params.T / 4096.0
-    grids = {}
+    """``rollout`` as a closure (t0, x0) -> Trajectory, for many starts.
+
+    Starts at the same time share one grid, built on the first of them.
+    """
+    run = _rollouts(path, policy, params, step)
 
     def hook(t0, x0):
-        if params.T - t0 <= 1e-12:
-            return _terminal_trajectory(path, policy, params, x0)
-        g = grids.get(t0)
-        if g is None:
-            g = _RolloutGrid(path, policy, params, float(t0), float(step))
-            grids[t0] = g
-        return _rollout_on_grid(g, float(x0), None)
+        return run(t0, x0)
 
     return hook
 
@@ -525,7 +516,6 @@ def _rollout_on_grid(grid, x0, max_events):
     path, policy, params = grid.path, grid.policy, grid.params
     T = params.T
     ts = grid.ts
-    n_nodes = len(ts)
     budget = max_events if max_events is not None else _auto_budget(grid, x0)
 
     events = []
@@ -566,15 +556,15 @@ def _rollout_on_grid(grid, x0, max_events):
         # one pass of this loop builds one impulse-free segment from array pieces
         seg_t = [[t_cur]]
         seg_x = [[x_cur]]
-        crossing = None
+        node = int(np.searchsorted(ts, t_cur, side="left"))
+        located = abs(ts[node] - t_cur) > 1e-12     # off the grid, just after an event
+        tau = None
         while True:
-            node = int(np.searchsorted(ts, t_cur, side="left"))
-            if node < n_nodes and abs(ts[node] - t_cur) > 1e-12:
-                # off-grid start (just after an event): one step back onto the grid
-                h = float(ts[node]) - t_cur
-                tau, x_new = _bisect_crossing(grid, t_cur, x_cur, h)
+            if located:
+                # step onto ts[node] through the locator; on a crossing, fire;
+                # otherwise accept the node
+                tau, x_new = _bisect_crossing(grid, t_cur, x_cur, float(ts[node]) - t_cur)
                 if tau is not None:
-                    crossing = tau, x_new
                     break
                 t_cur, x_cur = float(ts[node]), x_new
                 seg_t.append([t_cur])
@@ -596,35 +586,25 @@ def _rollout_on_grid(grid, x0, max_events):
             if exits.size == 0:
                 done = True
                 break
-            h = float(ts[node + keep]) - t_cur
-            tau, x_new = _bisect_crossing(grid, t_cur, x_cur, h)
-            if tau is not None:
-                crossing = tau, x_new
-                break
-            # endpoint margin was a spurious nonpositive; accept the node and go on
-            t_cur, x_cur = float(ts[node + keep]), x_new
-            seg_t.append([t_cur])
-            seg_x.append([x_cur])
-            if t_cur >= T:
-                done = True
-                break
+            # the next node is flagged as an exit; its nonpositive margin
+            # may be spurious, so the locator decides
+            node, located = node + keep, True
 
-        if crossing is not None:
-            tau, x_minus = crossing
+        if tau is not None:
             if tau >= T - EVENT_TIME_TOL:
                 # an exit this close to the horizon carries no impulse
-                x_cur = _rk4_step(path, tau, x_minus, T - tau) if tau < T else x_minus
+                x_cur = _rk4_step(path, tau, x_new, T - tau) if tau < T else x_new
                 seg_t.append([T])
                 seg_x.append([x_cur])
                 t_cur = T
                 done = True
             else:
                 seg_t.append([tau])
-                seg_x.append([x_minus])
-                t_cur, x_cur = tau, fire(tau, x_minus).x_plus
+                seg_x.append([x_new])
+                t_cur, x_cur = tau, fire(tau, x_new).x_plus
         segments.append((np.concatenate(seg_t), np.concatenate(seg_x)))
 
-    return _finished(segments, events, x_cur, path, policy, params, grid)
+    return _finished(segments, events, x_cur, path, params, grid)
 
 
 def admissibility_check(traj: Trajectory, policy: ThresholdPolicy) -> AdmissibilityReport:

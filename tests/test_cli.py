@@ -138,6 +138,22 @@ def test_simulate_artifacts(tmp_path):
     assert float(traj[1]["x"]) == pytest.approx(5.5731, abs=1e-2)
 
 
+def test_simulate_builds_one_grid_for_all_initial_states(tmp_path, monkeypatch):
+    from impulsegame import simulate
+
+    starts = []
+
+    class CountingGrid(simulate._RolloutGrid):
+        def __init__(self, path, policy, params, t0, step):
+            starts.append(t0)
+            super().__init__(path, policy, params, t0, step)
+
+    monkeypatch.setattr(simulate, "_RolloutGrid", CountingGrid)
+    cfg = write_cfg(tmp_path, output_dir=tmp_path / "out")
+    assert parse_config(cfg.read_text()).initial_states == [2.0, 5.0, 8.0]
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    assert starts == [0.0]
+
 def test_simulate_low_weight_interior_start(tmp_path):
     cfg = write_cfg(tmp_path, base=W2_1_CFG, output_dir=tmp_path / "out",
                     initial_states="6")

@@ -1,0 +1,31 @@
+"""Guard against private code that nothing in the package calls."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "impulsegame"
+
+
+def private_defs_and_references():
+    """(private function and class names with their file, every name used in src/)."""
+    defs, used = {}, set()
+    for file in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(file.read_text(), filename=str(file))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = node.name
+                if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                    defs.setdefault(name, file.name)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return defs, used
+
+
+def test_every_private_def_is_referenced():
+    defs, used = private_defs_and_references()
+    assert len(defs) >= 30         # the walk found the package's helpers
+    unreferenced = sorted(f"{file}: {name}" for name, file in defs.items() if name not in used)
+    assert not unreferenced, unreferenced

@@ -10,7 +10,6 @@ from impulsegame import (
     gamma_star,
     impulse_map,
     make_rollout_hook,
-    value_v1,
     value_v2,
 )
 from impulsegame.policy import _check_ordering, phi2
@@ -196,7 +195,7 @@ def test_brute_force_jump_target_matches_impulse_map(path, policy, params):
 def test_value_v1_terminal_quadratic(path, policy, params):
     hook = make_rollout_hook(path, policy, params)
     for x in (1.0, 5.0, 9.0):
-        got = value_v1(path, policy, params, params.T, x, hook)
+        got = hook(params.T, x).j1
         assert got == pytest.approx(0.5 * params.s1 * (x - params.rho1) ** 2, rel=1e-12)
 
 
@@ -204,8 +203,8 @@ def test_value_v1_jumps_at_lower_boundary(path, policy, params):
     hook = make_rollout_hook(path, policy, params)
     ell1, alpha, _, _ = policy.thresholds_at(0.0)
     eps = 1e-6
-    inside = value_v1(path, policy, params, 0.0, ell1 + eps, hook)
-    outside = value_v1(path, policy, params, 0.0, ell1 - eps, hook)
+    inside = hook(0.0, ell1 + eps).j1
+    outside = hook(0.0, ell1 - eps).j1
     # the jump is the impulse cost z1*(alpha - ell1), far above interpolation noise
     assert outside - inside > 0.5 * params.z1 * (alpha - ell1)
 
@@ -214,8 +213,8 @@ def test_value_v1_jump_condition_against_reset_point(path, policy, params):
     hook = make_rollout_hook(path, policy, params)
     ell1, alpha, _, _ = policy.thresholds_at(0.0)
     x = ell1 - 1e-4
-    lhs = value_v1(path, policy, params, 0.0, x, hook)
-    rhs = value_v1(path, policy, params, 0.0, alpha, hook) + params.z1 * (alpha - x)
+    lhs = hook(0.0, x).j1
+    rhs = hook(0.0, alpha).j1 + params.z1 * (alpha - x)
     assert lhs == pytest.approx(rhs, abs=1e-9)
 
 

@@ -119,8 +119,33 @@ def test_rollouts_respect_bound_over_box(path, policy, params, box):
 
 
 def test_budget_guard_trips(path, policy, params):
-    with pytest.raises(ImpulseBudgetExceeded):
+    # max_events=0 is a cap of zero events, not a request for the default
+    with pytest.raises(ImpulseBudgetExceeded, match="exceed the analytic bound 0"):
         rollout(path, policy, params, 0.0, 8.0, max_events=0)
+    assert rollout(path, policy, params, 0.0, 5.0, max_events=0).events == []
+    assert len(rollout(path, policy, params, 0.0, 8.0, max_events=1).events) == 1
+
+
+ENTRY_POINTS = {
+    "rollout": lambda path, policy, params, t0, x0, step: rollout(
+        path, policy, params, t0, x0, step),
+    "make_rollout_hook": lambda path, policy, params, t0, x0, step: make_rollout_hook(
+        path, policy, params, step)(t0, x0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("t0, x0, step, arg", [
+    (1.5, 5.0, None, "t0"), (-0.25, 5.0, None, "t0"), (float("nan"), 5.0, None, "t0"),
+    (0.0, float("inf"), None, "x0"), (0.0, float("nan"), None, "x0"),
+    (1.0, float("-inf"), None, "x0"),
+    (0.0, 5.0, 0.0, "step"), (0.0, 5.0, -1e-3, "step"), (0.0, 5.0, float("inf"), "step"),
+    (0.0, 5.0, float("nan"), "step"),
+])
+def test_bad_rollout_input_is_value_error_naming_it(path, policy, params, entry, t0, x0,
+                                                    step, arg):
+    with pytest.raises(ValueError, match=f"^{arg} must"):
+        ENTRY_POINTS[entry](path, policy, params, t0, x0, step)
 
 
 def test_admissibility_of_own_rollouts(path, policy, params):
@@ -134,7 +159,7 @@ def test_admissibility_rejects_interior_event(path, policy, params):
     fake_event = ImpulseEvent(tau=0.5, x_minus=5.0, x_plus=4.6,
                               xi=-0.4, cost_p1=0.8, cost_p2=6.2)
     doctored = Trajectory(base.segments, [fake_event], base.j1, base.j2,
-                          base.terminal_state, path, policy, params)
+                          base.terminal_state, path, params, base._grid)
     report = admissibility_check(doctored, policy)
     assert not report.ok
     assert any("event 0" in v for v in report.violations)
@@ -399,6 +424,41 @@ def test_propagate_memo_equals_fresh_sweep():
         assert got.tobytes() == want.tobytes(), (i0, x)
 
 
+def test_spurious_exit_flag_keeps_the_node(monkeypatch):
+    # A node whose cached threshold puts it on the band edge while the
+    # locator, which evaluates the thresholds itself, finds no crossing on
+    # the step onto it: the rollout accepts the node and goes on.
+    p = LONG_HORIZON["table1_T200"]
+    pth = solve_backward(p)
+    pol = build_policy(pth, p)
+    clean = simulate._rollout_on_grid(_RolloutGrid(pth, pol, p, 0.0, p.T / 4096), 4.2, None)
+    seg_t, seg_x = max(clean.segments, key=lambda seg: len(seg[0]))
+    k = len(seg_t) // 2
+    grid = _RolloutGrid(pth, pol, p, 0.0, p.T / 4096)
+    j = int(np.searchsorted(grid.ts, seg_t[k]))
+    assert grid.ts[j] == seg_t[k]
+    grid.ell1 = grid.ell1.copy()
+    grid.ell1[j] = seg_x[k] + 1e-9
+
+    misses = []
+    locate = simulate._bisect_crossing
+
+    def counting_locate(g, t_lo, x_lo, h):
+        got = locate(g, t_lo, x_lo, h)
+        if got[0] is None and t_lo in g.ts:   # an on-grid step that found no crossing
+            misses.append(t_lo)
+        return got
+
+    monkeypatch.setattr(simulate, "_bisect_crossing", counting_locate)
+    doctored = simulate._rollout_on_grid(grid, 4.2, None)
+    assert misses == [grid.ts[j - 1]]
+    assert any(grid.ts[j] in t for t, _ in doctored.segments)
+    assert admissibility_check(doctored, pol).ok
+    assert len(doctored.events) == len(clean.events) >= 150
+    assert doctored.events == clean.events
+    assert (doctored.j1, doctored.j2) == (clean.j1, clean.j2)
+
+
 # ---------------------------------------------------------------------------
 # Cost accounting against the reference: Simpson's rule over each segment
 # with every coefficient, slope and Hermite weight evaluated at the
@@ -490,9 +550,6 @@ def test_long_horizon_costs_equal_reference(grids, name, x0s):
         assert len(traj.events) >= 150
         assert (traj.j1, traj.j2) == reference_costs_from(pth, p, traj, 0.0)
         assert traj.costs_from(traj.start_time) == (traj.j1, traj.j2)
-        bare = Trajectory(traj.segments, traj.events, None, None, traj.terminal_state,
-                          pth, pol, p)
-        assert bare.costs_from(0.0) == (traj.j1, traj.j2)
         # t1 strictly inside segments: inside a cell, on a node, inside a first
         # or last cell that ends off the grid, and at an event
         t1s = [traj.events[len(traj.events) // 2].tau, *rng.uniform(0.0, p.T, 2)]
@@ -503,7 +560,6 @@ def test_long_horizon_costs_equal_reference(grids, name, x0s):
                     0.5 * (seg_t[0] + seg_t[1]), 0.5 * (seg_t[-2] + seg_t[-1])]
         for t1 in t1s:
             assert traj.costs_from(t1) == reference_costs_from(pth, p, traj, t1), (x0, t1)
-        assert bare.costs_from(t1s[0]) == traj.costs_from(t1s[0])
 
 
 def test_start_within_1e12_of_a_node_costs_equal_reference(path, policy, params):
