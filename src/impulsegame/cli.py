@@ -26,9 +26,9 @@ from .errors import (
 )
 from .model import GameParams, StateBox, validate, validate_box
 from .policy import build_policy, gamma_star, value_v2
-from .riccati import solve_backward
+from .riccati import DEFAULT_STEPS, solve_backward
 from .simulate import impulse_bound_parts, make_rollout_hook
-from .verify import run_verification
+from .verify import DEFAULT_GRID, run_verification
 
 PARAM_KEYS = ("a", "b", "w1", "r1", "z1", "s1", "rho1",
               "w2", "s2", "rho2", "C", "D", "c", "d", "T")
@@ -49,10 +49,10 @@ EXIT_VERIFY = 3
 class RunConfig:
     params: GameParams
     box: StateBox
-    n_steps: int = 4096
+    n_steps: int = DEFAULT_STEPS
     sim_step: float = None
-    nt: int = 200
-    nx: int = 200
+    nt: int = DEFAULT_GRID
+    nx: int = DEFAULT_GRID
     initial_states: list = field(default_factory=list)
     output_dir: str = "."
 
@@ -104,11 +104,10 @@ def parse_config(text: str) -> RunConfig:
     params = validate(GameParams(**{k: as_float(k) for k in PARAM_KEYS}))
     box = validate_box(StateBox(x_lo=as_float("x_lo"), x_hi=as_float("x_hi")))
 
-    cfg = RunConfig(params=params, box=box)
-    cfg.n_steps = as_int("n_steps", 4096)
-    cfg.nt = as_int("nt", 200)
-    cfg.nx = as_int("nx", 200)
-    cfg.sim_step = params.T / 4096.0
+    cfg = RunConfig(params=params, box=box, sim_step=params.T / DEFAULT_STEPS)
+    cfg.n_steps = as_int("n_steps", cfg.n_steps)
+    cfg.nt = as_int("nt", cfg.nt)
+    cfg.nx = as_int("nx", cfg.nx)
     if "sim_step" in raw:
         cfg.sim_step = as_float("sim_step")
         check_finite("sim_step", [cfg.sim_step])
@@ -199,8 +198,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         tag = _fmt(x0)
         rows = []
         for seg_t, seg_x in traj.segments:
-            u = gamma_star(path, cfg.params, seg_t, seg_x) if len(seg_t) else []
-            rows.extend(zip(seg_t, seg_x, np.atleast_1d(u)))
+            rows.extend(zip(seg_t, seg_x, gamma_star(path, cfg.params, seg_t, seg_x)))
         _write_csv(_outpath(cfg, f"trajectory_{tag}.csv"), ["t", "x", "u"], rows)
         _write_csv(
             _outpath(cfg, f"events_{tag}.csv"),
@@ -219,11 +217,8 @@ def cmd_value(cfg: RunConfig, t: float) -> int:
     path, policy = _build(cfg)
     xs = np.linspace(cfg.box.x_lo, cfg.box.x_hi, cfg.nx + 1)
     v2 = value_v2(path, policy, cfg.params, t, xs)
-    if t >= cfg.params.T:
-        v1 = 0.5 * cfg.params.s1 * (xs - cfg.params.rho1) ** 2
-    else:
-        hook = make_rollout_hook(path, policy, cfg.params, cfg.sim_step)
-        v1 = np.array([hook(t, x).j1 for x in xs])
+    hook = make_rollout_hook(path, policy, cfg.params, cfg.sim_step)
+    v1 = [hook(t, x).j1 for x in xs]
     regions = policy.region(t, xs)
     _write_csv(
         _outpath(cfg, f"values_t{_fmt(t)}.csv"),

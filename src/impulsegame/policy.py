@@ -122,7 +122,7 @@ def value_v2(path: CoefficientPath, policy: ThresholdPolicy, params: GameParams,
     """Player 2's value at (t, x): quadratic inside the band, linear outside.
 
     Continuous across both boundaries by construction of ell1 and ell2.
-    Accepts a scalar or array ``x``.
+    Accepts scalars or arrays ``t`` and ``x``, broadcast together.
     """
     x_arr = np.asarray(x, dtype=float)
     ell1, alpha, beta, ell2 = policy.thresholds_at(t)
@@ -130,5 +130,5 @@ def value_v2(path: CoefficientPath, policy: ThresholdPolicy, params: GameParams,
     above = phi2(path, t, beta) + params.D + params.d * (x_arr - beta)
     interior = phi2(path, t, x_arr)
     out = np.where(x_arr <= ell1, below, np.where(x_arr >= ell2, above, interior))
-    return float(out) if np.ndim(x) == 0 else out
+    return float(out) if np.ndim(out) == 0 else out
 

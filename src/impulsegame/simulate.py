@@ -17,12 +17,13 @@ thresholds on Python floats (see :mod:`.riccati`).  The impulse resets
 the state exactly to the target, and integration resumes.  Running
 costs are summed over the finished trajectory with Simpson's rule,
 using the cubic-Hermite midpoint state so the quadrature matches the
-integrator's accuracy.
+integrator's accuracy.  That pass runs once per segment and keeps the
+segment's integrals and drift slopes for later queries.
 
 :func:`rollout` (one start) and :func:`make_rollout_hook` (many starts)
-are two names for one checked body, which keeps one :class:`_RolloutGrid`
-per start time.  The grid computes what every start shares: the step
-maps, the thresholds, the drift and running-cost coefficients at the
+are two names for one checked body, which keeps the :class:`_RolloutGrid`
+of the latest start time.  The grid computes what every start shares: the
+step maps, the thresholds, the drift and running-cost coefficients at the
 nodes and cell midpoints, the Hermite midpoint weights, the impulse
 budget's extremes and the last cumulative product.  Every cost and slope
 term of a trajectory comes from its grid: cells with an end off the grid
@@ -33,7 +34,6 @@ and each segment is summed by one ``np.sum`` over its cells in order.
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -46,8 +46,8 @@ from .model import (
     player1_impulse_cost,
     validate_box,
 )
-from .policy import ThresholdPolicy, impulse_map
-from .riccati import affine_rk4, hermite
+from .policy import ThresholdPolicy, gamma_star, impulse_map
+from .riccati import DEFAULT_STEPS, affine_rk4, hermite
 
 # Resolution of the event locator: tau is the right end of bisection's
 # final interval on the step, no wider than this.  _bisect_crossing
@@ -85,36 +85,33 @@ class Trajectory:
     ``x_minus`` and opens the next at ``x_plus``.  Between samples the
     state is the cubic Hermite interpolant with the closed-loop drift as
     slope.  ``grid`` is the :class:`_RolloutGrid` the segments were built
-    on; every segment of two or more samples takes its cost and slope
-    terms from it.
+    on.  The constructor runs one :func:`_simpson` pass per segment and
+    keeps its integrals and slopes for ``j1``, ``j2``, :meth:`state_at`
+    and :meth:`costs_from`.
     """
 
-    def __init__(self, segments, events, j1, j2, terminal_state, path, params, grid):
+    def __init__(self, segments, events, terminal_state, path, params, grid):
         self.segments = segments
         self.events = events
-        self.j1 = j1
-        self.j2 = j2
         self.terminal_state = terminal_state
         self._path = path
         self._params = params
         self._grid = grid
+        # (j1, j2, slopes) per segment, None for a lone sample
+        self._passes = [_simpson(params, *grid.terms(seg_t), seg_x) if len(seg_t) > 1 else None
+                        for seg_t, seg_x in segments]
+        self.j1, self.j2 = self.costs_from(self.start_time)
 
     @property
     def start_time(self):
         return float(self.segments[0][0][0])
 
-    @cached_property
-    def _slopes(self):
-        """Closed-loop drift at every sample, per segment (None for a lone sample)."""
-        return [_drift(self._grid.terms(seg_t)[0], seg_x) if len(seg_t) > 1 else None
-                for seg_t, seg_x in self.segments]
-
     def state_at(self, t):
         """State at time ``t``, right-continuous across interventions."""
         t = float(t)
-        for (seg_t, seg_x), seg_f in zip(reversed(self.segments), reversed(self._slopes)):
+        for (seg_t, seg_x), kept in zip(reversed(self.segments), reversed(self._passes)):
             if seg_t[0] <= t <= seg_t[-1]:
-                return float(seg_x[0] if len(seg_t) == 1 else hermite(seg_t, seg_x, seg_f, t))
+                return float(seg_x[0] if kept is None else hermite(seg_t, seg_x, kept[2], t))
         raise ValueError(f"t={t!r} outside the trajectory span")
 
     def control_range(self):
@@ -125,11 +122,8 @@ class Trajectory:
         set the model is meant to respect.
         """
         lo, hi = np.inf, -np.inf
-        pr = self._params
         for seg_t, seg_x in self.segments:
-            u = -(pr.b / pr.r1) * (self._path.p1_at(seg_t) * seg_x
-                                   + self._path.q1_at(seg_t))
-            u = np.atleast_1d(u)
+            u = gamma_star(self._path, self._params, seg_t, seg_x)
             lo = min(lo, float(np.min(u)))
             hi = max(hi, float(np.max(u)))
         return lo, hi
@@ -144,23 +138,25 @@ class Trajectory:
     def costs_from(self, t1):
         """Running, impulse and terminal costs accumulated on [t1, T].
 
-        Events with tau == t1 are counted; to measure the tail after a
-        jump, pass a time strictly inside the following segment.
+        Only the segment holding t1 is integrated again.  Events with tau
+        == t1 are counted; to measure the tail after a jump, pass a time
+        strictly inside the following segment.
         """
         t1 = float(t1)
         if t1 < self.start_time - 1e-12:
             raise ValueError(f"t1={t1!r} precedes the trajectory start")
         pr = self._params
         j1 = j2 = 0.0
-        for i, (seg_t, seg_x) in enumerate(self.segments):
-            if len(seg_t) < 2 or seg_t[-1] <= t1:
+        for (seg_t, seg_x), kept in zip(self.segments, self._passes):
+            if kept is None or seg_t[-1] <= t1:
                 continue
+            a1, a2, seg_f = kept
             if seg_t[0] < t1:
                 # start the segment at t1 on its interpolant
                 k = int(np.searchsorted(seg_t, t1, side="right"))
-                x1 = float(hermite(seg_t, seg_x, self._slopes[i], t1))
+                x1 = float(hermite(seg_t, seg_x, seg_f, t1))
                 seg_t, seg_x = np.r_[t1, seg_t[k:]], np.r_[x1, seg_x[k:]]
-            a1, a2 = _simpson(pr, *self._grid.terms(seg_t), seg_x)
+                a1, a2, _ = _simpson(pr, *self._grid.terms(seg_t), seg_x)
             j1 += a1
             j2 += a2
         for ev in self.events:
@@ -196,11 +192,6 @@ def _cell_terms(path, t0, t1):
             s1 * s1, 1.0 + 2.0 * s, s * h, s * s, 3.0 - 2.0 * s, s1 * h)
 
 
-def _drift(nodes, x):
-    """Closed-loop drift a_x*x + b_x*q1 at samples with node terms ``nodes``."""
-    return nodes[0] * x + nodes[1]
-
-
 def _running_costs(params, p1, q1, x):
     """Both players' running-cost integrands at states ``x`` with coefficients p1, q1."""
     u = -(params.b / params.r1) * (p1 * x + q1)
@@ -210,21 +201,22 @@ def _running_costs(params, p1, q1, x):
 
 
 def _simpson(params, nodes, cells, x):
-    """Simpson quadrature of both running costs over all cells of one segment.
+    """(j1, j2, f): Simpson quadrature of both running costs over all cells
+    of one segment, and the closed-loop drift ``f`` at its samples.
 
     ``nodes`` holds :func:`_node_terms` at the samples and ``cells``
     :func:`_cell_terms` of the cells between them, one row per term; the
     midpoint state is the Hermite interpolant's with the drift as slope.
     """
-    _, _, p1, q1 = nodes
+    a_x, bq1, p1, q1 = nodes
     h6, p1m, q1m, w_y0, w_b0, w_f0, w_y1, w_b1, w_f1 = cells
-    f = _drift(nodes, x)
+    f = a_x * x + bq1
     xm = w_y0 * (w_b0 * x[:-1] + w_f0 * f[:-1]) + w_y1 * (w_b1 * x[1:] - w_f1 * f[1:])
     g1, g2 = _running_costs(params, p1, q1, x)
     g1m, g2m = _running_costs(params, p1m, q1m, xm)
     j1 = float(np.sum(h6 * (g1[:-1] + 4.0 * g1m + g1[1:])))
     j2 = float(np.sum(h6 * (g2[:-1] + 4.0 * g2m + g2[1:])))
-    return j1, j2
+    return j1, j2, f
 
 
 def _step_map(path, t, h):
@@ -276,7 +268,7 @@ class _RolloutGrid:
         self.t0 = t0
         self.ts = ts
         self.step_mult, self.step_add = _step_map(path, ts[:-1], np.diff(ts))
-        self.ell1, self.alpha, self.beta, self.ell2 = policy.thresholds_at(ts)
+        self.ell1, _, _, self.ell2 = policy.thresholds_at(ts)
         self.nodes = np.array(_node_terms(path, ts))
         self.cells = np.array(_cell_terms(path, ts[:-1], ts[1:]))
         self.ell1_min = float(np.min(policy.ell1))
@@ -352,26 +344,20 @@ def _auto_budget(grid, x0):
     return impulse_bound(grid.params, StateBox(lo, hi))
 
 
-def _finished(segments, events, x_end, path, params, grid):
-    """Trajectory whose j1, j2 are ``costs_from`` its start time."""
-    traj = Trajectory(segments, events, None, None, x_end, path, params, grid)
-    traj.j1, traj.j2 = traj.costs_from(traj.start_time)
-    return traj
-
-
 def _rollouts(path, policy, params, step):
     """The one rollout body: a checked ``run(t0, x0, max_events=None)``.
 
-    ``run`` builds one :class:`_RolloutGrid` per start time and keeps it
-    for later starts at that time.  The step defaults to T/4096.
+    ``run`` keeps only the :class:`_RolloutGrid` of the latest start time,
+    shared by starts at that time.  The step defaults to T/DEFAULT_STEPS.
     """
     T = params.T
-    step = T / 4096.0 if step is None else float(step)
+    step = T / DEFAULT_STEPS if step is None else float(step)
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"step must be finite and > 0 (got {step!r})")
-    grids = {}
+    latest = None
 
     def run(t0, x0, max_events=None):
+        nonlocal latest
         if not 0.0 <= t0 <= T:
             raise ValueError(f"t0 must lie in [0, T] (got {t0!r})")
         x0 = float(x0)
@@ -379,11 +365,10 @@ def _rollouts(path, policy, params, step):
             raise ValueError(f"x0 must be finite (got {x0!r})")
         if T - t0 <= 1e-12:
             # no impulse fires at the horizon itself: the state stays, terminal costs only
-            return _finished([(np.array([T]), np.array([x0]))], [], x0, path, params, None)
-        grid = grids.get(t0)
-        if grid is None:
-            grid = grids[t0] = _RolloutGrid(path, policy, params, float(t0), step)
-        return _rollout_on_grid(grid, x0, max_events)
+            return Trajectory([(np.array([T]), np.array([x0]))], [], x0, path, params, None)
+        if latest is None or latest.t0 != t0:
+            latest = _RolloutGrid(path, policy, params, float(t0), step)
+        return _rollout_on_grid(latest, x0, max_events)
 
     return run
 
@@ -405,7 +390,7 @@ def rollout(path, policy, params: GameParams, t0, x0, step=None, max_events=None
 def make_rollout_hook(path, policy, params, step=None):
     """``rollout`` as a closure (t0, x0) -> Trajectory, for many starts.
 
-    Starts at the same time share one grid, built on the first of them.
+    Starts at one time share a grid; only the latest start time's is kept.
     """
     run = _rollouts(path, policy, params, step)
 
@@ -604,7 +589,7 @@ def _rollout_on_grid(grid, x0, max_events):
                 t_cur, x_cur = tau, fire(tau, x_new).x_plus
         segments.append((np.concatenate(seg_t), np.concatenate(seg_x)))
 
-    return _finished(segments, events, x_cur, path, params, grid)
+    return Trajectory(segments, events, x_cur, path, params, grid)
 
 
 def admissibility_check(traj: Trajectory, policy: ThresholdPolicy) -> AdmissibilityReport:

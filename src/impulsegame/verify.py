@@ -8,7 +8,8 @@ the exact minimum over the 1001-point target grid in linear time, and
 their complementarity), the root conditions that certify the residual's
 sign outside the band, the strict-convexity margin of Player 2's
 quadratic coefficient, and an independent coarse dynamic programming
-oracle for Player 2's value.
+oracle for Player 2's value.  Each check takes the whole grid in one
+call: the times as a column ``t[:, None]`` against the row of states.
 
 The time derivatives in the residuals are central differences of the
 value quadratics themselves (closed-form p1, p2, and q1, n1, q2, n2
@@ -36,6 +37,7 @@ from .riccati import CoefficientPath, RiccatiConstants, hermite
 RESIDUAL_TOL = 1e-5
 GAP_BASE_TOL = 1e-6
 XI_RESOLUTION = 1e-3     # intervention-target spacing, as a fraction of the box width
+DEFAULT_GRID = 200       # intervals along each axis of the certification grid
 # central-difference step for the time derivatives, as a fraction of T:
 # the cube root of machine epsilon balances truncation against rounding
 TIME_STEP = np.finfo(float).eps ** (1.0 / 3.0)
@@ -168,52 +170,61 @@ def hjb1_residual(path: CoefficientPath, policy: ThresholdPolicy,
 
 
 def _running_argmin(w):
-    """Index of the first minimum of ``w[:i + 1]``, for every i."""
-    run = np.minimum.accumulate(w)
-    drop = np.concatenate(([True], run[1:] < run[:-1]))
-    return np.maximum.accumulate(np.where(drop, np.arange(w.size), 0))
+    """Index of the first minimum of ``w[..., :i + 1]``, for every i, along the last axis."""
+    run = np.minimum.accumulate(w, axis=-1)
+    drop = np.ones(run.shape, dtype=bool)     # where a new running minimum starts
+    drop[..., 1:] = run[..., 1:] < run[..., :-1]
+    return np.maximum.accumulate(np.where(drop, np.arange(w.shape[-1]), 0), axis=-1)
 
 
 def _min_jump(params, targets, v_targets, x):
-    """min over m of ``v_targets[m] + intervention_cost(targets[m] - x)``.
+    """min over m of ``v_targets[..., m] + intervention_cost(targets[m] - x)``.
 
-    ``targets`` is strictly increasing, ``v_targets`` finite and ``x`` a
-    1-D array.  The jump cost is ``D - d*xi`` downward and ``C + c*xi``
-    upward, so the best target below x minimises ``v - d*y`` over a
-    prefix and the best above x minimises ``v + c*y`` over a suffix; a
-    target equal to x is the zero-size jump.  Those (at most) three
-    winners are scored exactly as the dense minimum scores every target,
-    in O(len(targets) + len(x)) time.
+    ``targets`` is strictly increasing, ``v_targets`` finite and ``x`` an
+    array, each along its last axis; leading axes broadcast, one row of
+    target values per row of states.  The jump cost is ``D - d*xi``
+    downward and ``C + c*xi`` upward, so the best target below x
+    minimises ``v - d*y`` over a prefix and the best above x minimises
+    ``v + c*y`` over a suffix; a target equal to x is the zero-size jump.
+    Those (at most) three winners are scored exactly as the dense minimum
+    scores every target, in O(len(targets) + len(x)) time per row.
     """
+    lead = np.broadcast_shapes(v_targets.shape[:-1], x.shape[:-1])
+    v_targets = np.broadcast_to(v_targets, lead + v_targets.shape[-1:])
+    x = np.broadcast_to(x, lead + x.shape[-1:])
     m = targets.size
     below = _running_argmin(v_targets - params.d * targets)
-    above = m - 1 - _running_argmin((v_targets + params.c * targets)[::-1])[::-1]
+    above = m - 1 - _running_argmin((v_targets + params.c * targets)[..., ::-1])[..., ::-1]
     lo = np.searchsorted(targets, x, side="left")   # targets[:lo] < x
     hi = np.searchsorted(targets, x, side="right")  # targets[hi:] > x
     valid = np.stack([lo > 0, hi > lo, hi < m])
-    idx = np.where(valid, np.stack([below[lo - 1], lo, above[np.minimum(hi, m - 1)]]), 0)
-    score = v_targets[idx] + intervention_cost(params, targets[idx] - x)
+    idx = np.where(valid, np.stack([np.take_along_axis(below, lo - 1, axis=-1), lo,
+                                    np.take_along_axis(above, np.minimum(hi, m - 1), axis=-1)]), 0)
+    score = np.take_along_axis(v_targets[None], idx, axis=-1) \
+        + intervention_cost(params, targets[idx] - x)
     return np.min(np.where(valid, score, np.inf), axis=0)
 
 
 def brute_force_rv2(path, policy, params, t, x, box: StateBox):
-    """Intervention operator at time ``t``: the exact minimum over the
+    """Intervention operator at time(s) ``t``: the exact minimum over the
     1001-point target grid of (value at the target) + (cost of jumping
-    there), found in linear time.  Vectorized in x."""
+    there), found in linear time.  Vectorized in x; a column of times
+    ``t[:, None]`` evaluates every row of a (t, x) grid in one call."""
     validate_box(box)
     targets = np.linspace(box.x_lo, box.x_hi, round(1.0 / XI_RESOLUTION) + 1)
     v2_targets = value_v2(path, policy, params, t, targets)
     out = _min_jump(params, targets, v2_targets, np.atleast_1d(np.asarray(x, dtype=float)))
-    return float(out[0]) if np.ndim(x) == 0 else out
+    return float(out[0]) if np.ndim(x) == 0 and np.ndim(t) == 0 else out
 
 
 def qvi_check(path, policy, params, t, x, box: StateBox) -> QviSample:
-    """Evaluate the inequality-system triple at time ``t`` and state(s) ``x``.
+    """Evaluate the inequality-system triple at time(s) ``t`` and state(s) ``x``.
 
-    ``x`` is a scalar or an array; the sample's fields have its shape.
-    Inside the band the residual should vanish and the gap be strictly
-    negative; outside, the residual should be nonnegative and the gap
-    zero up to the target-grid resolution.
+    ``t`` is a scalar or a column ``t[:, None]``, ``x`` a scalar or an
+    array; the sample's fields have their broadcast shape.  Inside the
+    band the residual should vanish and the gap be strictly negative;
+    outside, the residual should be nonnegative and the gap zero up to
+    the target-grid resolution.
     """
     ell1, alpha, beta, ell2 = policy.thresholds_at(t)
     x_arr = np.asarray(x, dtype=float)
@@ -235,7 +246,7 @@ def qvi_check(path, policy, params, t, x, box: StateBox) -> QviSample:
     gap = value_v2(path, policy, params, t, x_arr) - brute_force_rv2(
         path, policy, params, t, x_arr, box)
     region = np.where(below, REGION_BELOW, np.where(above, REGION_ABOVE, REGION_INTERIOR))
-    if np.ndim(x) == 0:
+    if np.ndim(residual) == 0:
         return QviSample(float(residual), float(gap), float(gap * residual), str(region))
     return QviSample(residual, gap, gap * residual, region)
 
@@ -343,7 +354,7 @@ def dp_oracle_v2(params: GameParams, path: CoefficientPath, box: StateBox,
 
 
 def run_verification(path, policy, params: GameParams, box: StateBox,
-                     nt: int = 200, nx: int = 200) -> VerificationReport:
+                     nt: int = DEFAULT_GRID, nx: int = DEFAULT_GRID) -> VerificationReport:
     """Evaluate every certification condition on an (nt+1) x (nx+1) grid."""
     validate_box(box)
     t_nodes = np.linspace(0.0, params.T, nt + 1)
@@ -351,11 +362,8 @@ def run_verification(path, policy, params: GameParams, box: StateBox,
     xi_resolution = XI_RESOLUTION * (box.x_hi - box.x_lo)
     gap_tol = GAP_BASE_TOL + xi_resolution * (params.c + params.d)
 
-    rows = [qvi_check(path, policy, params, float(t), x_nodes, box) for t in t_nodes]
-    residual = np.array([r.residual for r in rows])
-    gap = np.array([r.gap for r in rows])
-    comp = np.array([r.complementarity for r in rows])
-    region = np.array([r.region for r in rows])
+    qvi = qvi_check(path, policy, params, t_nodes[:, None], x_nodes, box)
+    residual, gap, comp, region = qvi.residual, qvi.gap, qvi.complementarity, qvi.region
     interior_mask = region == REGION_INTERIOR
     hjb1 = np.where(interior_mask, _hjb1(path, params, t_nodes[:, None], x_nodes), np.nan)
 

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -158,8 +160,8 @@ def test_admissibility_rejects_interior_event(path, policy, params):
     base = rollout(path, policy, params, 0.0, 5.0)
     fake_event = ImpulseEvent(tau=0.5, x_minus=5.0, x_plus=4.6,
                               xi=-0.4, cost_p1=0.8, cost_p2=6.2)
-    doctored = Trajectory(base.segments, [fake_event], base.j1, base.j2,
-                          base.terminal_state, path, params, base._grid)
+    doctored = Trajectory(base.segments, [fake_event], base.terminal_state,
+                          path, params, base._grid)
     report = admissibility_check(doctored, policy)
     assert not report.ok
     assert any("event 0" in v for v in report.violations)
@@ -574,3 +576,44 @@ def test_start_within_1e12_of_a_node_costs_equal_reference(path, policy, params)
         assert (traj.j1, traj.j2) == reference_costs_from(path, params, traj, grid.t0)
         for t1 in (grid.t0 + 1e-5, float(grid.ts[6]), 0.5):
             assert traj.costs_from(t1) == reference_costs_from(path, params, traj, t1)
+
+
+def test_trajectory_reuses_its_cost_pass(grids, monkeypatch):
+    # the constructor's Simpson pass keeps each segment's integrals and
+    # slopes: state_at evaluates no terms, and a costs_from(t1) inside a
+    # segment evaluates that one segment's terms again
+    grid = grids["table1_T200"]
+    p = grid.params
+    traj = rollout(grid.path, grid.policy, p, 0.0, 4.2, step=p.T / 4096)
+    assert len(traj.segments) >= 150
+    calls = []
+    terms = _RolloutGrid.terms
+
+    def counting_terms(self, seg_t):
+        calls.append(len(seg_t))
+        return terms(self, seg_t)
+
+    monkeypatch.setattr(_RolloutGrid, "terms", counting_terms)
+    traj.state_at(p.T / 2.7)
+    assert calls == []
+    seg_t = traj.segments[len(traj.segments) // 2][0]
+    traj.costs_from(0.5 * (seg_t[1] + seg_t[2]))
+    assert calls == [len(seg_t) - 1]
+
+
+def test_hook_keeps_only_the_latest_start_times_grid(path, policy, params, monkeypatch):
+    built = []
+
+    class RecordedGrid(_RolloutGrid):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(simulate, "_RolloutGrid", RecordedGrid)
+    hook = make_rollout_hook(path, policy, params)
+    for t in np.linspace(0.0, 0.98, 50):
+        for x0 in (2.0, 5.0):
+            hook(float(t), x0)
+    gc.collect()
+    assert len(built) == 50     # the two starts at one time share a grid
+    assert sum(ref() is not None for ref in built) <= 1

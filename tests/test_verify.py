@@ -118,6 +118,17 @@ def test_qvi_check_on_array_equals_scalar_loop(path, policy, params, box):
             one = qvi_check(path, policy, params, t, float(x), box)
             assert (one.residual, one.gap, one.complementarity, one.region) == (
                 batch.residual[j], batch.gap[j], batch.complementarity[j], batch.region[j])
+    # a column of times evaluates the whole (t, x) grid in one call
+    ts = np.r_[np.linspace(0.0, params.T, 21), 0.37]
+    grid = qvi_check(path, policy, params, ts[:, None], xs, box)
+    column = qvi_check(path, policy, params, ts[:, None], 4.8, box)
+    for k, t in enumerate(ts):
+        row = qvi_check(path, policy, params, float(t), xs, box)
+        one = qvi_check(path, policy, params, float(t), 4.8, box)
+        for name in ("residual", "gap", "complementarity", "region"):
+            np.testing.assert_array_equal(getattr(grid, name)[k], getattr(row, name),
+                                          err_msg=f"{name} at t={t}")
+            assert getattr(column, name)[k, 0] == getattr(one, name), (name, t)
 
 
 def test_sufficiency_margins_on_array_equals_scalar_loop(path, policy, params):
@@ -379,10 +390,14 @@ def test_intervention_operator_equals_dense_minimum(scenario, request, box):
     pth, pol, prm = (request.getfixturevalue(name + scenario)
                      for name in ("path", "policy", "params"))
     xs = np.linspace(box.x_lo, box.x_hi, 201)
-    for t in np.linspace(0.0, prm.T, 201):
+    ts = np.linspace(0.0, prm.T, 201)
+    stacked = brute_force_rv2(pth, pol, prm, ts[:, None], xs, box)
+    assert stacked.shape == (201, 201)
+    for k, t in enumerate(ts):
+        dense = _dense_rv2(pth, pol, prm, float(t), xs, box)
         np.testing.assert_array_equal(
-            brute_force_rv2(pth, pol, prm, float(t), xs, box),
-            _dense_rv2(pth, pol, prm, float(t), xs, box), err_msg=f"t={t}")
+            brute_force_rv2(pth, pol, prm, float(t), xs, box), dense, err_msg=f"t={t}")
+        np.testing.assert_array_equal(stacked[k], dense, err_msg=f"stacked, t={t}")
 
 
 @pytest.mark.parametrize("scenario", ["", "_w2_1"])
@@ -422,3 +437,15 @@ def test_min_jump_matches_dense_on_random_cases(fixed):
         expected = _dense_min_jump(prm, targets, v, x)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0,
                                    err_msg=f"case {case}")
+        # stacked rows of target values, against one shared row of states
+        # and against one row of states each: every row equals its own call
+        rows = np.stack([v, rng.permutation(v), v + rng.normal()])
+        for xs in (x, np.stack([x, rng.permutation(x), -x])):
+            stacked = _min_jump(prm, targets, rows, xs)
+            assert stacked.shape == (3, x.size)
+            for k in range(3):
+                x_k = xs if xs.ndim == 1 else xs[k]
+                np.testing.assert_array_equal(stacked[k], _min_jump(prm, targets, rows[k], x_k),
+                                              err_msg=f"case {case}, row {k}")
+                np.testing.assert_allclose(stacked[k], _dense_min_jump(prm, targets, rows[k], x_k),
+                                           rtol=1e-12, atol=0.0, err_msg=f"case {case}, row {k}")
