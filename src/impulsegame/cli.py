@@ -7,10 +7,9 @@ digits, header row, newline-terminated rows.  Exit codes: 0 success,
 """
 
 import argparse
-import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain
 
 import numpy as np
@@ -30,15 +29,6 @@ from .riccati import DEFAULT_STEPS, solve_backward
 from .simulate import impulse_bound_parts, make_rollout_hook
 from .verify import DEFAULT_GRID, run_verification
 
-PARAM_KEYS = ("a", "b", "w1", "r1", "z1", "s1", "rho1",
-              "w2", "s2", "rho2", "C", "D", "c", "d", "T")
-BOX_KEYS = ("x_lo", "x_hi")
-INT_KEYS = ("n_steps", "nt", "nx")
-FLOAT_KEYS = ("sim_step",)
-LIST_KEYS = ("initial_states",)
-STR_KEYS = ("output_dir",)
-ALL_KEYS = PARAM_KEYS + BOX_KEYS + INT_KEYS + FLOAT_KEYS + LIST_KEYS + STR_KEYS
-
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_MODEL = 2
@@ -57,6 +47,19 @@ class RunConfig:
     output_dir: str = "."
 
 
+def _numbers(value):
+    return [float(v) for v in value.split(",") if v.strip()]
+
+
+# the required keys are the model's fields, the optional ones the run's
+PARAM_KEYS = tuple(f.name for f in fields(GameParams))
+BOX_KEYS = tuple(f.name for f in fields(StateBox))
+OPTIONAL_KEYS = {f.name: f.type for f in fields(RunConfig)
+                 if f.type not in (GameParams, StateBox)}
+PARSERS = {int: (int, "is not an integer"), float: (float, "is not a number"),
+           list: (_numbers, "must be comma-separated numbers"), str: (str, None)}
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse one key=value pair per line; '#' starts a comment.
 
@@ -72,7 +75,7 @@ def parse_config(text: str) -> RunConfig:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected key=value, got {line.strip()!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in ALL_KEYS:
+        if key not in PARAM_KEYS + BOX_KEYS and key not in OPTIONAL_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         raw[key] = (lineno, value)
 
@@ -80,51 +83,30 @@ def parse_config(text: str) -> RunConfig:
     if missing:
         raise ConfigError("missing required keys: " + ", ".join(missing))
 
-    def as_float(key):
+    def fail(key, what):
         lineno, value = raw[key]
+        raise ConfigError(f"line {lineno}: {key} {what}: {value!r}") from None
+
+    def parse(key, kind):
+        parser, what = PARSERS[kind]
         try:
-            return float(value)
+            return parser(raw[key][1])
         except ValueError:
-            raise ConfigError(f"line {lineno}: {key} is not a number: {value!r}") from None
+            fail(key, what)
 
-    def as_int(key, default):
-        if key not in raw:
-            return default
-        lineno, value = raw[key]
-        try:
-            return int(value)
-        except ValueError:
-            raise ConfigError(f"line {lineno}: {key} is not an integer: {value!r}") from None
-
-    def check_finite(key, numbers):
-        if not all(map(math.isfinite, numbers)):
-            lineno, value = raw[key]
-            raise ConfigError(f"line {lineno}: {key} must be finite: {value!r}")
-
-    params = validate(GameParams(**{k: as_float(k) for k in PARAM_KEYS}))
-    box = validate_box(StateBox(x_lo=as_float("x_lo"), x_hi=as_float("x_hi")))
+    params = validate(GameParams(**{k: parse(k, float) for k in PARAM_KEYS}))
+    box = validate_box(StateBox(**{k: parse(k, float) for k in BOX_KEYS}))
 
     cfg = RunConfig(params=params, box=box, sim_step=params.T / DEFAULT_STEPS)
-    cfg.n_steps = as_int("n_steps", cfg.n_steps)
-    cfg.nt = as_int("nt", cfg.nt)
-    cfg.nx = as_int("nx", cfg.nx)
-    if "sim_step" in raw:
-        cfg.sim_step = as_float("sim_step")
-        check_finite("sim_step", [cfg.sim_step])
-    if "initial_states" in raw:
-        lineno, value = raw["initial_states"]
-        try:
-            cfg.initial_states = [float(v) for v in value.split(",") if v.strip()]
-        except ValueError:
-            raise ConfigError(
-                f"line {lineno}: initial_states must be comma-separated numbers: {value!r}"
-            ) from None
-        check_finite("initial_states", cfg.initial_states)
-    if "output_dir" in raw:
-        cfg.output_dir = raw["output_dir"][1]
+    for key, kind in OPTIONAL_KEYS.items():
+        if key in raw:
+            value = parse(key, kind)
+            if kind in (float, list) and not np.all(np.isfinite(value)):
+                fail(key, "must be finite")
+            setattr(cfg, key, value)
 
-    for key in ("n_steps", "nt", "nx", "sim_step"):
-        if getattr(cfg, key) <= 0:
+    for key, kind in OPTIONAL_KEYS.items():
+        if kind in (int, float) and getattr(cfg, key) <= 0:
             raise ConfigError(f"{key} must be positive (got {getattr(cfg, key)!r})")
     if cfg.n_steps < 2:
         raise ConfigError(f"n_steps must be >= 2 (got {cfg.n_steps})")

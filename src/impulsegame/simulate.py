@@ -25,11 +25,13 @@ are two names for one checked body, which keeps the :class:`_RolloutGrid`
 of the latest start time.  The grid computes what every start shares: the
 step maps, the thresholds, the drift and running-cost coefficients at the
 nodes and cell midpoints, the Hermite midpoint weights, the impulse
-budget's extremes and the last cumulative product.  Every cost and slope
-term of a trajectory comes from its grid: cells with an end off the grid
-(at an event, at a start within 1e-12 of a node, or at the ``t1`` of
-``costs_from``) are evaluated by the same functions that fill the cache,
-and each segment is summed by one ``np.sum`` over its cells in order.
+budget's extremes and the last cumulative product.  A trajectory's
+Simpson pass takes its terms from the grid: cells with an end off the
+grid (at an event or at a start within 1e-12 of a node) are evaluated by
+the same functions that fill the cache, and each segment is summed by one
+``np.sum`` over its cells in order.  The trajectory does not keep the
+grid; ``costs_from(t1)`` evaluates the one segment it integrates again
+with those functions at the segment's own times.
 """
 
 import math
@@ -85,9 +87,9 @@ class Trajectory:
     ``x_minus`` and opens the next at ``x_plus``.  Between samples the
     state is the cubic Hermite interpolant with the closed-loop drift as
     slope.  ``grid`` is the :class:`_RolloutGrid` the segments were built
-    on.  The constructor runs one :func:`_simpson` pass per segment and
-    keeps its integrals and slopes for ``j1``, ``j2``, :meth:`state_at`
-    and :meth:`costs_from`.
+    on; the constructor runs one :func:`_simpson` pass per segment on its
+    terms and keeps the integrals and slopes, not the grid, for ``j1``,
+    ``j2``, :meth:`state_at` and :meth:`costs_from`.
     """
 
     def __init__(self, segments, events, terminal_state, path, params, grid):
@@ -96,7 +98,6 @@ class Trajectory:
         self.terminal_state = terminal_state
         self._path = path
         self._params = params
-        self._grid = grid
         # (j1, j2, slopes) per segment, None for a lone sample
         self._passes = [_simpson(params, *grid.terms(seg_t), seg_x) if len(seg_t) > 1 else None
                         for seg_t, seg_x in segments]
@@ -138,9 +139,10 @@ class Trajectory:
     def costs_from(self, t1):
         """Running, impulse and terminal costs accumulated on [t1, T].
 
-        Only the segment holding t1 is integrated again.  Events with tau
-        == t1 are counted; to measure the tail after a jump, pass a time
-        strictly inside the following segment.
+        Only the segment holding t1 is integrated again, its terms
+        evaluated at its own times.  Events with tau == t1 are counted;
+        to measure the tail after a jump, pass a time strictly inside the
+        following segment.
         """
         t1 = float(t1)
         if t1 < self.start_time - 1e-12:
@@ -156,7 +158,8 @@ class Trajectory:
                 k = int(np.searchsorted(seg_t, t1, side="right"))
                 x1 = float(hermite(seg_t, seg_x, seg_f, t1))
                 seg_t, seg_x = np.r_[t1, seg_t[k:]], np.r_[x1, seg_x[k:]]
-                a1, a2, _ = _simpson(pr, *self._grid.terms(seg_t), seg_x)
+                a1, a2, _ = _simpson(pr, _node_terms(self._path, seg_t),
+                                     _cell_terms(self._path, seg_t[:-1], seg_t[1:]), seg_x)
             j1 += a1
             j2 += a2
         for ev in self.events:

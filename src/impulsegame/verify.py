@@ -6,10 +6,12 @@ three coupled relations of Player 2's impulse-control inequality system
 (residual sign, obstacle gap against the intervention operator, taken as
 the exact minimum over the 1001-point target grid in linear time, and
 their complementarity), the root conditions that certify the residual's
-sign outside the band, the strict-convexity margin of Player 2's
-quadratic coefficient, and an independent coarse dynamic programming
-oracle for Player 2's value.  Each check takes the whole grid in one
-call: the times as a column ``t[:, None]`` against the row of states.
+sign outside the band and the strict-convexity margin of Player 2's
+quadratic coefficient.  Each check takes the whole grid in one call: the
+times as a column ``t[:, None]`` against the row of states.  The coarse
+dynamic programming oracle for Player 2's value, :func:`dp_oracle_v2`,
+is a separate, independent check that :func:`run_verification` does not
+call.
 
 The time derivatives in the residuals are central differences of the
 value quadratics themselves (closed-form p1, p2, and q1, n1, q2, n2
@@ -355,7 +357,15 @@ def dp_oracle_v2(params: GameParams, path: CoefficientPath, box: StateBox,
 
 def run_verification(path, policy, params: GameParams, box: StateBox,
                      nt: int = DEFAULT_GRID, nx: int = DEFAULT_GRID) -> VerificationReport:
-    """Evaluate every certification condition on an (nt+1) x (nx+1) grid."""
+    """Evaluate every certification condition on an (nt+1) x (nx+1) grid.
+
+    Each worst-value condition is one row of a table: its values on the
+    (t, x) grid or one per time, whether the worst is the max or the
+    min, its pass rule and its note.  The worst node is the first argmax
+    or argmin of the values as stored, in t-major order, so a NaN is the
+    worst node and fails its condition.  Nodes a condition does not
+    cover (outside or inside the band) are masked to -inf explicitly.
+    """
     validate_box(box)
     t_nodes = np.linspace(0.0, params.T, nt + 1)
     x_nodes = np.linspace(box.x_lo, box.x_hi, nx + 1)
@@ -371,74 +381,43 @@ def run_verification(path, policy, params: GameParams, box: StateBox,
     convexity = convexity_margin(path.constants, params, t_nodes)
     p2_vals = path.p2_at(t_nodes)
 
-    def worst_node(values2d, pick):
-        flat = pick(np.where(np.isnan(values2d), -np.inf if pick is np.argmax else np.inf,
-                             values2d))
-        k, j = np.unravel_index(flat, values2d.shape)
-        return float(values2d[k, j]), float(t_nodes[k]), float(x_nodes[j])
-
-    conditions = []
-
-    abs_hjb = np.where(interior_mask, np.abs(hjb1), -np.inf)
-    w, wt, wx = worst_node(abs_hjb, np.argmax)
-    conditions.append(ConditionResult(
-        "hjb1_interior_residual", w <= RESIDUAL_TOL, w, wt, wx,
-        f"max interior |residual|, tol {RESIDUAL_TOL:g}"))
-
-    w, wt, wx = worst_node(residual, np.argmin)
-    conditions.append(ConditionResult(
-        "qvi_residual_nonnegative", w >= -RESIDUAL_TOL, w, wt, wx,
-        f"min residual over all nodes, tol -{RESIDUAL_TOL:g}"))
-
-    abs_res_int = np.where(interior_mask, np.abs(residual), -np.inf)
-    w, wt, wx = worst_node(abs_res_int, np.argmax)
-    conditions.append(ConditionResult(
-        "qvi_interior_equality", w <= RESIDUAL_TOL, w, wt, wx,
-        f"max interior |residual|, tol {RESIDUAL_TOL:g}"))
-
-    w, wt, wx = worst_node(gap, np.argmax)
-    conditions.append(ConditionResult(
-        "obstacle_gap", w <= gap_tol, w, wt, wx,
-        f"max gap over all nodes, tol {gap_tol:g}"))
-
-    abs_gap_ext = np.where(~interior_mask, np.abs(gap), -np.inf)
-    w, wt, wx = worst_node(abs_gap_ext, np.argmax)
-    conditions.append(ConditionResult(
-        "exterior_obstacle_equality", w <= gap_tol, w, wt, wx,
-        f"max exterior |gap|, tol {gap_tol:g}"))
-
     comp_tol = float(np.max(np.abs(gap))) * RESIDUAL_TOL \
         + float(np.max(np.abs(residual))) * gap_tol
-    w, wt, wx = worst_node(np.abs(comp), np.argmax)
-    conditions.append(ConditionResult(
-        "complementarity", w <= comp_tol, w, wt, wx,
-        f"max |gap*residual|, tol {comp_tol:g}"))
+    # name, values on the (t, x) grid or per t, worst pick, pass rule, note
+    table = (
+        ("hjb1_interior_residual", np.where(interior_mask, np.abs(hjb1), -np.inf), np.argmax,
+         lambda w: w <= RESIDUAL_TOL, f"max interior |residual|, tol {RESIDUAL_TOL:g}"),
+        ("qvi_residual_nonnegative", residual, np.argmin,
+         lambda w: w >= -RESIDUAL_TOL, f"min residual over all nodes, tol -{RESIDUAL_TOL:g}"),
+        ("qvi_interior_equality", np.where(interior_mask, np.abs(residual), -np.inf), np.argmax,
+         lambda w: w <= RESIDUAL_TOL, f"max interior |residual|, tol {RESIDUAL_TOL:g}"),
+        ("obstacle_gap", gap, np.argmax,
+         lambda w: w <= gap_tol, f"max gap over all nodes, tol {gap_tol:g}"),
+        ("exterior_obstacle_equality", np.where(interior_mask, -np.inf, np.abs(gap)), np.argmax,
+         lambda w: w <= gap_tol, f"max exterior |gap|, tol {gap_tol:g}"),
+        ("complementarity", np.abs(comp), np.argmax,
+         lambda w: w <= comp_tol, f"max |gap*residual|, tol {comp_tol:g}"),
+        ("band_margin_lower", suff.margin_ell1, np.argmin, lambda w: w >= 0.0,
+         f"min (x11 - ell1) over applicable nodes; "
+         f"{int((~suff.alpha_applicable).sum())} inapplicable"),
+        ("band_margin_upper", suff.margin_ell2, np.argmin, lambda w: w >= 0.0,
+         f"min (ell2 - x22) over applicable nodes; "
+         f"{int((~suff.beta_applicable).sum())} inapplicable"),
+        ("convexity_margin", convexity, np.argmin, lambda w: w > 0.0, "min margin, must be > 0"),
+    )
+    conditions = []
+    for name, values, pick, passes, note in table:
+        node = np.unravel_index(pick(values), values.shape)
+        worst = float(values[node])
+        x = float(x_nodes[node[1]]) if values.ndim == 2 else None
+        conditions.append(ConditionResult(name, passes(worst), worst, float(t_nodes[node[0]]),
+                                          x, note))
 
-    def worst_t(values1d, pick):
-        idx = pick(values1d)
-        return float(values1d[idx]), float(t_nodes[idx])
-
-    w, wt = worst_t(suff.margin_ell1, np.argmin)
+    disagree = np.sign(convexity) != np.sign(p2_vals)     # a count, reported at the first
+    n_bad = int(disagree.sum())
     conditions.append(ConditionResult(
-        "band_margin_lower", w >= 0.0, w, wt, None,
-        f"min (x11 - ell1) over applicable nodes; "
-        f"{int((~suff.alpha_applicable).sum())} inapplicable"))
-
-    w, wt = worst_t(suff.margin_ell2, np.argmin)
-    conditions.append(ConditionResult(
-        "band_margin_upper", w >= 0.0, w, wt, None,
-        f"min (ell2 - x22) over applicable nodes; "
-        f"{int((~suff.beta_applicable).sum())} inapplicable"))
-
-    w, wt = worst_t(convexity, np.argmin)
-    conditions.append(ConditionResult(
-        "convexity_margin", w > 0.0, w, wt, None, "min margin, must be > 0"))
-
-    agree = np.sign(convexity) == np.sign(p2_vals)
-    n_bad = int((~agree).sum())
-    idx = int(np.argmax(~agree)) if n_bad else 0
-    conditions.append(ConditionResult(
-        "convexity_sign_agreement", n_bad == 0, float(n_bad), float(t_nodes[idx]), None,
+        "convexity_sign_agreement", n_bad == 0, float(n_bad),
+        float(t_nodes[np.argmax(disagree)]), None,
         "nodes where the convexity margin and p2 disagree in sign"))
 
     return VerificationReport(

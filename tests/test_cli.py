@@ -68,6 +68,25 @@ def test_parse_config_bad_number_with_line_number():
             if not line.startswith("a =")))
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("n_steps", "1.5", "line {n}: n_steps is not an integer: '1.5'"),
+    ("nt", "1.5", "line {n}: nt is not an integer: '1.5'"),
+    ("nx", "1.5", "line {n}: nx is not an integer: '1.5'"),
+    ("sim_step", "fast", "line {n}: sim_step is not a number: 'fast'"),
+    ("initial_states", "2, x",
+     "line {n}: initial_states must be comma-separated numbers: '2, x'"),
+    ("nt", "0", "nt must be positive (got 0)"),
+    ("sim_step", "-1", "sim_step must be positive (got -1.0)"),
+    ("n_steps", "1", "n_steps must be >= 2 (got 1)"),
+])
+def test_bad_run_setting_message(key, value, message):
+    text = BASE_CFG.read_text() + f"\n{key} = {value}\n"
+    lineno = len(text.splitlines())                     # the override is the last line
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value) == message.format(n=lineno)
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("key", ["sim_step", "initial_states"])
 def test_nonfinite_run_setting_is_config_error_with_line(tmp_path, capsys, key, bad):

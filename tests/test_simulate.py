@@ -160,8 +160,9 @@ def test_admissibility_rejects_interior_event(path, policy, params):
     base = rollout(path, policy, params, 0.0, 5.0)
     fake_event = ImpulseEvent(tau=0.5, x_minus=5.0, x_plus=4.6,
                               xi=-0.4, cost_p1=0.8, cost_p2=6.2)
+    grid = _RolloutGrid(path, policy, params, 0.0, params.T / 4096)
     doctored = Trajectory(base.segments, [fake_event], base.terminal_state,
-                          path, params, base._grid)
+                          path, params, grid)
     report = admissibility_check(doctored, policy)
     assert not report.ok
     assert any("event 0" in v for v in report.violations)
@@ -581,27 +582,33 @@ def test_start_within_1e12_of_a_node_costs_equal_reference(path, policy, params)
 def test_trajectory_reuses_its_cost_pass(grids, monkeypatch):
     # the constructor's Simpson pass keeps each segment's integrals and
     # slopes: state_at evaluates no terms, and a costs_from(t1) inside a
-    # segment evaluates that one segment's terms again
+    # segment evaluates that one segment's terms again, at its own times
     grid = grids["table1_T200"]
     p = grid.params
     traj = rollout(grid.path, grid.policy, p, 0.0, 4.2, step=p.T / 4096)
     assert len(traj.segments) >= 150
     calls = []
-    terms = _RolloutGrid.terms
 
-    def counting_terms(self, seg_t):
-        calls.append(len(seg_t))
-        return terms(self, seg_t)
+    def counting(name):
+        terms = getattr(simulate, name)
 
-    monkeypatch.setattr(_RolloutGrid, "terms", counting_terms)
+        def count(path, *times):
+            calls.append((name, np.shape(times[0])))
+            return terms(path, *times)
+        monkeypatch.setattr(simulate, name, count)
+
+    counting("_node_terms")
+    counting("_cell_terms")
     traj.state_at(p.T / 2.7)
     assert calls == []
     seg_t = traj.segments[len(traj.segments) // 2][0]
     traj.costs_from(0.5 * (seg_t[1] + seg_t[2]))
-    assert calls == [len(seg_t) - 1]
+    n = len(seg_t) - 1      # t1 and the samples after it
+    assert calls == [("_node_terms", (n,)), ("_cell_terms", (n - 1,))]
 
 
 def test_hook_keeps_only_the_latest_start_times_grid(path, policy, params, monkeypatch):
+    # trajectories the caller keeps do not keep their grids alive either
     built = []
 
     class RecordedGrid(_RolloutGrid):
@@ -611,9 +618,8 @@ def test_hook_keeps_only_the_latest_start_times_grid(path, policy, params, monke
 
     monkeypatch.setattr(simulate, "_RolloutGrid", RecordedGrid)
     hook = make_rollout_hook(path, policy, params)
-    for t in np.linspace(0.0, 0.98, 50):
-        for x0 in (2.0, 5.0):
-            hook(float(t), x0)
+    kept = [hook(float(t), x0) for t in np.linspace(0.0, 0.98, 50) for x0 in (2.0, 5.0)]
     gc.collect()
     assert len(built) == 50     # the two starts at one time share a grid
     assert sum(ref() is not None for ref in built) <= 1
+    assert all(traj.costs_from(traj.start_time) == (traj.j1, traj.j2) for traj in kept)

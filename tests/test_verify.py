@@ -17,9 +17,10 @@ from impulsegame import (
     solve_backward,
     sufficiency_margins,
     value_v2,
+    verify,
 )
 from impulsegame.model import intervention_cost
-from impulsegame.verify import DpOracleResult, _min_jump, _phi_rates
+from impulsegame.verify import DpOracleResult, QviSample, _min_jump, _phi_rates
 
 from conftest import variant
 
@@ -329,6 +330,71 @@ def test_report_flags_recomputable_from_stored_arrays(path, policy, params, box)
         }
         assert {c.name: c.passed for c in r.conditions} == \
             {name: bool(flag) for name, flag in expected.items()}
+        # each worst node is the first, in t-major order, of the extreme
+        # masked stored values; x is reported for the (t, x) arrays only
+        worst = {
+            "hjb1_interior_residual": (np.where(interior, np.abs(r.hjb1), -np.inf), np.max),
+            "qvi_residual_nonnegative": (r.qvi_residual, np.min),
+            "qvi_interior_equality": (np.where(interior, np.abs(r.qvi_residual), -np.inf), np.max),
+            "obstacle_gap": (r.gap, np.max),
+            "exterior_obstacle_equality": (np.where(interior, -np.inf, np.abs(r.gap)), np.max),
+            "complementarity": (np.abs(r.complementarity), np.max),
+            "band_margin_lower": (r.margin_ell1, np.min),
+            "band_margin_upper": (r.margin_ell2, np.min),
+            "convexity_margin": (r.convexity_margin, np.min),
+        }
+        disagree = np.flatnonzero(np.sign(r.convexity_margin) != np.sign(r.p2))
+        for c in r.conditions:
+            if c.name == "convexity_sign_agreement":
+                assert c.worst == disagree.size and c.x is None
+                assert c.t == r.t_nodes[disagree[0] if disagree.size else 0]
+                continue
+            values, extreme = worst[c.name]
+            node = np.argwhere(values == extreme(values))[0]
+            assert (c.worst, c.t) == (values[tuple(node)], r.t_nodes[node[0]]), c.name
+            assert c.x == (r.x_nodes[node[1]] if values.ndim == 2 else None), c.name
+
+
+def test_nan_hjb1_residual_is_the_worst_node_and_fails(path, policy, params, box,
+                                                        monkeypatch):
+    hjb1 = verify._hjb1
+
+    def poisoned(*args):
+        out = hjb1(*args)
+        out[100, 100] = np.nan      # t = 0.5, x = 5.0, inside the band
+        return out
+
+    monkeypatch.setattr(verify, "_hjb1", poisoned)
+    r = run_verification(path, policy, params, box)
+    assert r.region[100, 100] == "interior"
+    failed = {c.name: c for c in r.conditions if not c.passed}
+    assert list(failed) == ["hjb1_interior_residual"]
+    c = failed["hjb1_interior_residual"]
+    assert np.isnan(c.worst) and (c.t, c.x) == (0.5, 5.0)
+
+
+def test_nan_qvi_values_are_the_worst_nodes_and_fail(path, policy, params, box,
+                                                     monkeypatch):
+    check = verify.qvi_check
+
+    def poisoned(*args):
+        sample = check(*args)
+        residual, gap = sample.residual.copy(), sample.gap.copy()
+        residual[100, 100] = gap[100, 100] = np.nan     # t = 0.5, x = 5.0, inside the band
+        gap[100, 199] = np.nan                          # t = 0.5, x = 9.95, above the band
+        return QviSample(residual, gap, gap * residual, sample.region)
+
+    monkeypatch.setattr(verify, "qvi_check", poisoned)
+    r = run_verification(path, policy, params, box)
+    assert (r.region[100, 100], r.region[100, 199]) == ("interior", "above")
+    failed = {c.name: (np.isnan(c.worst), c.t, c.x) for c in r.conditions if not c.passed}
+    assert failed == {
+        "qvi_residual_nonnegative": (True, 0.5, 5.0),
+        "qvi_interior_equality": (True, 0.5, 5.0),
+        "obstacle_gap": (True, 0.5, 5.0),
+        "exterior_obstacle_equality": (True, 0.5, r.x_nodes[199]),
+        "complementarity": (True, 0.5, 5.0),
+    }
 
 
 def test_drift_suppressed_outside_band_in_residual(path, policy, params, box):
