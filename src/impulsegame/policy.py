@@ -47,7 +47,6 @@ class ThresholdPolicy:
 
     def __init__(self, path, params):
         self.path = path
-        self.time_grid = path.time_grid
         self.params = params
         self.ell1, self.alpha, self.beta, self.ell2 = _band(path.p2, path.q2, params)
         for arr in (self.ell1, self.alpha, self.beta, self.ell2):

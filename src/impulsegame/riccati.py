@@ -59,8 +59,6 @@ def constants(params: GameParams) -> RiccatiConstants:
 
     b_x = -b * b / r1
     theta = float(2.0 * np.sqrt(a * a + w1 * b * b / r1))
-    # Same quantity written through b_x; guards against sign mistakes.
-    assert np.isclose(theta, 2.0 * np.sqrt(a * a - w1 * b_x), rtol=1e-12, atol=0.0)
 
     divisor = theta + 2.0 * (b * b / r1) * s1 - 2.0 * a
     if divisor == 0.0:
@@ -273,23 +271,6 @@ class CoefficientPath:
                 f"difference slopes need at least 5 nodes (got {self.time_grid.size})")
         h = self.time_grid[1] - self.time_grid[0]
         return tuple(_difference_slope(ys, h) for ys in (self.q1, self.n1, self.q2, self.n2))
-
-    def ode_rhs_at(self, t):
-        """Time derivatives of all six coefficients from their defining ODEs.
-
-        Returns (p1dot, q1dot, n1dot, p2dot, q2dot, n2dot) evaluated at
-        ``t`` using the closed forms for p1, p2, a_x and interpolation
-        for the integrated paths.  Accepts scalars or arrays.
-        """
-        pr = self.params
-        ax_v = self.a_x_at(t)
-        p1_v = self.p1_at(t)
-        p2_v = self.p2_at(t)
-        p1dot = -pr.w1 - self.constants.b_x * p1_v * p1_v - 2.0 * pr.a * p1_v
-        p2dot = -pr.w2 - 2.0 * p2_v * ax_v
-        q1dot, n1dot, q2dot, n2dot = _slopes(
-            pr, self.constants.b_x, ax_v, p2_v, self.q1_at(t), self.q2_at(t))
-        return p1dot, q1dot, n1dot, p2dot, q2dot, n2dot
 
 
 def _scan_back(mult, add, y_end):

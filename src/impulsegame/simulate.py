@@ -20,14 +20,14 @@ using the cubic-Hermite midpoint state so the quadrature matches the
 integrator's accuracy.  That pass runs once per segment and keeps the
 segment's integrals and drift slopes for later queries.
 
-:func:`rollout` (one start) and :func:`make_rollout_hook` (many starts)
-are two names for one checked body, which keeps the :class:`_RolloutGrid`
-of the latest start time.  The grid computes what every start shares: the
-step maps, the thresholds, the drift and running-cost coefficients at the
-nodes and cell midpoints, the Hermite midpoint weights, the impulse
-budget's extremes and the last cumulative product.  A trajectory's
-Simpson pass takes its terms from the grid: cells with an end off the
-grid (at an event or at a start within 1e-12 of a node) are evaluated by
+:func:`make_rollout_hook` returns one checked body for many starts, and
+:func:`rollout` calls a fresh one once.  The body keeps the
+:class:`_RolloutGrid` of the latest start time, which computes what every
+start shares: the step maps, the thresholds, the drift and running-cost
+coefficients at the nodes and cell midpoints, the Hermite midpoint
+weights, the impulse budget's extremes and the last cumulative product.
+A trajectory's Simpson pass takes its terms from the grid: cells with an
+end off the grid (at an event; only a node is on it) are evaluated by
 the same functions that fill the cache, and each segment is summed by one
 ``np.sum`` over its cells in order.  The trajectory does not keep the
 grid; ``costs_from(t1)`` evaluates the one segment it integrates again
@@ -391,16 +391,11 @@ def rollout(path, policy, params: GameParams, t0, x0, step=None, max_events=None
 
 
 def make_rollout_hook(path, policy, params, step=None):
-    """``rollout`` as a closure (t0, x0) -> Trajectory, for many starts.
+    """:func:`rollout`'s checked body as a closure (t0, x0, max_events=None).
 
     Starts at one time share a grid; only the latest start time's is kept.
     """
-    run = _rollouts(path, policy, params, step)
-
-    def hook(t0, x0):
-        return run(t0, x0)
-
-    return hook
+    return _rollouts(path, policy, params, step)
 
 
 def _falsi(a, fa, b, fb):
@@ -545,7 +540,7 @@ def _rollout_on_grid(grid, x0, max_events):
         seg_t = [[t_cur]]
         seg_x = [[x_cur]]
         node = int(np.searchsorted(ts, t_cur, side="left"))
-        located = abs(ts[node] - t_cur) > 1e-12     # off the grid, just after an event
+        located = ts[node] != t_cur     # off the grid, just after an event
         tau = None
         while True:
             if located:

@@ -70,6 +70,7 @@ class SufficiencySample:
     the quadratic has no real root, the residual is positive throughout
     that region, and the corresponding condition holds vacuously
     (``applicable`` is False and the margin is +inf; no root is made up).
+    A NaN discriminant is applicable with a NaN root and margin: it fails.
     """
 
     x11: float
@@ -228,11 +229,13 @@ def qvi_check(path, policy, params, t, x, box: StateBox) -> QviSample:
     outside, the residual should be nonnegative and the gap zero up to
     the target-grid resolution.
     """
-    ell1, alpha, beta, ell2 = policy.thresholds_at(t)
+    _, alpha, beta, _ = policy.thresholds_at(t)
     x_arr = np.asarray(x, dtype=float)
-    below = x_arr <= ell1
-    above = x_arr >= ell2
-    interior = ~(below | above)
+    gap = value_v2(path, policy, params, t, x_arr) - brute_force_rv2(
+        path, policy, params, t, x_arr, box)
+    region = policy.region(t, x_arr)
+    below = region == REGION_BELOW
+    above = region == REGION_ABOVE
 
     # outside the band V2 is phi2 at the reset target plus a jump cost
     # affine in x; the target's stationarity cancels its own motion, so
@@ -242,14 +245,11 @@ def qvi_check(path, policy, params, t, x, box: StateBox) -> QviSample:
                       np.where(above, params.d, path.p2_at(t) * x_arr + path.q2_at(t)))
     # Player 1's feedback only acts while the state is inside the band.
     drift = params.a * x_arr + np.where(
-        interior, params.b * gamma_star(path, params, t, x_arr), 0.0
+        region == REGION_INTERIOR, params.b * gamma_star(path, params, t, x_arr), 0.0
     )
     residual = dv2_dt + 0.5 * params.w2 * (x_arr - params.rho2) ** 2 + dv2_dx * drift
-    gap = value_v2(path, policy, params, t, x_arr) - brute_force_rv2(
-        path, policy, params, t, x_arr, box)
-    region = np.where(below, REGION_BELOW, np.where(above, REGION_ABOVE, REGION_INTERIOR))
     if np.ndim(residual) == 0:
-        return QviSample(float(residual), float(gap), float(gap * residual), str(region))
+        return QviSample(float(residual), float(gap), float(gap * residual), region)
     return QviSample(residual, gap, gap * residual, region)
 
 
@@ -263,8 +263,8 @@ def sufficiency_margins(path, policy, params, t) -> SufficiencySample:
     _, (dphi2_alpha, dphi2_beta) = _phi_rates(path, t, np.array([alpha, beta]))
     theta_alpha = c * c * a * a + 2.0 * w2 * (c * a * rho2 - dphi2_alpha)
     theta_beta = d * d * a * a - 2.0 * w2 * (d * a * rho2 + dphi2_beta)
-    alpha_ok = theta_alpha >= 0.0
-    beta_ok = theta_beta >= 0.0
+    alpha_ok = np.logical_not(theta_alpha < 0.0)
+    beta_ok = np.logical_not(theta_beta < 0.0)
     x11 = np.where(
         alpha_ok,
         ((c * a + w2 * rho2) - np.sqrt(np.maximum(theta_alpha, 0.0))) / w2,

@@ -21,6 +21,27 @@ def variant(**overrides) -> GameParams:
     return dataclasses.replace(BASELINE, **overrides)
 
 
+def defining_rates(path, t):
+    """(p1', q1', n1', p2', q2', n2') at ``t`` from the six defining equations.
+
+    Written out here from the model constants, apart from the solver's
+    own right-hand sides, and evaluated on the path's closed forms (p1,
+    p2, a_x) and interpolants (q1, q2).  Broadcasts over ``t``.
+    """
+    pr = path.params
+    b_x = -pr.b * pr.b / pr.r1
+    ax, p1, p2 = path.a_x_at(t), path.p1_at(t), path.p2_at(t)
+    q1, q2 = path.q1_at(t), path.q2_at(t)
+    return (
+        -pr.w1 - b_x * p1 * p1 - 2.0 * pr.a * p1,
+        -ax * q1 + pr.w1 * pr.rho1,
+        -0.5 * b_x * q1 * q1 - 0.5 * pr.w1 * pr.rho1 ** 2,
+        -pr.w2 - 2.0 * p2 * ax,
+        -ax * q2 - b_x * p2 * q1 + pr.w2 * pr.rho2,
+        -b_x * q1 * q2 - 0.5 * pr.w2 * pr.rho2 ** 2,
+    )
+
+
 @pytest.fixture(scope="session")
 def params():
     return BASELINE

@@ -19,7 +19,7 @@ from impulsegame import (
     value_v2,
 )
 
-from conftest import BASELINE, variant
+from conftest import BASELINE, defining_rates, variant
 
 BOX = StateBox(0.0, 10.0)
 BASE_T0 = (3.3822, 4.5111, 5.5731, 7.0305)
@@ -174,7 +174,7 @@ def test_criterion_6_closed_form_vs_integration(path, consts, params):
         assert np.max(np.abs(path.p2 - p2_rk4)) < 1e-8
 
         h = ts[1] - ts[0]
-        rhs = path.ode_rhs_at(ts[1:-1])
+        rhs = defining_rates(path, ts[1:-1])
         stored = (path.p1, path.q1, path.n1, path.p2, path.q2, path.n2)
         for arr, expected in zip(stored, rhs):
             central = (arr[2:] - arr[:-2]) / (2 * h)

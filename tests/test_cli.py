@@ -300,6 +300,18 @@ def test_import_does_not_load_scipy():
     assert proc.stdout.strip() == "False"
 
 
+def test_commands_do_not_load_scipy(tmp_path):
+    # nor does a run: verify and the V1 sweep of value stay on numpy
+    cfg = write_cfg(tmp_path, output_dir=tmp_path / "out")
+    code = ("import sys; from impulsegame.cli import main; "
+            f"codes = (main(['verify', '--config', {str(cfg)!r}]), "
+            f"main(['value', '--t', '0.3', '--config', {str(cfg)!r}])); "
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "(0, 0) []"
+
+
 def test_csv_uses_12_significant_digits(tmp_path):
     cfg = write_cfg(tmp_path, output_dir=tmp_path / "out")
     assert main(["solve", "--config", str(cfg)]) == 0

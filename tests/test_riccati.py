@@ -14,7 +14,7 @@ from impulsegame import (
     solve_backward,
 )
 
-from conftest import BASELINE, variant
+from conftest import BASELINE, defining_rates, variant
 
 
 def rk4_terminal_value(rhs, y_terminal, t_grid):
@@ -96,6 +96,15 @@ def test_constants_baseline(consts):
     assert consts.theta == pytest.approx(2.0 * np.sqrt(0.01 + 0.09), rel=1e-12)
     assert consts.c1 == pytest.approx(0.5660, abs=5e-4)
     assert consts.b_x == pytest.approx(-0.09, rel=1e-14)
+
+
+@pytest.mark.parametrize("overrides", [{}, {"a": -0.7}, {"b": 2.0, "r1": 0.3}, {"w1": 0.05}])
+def test_theta_through_b_x(overrides):
+    # the same rate written through the closed loop's control gain
+    p = variant(**overrides)
+    cs = constants(p)
+    assert cs.b_x == -p.b * p.b / p.r1
+    assert cs.theta == pytest.approx(2.0 * np.sqrt(p.a * p.a - p.w1 * cs.b_x), rel=1e-12)
 
 
 def test_c1_collapses_when_s1_matches_drift():
@@ -236,7 +245,7 @@ def test_central_difference_residuals_all_paths():
     }
     inner = slice(1, -1)
     derivs = {k: (v[2:] - v[:-2]) / (2 * h) for k, v in arrays.items()}
-    rhs = path.ode_rhs_at(ts[inner])
+    rhs = defining_rates(path, ts[inner])
     for got, expected, name in zip(
         (derivs["p1"], derivs["q1"], derivs["n1"],
          derivs["p2"], derivs["q2"], derivs["n2"]),

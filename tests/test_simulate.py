@@ -566,14 +566,15 @@ def test_long_horizon_costs_equal_reference(grids, name, x0s):
 
 
 def test_start_within_1e12_of_a_node_costs_equal_reference(path, policy, params):
-    # a start this close to a node is taken as on it: the first cell runs from
-    # the start to the next node and is evaluated directly
+    # a time is on the grid only if it equals a node: the locator steps a
+    # start 4e-13 before a node onto that node, and the first cell, from
+    # the start to the node, is evaluated directly
     grid = _RolloutGrid(path, policy, params, 0.0, params.T / 4096)
     grid.t0 = float(grid.ts[5]) - 4e-13
     for x0 in (2.0, 5.0, 8.0):
         traj = simulate._rollout_on_grid(grid, x0, None)
         seg_t = traj.segments[-1][0]
-        assert seg_t[0] == grid.t0 and seg_t[1] == grid.ts[6]
+        assert seg_t[0] == grid.t0 and seg_t[1] == grid.ts[5]
         assert (traj.j1, traj.j2) == reference_costs_from(path, params, traj, grid.t0)
         for t1 in (grid.t0 + 1e-5, float(grid.ts[6]), 0.5):
             assert traj.costs_from(t1) == reference_costs_from(path, params, traj, t1)

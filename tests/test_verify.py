@@ -22,7 +22,7 @@ from impulsegame import (
 from impulsegame.model import intervention_cost
 from impulsegame.verify import DpOracleResult, QviSample, _min_jump, _phi_rates
 
-from conftest import variant
+from conftest import defining_rates, variant
 
 
 def _shifted(path, name, slope=1e-3):
@@ -89,7 +89,7 @@ def test_phi_rates_match_defining_equations(scenario, request):
     pth = request.getfixturevalue(scenario)
     t = np.linspace(0.0, pth.params.T, 41)[:, None]
     x = np.linspace(0.0, 10.0, 21)
-    p1dot, q1dot, n1dot, p2dot, q2dot, n2dot = pth.ode_rhs_at(t)
+    p1dot, q1dot, n1dot, p2dot, q2dot, n2dot = defining_rates(pth, t)
     dphi1, dphi2 = _phi_rates(pth, t, x)
     assert np.max(np.abs(dphi1 - (0.5 * p1dot * x * x + q1dot * x + n1dot))) < 1e-6
     assert np.max(np.abs(dphi2 - (0.5 * p2dot * x * x + q2dot * x + n2dot))) < 1e-6
@@ -305,6 +305,22 @@ def test_run_verification_passes_both_scenarios(path, policy, params,
         assert report.passed, [c.name for c in report.conditions if not c.passed]
 
 
+@pytest.mark.parametrize("w2, t_pass, t_fail", [(4.0, 2.5, 2.7), (1.0, 3.6, 3.8)],
+                         ids=["table1", "table1_w2_1"])
+def test_certificate_holds_up_to_a_horizon(box, w2, t_pass, t_fail):
+    # the root condition below the band is the first to fail as T grows:
+    # the certified horizon lies in (2.600, 2.608) on table1 and in
+    # (3.716, 3.725) on table1_w2_1
+    failed = {}
+    for T in (t_pass, t_fail):
+        p = variant(w2=w2, T=T)
+        pth = solve_backward(p)
+        report = run_verification(pth, build_policy(pth, p), p, box)
+        failed[T] = {c.name for c in report.conditions if not c.passed}
+    assert failed[t_pass] == set()
+    assert "band_margin_lower" in failed[t_fail]
+
+
 def test_report_flags_recomputable_from_stored_arrays(path, policy, params, box):
     # on a certified model and on one that fails two conditions
     p_bad = variant(C=1e-6)
@@ -395,6 +411,32 @@ def test_nan_qvi_values_are_the_worst_nodes_and_fail(path, policy, params, box,
         "exterior_obstacle_equality": (True, 0.5, r.x_nodes[199]),
         "complementarity": (True, 0.5, 5.0),
     }
+
+
+@pytest.mark.parametrize("row, name, theta, root, margin, applicable", [
+    (0, "band_margin_lower", "theta_alpha", "x11", "margin_ell1", "alpha_applicable"),
+    (1, "band_margin_upper", "theta_beta", "x22", "margin_ell2", "beta_applicable"),
+], ids=["lower", "upper"])
+def test_nan_discriminant_is_the_worst_node_and_fails(path, policy, params, box, monkeypatch,
+                                                      row, name, theta, root, margin, applicable):
+    # only a negative discriminant is vacuous: a NaN one at t = 0.5 must not
+    # pass as "no real root" with a +inf margin
+    rates = verify._phi_rates
+
+    def poisoned(pth, t, x):
+        dphi1, dphi2 = rates(pth, t, x)
+        if np.ndim(t) == 1:     # sufficiency_margins: rows alpha and beta, one column per t
+            dphi2 = dphi2.copy()
+            dphi2[row, t == 0.5] = np.nan
+        return dphi1, dphi2
+
+    monkeypatch.setattr(verify, "_phi_rates", poisoned)
+    r = run_verification(path, policy, params, box)
+    assert r.t_nodes[100] == 0.5
+    assert all(np.isnan(getattr(r, field)[100]) for field in (theta, root, margin))
+    failed = {c.name: (np.isnan(c.worst), c.t, c.x) for c in r.conditions if not c.passed}
+    assert failed == {name: (True, 0.5, None)}
+    assert getattr(sufficiency_margins(path, policy, params, r.t_nodes), applicable)[100]
 
 
 def test_drift_suppressed_outside_band_in_residual(path, policy, params, box):
