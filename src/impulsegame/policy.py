@@ -3,10 +3,12 @@
 Player 1 plays the linear state feedback ``u = -(b/r1)*(p1(t)*x + q1(t))``.
 Player 2 plays a band policy: wait while the state stays strictly between
 the moving thresholds ``ell1(t)`` and ``ell2(t)``, and on exit reset it to
-``alpha(t)`` from below or ``beta(t)`` from above.  The band boundaries
-follow from value matching and the reset targets from the stationarity
-conditions ``p2*alpha + q2 = -c`` and ``p2*beta + q2 = d``, so all four
-are explicit functions of ``(p2(t), q2(t))``.
+``alpha(t)`` from below or ``beta(t)`` from above.  The band is open and
+the intervention set closed (:func:`sides`): a state on ``ell1`` or
+``ell2`` triggers an impulse.  The band boundaries follow from value
+matching and the reset targets from the stationarity conditions
+``p2*alpha + q2 = -c`` and ``p2*beta + q2 = d``, so all four are explicit
+functions of ``(p2(t), q2(t))``.
 """
 
 import math
@@ -17,9 +19,16 @@ from .errors import ConvexityViolation, OrderingViolation
 from .model import GameParams
 from .riccati import CoefficientPath
 
-REGION_BELOW = "below"
-REGION_INTERIOR = "interior"
-REGION_ABOVE = "above"
+
+def sides(ell1, ell2, x):
+    """(below, above) = (x <= ell1, x >= ell2), floats or arrays: both edges intervene."""
+    return x <= ell1, x >= ell2
+
+
+def labels(below, above):
+    """Region names from the masks of :func:`sides`: a str for a scalar, else an array."""
+    out = np.where(below, "below", np.where(above, "above", "interior"))
+    return str(out) if np.ndim(out) == 0 else out
 
 
 def _sqrt(x):
@@ -57,10 +66,9 @@ class ThresholdPolicy:
         return _band(self.path.p2_at(t), self.path.q2_at(t), self.params)
 
     def region(self, t, x):
-        """Classify ``x`` (scalar or array) at time ``t``; the intervention set is closed."""
+        """Classify ``x`` (scalar or array) at time ``t`` by :func:`sides`."""
         ell1, _, _, ell2 = self.thresholds_at(t)
-        out = np.where(x <= ell1, REGION_BELOW, np.where(x >= ell2, REGION_ABOVE, REGION_INTERIOR))
-        return str(out) if np.ndim(out) == 0 else out
+        return labels(*sides(ell1, ell2, x))
 
 
 def _check_ordering(time_grid, ell1, alpha, beta, ell2):
@@ -99,14 +107,15 @@ def gamma_star(path: CoefficientPath, params: GameParams, t, x):
 def impulse_map(policy: ThresholdPolicy, t, x):
     """Player 2's reset rule at (t, x).
 
-    Returns None while ell1(t) < x < ell2(t); otherwise the pair
-    (target, xi) with target alpha(t) from below or beta(t) from above
-    and xi = target - x.
+    Returns None while ell1(t) < x < ell2(t); otherwise (:func:`sides`)
+    the pair (target, xi) with target alpha(t) from below or beta(t) from
+    above and xi = target - x.
     """
     ell1, alpha, beta, ell2 = policy.thresholds_at(t)
-    if x <= ell1:
+    below, above = sides(ell1, ell2, x)
+    if below:
         return alpha, alpha - x
-    if x >= ell2:
+    if above:
         return beta, beta - x
     return None
 
@@ -120,14 +129,15 @@ def phi2(path: CoefficientPath, t, x):
 def value_v2(path: CoefficientPath, policy: ThresholdPolicy, params: GameParams, t, x):
     """Player 2's value at (t, x): quadratic inside the band, linear outside.
 
-    Continuous across both boundaries by construction of ell1 and ell2.
+    The edges take the linear form (:func:`sides`); it meets the quadratic
+    there by construction of ell1 and ell2, as ``value_continuity`` checks.
     Accepts scalars or arrays ``t`` and ``x``, broadcast together.
     """
     x_arr = np.asarray(x, dtype=float)
     ell1, alpha, beta, ell2 = policy.thresholds_at(t)
-    below = phi2(path, t, alpha) + params.C + params.c * (alpha - x_arr)
-    above = phi2(path, t, beta) + params.D + params.d * (x_arr - beta)
-    interior = phi2(path, t, x_arr)
-    out = np.where(x_arr <= ell1, below, np.where(x_arr >= ell2, above, interior))
+    v_below = phi2(path, t, alpha) + params.C + params.c * (alpha - x_arr)
+    v_above = phi2(path, t, beta) + params.D + params.d * (x_arr - beta)
+    below, above = sides(ell1, ell2, x_arr)
+    out = np.where(below, v_below, np.where(above, v_above, phi2(path, t, x_arr)))
     return float(out) if np.ndim(out) == 0 else out
 

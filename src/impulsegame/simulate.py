@@ -4,8 +4,8 @@ Between interventions the closed loop is the scalar linear ODE
 ``xdot = a_x(t)*x + b_x*q1(t)``, integrated with classical RK4 on a
 uniform grid; each step is the affine map of :func:`affine_rk4`, so a
 whole impulse-free stretch propagates as one cumulative product.  The
-first node outside the open band marks the step holding the exit, and
-:func:`_bisect_crossing` locates the exit inside it to EVENT_TIME_TOL.
+first node on or past a band edge (:func:`.policy.sides`) marks the step
+holding the exit, and :func:`_bisect_crossing` locates it to EVENT_TIME_TOL.
 It returns bisection's point but probes far fewer substeps: Illinois
 regula falsi brackets the sign change of the band margin, two probes
 tighten the bracket, and bisection's own midpoint sequence is replayed,
@@ -48,7 +48,7 @@ from .model import (
     player1_impulse_cost,
     validate_box,
 )
-from .policy import ThresholdPolicy, gamma_star, impulse_map
+from .policy import ThresholdPolicy, gamma_star, impulse_map, sides
 from .riccati import DEFAULT_STEPS, affine_rk4, hermite
 
 # Resolution of the event locator: tau is the right end of bisection's
@@ -465,6 +465,7 @@ def _bisect_crossing(grid, t_lo, x_lo, h):
     states = {}
 
     def margin(s, x):
+        # <= 0 exactly where sides() fires; Illinois needs its signed value
         ell1, _, _, ell2 = policy.thresholds_at(t_lo + s)
         return min(x - ell1, ell2 - x)
 
@@ -528,8 +529,7 @@ def _rollout_on_grid(grid, x0, max_events):
         return ev
 
     t_cur, x_cur = grid.t0, x0
-    ell1, _, _, ell2 = policy.thresholds_at(t_cur)
-    if (x_cur <= ell1 or x_cur >= ell2) and t_cur < T - EVENT_TIME_TOL:
+    if impulse_map(policy, t_cur, x_cur) is not None and t_cur < T - EVENT_TIME_TOL:
         ev = fire(t_cur, x_cur)
         segments.append((np.array([t_cur]), np.array([x_cur])))
         x_cur = ev.x_plus
@@ -559,8 +559,8 @@ def _rollout_on_grid(grid, x0, max_events):
             if not np.all(np.isfinite(xs)):
                 bad = node + int(np.flatnonzero(~np.isfinite(xs))[0])
                 raise NonFiniteStateError(f"state non-finite at node {bad} (t={ts[bad]!r})")
-            margins = np.minimum(xs[1:] - grid.ell1[node + 1:], grid.ell2[node + 1:] - xs[1:])
-            exits = np.flatnonzero(margins <= 0.0)
+            below, above = sides(grid.ell1[node + 1:], grid.ell2[node + 1:], xs[1:])
+            exits = np.flatnonzero(below | above)
             keep = len(xs) if exits.size == 0 else int(exits[0]) + 1
             if keep > 1:
                 seg_t.append(ts[node + 1:node + keep])
@@ -569,8 +569,8 @@ def _rollout_on_grid(grid, x0, max_events):
             if exits.size == 0:
                 done = True
                 break
-            # the next node is flagged as an exit; its nonpositive margin
-            # may be spurious, so the locator decides
+            # the next node is flagged as an exit; the flag may be
+            # spurious, so the locator decides
             node, located = node + keep, True
 
         if tau is not None:
@@ -593,13 +593,13 @@ def _rollout_on_grid(grid, x0, max_events):
 def admissibility_check(traj: Trajectory, policy: ThresholdPolicy) -> AdmissibilityReport:
     """Confirm the events of ``traj`` are exactly the first exit times.
 
-    Every pre-event sample must lie strictly inside the band, each
-    x_minus must sit on the crossed boundary (or be the outside start
-    state), each reset must land on the matching target, and event times
-    must increase strictly and stay below the horizon.
+    Every sample of a segment but its last, a reset target included, must
+    lie strictly inside the band (:func:`sides` fires on none); each
+    x_minus must sit on the crossed boundary or, for a start outside the
+    band, beyond it; each reset must land on the matching target; and
+    event times must increase strictly and stay below the horizon.
     """
     violations = []
-    start = traj.start_time
     T = policy.params.T
 
     prev_tau = None
@@ -610,18 +610,17 @@ def admissibility_check(traj: Trajectory, policy: ThresholdPolicy) -> Admissibil
             violations.append(f"event {i}: tau={ev.tau!r} not after previous {prev_tau!r}")
         prev_tau = ev.tau
         ell1, alpha, beta, ell2 = policy.thresholds_at(ev.tau)
-        initial_exit = ev.tau == start and (ev.x_minus <= ell1 or ev.x_minus >= ell2)
         on_lower = abs(ev.x_minus - ell1) <= BOUNDARY_MATCH_TOL or ev.x_minus < ell1
         on_upper = abs(ev.x_minus - ell2) <= BOUNDARY_MATCH_TOL or ev.x_minus > ell2
         if ev.xi > 0:
-            if not (initial_exit or on_lower):
+            if not on_lower:
                 violations.append(
                     f"event {i}: x_minus={ev.x_minus!r} not at the lower boundary {ell1!r}"
                 )
             if abs(ev.x_plus - alpha) > BOUNDARY_MATCH_TOL:
                 violations.append(f"event {i}: reset {ev.x_plus!r} differs from alpha {alpha!r}")
         else:
-            if not (initial_exit or on_upper):
+            if not on_upper:
                 violations.append(
                     f"event {i}: x_minus={ev.x_minus!r} not at the upper boundary {ell2!r}"
                 )
@@ -632,12 +631,8 @@ def admissibility_check(traj: Trajectory, policy: ThresholdPolicy) -> Admissibil
         if len(seg_t) < 2:
             continue
         inner_t, inner_x = seg_t[:-1], seg_x[:-1]
-        if seg_t[0] == start and traj.events and traj.events[0].tau == start:
-            inner_t, inner_x = inner_t[1:], inner_x[1:]
-        if len(inner_t) == 0:
-            continue
         ell1, _, _, ell2 = policy.thresholds_at(inner_t)
-        bad = np.flatnonzero((inner_x <= ell1) | (inner_x >= ell2))
+        bad = np.flatnonzero(np.logical_or(*sides(ell1, ell2, inner_x)))
         if bad.size:
             j = int(bad[0])
             violations.append(

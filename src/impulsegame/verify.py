@@ -5,9 +5,10 @@ state box: the interior residual of Player 1's optimality equation, the
 three coupled relations of Player 2's impulse-control inequality system
 (residual sign, obstacle gap against the intervention operator, taken as
 the exact minimum over the 1001-point target grid in linear time, and
-their complementarity), the root conditions that certify the residual's
-sign outside the band and the strict-convexity margin of Player 2's
-quadratic coefficient.  Each check takes the whole grid in one call: the
+their complementarity), Player 2's value continuous across both band
+edges, the root conditions that certify the residual's sign outside the
+band and the strict-convexity margin of Player 2's quadratic
+coefficient.  Each check takes the whole grid in one call: the
 times as a column ``t[:, None]`` against the row of states.  The coarse
 dynamic programming oracle for Player 2's value, :func:`dp_oracle_v2`,
 is a separate, independent check that :func:`run_verification` does not
@@ -26,14 +27,7 @@ import numpy as np
 
 from .errors import RegionError
 from .model import GameParams, StateBox, intervention_cost, validate_box
-from .policy import (
-    REGION_ABOVE,
-    REGION_BELOW,
-    REGION_INTERIOR,
-    ThresholdPolicy,
-    gamma_star,
-    value_v2,
-)
+from .policy import ThresholdPolicy, gamma_star, labels, phi2, sides, value_v2
 from .riccati import CoefficientPath, RiccatiConstants, hermite
 
 RESIDUAL_TOL = 1e-5
@@ -47,7 +41,7 @@ TIME_STEP = np.finfo(float).eps ** (1.0 / 3.0)
 
 @dataclass(frozen=True)
 class QviSample:
-    """The three inequality-system quantities and the region at one time.
+    """The three inequality-system quantities, the region and its interior mask.
 
     Scalars for one state, arrays of the states' shape for several.
     """
@@ -56,6 +50,7 @@ class QviSample:
     gap: float
     complementarity: float
     region: str
+    interior: bool
 
 
 @dataclass(frozen=True)
@@ -114,6 +109,7 @@ class VerificationReport:
     margin_ell1: np.ndarray
     margin_ell2: np.ndarray
     convexity_margin: np.ndarray
+    continuity: np.ndarray
     p2: np.ndarray
     tolerances: dict
     conditions: list = field(default_factory=list)
@@ -167,7 +163,8 @@ def hjb1_residual(path: CoefficientPath, policy: ThresholdPolicy,
     error.  Raises RegionError outside the band, where Player 1's value
     is not differentiable in this sense.
     """
-    if policy.region(t, x) != REGION_INTERIOR:
+    ell1, _, _, ell2 = policy.thresholds_at(t)
+    if any(sides(ell1, ell2, x)):
         raise RegionError(f"(t={t!r}, x={x!r}) is not in the continuation region")
     return float(_hjb1(path, params, t, x))
 
@@ -229,13 +226,12 @@ def qvi_check(path, policy, params, t, x, box: StateBox) -> QviSample:
     outside, the residual should be nonnegative and the gap zero up to
     the target-grid resolution.
     """
-    _, alpha, beta, _ = policy.thresholds_at(t)
+    ell1, alpha, beta, ell2 = policy.thresholds_at(t)
     x_arr = np.asarray(x, dtype=float)
     gap = value_v2(path, policy, params, t, x_arr) - brute_force_rv2(
         path, policy, params, t, x_arr, box)
-    region = policy.region(t, x_arr)
-    below = region == REGION_BELOW
-    above = region == REGION_ABOVE
+    below, above = sides(ell1, ell2, x_arr)
+    interior = ~(below | above)
 
     # outside the band V2 is phi2 at the reset target plus a jump cost
     # affine in x; the target's stationarity cancels its own motion, so
@@ -244,13 +240,13 @@ def qvi_check(path, policy, params, t, x, box: StateBox) -> QviSample:
     dv2_dx = np.where(below, -params.c,
                       np.where(above, params.d, path.p2_at(t) * x_arr + path.q2_at(t)))
     # Player 1's feedback only acts while the state is inside the band.
-    drift = params.a * x_arr + np.where(
-        region == REGION_INTERIOR, params.b * gamma_star(path, params, t, x_arr), 0.0
-    )
+    drift = params.a * x_arr + np.where(interior, params.b * gamma_star(path, params, t, x_arr), 0.0)
     residual = dv2_dt + 0.5 * params.w2 * (x_arr - params.rho2) ** 2 + dv2_dx * drift
+    region = labels(below, above)
     if np.ndim(residual) == 0:
-        return QviSample(float(residual), float(gap), float(gap * residual), region)
-    return QviSample(residual, gap, gap * residual, region)
+        return QviSample(float(residual), float(gap), float(gap * residual), region,
+                         bool(interior))
+    return QviSample(residual, gap, gap * residual, region, interior)
 
 
 def sufficiency_margins(path, policy, params, t) -> SufficiencySample:
@@ -373,10 +369,14 @@ def run_verification(path, policy, params: GameParams, box: StateBox,
     gap_tol = GAP_BASE_TOL + xi_resolution * (params.c + params.d)
 
     qvi = qvi_check(path, policy, params, t_nodes[:, None], x_nodes, box)
-    residual, gap, comp, region = qvi.residual, qvi.gap, qvi.complementarity, qvi.region
-    interior_mask = region == REGION_INTERIOR
+    residual, gap, comp, interior_mask = qvi.residual, qvi.gap, qvi.complementarity, qvi.interior
     hjb1 = np.where(interior_mask, _hjb1(path, params, t_nodes[:, None], x_nodes), np.nan)
 
+    # V2's jump across each band edge: value_v2 takes its outside form there
+    ell1, _, _, ell2 = policy.thresholds_at(t_nodes)
+    jumps = [np.abs(value_v2(path, policy, params, t_nodes, e) - phi2(path, t_nodes, e))
+             for e in (ell1, ell2)]
+    continuity = np.maximum(*jumps)
     suff = sufficiency_margins(path, policy, params, t_nodes)
     convexity = convexity_margin(path.constants, params, t_nodes)
     p2_vals = path.p2_at(t_nodes)
@@ -397,6 +397,8 @@ def run_verification(path, policy, params: GameParams, box: StateBox,
          lambda w: w <= gap_tol, f"max exterior |gap|, tol {gap_tol:g}"),
         ("complementarity", np.abs(comp), np.argmax,
          lambda w: w <= comp_tol, f"max |gap*residual|, tol {comp_tol:g}"),
+        ("value_continuity", continuity, np.argmax, lambda w: w <= RESIDUAL_TOL,
+         f"max |V2 - phi2| at ell1 and ell2, tol {RESIDUAL_TOL:g}"),
         ("band_margin_lower", suff.margin_ell1, np.argmin, lambda w: w >= 0.0,
          f"min (x11 - ell1) over applicable nodes; "
          f"{int((~suff.alpha_applicable).sum())} inapplicable"),
@@ -423,7 +425,7 @@ def run_verification(path, policy, params: GameParams, box: StateBox,
     return VerificationReport(
         t_nodes=t_nodes,
         x_nodes=x_nodes,
-        region=region,
+        region=qvi.region,
         hjb1=hjb1,
         qvi_residual=residual,
         gap=gap,
@@ -435,6 +437,7 @@ def run_verification(path, policy, params: GameParams, box: StateBox,
         margin_ell1=suff.margin_ell1,
         margin_ell2=suff.margin_ell2,
         convexity_margin=convexity,
+        continuity=continuity,
         p2=p2_vals,
         tolerances={
             "residual_tol": RESIDUAL_TOL,

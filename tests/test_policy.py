@@ -1,3 +1,4 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,10 +7,13 @@ import pytest
 from impulsegame import (
     ConvexityViolation,
     OrderingViolation,
+    admissibility_check,
     build_policy,
     gamma_star,
     impulse_map,
     make_rollout_hook,
+    qvi_check,
+    rollout,
     value_v2,
 )
 from impulsegame.policy import _check_ordering, phi2
@@ -138,6 +142,31 @@ def test_impulse_map_fires_on_the_boundary(policy):
     hit = impulse_map(policy, 0.0, ell1)
     assert hit is not None
     assert hit[0] == pytest.approx(alpha, rel=1e-12)
+
+
+@pytest.mark.parametrize("scenario", ["", "_w2_1"])
+def test_every_module_puts_the_band_edges_in_the_intervention_set(scenario, request, box):
+    # on ell1 and ell2 exactly the state is outside the band, one ulp
+    # inside it is not; every module that decides must say the same
+    path, policy, params = (request.getfixturevalue(f"{name}{scenario}")
+                            for name in ("path", "policy", "params"))
+    # value_v2 takes C and c below, D and d above from its params argument,
+    # so shifting the fixed costs shows which branch it took
+    marked = dataclasses.replace(params, C=params.C + 1e3, D=params.D + 2e3)
+    for t in (0.0, 0.3, 0.5, 0.77):
+        ell1, alpha, beta, ell2 = policy.thresholds_at(t)
+        for x, side in ((ell1, "below"), (np.nextafter(ell1, np.inf), "interior"),
+                        (ell2, "above"), (np.nextafter(ell2, -np.inf), "interior")):
+            branch = round((value_v2(path, policy, marked, t, x) - float(phi2(path, t, x))) / 1e3)
+            traj = rollout(path, policy, params, t, x)
+            fired = bool(traj.events) and traj.events[0].tau == t
+            assert policy.region(t, x) == side, (t, x)
+            assert {0: "interior", 1: "below", 2: "above"}[branch] == side, (t, x)
+            assert impulse_map(policy, t, x) == (None if side == "interior" else (
+                (alpha, alpha - x) if side == "below" else (beta, beta - x))), (t, x)
+            assert qvi_check(path, policy, params, t, x, box).region == side, (t, x)
+            assert fired == (side != "interior"), (t, x)
+            assert admissibility_check(traj, policy).ok, (t, x)
 
 
 def test_value_v2_terminal_quadratic(path, policy, params):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from impulsegame import policy as policy_module
 from impulsegame import (
     CoefficientPath,
     RegionError,
@@ -305,12 +306,12 @@ def test_run_verification_passes_both_scenarios(path, policy, params,
         assert report.passed, [c.name for c in report.conditions if not c.passed]
 
 
-@pytest.mark.parametrize("w2, t_pass, t_fail", [(4.0, 2.5, 2.7), (1.0, 3.6, 3.8)],
+@pytest.mark.parametrize("w2, t_pass, t_fail", [(4.0, 2.600, 2.608), (1.0, 3.716, 3.725)],
                          ids=["table1", "table1_w2_1"])
 def test_certificate_holds_up_to_a_horizon(box, w2, t_pass, t_fail):
     # the root condition below the band is the first to fail as T grows:
     # the certified horizon lies in (2.600, 2.608) on table1 and in
-    # (3.716, 3.725) on table1_w2_1
+    # (3.716, 3.725) on table1_w2_1, the brackets the README gives
     failed = {}
     for T in (t_pass, t_fail):
         p = variant(w2=w2, T=T)
@@ -318,7 +319,44 @@ def test_certificate_holds_up_to_a_horizon(box, w2, t_pass, t_fail):
         report = run_verification(pth, build_policy(pth, p), p, box)
         failed[T] = {c.name for c in report.conditions if not c.passed}
     assert failed[t_pass] == set()
-    assert "band_margin_lower" in failed[t_fail]
+    assert failed[t_fail] == {"band_margin_lower"}
+
+
+@pytest.mark.parametrize("w2, certified_up_to", [(4.0, 2.600), (1.0, 3.716)],
+                         ids=["table1", "table1_w2_1"])
+@pytest.mark.parametrize("T", [1.0, 2.0, 3.0, 5.0, 10.0])
+def test_certificate_verdict_agrees_with_dp_oracle(box, w2, certified_up_to, T):
+    # where the certificate holds, the band policy's value is the DP
+    # oracle's up to its first-order error (at most 0.0375 over the box at
+    # t=0 on these runs); where it fails, the oracle finds a value the band
+    # policy misses by 0.109 or more
+    p = variant(w2=w2, T=T)
+    pth = solve_backward(p)
+    pol = build_policy(pth, p)
+    report = run_verification(pth, pol, p, box)
+    dp = dp_oracle_v2(p, pth, box, nt=200, nx=200)
+    discrepancy = np.max(np.abs(dp.values[0] - value_v2(pth, pol, p, 0.0, dp.x_grid)))
+    assert report.passed == (T <= certified_up_to)
+    assert (discrepancy < 5e-2) == report.passed, discrepancy
+
+
+@pytest.mark.parametrize("scenario", ["", "_w2_1"])
+@pytest.mark.parametrize("widen", [0.0, 0.005, -0.05], ids=["true", "wider", "narrower"])
+def test_value_continuity_fails_a_shifted_band(scenario, widen, request, box, monkeypatch):
+    # a band moved off value matching keeps every other condition: only
+    # V2's jump across its edges shows the error
+    path, params = (request.getfixturevalue(f"{name}{scenario}") for name in ("path", "params"))
+    band = policy_module._band
+
+    def shifted(p2, q2, prm):
+        ell1, alpha, beta, ell2 = band(p2, q2, prm)
+        return ell1 - widen, alpha, beta, ell2 + widen
+
+    monkeypatch.setattr(policy_module, "_band", shifted)
+    report = run_verification(path, build_policy(path, params), params, box)
+    failed = {c.name for c in report.conditions if not c.passed}
+    assert failed == (set() if widen == 0.0 else {"value_continuity"})
+    assert (np.max(report.continuity) < 1e-12) == (widen == 0.0)
 
 
 def test_report_flags_recomputable_from_stored_arrays(path, policy, params, box):
@@ -339,6 +377,7 @@ def test_report_flags_recomputable_from_stored_arrays(path, policy, params, box)
             "obstacle_gap": np.max(r.gap) <= gap_tol,
             "exterior_obstacle_equality": np.max(np.abs(r.gap[~interior])) <= gap_tol,
             "complementarity": np.max(np.abs(r.complementarity)) <= comp_tol,
+            "value_continuity": np.max(r.continuity) <= tol,
             "band_margin_lower": np.min(r.margin_ell1) >= 0.0,
             "band_margin_upper": np.min(r.margin_ell2) >= 0.0,
             "convexity_margin": np.min(r.convexity_margin) > 0.0,
@@ -355,6 +394,7 @@ def test_report_flags_recomputable_from_stored_arrays(path, policy, params, box)
             "obstacle_gap": (r.gap, np.max),
             "exterior_obstacle_equality": (np.where(interior, -np.inf, np.abs(r.gap)), np.max),
             "complementarity": (np.abs(r.complementarity), np.max),
+            "value_continuity": (r.continuity, np.max),
             "band_margin_lower": (r.margin_ell1, np.min),
             "band_margin_upper": (r.margin_ell2, np.min),
             "convexity_margin": (r.convexity_margin, np.min),
@@ -398,7 +438,7 @@ def test_nan_qvi_values_are_the_worst_nodes_and_fail(path, policy, params, box,
         residual, gap = sample.residual.copy(), sample.gap.copy()
         residual[100, 100] = gap[100, 100] = np.nan     # t = 0.5, x = 5.0, inside the band
         gap[100, 199] = np.nan                          # t = 0.5, x = 9.95, above the band
-        return QviSample(residual, gap, gap * residual, sample.region)
+        return QviSample(residual, gap, gap * residual, sample.region, sample.interior)
 
     monkeypatch.setattr(verify, "qvi_check", poisoned)
     r = run_verification(path, policy, params, box)
