@@ -211,8 +211,13 @@ def cmd_value(cfg: RunConfig, t: float) -> int:
 
 
 def _report_rows(report):
-    """report.csv rows, one per (t, x) node, t-major."""
-    xs = report.x_nodes.tolist()
+    """report.csv rows, one per (t, x) node, t-major.
+
+    t and the seven per-t cells are formatted once per t (the seven as one
+    ``str`` cell) and x once per column, by :func:`_fmt`; only the region
+    and the four per-node floats are left to ``_write_csv``'s ``%.12g``.
+    """
+    xs = [_fmt(x) for x in report.x_nodes.tolist()]
     per_t = zip(report.t_nodes.tolist(), report.x11.tolist(), report.x22.tolist(),
                 report.theta_alpha.tolist(), report.theta_beta.tolist(),
                 report.margin_ell1.tolist(), report.margin_ell2.tolist(),
@@ -221,9 +226,9 @@ def _report_rows(report):
                    report.qvi_residual.tolist(), report.gap.tolist(),
                    report.complementarity.tolist())
     for (t, *tail), cells in zip(per_t, per_node):
-        tail = tuple(tail)
+        t, tail = _fmt(t), ",".join(map(_fmt, tail))
         for row in zip(xs, *cells):
-            yield (t,) + row + tail
+            yield (t, *row, tail)
 
 
 def cmd_verify(cfg: RunConfig) -> int:

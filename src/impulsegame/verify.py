@@ -12,7 +12,8 @@ coefficient.  Each check takes the whole grid in one call: the
 times as a column ``t[:, None]`` against the row of states.  The coarse
 dynamic programming oracle for Player 2's value, :func:`dp_oracle_v2`,
 is a separate, independent check that :func:`run_verification` does not
-call.
+call.  Both do their value-independent work once: the states' placement
+among the jump targets, and the oracle's advected states for every layer.
 
 The time derivatives in the residuals are central differences of the
 value quadratics themselves (closed-form p1, p2, and q1, n1, q2, n2
@@ -22,11 +23,12 @@ solve those equations, at solver nodes as well as between them.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import RegionError
-from .model import GameParams, StateBox, intervention_cost, validate_box
+from .model import GameParams, StateBox, validate_box
 from .policy import ThresholdPolicy, gamma_star, labels, phi2, sides, value_v2
 from .riccati import CoefficientPath, RiccatiConstants, hermite
 
@@ -177,43 +179,48 @@ def _running_argmin(w):
     return np.maximum.accumulate(np.where(drop, np.arange(w.shape[-1]), 0), axis=-1)
 
 
-def _min_jump(params, targets, v_targets, x):
+def _min_jump(params, targets, v_targets, x, lo, hi):
     """min over m of ``v_targets[..., m] + intervention_cost(targets[m] - x)``.
 
     ``targets`` is strictly increasing, ``v_targets`` finite and ``x`` an
     array, each along its last axis; leading axes broadcast, one row of
-    target values per row of states.  The jump cost is ``D - d*xi``
-    downward and ``C + c*xi`` upward, so the best target below x
-    minimises ``v - d*y`` over a prefix and the best above x minimises
-    ``v + c*y`` over a suffix; a target equal to x is the zero-size jump.
-    Those (at most) three winners are scored exactly as the dense minimum
-    scores every target, in O(len(targets) + len(x)) time per row.
+    target values per row of states.  ``lo`` and ``hi`` place x among the
+    targets, ``targets[:lo] < x < targets[hi:]``, so ``lo < hi`` only on a
+    target; the placement does not depend on the values, so each caller
+    finds it once.  The jump cost is ``D - d*xi`` downward and ``C + c*xi``
+    upward, so the best target below x minimises ``v - d*y`` over a prefix
+    and the best above x minimises ``v + c*y`` over a suffix; a target
+    equal to x is the zero-size jump, ``min(C, D)``.  Those (at most) three
+    winners are scored by their known signs, with the dense minimum's
+    arithmetic, in O(len(targets) + len(x)) time per row.
     """
     lead = np.broadcast_shapes(v_targets.shape[:-1], x.shape[:-1])
-    v_targets = np.broadcast_to(v_targets, lead + v_targets.shape[-1:])
-    x = np.broadcast_to(x, lead + x.shape[-1:])
+    if lead:    # take_along_axis needs every leading axis on every operand
+        v_targets = np.broadcast_to(v_targets, lead + v_targets.shape[-1:])
+        x, lo, hi = (np.broadcast_to(a, lead + x.shape[-1:]) for a in (x, lo, hi))
+    take = partial(np.take_along_axis, axis=-1)
     m = targets.size
-    below = _running_argmin(v_targets - params.d * targets)
-    above = m - 1 - _running_argmin((v_targets + params.c * targets)[..., ::-1])[..., ::-1]
-    lo = np.searchsorted(targets, x, side="left")   # targets[:lo] < x
-    hi = np.searchsorted(targets, x, side="right")  # targets[hi:] > x
-    valid = np.stack([lo > 0, hi > lo, hi < m])
-    idx = np.where(valid, np.stack([np.take_along_axis(below, lo - 1, axis=-1), lo,
-                                    np.take_along_axis(above, np.minimum(hi, m - 1), axis=-1)]), 0)
-    score = np.take_along_axis(v_targets[None], idx, axis=-1) \
-        + intervention_cost(params, targets[idx] - x)
-    return np.min(np.where(valid, score, np.inf), axis=0)
+    below = take(_running_argmin(v_targets - params.d * targets), lo - 1)
+    above = take(m - 1 - _running_argmin((v_targets + params.c * targets)[..., ::-1])[..., ::-1],
+                 np.minimum(hi, m - 1))
+    score = np.stack([take(v_targets, below) + (params.D - params.d * (targets[below] - x)),
+                      take(v_targets, np.minimum(lo, m - 1)) + min(params.C, params.D),
+                      take(v_targets, above) + (params.C + params.c * (targets[above] - x))])
+    return np.min(score, axis=0, where=np.stack([lo > 0, hi > lo, hi < m]), initial=np.inf)
 
 
 def brute_force_rv2(path, policy, params, t, x, box: StateBox):
     """Intervention operator at time(s) ``t``: the exact minimum over the
     1001-point target grid of (value at the target) + (cost of jumping
     there), found in linear time.  Vectorized in x; a column of times
-    ``t[:, None]`` evaluates every row of a (t, x) grid in one call."""
+    ``t[:, None]`` evaluates every row of a (t, x) grid in one call, all
+    rows sharing one placement of the states among the targets."""
     validate_box(box)
     targets = np.linspace(box.x_lo, box.x_hi, round(1.0 / XI_RESOLUTION) + 1)
     v2_targets = value_v2(path, policy, params, t, targets)
-    out = _min_jump(params, targets, v2_targets, np.atleast_1d(np.asarray(x, dtype=float)))
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    lo, hi = (np.searchsorted(targets, x_arr, side=side) for side in ("left", "right"))
+    out = _min_jump(params, targets, v2_targets, x_arr, lo, hi)
     return float(out[0]) if np.ndim(x) == 0 and np.ndim(t) == 0 else out
 
 
@@ -319,6 +326,8 @@ def dp_oracle_v2(params: GameParams, path: CoefficientPath, box: StateBox,
     jumping value is the best target-node value plus the jump cost, the
     exact minimum over all nodes found in linear time per layer.
     Against the closed-form value this scheme is first-order accurate.
+    Before the loop, every layer's advected states are found in one
+    call, and each node is placed on itself as a jump target.
     """
     if nt < 16 or nx < 16:
         raise ValueError(f"oracle grids need nt, nx >= 16 (got nt={nt}, nx={nx})")
@@ -330,10 +339,12 @@ def dp_oracle_v2(params: GameParams, path: CoefficientPath, box: StateBox,
     intervene = np.zeros((nt + 1, nx + 1), dtype=bool)
     values[nt] = 0.5 * params.s2 * (xg - params.rho2) ** 2
     run_cost = dt * 0.5 * params.w2 * (xg - params.rho2) ** 2
+    advected = xg + dt * (params.a * xg
+                          + params.b * gamma_star(path, params, np.arange(nt)[:, None] * dt, xg))
+    lo, hi = np.arange(nx + 1), np.arange(1, nx + 2)     # the states are the targets
     for k in range(nt - 1, -1, -1):
-        t = k * dt
         v_next = values[k + 1]
-        x_adv = xg + dt * (params.a * xg + params.b * gamma_star(path, params, t, xg))
+        x_adv = advected[k]
         v_adv = np.interp(x_adv, xg, v_next)
         low = x_adv < xg[0]
         high = x_adv > xg[-1]
@@ -344,7 +355,7 @@ def dp_oracle_v2(params: GameParams, path: CoefficientPath, box: StateBox,
         cont = v_adv + run_cost
         # a second jump never helps: each jump pays a fixed cost, so the
         # obstacle uses waiting values at the targets
-        jump = _min_jump(params, xg, cont, xg)
+        jump = _min_jump(params, xg, cont, xg, lo, hi)
         values[k] = np.minimum(cont, jump)
         intervene[k] = jump < cont
     return DpOracleResult(t_grid=np.linspace(0.0, params.T, nt + 1), x_grid=xg,

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from impulsegame.cli import _write_csv, main, parse_config
+from impulsegame import build_policy, run_verification, solve_backward
+from impulsegame.cli import _write_csv, cmd_verify, load_config, main, parse_config
 from impulsegame.errors import ConfigError
 
 REPO = Path(__file__).resolve().parent.parent
@@ -229,6 +230,36 @@ def test_verify_passes_both_scenarios(tmp_path, capsys):
         assert "verification passed" in out
         assert "FAIL" not in out
     assert (tmp_path / "out" / "report.csv").exists()
+
+
+@pytest.mark.parametrize("base", [BASE_CFG, W2_1_CFG], ids=["table1", "table1_w2_1"])
+def test_report_csv_is_the_report_cell_by_cell(tmp_path, base, capsys):
+    # report.csv against the VerificationReport it writes: every cell
+    # formatted on its own, t-major, in header order, the region verbatim
+    cfg = load_config(str(write_cfg(tmp_path, base=base, output_dir=tmp_path / "out")))
+    assert cmd_verify(cfg) == 0
+    capsys.readouterr()
+    path = solve_backward(cfg.params, cfg.n_steps)
+    report = run_verification(path, build_policy(path, cfg.params), cfg.params, cfg.box,
+                              nt=cfg.nt, nx=cfg.nx)
+    per_node = (report.hjb1, report.qvi_residual, report.gap, report.complementarity)
+    per_t = (report.x11, report.x22, report.theta_alpha, report.theta_beta,
+             report.margin_ell1, report.margin_ell2, report.convexity_margin)
+    lines = ["t,x,region,hjb1_residual,qvi_residual,gap,complementarity,x11,x22,"
+             "theta_alpha,theta_beta,margin_ell1,margin_ell2,convexity_margin"]
+    for i, t in enumerate(report.t_nodes):
+        for j, x in enumerate(report.x_nodes):
+            cells = [t, x, report.region[i, j], *(a[i, j] for a in per_node),
+                     *(a[i] for a in per_t)]
+            lines.append(",".join(c if isinstance(c, str) else format(c, ".12g")
+                                  for c in cells))
+    assert (tmp_path / "out" / "report.csv").read_bytes() == "".join(
+        line + "\n" for line in lines).encode()
+    # the special cells are covered: hjb1 is NaN at every exterior node, and
+    # table1's upper root condition is inapplicable (margin +inf) at some times
+    assert np.isnan(report.hjb1).any()
+    if base == BASE_CFG:
+        assert np.isposinf(report.margin_ell2).any()
 
 
 def test_verify_fails_with_named_condition_on_adversarial_config(tmp_path, capsys):

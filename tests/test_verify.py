@@ -506,6 +506,9 @@ def _dense_rv2(path, policy, params, t, x, box):
 
 
 def _dense_dp_oracle(params, path, box, nt, nx):
+    """The oracle with every target scored, and the number of layers in
+    which a state extrapolated below, and above, the grid keeps its
+    waiting value (so the extrapolation decides that node's value)."""
     xg = np.linspace(box.x_lo, box.x_hi, nx + 1)
     dt = params.T / nt
     dx = (box.x_hi - box.x_lo) / nx
@@ -514,6 +517,7 @@ def _dense_dp_oracle(params, path, box, nt, nx):
     values[nt] = 0.5 * params.s2 * (xg - params.rho2) ** 2
     jump_cost = intervention_cost(params, xg[None, :] - xg[:, None])
     run_cost = dt * 0.5 * params.w2 * (xg - params.rho2) ** 2
+    low_layers = high_layers = 0
     for k in range(nt - 1, -1, -1):
         t = k * dt
         v_next = values[k + 1]
@@ -529,8 +533,26 @@ def _dense_dp_oracle(params, path, box, nt, nx):
         jump = np.min(cont[None, :] + jump_cost, axis=1)
         values[k] = np.minimum(cont, jump)
         intervene[k] = jump < cont
-    return DpOracleResult(t_grid=np.linspace(0.0, params.T, nt + 1), x_grid=xg,
-                          values=values, intervene=intervene)
+        low_layers += bool((low & ~intervene[k]).any())
+        high_layers += bool((high & ~intervene[k]).any())
+    oracle = DpOracleResult(t_grid=np.linspace(0.0, params.T, nt + 1), x_grid=xg,
+                            values=values, intervene=intervene)
+    return oracle, low_layers, high_layers
+
+
+# With rho1 = -5 Player 1 pulls the state down, so the states advected
+# from this box's lower edge leave it; that edge lies inside the band
+LOW_BOX = StateBox(4.0, 10.0)
+
+
+@pytest.fixture(scope="module")
+def params_rho1_low():
+    return variant(rho1=-5.0)
+
+
+@pytest.fixture(scope="module")
+def path_rho1_low(params_rho1_low):
+    return solve_backward(params_rho1_low)
 
 
 @pytest.mark.parametrize("scenario", ["", "_w2_1"])
@@ -548,12 +570,16 @@ def test_intervention_operator_equals_dense_minimum(scenario, request, box):
         np.testing.assert_array_equal(stacked[k], dense, err_msg=f"stacked, t={t}")
 
 
-@pytest.mark.parametrize("scenario", ["", "_w2_1"])
+@pytest.mark.parametrize("scenario", ["", "_w2_1", "_rho1_low"])
 @pytest.mark.parametrize("n", [200, 400])
 def test_dp_oracle_equals_dense_layers(scenario, n, request, box):
     pth, prm = (request.getfixturevalue(name + scenario) for name in ("path", "params"))
+    box = LOW_BOX if scenario == "_rho1_low" else box
     fast = dp_oracle_v2(prm, pth, box, nt=n, nx=n)
-    dense = _dense_dp_oracle(prm, pth, box, nt=n, nx=n)
+    dense, low_layers, high_layers = _dense_dp_oracle(prm, pth, box, nt=n, nx=n)
+    # each extrapolation branch decides some node's value: above the box
+    # in the shipped scenarios, below it with the low rho1
+    assert (low_layers if scenario == "_rho1_low" else high_layers) > 0
     np.testing.assert_array_equal(fast.values, dense.values)
     np.testing.assert_array_equal(fast.intervene, dense.intervene)
 
@@ -561,6 +587,11 @@ def test_dp_oracle_equals_dense_layers(scenario, n, request, box):
 def _dense_min_jump(params, targets, v, x):
     return np.min(v[None, :] + intervention_cost(params, targets[None, :] - x[:, None]),
                   axis=1)
+
+
+def _placement(targets, x):
+    """(lo, hi) with targets[:lo] < x and targets[hi:] > x, as brute_force_rv2 places x."""
+    return np.searchsorted(targets, x, side="left"), np.searchsorted(targets, x, side="right")
 
 
 @pytest.mark.parametrize("fixed", [(3.0, 5.0), (5.0, 3.0)], ids=["C<D", "C>D"])
@@ -581,19 +612,32 @@ def test_min_jump_matches_dense_on_random_cases(fixed):
             rng.uniform(5.5, 7.0, 3),              # above every target
             rng.uniform(-5.0, 5.0, 20),
         ])
-        got = _min_jump(prm, targets, v, x)
+        lo, hi = _placement(targets, x)
+        np.testing.assert_array_equal(hi[:5], lo[:5] + 1)
+        np.testing.assert_array_equal(np.concatenate([lo[5:8], hi[5:8]]), 0)
+        np.testing.assert_array_equal(np.concatenate([lo[8:11], hi[8:11]]), m)
+        got = _min_jump(prm, targets, v, x, lo, hi)
         expected = _dense_min_jump(prm, targets, v, x)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0,
                                    err_msg=f"case {case}")
+        # the oracle's states are the targets, each placed on itself
+        on_self = np.arange(m)
+        np.testing.assert_array_equal(np.stack(_placement(targets, targets)),
+                                      np.stack([on_self, on_self + 1]))
+        np.testing.assert_array_equal(
+            _min_jump(prm, targets, v, targets, on_self, on_self + 1),
+            _min_jump(prm, targets, v, targets, *_placement(targets, targets)),
+            err_msg=f"case {case}")
         # stacked rows of target values, against one shared row of states
         # and against one row of states each: every row equals its own call
         rows = np.stack([v, rng.permutation(v), v + rng.normal()])
         for xs in (x, np.stack([x, rng.permutation(x), -x])):
-            stacked = _min_jump(prm, targets, rows, xs)
+            stacked = _min_jump(prm, targets, rows, xs, *_placement(targets, xs))
             assert stacked.shape == (3, x.size)
             for k in range(3):
                 x_k = xs if xs.ndim == 1 else xs[k]
-                np.testing.assert_array_equal(stacked[k], _min_jump(prm, targets, rows[k], x_k),
-                                              err_msg=f"case {case}, row {k}")
+                np.testing.assert_array_equal(
+                    stacked[k], _min_jump(prm, targets, rows[k], x_k, *_placement(targets, x_k)),
+                    err_msg=f"case {case}, row {k}")
                 np.testing.assert_allclose(stacked[k], _dense_min_jump(prm, targets, rows[k], x_k),
                                            rtol=1e-12, atol=0.0, err_msg=f"case {case}, row {k}")
