@@ -2,22 +2,23 @@
 
 Between interventions the closed loop is the scalar linear ODE
 ``xdot = a_x(t)*x + b_x*q1(t)``, integrated with classical RK4 on a
-uniform grid; each step is the affine map of :func:`affine_rk4`, so a
-whole impulse-free stretch propagates as one cumulative product.  The
-first node on or past a band edge (:func:`.policy.sides`) marks the step
-holding the exit, and :func:`_bisect_crossing` locates it to EVENT_TIME_TOL.
-It returns bisection's point but probes far fewer substeps: Illinois
-regula falsi brackets the sign change of the band margin, two probes
-tighten the bracket, and bisection's own midpoint sequence is replayed,
-probing only the midpoints inside the bracket (event location as in
-Shampine & Thompson 2000).  That is bit-identical to plain bisection
-whenever the margin changes sign once on the step; where no bracket
-forms, plain bisection runs.  Each probe evaluates the coefficients and
-thresholds on Python floats (see :mod:`.riccati`).  The impulse resets
-the state exactly to the target, and integration resumes.  Running
-costs are summed over the finished trajectory with Simpson's rule,
-using the cubic-Hermite midpoint state so the quadrature matches the
-integrator's accuracy.  That pass runs once per segment and keeps the
+uniform grid; each step is the affine map of :func:`affine_rk4`, so an
+impulse-free stretch propagates as one cumulative product, in blocks
+(the first to the horizon, later ones as long as the last segment,
+doubled until one holds an exit).  The first node on or past a band edge
+(:func:`.policy.sides`) marks the step holding the exit, and
+:func:`_bisect_crossing` locates it to EVENT_TIME_TOL.  It returns
+bisection's point but probes far fewer substeps: Illinois regula falsi
+brackets the sign change of the band margin, two probes tighten the
+bracket, and bisection's own midpoint sequence is replayed, probing only
+the midpoints inside the bracket (event location as in Shampine &
+Thompson 2000).  That is bit-identical to plain bisection whenever the
+margin changes sign once on the step; where no bracket forms, plain
+bisection runs.  Each probe evaluates the coefficients and thresholds on
+Python floats (see :mod:`.riccati`).  The impulse resets the state
+exactly to the target, and integration resumes.  Running costs are
+summed with Simpson's rule on the cubic-Hermite midpoint state, matching
+the integrator's accuracy, in one pass per trajectory that keeps each
 segment's integrals and drift slopes for later queries.
 
 :func:`make_rollout_hook` returns one checked body for many starts, and
@@ -26,12 +27,8 @@ segment's integrals and drift slopes for later queries.
 start shares: the step maps, the thresholds, the drift and running-cost
 coefficients at the nodes and cell midpoints, the Hermite midpoint
 weights, the impulse budget's extremes and the last cumulative product.
-A trajectory's Simpson pass takes its terms from the grid: cells with an
-end off the grid (at an event; only a node is on it) are evaluated by
-the same functions that fill the cache, and each segment is summed by one
-``np.sum`` over its cells in order.  The trajectory does not keep the
-grid; ``costs_from(t1)`` evaluates the one segment it integrates again
-with those functions at the segment's own times.
+The trajectory does not keep the grid; ``costs_from(t1)`` integrates the
+segment holding t1 again at its own times.
 """
 
 import math
@@ -87,9 +84,9 @@ class Trajectory:
     ``x_minus`` and opens the next at ``x_plus``.  Between samples the
     state is the cubic Hermite interpolant with the closed-loop drift as
     slope.  ``grid`` is the :class:`_RolloutGrid` the segments were built
-    on; the constructor runs one :func:`_simpson` pass per segment on its
-    terms and keeps the integrals and slopes, not the grid, for ``j1``,
-    ``j2``, :meth:`state_at` and :meth:`costs_from`.
+    on; the constructor runs :func:`_simpson_pass` on its terms and keeps
+    the integrals and slopes, not the grid, for ``j1``, ``j2``,
+    :meth:`state_at` and :meth:`costs_from`.
     """
 
     def __init__(self, segments, events, terminal_state, path, params, grid):
@@ -98,9 +95,7 @@ class Trajectory:
         self.terminal_state = terminal_state
         self._path = path
         self._params = params
-        # (j1, j2, slopes) per segment, None for a lone sample
-        self._passes = [_simpson(params, *grid.terms(seg_t), seg_x) if len(seg_t) > 1 else None
-                        for seg_t, seg_x in segments]
+        self._passes = _simpson_pass(grid, segments)
         self.j1, self.j2 = self.costs_from(self.start_time)
 
     @property
@@ -158,8 +153,10 @@ class Trajectory:
                 k = int(np.searchsorted(seg_t, t1, side="right"))
                 x1 = float(hermite(seg_t, seg_x, seg_f, t1))
                 seg_t, seg_x = np.r_[t1, seg_t[k:]], np.r_[x1, seg_x[k:]]
-                a1, a2, _ = _simpson(pr, _node_terms(self._path, seg_t),
-                                     _cell_terms(self._path, seg_t[:-1], seg_t[1:]), seg_x)
+                y = _integrands(pr, _node_terms(self._path, seg_t), seg_x)
+                c = _cell_costs(pr, _cell_terms(self._path, seg_t[:-1], seg_t[1:]),
+                                [v[:-1] for v in y], [v[1:] for v in y])
+                a1, a2 = float(np.sum(c[0])), float(np.sum(c[1]))
             j1 += a1
             j2 += a2
         for ev in self.events:
@@ -185,7 +182,7 @@ def _cell_terms(path, t0, t1):
 
     Each weight is the expression :func:`hermite` evaluates at the
     midpoint, ``s1*s1``, ``1+2s``, ``s*h``, ``s*s``, ``3-2s`` and
-    ``s1*h``, so :func:`_simpson` reproduces its midpoint bit for bit.
+    ``s1*h``, so :func:`_cell_costs` reproduces its midpoint bit for bit.
     """
     h = t1 - t0
     tm = t0 + 0.5 * h
@@ -203,40 +200,96 @@ def _running_costs(params, p1, q1, x):
     return g1, g2
 
 
-def _simpson(params, nodes, cells, x):
-    """(j1, j2, f): Simpson quadrature of both running costs over all cells
-    of one segment, and the closed-loop drift ``f`` at its samples.
-
-    ``nodes`` holds :func:`_node_terms` at the samples and ``cells``
-    :func:`_cell_terms` of the cells between them, one row per term; the
-    midpoint state is the Hermite interpolant's with the drift as slope.
-    """
+def _integrands(params, nodes, x):
+    """(x, drift, g1, g2) at states ``x`` from :func:`_node_terms` rows ``nodes``."""
     a_x, bq1, p1, q1 = nodes
+    return (x, a_x * x + bq1, *_running_costs(params, p1, q1, x))
+
+
+def _cell_costs(params, cells, y0, y1):
+    """Simpson terms h/6*(g0 + 4*gm + g1) of both running costs on the cells ``cells``
+    (:func:`_cell_terms`), from the :func:`_integrands` ``y0``, ``y1`` at their ends."""
     h6, p1m, q1m, w_y0, w_b0, w_f0, w_y1, w_b1, w_f1 = cells
-    f = a_x * x + bq1
-    xm = w_y0 * (w_b0 * x[:-1] + w_f0 * f[:-1]) + w_y1 * (w_b1 * x[1:] - w_f1 * f[1:])
-    g1, g2 = _running_costs(params, p1, q1, x)
+    xm = w_y0 * (w_b0 * y0[0] + w_f0 * y0[1]) + w_y1 * (w_b1 * y1[0] - w_f1 * y1[1])
     g1m, g2m = _running_costs(params, p1m, q1m, xm)
-    j1 = float(np.sum(h6 * (g1[:-1] + 4.0 * g1m + g1[1:])))
-    j2 = float(np.sum(h6 * (g2[:-1] + 4.0 * g2m + g2[1:])))
-    return j1, j2, f
+    return h6 * (y0[2] + 4.0 * g1m + y1[2]), h6 * (y0[3] + 4.0 * g2m + y1[3])
 
 
-def _step_map(path, t, h):
+def _simpson_pass(grid, segments):
+    """(j1, j2, drift at the samples) per segment, None for a lone sample.
+
+    Interior samples are consecutive grid nodes: their states, scattered
+    into one node-aligned array, take the cached terms.  End samples off
+    the grid (at events; a node closing one segment and opening the next
+    is on it for the first) and their cells take one :func:`_node_terms`
+    and one :func:`_cell_terms` call.  Each segment's cells are summed in
+    order by one ``np.sum``.
+    """
+    passes = [None] * len(segments)
+    multi = [k for k, (seg_t, _) in enumerate(segments) if len(seg_t) > 1]
+    if not multi:       # a lone sample at the horizon, without a grid
+        return passes
+    ts, last, params = grid.ts, len(grid.ts) - 1, grid.params
+    xg = np.zeros(last + 1)
+    spans = []          # (node of the first sample if on it, cells, first and last on the grid)
+    closed = None       # the node the previous segment closed on
+    for k in multi:
+        seg_t, seg_x = segments[k]
+        n = len(seg_t) - 1
+        lo = int(ts.searchsorted(seg_t[1])) - 1
+        on0 = bool(lo >= 0 and ts[lo] == seg_t[0] and lo != closed)
+        on1 = bool(lo + n <= last and ts[lo + n] == seg_t[-1])
+        closed = lo + n if on1 else None
+        xg[lo + 1 - on0:lo + n + on1] = seg_x[1 - on0:n + on1]
+        spans.append((lo, n, on0, on1))
+    lo, n, first_on, last_on = zip(*spans)
+    y = _integrands(params, grid.nodes, xg)
+    c = _cell_costs(params, grid.cells, [v[:-1] for v in y], [v[1:] for v in y])
+    if all(first_on) and all(last_on):
+        f, c0, s0 = y[1], lo, lo
+    else:
+        los, ns, on0, on1 = (np.array(v) for v in (lo, n, first_on, last_on))
+        so = np.cumsum(ns + 1) - ns - 1                         # first sample of each segment
+        t_all, x_all = (np.concatenate([segments[k][i] for k in multi]) for i in (0, 1))
+        on = np.ones(len(t_all), bool)
+        on[so[~on0]] = on[(so + ns)[~on1]] = False
+        sidx = np.arange(len(on)) + np.repeat(los - so, ns + 1)     # node of each on-grid sample,
+        sidx[~on] = last + 1 + np.arange(len(on) - np.count_nonzero(on))    # column of the others
+        y = np.concatenate((y, _integrands(params, _node_terms(grid.path, t_all[~on]),
+                                           x_all[~on])), axis=1)
+        starts = np.delete(np.arange(len(on)), so + ns)         # first sample of each cell
+        off = ~(on[starts] & on[starts + 1])
+        s = starts[off]
+        c_off = _cell_costs(params, _cell_terms(grid.path, t_all[s], t_all[s + 1]),
+                            y[:, sidx[s]], y[:, sidx[s + 1]])
+        cidx = np.where(off, last + np.cumsum(off) - 1, sidx[starts])
+        c = np.concatenate((c, c_off), axis=1)[:, cidx]
+        f, c0, s0 = y[1, sidx], (so - np.arange(len(ns))).tolist(), so.tolist()
+    for k, m, i, j in zip(multi, n, c0, s0):
+        passes[k] = float(np.sum(c[0][i:i + m])), float(np.sum(c[1][i:i + m])), f[j:j + m + 1]
+    return passes
+
+
+def _stage_terms(path, t):
+    """(a_x, b_x*q1) at ``t``: the closed loop's coefficients at one RK4 stage."""
+    return path.a_x_at(t), path.constants.b_x * path.q1_at(t)
+
+
+def _step_map(path, t, h, start=None):
     """RK4 steps of the closed loop from ``t`` over ``h`` as x -> mult*x + add.
 
-    ``t`` and ``h`` are floats, or arrays of equal shape.
-    """
-    st = (t, t + 0.5 * h, t + h)
-    a0, am, a1 = [path.a_x_at(s) for s in st]
-    b0, bm, b1 = [path.constants.b_x * path.q1_at(s) for s in st]
+    ``t`` and ``h`` are floats, or arrays of equal shape; ``start``, if
+    given, is :func:`_stage_terms` at ``t``."""
+    a0, b0 = _stage_terms(path, t) if start is None else start
+    am, bm = _stage_terms(path, t + 0.5 * h)
+    a1, b1 = _stage_terms(path, t + h)
     _, mult, add = affine_rk4(h, (a0, am, am, a1), (b0, bm, bm, b1))
     return mult, add
 
 
-def _rk4_step(path, t, x, h):
+def _rk4_step(path, t, x, h, start=None):
     """One explicit RK4 step of the closed-loop dynamics."""
-    mult, add = _step_map(path, t, h)
+    mult, add = _step_map(path, t, h, start)
     return float(mult * x + add)
 
 
@@ -276,47 +329,27 @@ class _RolloutGrid:
         self.cells = np.array(_cell_terms(path, ts[:-1], ts[1:]))
         self.ell1_min = float(np.min(policy.ell1))
         self.ell2_max = float(np.max(policy.ell2))
-        self._last = None       # (i0, prod, shift) of the last propagate
+        self._i0, self._prod, self._shift, self._filled = None, None, None, 0   # propagate's
 
-    def propagate(self, i0, x_start):
-        """All node states from grid node i0 onward, starting at x_start."""
-        if self._last is None or self._last[0] != i0:
-            prod = np.concatenate(([1.0], np.cumprod(self.step_mult[i0:])))
-            shift = np.concatenate(([0.0], np.cumsum(self.step_add[i0:] / prod[1:])))
-            self._last = i0, prod, shift
-        _, prod, shift = self._last
-        return prod * (x_start + shift)
-
-    def terms(self, seg_t):
-        """(node terms, cell terms) of a segment of two or more samples on this grid.
-
-        The segment's interior times are consecutive grid nodes, as
-        :func:`_rollout_on_grid` builds them.  Its first and last times
-        may be off the grid; their samples and cells are evaluated
-        directly, every other one is a slice of the cache.
-        """
-        ts, path = self.ts, self.path
-        n = len(seg_t) - 1
-        lo = int(np.searchsorted(ts, seg_t[1])) - 1     # the grid index seg_t[0] has if on it
-        a = 0 if lo >= 0 and ts[lo] == seg_t[0] else 1  # first sample taken from the cache
-        b = n if lo + n < len(ts) and ts[lo + n] == seg_t[-1] else n - 1   # last one
-        m = max(a, b)                                   # cells [a, m) are grid cells
-        nodes = [self.nodes[:, lo + a:lo + b + 1]]
-        cells = [self.cells[:, lo + a:lo + m]]
-        t_first, t_last = float(seg_t[0]), float(seg_t[-1])
-        if a:
-            nodes.insert(0, _column(_node_terms(path, t_first)))
-            cells.insert(0, _column(_cell_terms(path, t_first, float(seg_t[1]))))
-        if b < n:
-            nodes.append(_column(_node_terms(path, t_last)))
-        if m < n:
-            cells.append(_column(_cell_terms(path, float(seg_t[-2]), t_last)))
-        return tuple(np.concatenate(p, axis=1) if len(p) > 1 else p[0] for p in (nodes, cells))
-
-
-def _column(terms):
-    """Terms at one time (floats) as a one-column block of the cache's layout."""
-    return np.array(terms)[:, None]
+    def propagate(self, i0, x_start, stop=None):
+        """Node states from grid node i0 through ``stop`` (default: the last),
+        starting at x_start.  The cumulative product and sum from the last
+        i0 are extended on demand from their last values, so every prefix
+        is bit for bit that of one sweep to the horizon."""
+        if self._i0 != i0:
+            self._i0, self._filled = i0, 0
+            self._prod, self._shift = np.empty((2, len(self.ts) - i0))
+            self._prod[0], self._shift[0] = 1.0, 0.0
+        prod, shift, a = self._prod, self._shift, self._filled
+        b = len(prod) - 1 if stop is None else stop - i0
+        if b > a:
+            prod[a + 1:b + 1] = self.step_mult[i0 + a:i0 + b]
+            np.multiply.accumulate(prod[a:b + 1], out=prod[a:b + 1])
+            shift[a + 1:b + 1] = self.step_add[i0 + a:i0 + b] / prod[a + 1:b + 1]
+            terms = shift[max(a, 1):b + 1]      # the sweep's sum starts at its first term
+            np.add.accumulate(terms, out=terms)
+            self._filled = b
+        return prod[:b + 1] * (x_start + shift[:b + 1])
 
 
 def impulse_bound(params: GameParams, box: StateBox) -> int:
@@ -462,6 +495,7 @@ def _bisect_crossing(grid, t_lo, x_lo, h):
     <= 0, or m(h) is NaN) and every midpoint is probed: plain bisection.
     """
     path, policy = grid.path, grid.policy
+    start = _stage_terms(path, t_lo)
     states = {}
 
     def margin(s, x):
@@ -470,7 +504,7 @@ def _bisect_crossing(grid, t_lo, x_lo, h):
         return min(x - ell1, ell2 - x)
 
     def probe(s):
-        x = states[s] = _rk4_step(path, t_lo, x_lo, s)
+        x = states[s] = _rk4_step(path, t_lo, x_lo, s, start)
         return margin(s, x)
 
     m_h = probe(h)
@@ -492,7 +526,7 @@ def _bisect_crossing(grid, t_lo, x_lo, h):
             hi = b = mid
         else:
             lo = a = mid
-    x_minus = states[hi] if hi in states else _rk4_step(path, t_lo, x_lo, hi)
+    x_minus = states[hi] if hi in states else _rk4_step(path, t_lo, x_lo, hi, start)
     return t_lo + hi, x_minus
 
 
@@ -505,10 +539,10 @@ def _rollout_on_grid(grid, x0, max_events):
     events = []
     segments = []
 
-    def fire(tau, x_minus):
-        # every caller has just found x_minus on or outside the band at tau
-        # with the same thresholds_at(tau), so the reset rule always fires
-        target, xi = impulse_map(policy, tau, x_minus)
+    def fire(tau, x_minus, jump):
+        # jump = impulse_map(policy, tau, x_minus) is never None: every caller has just
+        # found x_minus on or outside the band at tau with the same thresholds_at(tau)
+        target, xi = jump
         ev = ImpulseEvent(
             tau=float(tau),
             x_minus=float(x_minus),
@@ -529,11 +563,12 @@ def _rollout_on_grid(grid, x0, max_events):
         return ev
 
     t_cur, x_cur = grid.t0, x0
-    if impulse_map(policy, t_cur, x_cur) is not None and t_cur < T - EVENT_TIME_TOL:
-        ev = fire(t_cur, x_cur)
+    if (jump := impulse_map(policy, t_cur, x_cur)) is not None and t_cur < T - EVENT_TIME_TOL:
+        ev = fire(t_cur, x_cur, jump)
         segments.append((np.array([t_cur]), np.array([x_cur])))
         x_cur = ev.x_plus
 
+    block = last = len(ts) - 1      # nodes in a propagated block: the first to the horizon
     done = False
     while not done:
         # one pass of this loop builds one impulse-free segment from array pieces
@@ -555,17 +590,23 @@ def _rollout_on_grid(grid, x0, max_events):
             if t_cur >= T:
                 done = True
                 break
-            xs = grid.propagate(node, x_cur)
-            if not np.all(np.isfinite(xs)):
-                bad = node + int(np.flatnonzero(~np.isfinite(xs))[0])
-                raise NonFiniteStateError(f"state non-finite at node {bad} (t={ts[bad]!r})")
-            below, above = sides(grid.ell1[node + 1:], grid.ell2[node + 1:], xs[1:])
-            exits = np.flatnonzero(below | above)
-            keep = len(xs) if exits.size == 0 else int(exits[0]) + 1
-            if keep > 1:
-                seg_t.append(ts[node + 1:node + keep])
-                seg_x.append(xs[1:keep])
-                t_cur, x_cur = float(ts[node + keep - 1]), float(xs[keep - 1])
+            i0, x_start, stop = node, x_cur, min(last, node + block)
+            while True:
+                xs = grid.propagate(i0, x_start, stop)[node - i0:]     # nodes node..stop
+                if not np.all(np.isfinite(xs)):
+                    bad = node + int(np.flatnonzero(~np.isfinite(xs))[0])
+                    raise NonFiniteStateError(f"state non-finite at node {bad} (t={ts[bad]!r})")
+                below, above = sides(grid.ell1[node + 1:stop + 1], grid.ell2[node + 1:stop + 1],
+                                     xs[1:])
+                exits = np.flatnonzero(below | above)
+                keep = len(xs) if exits.size == 0 else int(exits[0]) + 1
+                if keep > 1:
+                    seg_t.append(ts[node + 1:node + keep])
+                    seg_x.append(xs[1:keep])
+                    t_cur, x_cur = float(ts[node + keep - 1]), float(xs[keep - 1])
+                if exits.size or stop == last:
+                    break
+                node, stop = stop, min(last, i0 + 2 * (stop - i0))     # no exit: double
             if exits.size == 0:
                 done = True
                 break
@@ -584,8 +625,9 @@ def _rollout_on_grid(grid, x0, max_events):
             else:
                 seg_t.append([tau])
                 seg_x.append([x_new])
-                t_cur, x_cur = tau, fire(tau, x_new).x_plus
+                t_cur, x_cur = tau, fire(tau, x_new, impulse_map(policy, tau, x_new)).x_plus
         segments.append((np.concatenate(seg_t), np.concatenate(seg_x)))
+        block = len(segments[-1][0])
 
     return Trajectory(segments, events, x_cur, path, params, grid)
 
@@ -627,16 +669,14 @@ def admissibility_check(traj: Trajectory, policy: ThresholdPolicy) -> Admissibil
             if abs(ev.x_plus - beta) > BOUNDARY_MATCH_TOL:
                 violations.append(f"event {i}: reset {ev.x_plus!r} differs from beta {beta!r}")
 
-    for k, (seg_t, seg_x) in enumerate(traj.segments):
-        if len(seg_t) < 2:
-            continue
-        inner_t, inner_x = seg_t[:-1], seg_x[:-1]
-        ell1, _, _, ell2 = policy.thresholds_at(inner_t)
-        bad = np.flatnonzero(np.logical_or(*sides(ell1, ell2, inner_x)))
-        if bad.size:
-            j = int(bad[0])
-            violations.append(
-                f"segment {k}: sample at t={inner_t[j]!r} (x={inner_x[j]!r}) "
-                "is outside the open band before the segment end"
-            )
+    inner_t, inner_x = (np.concatenate([seg[i][:-1] for seg in traj.segments]) for i in (0, 1))
+    ell1, _, _, ell2 = policy.thresholds_at(inner_t)
+    bad = np.flatnonzero(np.logical_or(*sides(ell1, ell2, inner_x)))
+    seg = np.searchsorted(np.cumsum([len(seg_t) - 1 for seg_t, _ in traj.segments]), bad, "right")
+    for i in np.unique(seg, return_index=True)[1]:     # each segment's first bad sample
+        j = bad[i]
+        violations.append(
+            f"segment {seg[i]}: sample at t={inner_t[j]!r} (x={inner_x[j]!r}) "
+            "is outside the open band before the segment end"
+        )
     return AdmissibilityReport(ok=not violations, violations=violations)

@@ -415,16 +415,99 @@ def test_long_horizon_rollouts_equal_bisection_rollouts(grids, monkeypatch, name
             assert np.array_equal(ta, tb) and np.array_equal(xa, xb)
 
 
+def fresh_sweep(grid, i0, x):
+    """Node states from i0 to the horizon by one uncached cumulative product and sum."""
+    prod = np.concatenate(([1.0], np.cumprod(grid.step_mult[i0:])))
+    shift = np.concatenate(([0.0], np.cumsum(grid.step_add[i0:] / prod[1:])))
+    return prod * (x + shift)
+
+
 def test_propagate_memo_equals_fresh_sweep():
     p = LONG_HORIZON["table1_T200"]
     pth = solve_backward(p)
     grid = _RolloutGrid(pth, build_policy(pth, p), p, 0.0, p.T / 4096)
     for i0, x in ((0, 4.2), (1234, 4.2), (0, 6.1), (3000, 5.0), (3000, 3.9), (17, 5.5), (0, 4.2)):
-        prod = np.concatenate(([1.0], np.cumprod(grid.step_mult[i0:])))
-        shift = np.concatenate(([0.0], np.cumsum(grid.step_add[i0:] / prod[1:])))
-        want = prod * (x + shift)
+        want = fresh_sweep(grid, i0, x)
         got = grid.propagate(i0, x)
         assert got.tobytes() == want.tobytes(), (i0, x)
+
+
+def test_propagate_blocks_equal_fresh_sweep(grids):
+    # blocks extend the cached sums from their last values: a short block
+    # then longer ones, a shorter one read from the cache, a new i0, and a
+    # return to an old one all give the fresh sweep's prefix byte for byte
+    g = grids["table1_T200"]
+    grid = _RolloutGrid(g.path, g.policy, g.params, 0.0, g.params.T / 4096)
+    last = len(grid.ts) - 1
+    for i0, x, stop in ((0, 4.2, 0), (0, 4.2, 13), (0, 4.2, 700), (0, 6.1, 40), (0, 4.2, last),
+                        (1234, 4.2, 1250), (1234, 5.0, 2900), (1234, 5.0, last),
+                        (0, 4.2, 2000), (3000, 3.9, 3001), (3000, 3.9, last)):
+        want = fresh_sweep(grid, i0, x)[:stop - i0 + 1]
+        got = grid.propagate(i0, x, stop)
+        assert got.tobytes() == want.tobytes(), (i0, x, stop)
+
+
+def test_sweep_start_propagates_once(path, policy, params, monkeypatch):
+    # the first block of a rollout runs to the horizon: a start without a
+    # mid-run event, inside the band or jumping at t0, makes one call
+    calls = []
+
+    class CountingGrid(_RolloutGrid):
+        def propagate(self, i0, x_start, stop=None):
+            calls.append((i0, stop))
+            return super().propagate(i0, x_start, stop)
+
+    monkeypatch.setattr(simulate, "_RolloutGrid", CountingGrid)
+    hook = make_rollout_hook(path, policy, params)
+    for x0, taus in ((5.0, []), (0.5, [0.3])):
+        calls.clear()
+        traj = hook(0.3, x0)
+        assert [ev.tau for ev in traj.events] == taus
+        assert calls == [(0, len(traj.segments[-1][0]) - 1)]
+
+
+@pytest.mark.parametrize("when", ["first segment", "after events"])
+def test_nonfinite_step_names_its_node(grids, when):
+    # an infinite step map at node j makes the state at node j+1 the first
+    # non-finite one, whichever block of propagation reaches it
+    g = grids["table1_T200"]
+    p = g.params
+    clean = rollout(g.path, g.policy, p, 0.0, 8.0, step=p.T / 4096)    # inside the band
+    k = 0 if when == "first segment" else 6
+    assert clean.events[0].tau > 0.0 and len(clean.events) > k
+    seg_t = clean.segments[k][0]
+    assert len(seg_t) > 4
+    grid = _RolloutGrid(g.path, g.policy, p, 0.0, p.T / 4096)
+    j = int(np.searchsorted(grid.ts, seg_t[2]))
+    assert grid.ts[j] == seg_t[2] and grid.ts[j + 1] == seg_t[3]
+    grid.step_mult = grid.step_mult.copy()
+    grid.step_mult[j] = np.inf
+    with pytest.raises(simulate.NonFiniteStateError, match=f"at node {j + 1} "):
+        simulate._rollout_on_grid(grid, 8.0, None)
+
+
+def test_admissibility_names_each_segments_first_bad_sample(grids):
+    g = grids["table1_T200"]
+    p, pol = g.params, g.policy
+    traj = rollout(g.path, pol, p, 0.0, 4.2, step=p.T / 4096)
+    assert admissibility_check(traj, pol).ok
+    segments = list(traj.segments)
+    want = []
+    for k, outside in ((3, (2, 4)), (7, (1, 3))):
+        seg_t, seg_x = segments[k]
+        assert len(seg_t) > 5
+        seg_x = seg_x.copy()
+        for i in outside:
+            ell1, _, _, ell2 = pol.thresholds_at(float(seg_t[i]))
+            seg_x[i] = ell2 + 0.5 if k == 3 else ell1 - 0.5
+        segments[k] = seg_t, seg_x
+        i = outside[0]
+        want.append(f"segment {k}: sample at t={seg_t[i]!r} (x={seg_x[i]!r}) "
+                    "is outside the open band before the segment end")
+    doctored = Trajectory(segments, traj.events, traj.terminal_state, g.path, p, g)
+    report = admissibility_check(doctored, pol)
+    assert not report.ok
+    assert report.violations == want
 
 
 def test_spurious_exit_flag_keeps_the_node(monkeypatch):
@@ -563,6 +646,24 @@ def test_long_horizon_costs_equal_reference(grids, name, x0s):
                     0.5 * (seg_t[0] + seg_t[1]), 0.5 * (seg_t[-2] + seg_t[-1])]
         for t1 in t1s:
             assert traj.costs_from(t1) == reference_costs_from(pth, p, traj, t1), (x0, t1)
+
+
+def test_event_on_a_node_costs_equal_reference(grids):
+    # a segment that closes on a grid node and a next one that opens there
+    # at another state: the node's two samples keep their own states
+    grid = grids["table1_T200"]
+    p = grid.params
+    traj = rollout(grid.path, grid.policy, p, 0.0, 4.2, step=p.T / 4096)
+    segments = list(traj.segments)
+    k = len(segments) // 2
+    seg_t, seg_x = segments[k]
+    m = len(seg_t) // 2
+    assert seg_t[m] in grid.ts
+    segments[k:k + 1] = [(seg_t[:m + 1], seg_x[:m + 1]), (seg_t[m:], seg_x[m:] - 0.25)]
+    split = Trajectory(segments, traj.events, traj.terminal_state, grid.path, p, grid)
+    assert (split.j1, split.j2) == reference_costs_from(grid.path, p, split, 0.0)
+    for t1 in (0.5 * (seg_t[m - 1] + seg_t[m]), 0.5 * (seg_t[m] + seg_t[m + 1])):
+        assert split.costs_from(t1) == reference_costs_from(grid.path, p, split, t1)
 
 
 def test_start_within_1e12_of_a_node_costs_equal_reference(path, policy, params):
