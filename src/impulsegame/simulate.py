@@ -3,23 +3,27 @@
 Between interventions the closed loop is the scalar linear ODE
 ``xdot = a_x(t)*x + b_x*q1(t)``, integrated with classical RK4 on a
 uniform grid; each step is the affine map of :func:`affine_rk4`, so an
-impulse-free stretch propagates as one cumulative product, in blocks
-(the first to the horizon, later ones as long as the last segment,
-doubled until one holds an exit).  The first node on or past a band edge
-(:func:`.policy.sides`) marks the step holding the exit, and
-:func:`_bisect_crossing` locates it to EVENT_TIME_TOL.  It returns
-bisection's point but probes far fewer substeps: Illinois regula falsi
-brackets the sign change of the band margin, two probes tighten the
-bracket, and bisection's own midpoint sequence is replayed, probing only
-the midpoints inside the bracket (event location as in Shampine &
-Thompson 2000).  That is bit-identical to plain bisection whenever the
-margin changes sign once on the step; where no bracket forms, plain
-bisection runs.  Each probe evaluates the coefficients and thresholds on
-Python floats (see :mod:`.riccati`).  The impulse resets the state
-exactly to the target, and integration resumes.  Running costs are
-summed with Simpson's rule on the cubic-Hermite midpoint state, matching
-the integrator's accuracy, in one pass per trajectory that keeps each
-segment's integrals and drift slopes for later queries.
+impulse-free stretch propagates as one cumulative product.  The rollout
+is one loop whose step follows from its position.  From a grid node,
+:meth:`_RolloutGrid.scan` propagates to the first node on or past a band
+edge (:func:`.policy.sides`), or to the horizon.  From off the grid (after
+an event) or from the node before a flagged one, :func:`_bisect_crossing`
+steps onto the next node: it accepts the node, or locates the exit on
+the step to EVENT_TIME_TOL.  It returns bisection's point but probes far
+fewer substeps: Illinois regula falsi brackets the sign change of the
+band margin, two probes tighten the bracket, and bisection's own
+midpoint sequence is replayed, probing only the midpoints inside the
+bracket (event location as in Shampine & Thompson 2000).  That is
+bit-identical to plain bisection whenever the margin changes sign once
+on the step; where no bracket forms, plain bisection runs.  Each probe
+evaluates the coefficients and thresholds on Python floats (see
+:mod:`.riccati`).  The impulse resets the state exactly to the target,
+and integration resumes; a located exit within EVENT_TIME_TOL of T
+carries no impulse, while a start outside the band fires at any t0 but
+T itself.  Running costs are summed with Simpson's rule on the
+cubic-Hermite midpoint state, matching the integrator's accuracy, in one
+pass per trajectory that keeps each segment's integrals and drift slopes
+for later queries.
 
 :func:`make_rollout_hook` returns one checked body for many starts, and
 :func:`rollout` calls a fresh one once.  The body keeps the
@@ -51,7 +55,8 @@ from .riccati import DEFAULT_STEPS, affine_rk4, hermite
 # Resolution of the event locator: tau is the right end of bisection's
 # final interval on the step, no wider than this.  _bisect_crossing
 # finds that same point with fewer probes when the band margin changes
-# sign once on the step.  Exits this close to T are discarded.
+# sign once on the step.  A located exit this close to T carries no
+# impulse; the state is integrated on to T.
 EVENT_TIME_TOL = 1e-10
 ILLINOIS_MAX_ITER = 40   # safety cap on the bracket narrowing; tau stays exact past it
 CHATTER_TOL = 1e-8       # two events closer than this abort the rollout
@@ -306,7 +311,8 @@ class _RolloutGrid:
     - ``cells``: :func:`_cell_terms` (h/6, p1 and q1 at the midpoint, the
       six Hermite midpoint weights) of every cell;
     - ``ell1_min``, ``ell2_max``: the policy extremes of the impulse budget;
-    - the cumulative product and sum of the last :meth:`propagate` start.
+    - the cumulative product and sum of the steps from :meth:`scan`'s
+      latest start node, as far as a scan has needed them.
 
     The cached rows are the same expressions, evaluated elementwise, that
     a cell-by-cell evaluation would compute, so costs taken from them are
@@ -329,27 +335,48 @@ class _RolloutGrid:
         self.cells = np.array(_cell_terms(path, ts[:-1], ts[1:]))
         self.ell1_min = float(np.min(policy.ell1))
         self.ell2_max = float(np.max(policy.ell2))
-        self._i0, self._prod, self._shift, self._filled = None, None, None, 0   # propagate's
+        self._i0, self._prod, self._shift, self._filled = None, None, None, 0   # scan's
 
-    def propagate(self, i0, x_start, stop=None):
-        """Node states from grid node i0 through ``stop`` (default: the last),
-        starting at x_start.  The cumulative product and sum from the last
-        i0 are extended on demand from their last values, so every prefix
-        is bit for bit that of one sweep to the horizon."""
+    def scan(self, i0, x, block):
+        """Node states from node i0, starting at ``x``, through the first
+        later node :func:`.policy.sides` flags, or through the horizon, and
+        whether a node was flagged.
+
+        The cumulative product and sum from the last i0 are extended on
+        demand from their last values, so every prefix is bit for bit that
+        of one sweep to the horizon.  They are extended and tested in
+        blocks: the first ``block`` nodes past i0, then doubled until a
+        block holds a flagged node.  Raises NonFiniteStateError naming a
+        block's first non-finite node.
+        """
         if self._i0 != i0:
             self._i0, self._filled = i0, 0
             self._prod, self._shift = np.empty((2, len(self.ts) - i0))
             self._prod[0], self._shift[0] = 1.0, 0.0
-        prod, shift, a = self._prod, self._shift, self._filled
-        b = len(prod) - 1 if stop is None else stop - i0
-        if b > a:
-            prod[a + 1:b + 1] = self.step_mult[i0 + a:i0 + b]
-            np.multiply.accumulate(prod[a:b + 1], out=prod[a:b + 1])
-            shift[a + 1:b + 1] = self.step_add[i0 + a:i0 + b] / prod[a + 1:b + 1]
-            terms = shift[max(a, 1):b + 1]      # the sweep's sum starts at its first term
-            np.add.accumulate(terms, out=terms)
-            self._filled = b
-        return prod[:b + 1] * (x_start + shift[:b + 1])
+        prod, shift = self._prod, self._shift
+        ell1, ell2, last = self.ell1[i0:], self.ell2[i0:], len(prod) - 1
+        a, b = 0, min(last, block)
+        while True:
+            f = self._filled
+            if b > f:
+                prod[f + 1:b + 1] = self.step_mult[i0 + f:i0 + b]
+                np.multiply.accumulate(prod[f:b + 1], out=prod[f:b + 1])
+                shift[f + 1:b + 1] = self.step_add[i0 + f:i0 + b] / prod[f + 1:b + 1]
+                terms = shift[max(f, 1):b + 1]      # the sweep's sum starts at its first term
+                np.add.accumulate(terms, out=terms)
+                self._filled = b
+            xs = prod[:b + 1] * (x + shift[:b + 1])
+            bad = np.flatnonzero(~np.isfinite(xs[a:]))
+            if bad.size:
+                k = i0 + a + int(bad[0])
+                raise NonFiniteStateError(f"state non-finite at node {k} (t={self.ts[k]!r})")
+            below, above = sides(ell1[a + 1:b + 1], ell2[a + 1:b + 1], xs[a + 1:])
+            exits = np.flatnonzero(below | above)
+            if exits.size:
+                return xs[:a + 2 + int(exits[0])], True
+            if b == last:
+                return xs, False
+            a, b = b, min(last, 2 * b)
 
 
 def impulse_bound(params: GameParams, box: StateBox) -> int:
@@ -371,13 +398,6 @@ def impulse_bound_parts(params: GameParams, box: StateBox):
     mu = min_intervention_cost(params)
     k = math.ceil(2.0 * (params.T * h2_sup + s2_sup) / mu)
     return k, h2_sup, s2_sup, mu
-
-
-def _auto_budget(grid, x0):
-    """Impulse cap over a box that covers everything a rollout can reach."""
-    lo = min(grid.ell1_min, x0) - 1.0
-    hi = max(grid.ell2_max, x0) + 1.0
-    return impulse_bound(grid.params, StateBox(lo, hi))
 
 
 def _rollouts(path, policy, params, step):
@@ -534,7 +554,9 @@ def _rollout_on_grid(grid, x0, max_events):
     path, policy, params = grid.path, grid.policy, grid.params
     T = params.T
     ts = grid.ts
-    budget = max_events if max_events is not None else _auto_budget(grid, x0)
+    if max_events is None:      # the analytic cap over a box holding every reachable state
+        max_events = impulse_bound(params, StateBox(min(grid.ell1_min, x0) - 1.0,
+                                                    max(grid.ell2_max, x0) + 1.0))
 
     events = []
     segments = []
@@ -556,79 +578,48 @@ def _rollout_on_grid(grid, x0, max_events):
                 f"chattering: events at tau={events[-1].tau!r} and tau={ev.tau!r}"
             )
         events.append(ev)
-        if len(events) > budget:
+        if len(events) > max_events:
             raise ImpulseBudgetExceeded(
-                f"{len(events)} events exceed the analytic bound {budget}"
+                f"{len(events)} events exceed the analytic bound {max_events}"
             )
         return ev
 
     t_cur, x_cur = grid.t0, x0
-    if (jump := impulse_map(policy, t_cur, x_cur)) is not None and t_cur < T - EVENT_TIME_TOL:
-        ev = fire(t_cur, x_cur, jump)
+    if (jump := impulse_map(policy, t_cur, x_cur)) is not None:
         segments.append((np.array([t_cur]), np.array([x_cur])))
-        x_cur = ev.x_plus
-
-    block = last = len(ts) - 1      # nodes in a propagated block: the first to the horizon
-    done = False
-    while not done:
-        # one pass of this loop builds one impulse-free segment from array pieces
-        seg_t = [[t_cur]]
-        seg_x = [[x_cur]]
-        node = int(np.searchsorted(ts, t_cur, side="left"))
-        located = ts[node] != t_cur     # off the grid, just after an event
-        tau = None
-        while True:
-            if located:
-                # step onto ts[node] through the locator; on a crossing, fire;
-                # otherwise accept the node
-                tau, x_new = _bisect_crossing(grid, t_cur, x_cur, float(ts[node]) - t_cur)
-                if tau is not None:
-                    break
-                t_cur, x_cur = float(ts[node]), x_new
-                seg_t.append([t_cur])
-                seg_x.append([x_cur])
-            if t_cur >= T:
-                done = True
-                break
-            i0, x_start, stop = node, x_cur, min(last, node + block)
-            while True:
-                xs = grid.propagate(i0, x_start, stop)[node - i0:]     # nodes node..stop
-                if not np.all(np.isfinite(xs)):
-                    bad = node + int(np.flatnonzero(~np.isfinite(xs))[0])
-                    raise NonFiniteStateError(f"state non-finite at node {bad} (t={ts[bad]!r})")
-                below, above = sides(grid.ell1[node + 1:stop + 1], grid.ell2[node + 1:stop + 1],
-                                     xs[1:])
-                exits = np.flatnonzero(below | above)
-                keep = len(xs) if exits.size == 0 else int(exits[0]) + 1
-                if keep > 1:
-                    seg_t.append(ts[node + 1:node + keep])
-                    seg_x.append(xs[1:keep])
-                    t_cur, x_cur = float(ts[node + keep - 1]), float(xs[keep - 1])
-                if exits.size or stop == last:
-                    break
-                node, stop = stop, min(last, i0 + 2 * (stop - i0))     # no exit: double
-            if exits.size == 0:
-                done = True
-                break
-            # the next node is flagged as an exit; the flag may be
-            # spurious, so the locator decides
-            node, located = node + keep, True
-
-        if tau is not None:
-            if tau >= T - EVENT_TIME_TOL:
-                # an exit this close to the horizon carries no impulse
-                x_cur = _rk4_step(path, tau, x_new, T - tau) if tau < T else x_new
-                seg_t.append([T])
-                seg_x.append([x_cur])
-                t_cur = T
-                done = True
-            else:
-                seg_t.append([tau])
-                seg_x.append([x_new])
-                t_cur, x_cur = tau, fire(tau, x_new, impulse_map(policy, tau, x_new)).x_plus
-        segments.append((np.concatenate(seg_t), np.concatenate(seg_x)))
-        block = len(segments[-1][0])
-
+        x_cur = fire(t_cur, x_cur, jump).x_plus
+    seg_t, seg_x = [[t_cur]], [[x_cur]]     # the open segment, in array pieces
+    node = int(np.searchsorted(ts, t_cur))     # the node the next step ends on
+    block = len(ts)     # a scan's first block: to the horizon, then the last closed segment's length
+    while t_cur < T:
+        if ts[node] == t_cur:
+            # on the grid: scan to the first node sides() flags, or to the
+            # horizon; a flagged node is left to the locator
+            xs, flagged = grid.scan(node, x_cur, block)
+            n = len(xs) - flagged
+            seg_t.append(ts[node + 1:node + n])
+            seg_x.append(xs[1:n])
+            t_cur, x_cur = float(ts[node + n - 1]), float(xs[n - 1])
+            node += len(xs) - 1     # the flagged node, or the horizon
+            continue
+        # off the grid after an event, or before a flagged node (the flag
+        # may be spurious): the locator steps onto ts[node] and decides
+        tau, x_new = _bisect_crossing(grid, t_cur, x_cur, float(ts[node]) - t_cur)
+        if tau is None:
+            t_cur, x_cur = float(ts[node]), x_new
+        elif tau >= T - EVENT_TIME_TOL:
+            # an exit this close to the horizon carries no impulse
+            t_cur, x_cur = T, _rk4_step(path, tau, x_new, T - tau) if tau < T else x_new
+        else:
+            # the exit closes the segment; the next opens at the reset target
+            segments.append((np.concatenate(seg_t + [[tau]]), np.concatenate(seg_x + [[x_new]])))
+            seg_t, seg_x = [], []
+            block = len(segments[-1][0])
+            t_cur, x_cur = tau, fire(tau, x_new, impulse_map(policy, tau, x_new)).x_plus
+            node = int(np.searchsorted(ts, t_cur))
+        seg_t.append([t_cur])
+        seg_x.append([x_cur])
+    segments.append((np.concatenate(seg_t), np.concatenate(seg_x)))
     return Trajectory(segments, events, x_cur, path, params, grid)
 
 

@@ -372,12 +372,17 @@ def run_verification(path, policy, params: GameParams, box: StateBox,
     or argmin of the values as stored, in t-major order, so a NaN is the
     worst node and fails its condition.  Nodes a condition does not
     cover (outside or inside the band) are masked to -inf explicitly.
+
+    ``gap_tol`` is GAP_BASE_TOL plus ``max p2 * dy**2 / 8``: a jump's value
+    is quadratic in its target with curvature p2, so a minimum over targets
+    ``dy = XI_RESOLUTION * (x_hi - x_lo)`` apart overshoots by at most that.
     """
     validate_box(box)
     t_nodes = np.linspace(0.0, params.T, nt + 1)
     x_nodes = np.linspace(box.x_lo, box.x_hi, nx + 1)
     xi_resolution = XI_RESOLUTION * (box.x_hi - box.x_lo)
-    gap_tol = GAP_BASE_TOL + xi_resolution * (params.c + params.d)
+    p2_vals = path.p2_at(t_nodes)
+    gap_tol = GAP_BASE_TOL + float(np.max(p2_vals)) * xi_resolution ** 2 / 8.0
 
     qvi = qvi_check(path, policy, params, t_nodes[:, None], x_nodes, box)
     residual, gap, comp, interior_mask = qvi.residual, qvi.gap, qvi.complementarity, qvi.interior
@@ -390,7 +395,6 @@ def run_verification(path, policy, params: GameParams, box: StateBox,
     continuity = np.maximum(*jumps)
     suff = sufficiency_margins(path, policy, params, t_nodes)
     convexity = convexity_margin(path.constants, params, t_nodes)
-    p2_vals = path.p2_at(t_nodes)
 
     comp_tol = float(np.max(np.abs(gap))) * RESIDUAL_TOL \
         + float(np.max(np.abs(residual))) * gap_tol

@@ -89,6 +89,19 @@ def test_boundary_start_fires_immediately(path, policy, params):
     assert traj.events[0].x_plus == pytest.approx(alpha, rel=1e-12)
 
 
+@pytest.mark.parametrize("edge", ["ell1", "ell2"])
+def test_outside_start_just_before_the_horizon_fires(path, policy, params, edge):
+    # t0 is exact, not located: a start outside the band fires at t0
+    # however close to T it is, and only t0 = T carries no impulse
+    t0 = params.T - 5e-11
+    ell1, _, _, ell2 = policy.thresholds_at(params.T)
+    x0 = ell1 - 1.0 if edge == "ell1" else ell2 + 1.0
+    traj = rollout(path, policy, params, t0, x0)
+    assert [(ev.tau, ev.x_minus) for ev in traj.events] == [(t0, x0)]
+    report = admissibility_check(traj, policy)
+    assert report.ok, report.violations
+
+
 def test_impulse_bound_baseline(params, box):
     # direct evaluation: sup 0.5*w2*(x-rho2)^2 = 50, sup 0.5*s2*(x-rho2)^2 = 12.5
     k, h2_sup, s2_sup, mu = impulse_bound_parts(params, box)
@@ -422,48 +435,68 @@ def fresh_sweep(grid, i0, x):
     return prod * (x + shift)
 
 
+def flag_only(grid, k=None):
+    """Make node k the only node sides() flags on ``grid`` (none if k is None)."""
+    grid.ell1 = np.full(len(grid.ts), -np.inf)
+    grid.ell2 = np.full(len(grid.ts), np.inf)
+    if k is not None:
+        grid.ell2[k] = -np.inf
+
+
 def test_propagate_memo_equals_fresh_sweep():
     p = LONG_HORIZON["table1_T200"]
     pth = solve_backward(p)
     grid = _RolloutGrid(pth, build_policy(pth, p), p, 0.0, p.T / 4096)
+    flag_only(grid)     # every scan runs to the horizon
     for i0, x in ((0, 4.2), (1234, 4.2), (0, 6.1), (3000, 5.0), (3000, 3.9), (17, 5.5), (0, 4.2)):
         want = fresh_sweep(grid, i0, x)
-        got = grid.propagate(i0, x)
+        got, flagged = grid.scan(i0, x, len(grid.ts))
+        assert not flagged
         assert got.tobytes() == want.tobytes(), (i0, x)
 
 
 def test_propagate_blocks_equal_fresh_sweep(grids):
     # blocks extend the cached sums from their last values: a short block
-    # then longer ones, a shorter one read from the cache, a new i0, and a
-    # return to an old one all give the fresh sweep's prefix byte for byte
+    # then longer ones, doubled past the flagged node ``stop``, a shorter
+    # one read from the cache, a new i0, and a return to an old one all
+    # give the fresh sweep's prefix byte for byte
     g = grids["table1_T200"]
     grid = _RolloutGrid(g.path, g.policy, g.params, 0.0, g.params.T / 4096)
     last = len(grid.ts) - 1
-    for i0, x, stop in ((0, 4.2, 0), (0, 4.2, 13), (0, 4.2, 700), (0, 6.1, 40), (0, 4.2, last),
-                        (1234, 4.2, 1250), (1234, 5.0, 2900), (1234, 5.0, last),
-                        (0, 4.2, 2000), (3000, 3.9, 3001), (3000, 3.9, last)):
+    for i0, x, stop, block in ((0, 4.2, 1, 1), (0, 4.2, 13, 2), (0, 4.2, 700, 100),
+                               (0, 6.1, 40, 5), (0, 4.2, last, 1000),
+                               (1234, 4.2, 1250, 16), (1234, 5.0, 2900, 100),
+                               (1234, 5.0, last, 1), (0, 4.2, 2000, 7),
+                               (3000, 3.9, 3001, 1), (3000, 3.9, last, 1)):
+        flag_only(grid, stop)
         want = fresh_sweep(grid, i0, x)[:stop - i0 + 1]
-        got = grid.propagate(i0, x, stop)
+        got, flagged = grid.scan(i0, x, block)
+        assert flagged
         assert got.tobytes() == want.tobytes(), (i0, x, stop)
 
 
 def test_sweep_start_propagates_once(path, policy, params, monkeypatch):
     # the first block of a rollout runs to the horizon: a start without a
-    # mid-run event, inside the band or jumping at t0, makes one call
-    calls = []
+    # mid-run event, inside the band or jumping at t0, makes one call, and
+    # that call one block
+    calls, block_ends = [], []
 
     class CountingGrid(_RolloutGrid):
-        def propagate(self, i0, x_start, stop=None):
-            calls.append((i0, stop))
-            return super().propagate(i0, x_start, stop)
+        def scan(self, i0, x, block):
+            xs, flagged = super().scan(i0, x, block)
+            calls.append((i0, i0 + len(xs) - 1))
+            block_ends.append(min(i0 + block, len(self.ts) - 1))
+            return xs, flagged
 
     monkeypatch.setattr(simulate, "_RolloutGrid", CountingGrid)
     hook = make_rollout_hook(path, policy, params)
     for x0, taus in ((5.0, []), (0.5, [0.3])):
         calls.clear()
+        block_ends.clear()
         traj = hook(0.3, x0)
         assert [ev.tau for ev in traj.events] == taus
         assert calls == [(0, len(traj.segments[-1][0]) - 1)]
+        assert block_ends == [calls[0][1]]
 
 
 @pytest.mark.parametrize("when", ["first segment", "after events"])
@@ -543,6 +576,48 @@ def test_spurious_exit_flag_keeps_the_node(monkeypatch):
     assert len(doctored.events) == len(clean.events) >= 150
     assert doctored.events == clean.events
     assert (doctored.j1, doctored.j2) == (clean.j1, clean.j2)
+
+
+@pytest.mark.parametrize("edge", [0, 3], ids=["ell1", "ell2"])
+@pytest.mark.parametrize("offset", [1.9e-10, 2.7e-10], ids=["before_T", "at_T"])
+def test_located_exit_near_the_horizon_carries_no_impulse(monkeypatch, edge, offset):
+    # With Player 1's terminal weight at 100 and target at -30 the state
+    # leaves the band just before T.  A start 3e-10 before T, inside the
+    # band, meets an edge ``offset`` later; bisection on the one step
+    # places the exit within EVENT_TIME_TOL of T: 7.5e-11 before it, or at
+    # T itself.  No impulse fires there: the segment ends at T with the
+    # state integrated on from the exit, or with x_minus when tau == T.
+    p = variant(rho1=-30.0, s1=100.0)
+    pth = solve_backward(p)
+    pol = build_policy(pth, p)
+    t0 = p.T - 3e-10
+    grid = _RolloutGrid(pth, pol, p, t0, p.T / 4096)
+    assert grid.ts.tolist() == [t0, p.T]
+    add = reference_step(pth, t0, 0.0, offset)
+    mult = reference_step(pth, t0, 1.0, offset) - add
+    x0 = (pol.thresholds_at(t0 + offset)[edge] - add) / mult     # on the edge at t0 + offset
+    ell1, _, _, ell2 = pol.thresholds_at(t0)
+    assert ell1 < x0 < ell2
+    tau, x_minus = reference_locate(grid, t0, x0, p.T - t0)
+    assert p.T - EVENT_TIME_TOL <= tau and (tau == p.T) == (offset == 2.7e-10)
+    x_T = reference_step(pth, tau, x_minus, p.T - tau) if tau < p.T else x_minus
+    assert tau == p.T or x_T != x_minus
+
+    located = []
+    locate = simulate._bisect_crossing
+
+    def recording_locate(g, t_lo, x_lo, h):
+        located.append(locate(g, t_lo, x_lo, h))
+        return located[-1]
+
+    monkeypatch.setattr(simulate, "_bisect_crossing", recording_locate)
+    traj = simulate._rollout_on_grid(grid, x0, None)
+    assert located == [(tau, x_minus)]
+    assert traj.events == []
+    assert [(t.tolist(), x.tolist()) for t, x in traj.segments] == [([t0, p.T], [x0, x_T])]
+    assert traj.terminal_state == x_T
+    report = admissibility_check(traj, pol)
+    assert report.ok, report.violations
 
 
 # ---------------------------------------------------------------------------

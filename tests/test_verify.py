@@ -21,7 +21,8 @@ from impulsegame import (
     verify,
 )
 from impulsegame.model import intervention_cost
-from impulsegame.verify import DpOracleResult, QviSample, _min_jump, _phi_rates
+from impulsegame.verify import (GAP_BASE_TOL, XI_RESOLUTION, DpOracleResult, QviSample,
+                                _min_jump, _phi_rates)
 
 from conftest import defining_rates, variant
 
@@ -343,8 +344,9 @@ def test_certificate_verdict_agrees_with_dp_oracle(box, w2, certified_up_to, T):
 @pytest.mark.parametrize("scenario", ["", "_w2_1"])
 @pytest.mark.parametrize("widen", [0.0, 0.005, -0.05], ids=["true", "wider", "narrower"])
 def test_value_continuity_fails_a_shifted_band(scenario, widen, request, box, monkeypatch):
-    # a band moved off value matching keeps every other condition: only
-    # V2's jump across its edges shows the error
+    # a band moved off value matching shows as V2's jump across its edges;
+    # a wider band also waits where a jump is cheaper by far more than the
+    # target grid's bound (0.029 / 0.018), which fails obstacle_gap too
     path, params = (request.getfixturevalue(f"{name}{scenario}") for name in ("path", "params"))
     band = policy_module._band
 
@@ -355,8 +357,34 @@ def test_value_continuity_fails_a_shifted_band(scenario, widen, request, box, mo
     monkeypatch.setattr(policy_module, "_band", shifted)
     report = run_verification(path, build_policy(path, params), params, box)
     failed = {c.name for c in report.conditions if not c.passed}
-    assert failed == (set() if widen == 0.0 else {"value_continuity"})
+    assert failed == {0.0: set(), 0.005: {"value_continuity", "obstacle_gap"},
+                      -0.05: {"value_continuity"}}[widen]
     assert (np.max(report.continuity) < 1e-12) == (widen == 0.0)
+
+
+@pytest.mark.parametrize("scenario", ["", "_w2_1"])
+@pytest.mark.parametrize("shift", [0.0, 0.01, -0.01], ids=["true", "up", "down"])
+def test_gap_tolerance_catches_targets_off_stationarity(scenario, shift, request, box,
+                                                        monkeypatch):
+    # The obstacle is a minimum over targets dy apart, so on the true band
+    # it overshoots by at most max p2 * dy^2 / 8, the bound gap_tol is built
+    # from.  Reset targets 0.01 off the minimiser cost p2 * 0.01^2 / 2 more
+    # (2.34e-4 on table1, 9.29e-5 on table1_w2_1), which fails both obstacle
+    # rows; the first-order tolerance, 0.050001, passed them.
+    path, params = (request.getfixturevalue(f"{name}{scenario}") for name in ("path", "params"))
+    band = policy_module._band
+
+    def shifted(p2, q2, prm):
+        ell1, alpha, beta, ell2 = band(p2, q2, prm)
+        return ell1, alpha + shift, beta + shift, ell2
+
+    monkeypatch.setattr(policy_module, "_band", shifted)
+    report = run_verification(path, build_policy(path, params), params, box)
+    dy = XI_RESOLUTION * (box.x_hi - box.x_lo)
+    assert report.tolerances["gap_tol"] == GAP_BASE_TOL + np.max(report.p2) * dy ** 2 / 8.0
+    failed = {c.name for c in report.conditions if not c.passed}
+    off = {"obstacle_gap", "exterior_obstacle_equality", "complementarity", "value_continuity"}
+    assert failed == (set() if shift == 0.0 else off)
 
 
 def test_report_flags_recomputable_from_stored_arrays(path, policy, params, box):
