@@ -10,6 +10,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass, field, fields
+from functools import cache
 from itertools import chain
 
 import numpy as np
@@ -154,16 +155,19 @@ def _outpath(cfg, name):
 def cmd_solve(cfg: RunConfig) -> int:
     """Write thresholds.csv and coefficients.csv over the solver grid."""
     path, policy = _build(cfg)
-    ts = path.time_grid
+    # Python floats format faster than numpy scalars, to the same bytes;
+    # the time column is formatted once for both files
+    ts = [_fmt(t) for t in path.time_grid.tolist()]
     _write_csv(
         _outpath(cfg, "thresholds.csv"),
         ["t", "ell1", "alpha", "beta", "ell2"],
-        zip(ts, policy.ell1, policy.alpha, policy.beta, policy.ell2),
+        zip(ts, *(c.tolist() for c in (policy.ell1, policy.alpha, policy.beta, policy.ell2))),
     )
     _write_csv(
         _outpath(cfg, "coefficients.csv"),
         ["t", "p1", "q1", "n1", "p2", "q2", "n2", "a_x"],
-        zip(ts, path.p1, path.q1, path.n1, path.p2, path.q2, path.n2, path.a_x),
+        zip(ts, *(c.tolist() for c in (path.p1, path.q1, path.n1, path.p2, path.q2, path.n2,
+                                       path.a_x))),
     )
     return EXIT_OK
 
@@ -174,13 +178,15 @@ def cmd_simulate(cfg: RunConfig) -> int:
         raise ConfigError("simulate needs a non-empty initial_states list")
     path, policy = _build(cfg)
     hook = make_rollout_hook(path, policy, cfg.params, cfg.sim_step)
+    fmt_t = cache(_fmt)     # the starts share their grid times: each is formatted once
     cost_rows = []
     for x0 in cfg.initial_states:
         traj = hook(0.0, x0)
         tag = _fmt(x0)
         rows = []
         for seg_t, seg_x in traj.segments:
-            rows.extend(zip(seg_t, seg_x, gamma_star(path, cfg.params, seg_t, seg_x)))
+            u = gamma_star(path, cfg.params, seg_t, seg_x)
+            rows.extend(zip(map(fmt_t, seg_t.tolist()), seg_x.tolist(), u.tolist()))
         _write_csv(_outpath(cfg, f"trajectory_{tag}.csv"), ["t", "x", "u"], rows)
         _write_csv(
             _outpath(cfg, f"events_{tag}.csv"),
@@ -205,7 +211,7 @@ def cmd_value(cfg: RunConfig, t: float) -> int:
     _write_csv(
         _outpath(cfg, f"values_t{_fmt(t)}.csv"),
         ["x0", "V1", "V2", "region"],
-        zip(xs, v1, v2, regions),
+        zip(xs.tolist(), v1, v2.tolist(), regions.tolist()),
     )
     return EXIT_OK
 

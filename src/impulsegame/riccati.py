@@ -277,8 +277,12 @@ def _scan_back(mult, add, y_end):
     """Nodes of the backward recurrence y[i] = mult[i]*y[i+1] + add[i].
 
     A plain loop over floats: a cumulative product of ``mult`` would
-    underflow on long horizons where the recurrence itself does not.
+    underflow on long horizons where the recurrence itself does not.  A
+    quadrature (``mult`` the float 1.0, as for n1 and n2) is the same
+    sequential sum, which ``np.add.accumulate`` takes in the loop's order.
     """
+    if isinstance(mult, float) and mult == 1.0:
+        return np.add.accumulate(np.r_[y_end, add[::-1]])[::-1].copy()
     mult = np.broadcast_to(mult, np.shape(add)).tolist()
     ys = [y_end]
     for m, c in zip(reversed(mult), reversed(add.tolist())):

@@ -14,16 +14,17 @@ fewer substeps: Illinois regula falsi brackets the sign change of the
 band margin, two probes tighten the bracket, and bisection's own
 midpoint sequence is replayed, probing only the midpoints inside the
 bracket (event location as in Shampine & Thompson 2000).  That is
-bit-identical to plain bisection whenever the margin changes sign once
-on the step; where no bracket forms, plain bisection runs.  Each probe
-evaluates the coefficients and thresholds on Python floats (see
-:mod:`.riccati`).  The impulse resets the state exactly to the target,
-and integration resumes; a located exit within EVENT_TIME_TOL of T
-carries no impulse, while a start outside the band fires at any t0 but
-T itself.  Running costs are summed with Simpson's rule on the
-cubic-Hermite midpoint state, matching the integrator's accuracy, in one
-pass per trajectory that keeps each segment's integrals and drift slopes
-for later queries.
+bisection's point unless the margin's sign wobbles near its root at
+rounding level; then the locator ends on the bracket's probed end, so
+the exit it returns is always on or past a band edge.  Where no bracket
+forms, plain bisection runs.  Each probe evaluates the coefficients and
+thresholds on Python floats (see :mod:`.riccati`).  The impulse resets
+the state exactly to the target, and integration resumes; a located exit
+within EVENT_TIME_TOL of T carries no impulse, while a start outside the
+band fires at any t0 but T itself.  Running costs are summed with
+Simpson's rule on the cubic-Hermite midpoint state, matching the
+integrator's accuracy, in one pass per trajectory that keeps each
+segment's integrals and drift slopes for later queries.
 
 :func:`make_rollout_hook` returns one checked body for many starts, and
 :func:`rollout` calls a fresh one once.  The body keeps the
@@ -31,8 +32,12 @@ for later queries.
 start shares: the step maps, the thresholds, the drift and running-cost
 coefficients at the nodes and cell midpoints, the Hermite midpoint
 weights, the impulse budget's extremes and the last cumulative product.
-The trajectory does not keep the grid; ``costs_from(t1)`` integrates the
-segment holding t1 again at its own times.
+Starts outside the band share the rollout from their reset target, since
+Player 2 resets each to alpha(t0) or beta(t0): the grid keeps the rollout
+from each target, Simpson passes included, and such a start adds only
+its own t0 sample and event in front.  The trajectory does not keep the
+grid; ``costs_from(t1)`` integrates the segment holding t1 again at its
+own times.
 """
 
 import math
@@ -54,9 +59,10 @@ from .riccati import DEFAULT_STEPS, affine_rk4, hermite
 
 # Resolution of the event locator: tau is the right end of bisection's
 # final interval on the step, no wider than this.  _bisect_crossing
-# finds that same point with fewer probes when the band margin changes
-# sign once on the step.  A located exit this close to T carries no
-# impulse; the state is integrated on to T.
+# finds that same point with fewer probes, or a probed point within this
+# of it where the band margin is not monotone at rounding level.  A
+# located exit this close to T carries no impulse; the state is
+# integrated on to T.
 EVENT_TIME_TOL = 1e-10
 ILLINOIS_MAX_ITER = 40   # safety cap on the bracket narrowing; tau stays exact past it
 CHATTER_TOL = 1e-8       # two events closer than this abort the rollout
@@ -89,18 +95,18 @@ class Trajectory:
     ``x_minus`` and opens the next at ``x_plus``.  Between samples the
     state is the cubic Hermite interpolant with the closed-loop drift as
     slope.  ``grid`` is the :class:`_RolloutGrid` the segments were built
-    on; the constructor runs :func:`_simpson_pass` on its terms and keeps
-    the integrals and slopes, not the grid, for ``j1``, ``j2``,
-    :meth:`state_at` and :meth:`costs_from`.
+    on; the constructor runs :func:`_simpson_pass` on its terms, unless
+    given that pass as ``passes``, and keeps the integrals and slopes, not
+    the grid, for ``j1``, ``j2``, :meth:`state_at` and :meth:`costs_from`.
     """
 
-    def __init__(self, segments, events, terminal_state, path, params, grid):
+    def __init__(self, segments, events, terminal_state, path, params, grid, passes=None):
         self.segments = segments
         self.events = events
         self.terminal_state = terminal_state
         self._path = path
         self._params = params
-        self._passes = _simpson_pass(grid, segments)
+        self._passes = _simpson_pass(grid, segments) if passes is None else passes
         self.j1, self.j2 = self.costs_from(self.start_time)
 
     @property
@@ -312,7 +318,9 @@ class _RolloutGrid:
       six Hermite midpoint weights) of every cell;
     - ``ell1_min``, ``ell2_max``: the policy extremes of the impulse budget;
     - the cumulative product and sum of the steps from :meth:`scan`'s
-      latest start node, as far as a scan has needed them.
+      latest start node, as far as a scan has needed them;
+    - ``continued``: per reset target, the rollout from it at t0 (see
+      :func:`_rollout_on_grid`).
 
     The cached rows are the same expressions, evaluated elementwise, that
     a cell-by-cell evaluation would compute, so costs taken from them are
@@ -336,6 +344,7 @@ class _RolloutGrid:
         self.ell1_min = float(np.min(policy.ell1))
         self.ell2_max = float(np.max(policy.ell2))
         self._i0, self._prod, self._shift, self._filled = None, None, None, 0   # scan's
+        self.continued = {}
 
     def scan(self, i0, x, block):
         """Node states from node i0, starting at ``x``, through the first
@@ -447,6 +456,9 @@ def make_rollout_hook(path, policy, params, step=None):
     """:func:`rollout`'s checked body as a closure (t0, x0, max_events=None).
 
     Starts at one time share a grid; only the latest start time's is kept.
+    Starts outside the band at that time share the rollout from their
+    reset target, alpha(t0) or beta(t0), computed once; each adds its own
+    t0 event and raises what a fresh :func:`rollout` from it raises.
     """
     return _rollouts(path, policy, params, step)
 
@@ -510,24 +522,38 @@ def _bisect_crossing(grid, t_lo, x_lo, h):
     bracket [a, b] with m(a) > 0 >= m(b).  Bisection is then replayed: a
     midpoint at or below a goes to lo, one at or above b goes to hi, and
     only a midpoint strictly inside (a, b) is probed, tightening the
-    bracket.  Whenever m changes sign once on the step this gives
-    bisection's tau bit for bit.  Otherwise no bracket is formed (m(0)
-    <= 0, or m(h) is NaN) and every midpoint is probed: plain bisection.
+    bracket.  That is bisection's tau bit for bit when every unprobed
+    midpoint has the sign the bracket implies, which can fail where m is
+    not monotone at rounding level (about 1e-11): an unprobed final hi
+    with m > 0 is replaced by b, probed and within EVENT_TIME_TOL of it.
+    Without a bracket (m(0) <= 0, or m(h) is NaN) every midpoint is
+    probed: plain bisection.  A whole grid step takes its map and end
+    thresholds from the grid, equal to the float path bit for bit.
     """
-    path, policy = grid.path, grid.policy
+    path, policy, ts = grid.path, grid.policy, grid.ts
     start = _stage_terms(path, t_lo)
     states = {}
+    i = int(ts.searchsorted(t_lo))
+    whole = i + 1 < len(ts) and ts[i] == t_lo and t_lo + h == ts[i + 1]
+    nodes = {0.0: i, h: i + 1} if whole else {}     # offsets of grid nodes
 
     def margin(s, x):
         # <= 0 exactly where sides() fires; Illinois needs its signed value
-        ell1, _, _, ell2 = policy.thresholds_at(t_lo + s)
+        if s in nodes:
+            ell1, ell2 = float(grid.ell1[nodes[s]]), float(grid.ell2[nodes[s]])
+        else:
+            ell1, _, _, ell2 = policy.thresholds_at(t_lo + s)
         return min(x - ell1, ell2 - x)
 
     def probe(s):
         x = states[s] = _rk4_step(path, t_lo, x_lo, s, start)
         return margin(s, x)
 
-    m_h = probe(h)
+    if whole:
+        states[h] = float(grid.step_mult[i]) * x_lo + float(grid.step_add[i])
+        m_h = margin(h, states[h])
+    else:
+        m_h = probe(h)
     if m_h > 0.0:
         return None, states[h]
     a, b = 0.0, h
@@ -546,48 +572,37 @@ def _bisect_crossing(grid, t_lo, x_lo, h):
             hi = b = mid
         else:
             lo = a = mid
-    x_minus = states[hi] if hi in states else _rk4_step(path, t_lo, x_lo, hi, start)
-    return t_lo + hi, x_minus
+    if hi not in states and probe(hi) > 0.0:
+        hi = b      # probed, with m(b) <= 0, and within EVENT_TIME_TOL of hi
+    return t_lo + hi, states[hi]
 
 
-def _rollout_on_grid(grid, x0, max_events):
-    path, policy, params = grid.path, grid.policy, grid.params
-    T = params.T
-    ts = grid.ts
-    if max_events is None:      # the analytic cap over a box holding every reachable state
-        max_events = impulse_bound(params, StateBox(min(grid.ell1_min, x0) - 1.0,
-                                                    max(grid.ell2_max, x0) + 1.0))
+def _event(params, tau, x_minus, jump):
+    """The intervention at tau from x_minus, ``jump`` being :func:`.policy.impulse_map`'s."""
+    target, xi = jump
+    return ImpulseEvent(float(tau), float(x_minus), float(target), float(xi),
+                        player1_impulse_cost(params, xi), intervention_cost(params, xi))
 
-    events = []
-    segments = []
 
-    def fire(tau, x_minus, jump):
-        # jump = impulse_map(policy, tau, x_minus) is never None: every caller has just
-        # found x_minus on or outside the band at tau with the same thresholds_at(tau)
-        target, xi = jump
-        ev = ImpulseEvent(
-            tau=float(tau),
-            x_minus=float(x_minus),
-            x_plus=float(target),
-            xi=float(xi),
-            cost_p1=player1_impulse_cost(params, xi),
-            cost_p2=intervention_cost(params, xi),
+def _record(events, ev, max_events):
+    """Append ``ev`` to ``events``; raise ImpulseBudgetExceeded on chatter or past max_events."""
+    if events and ev.tau - events[-1].tau < CHATTER_TOL:
+        raise ImpulseBudgetExceeded(
+            f"chattering: events at tau={events[-1].tau!r} and tau={ev.tau!r}"
         )
-        if events and ev.tau - events[-1].tau < CHATTER_TOL:
-            raise ImpulseBudgetExceeded(
-                f"chattering: events at tau={events[-1].tau!r} and tau={ev.tau!r}"
-            )
-        events.append(ev)
-        if len(events) > max_events:
-            raise ImpulseBudgetExceeded(
-                f"{len(events)} events exceed the analytic bound {max_events}"
-            )
-        return ev
+    events.append(ev)
+    if len(events) > max_events:
+        raise ImpulseBudgetExceeded(
+            f"{len(events)} events exceed the analytic bound {max_events}"
+        )
+    return ev
 
-    t_cur, x_cur = grid.t0, x0
-    if (jump := impulse_map(policy, t_cur, x_cur)) is not None:
-        segments.append((np.array([t_cur]), np.array([x_cur])))
-        x_cur = fire(t_cur, x_cur, jump).x_plus
+
+def _advance(grid, x_cur, events, max_events):
+    """Segments from (grid.t0, x_cur) to T and the terminal state; exits go to ``events``."""
+    path, policy, params = grid.path, grid.policy, grid.params
+    T, ts = params.T, grid.ts
+    t_cur, segments = grid.t0, []
     seg_t, seg_x = [[t_cur]], [[x_cur]]     # the open segment, in array pieces
     node = int(np.searchsorted(ts, t_cur))     # the node the next step ends on
     block = len(ts)     # a scan's first block: to the horizon, then the last closed segment's length
@@ -611,16 +626,50 @@ def _rollout_on_grid(grid, x0, max_events):
             # an exit this close to the horizon carries no impulse
             t_cur, x_cur = T, _rk4_step(path, tau, x_new, T - tau) if tau < T else x_new
         else:
-            # the exit closes the segment; the next opens at the reset target
+            # the exit closes the segment; the next opens at the reset target.
+            # The locator found x_new's margin <= 0 at tau, so impulse_map
+            # fires there (a NaN margin would leave it None)
             segments.append((np.concatenate(seg_t + [[tau]]), np.concatenate(seg_x + [[x_new]])))
             seg_t, seg_x = [], []
             block = len(segments[-1][0])
-            t_cur, x_cur = tau, fire(tau, x_new, impulse_map(policy, tau, x_new)).x_plus
+            ev = _record(events, _event(params, tau, x_new, impulse_map(policy, tau, x_new)),
+                         max_events)
+            t_cur, x_cur = tau, ev.x_plus
             node = int(np.searchsorted(ts, t_cur))
         seg_t.append([t_cur])
         seg_x.append([x_cur])
     segments.append((np.concatenate(seg_t), np.concatenate(seg_x)))
-    return Trajectory(segments, events, x_cur, path, params, grid)
+    return segments, x_cur
+
+
+def _rollout_on_grid(grid, x0, max_events):
+    """The rollout from (grid.t0, x0).
+
+    A start outside the band fires at t0 and goes on along the rollout
+    from its reset target, kept in ``grid.continued`` with read-only
+    arrays; it replays that rollout's event checks against its own
+    budget.  A rollout that raised is not kept.
+    """
+    path, policy, params = grid.path, grid.policy, grid.params
+    if max_events is None:      # the analytic cap over a box holding every reachable state
+        max_events = impulse_bound(params, StateBox(min(grid.ell1_min, x0) - 1.0,
+                                                    max(grid.ell2_max, x0) + 1.0))
+    t0, events = grid.t0, []
+    if (jump := impulse_map(policy, t0, x0)) is None:
+        segments, x_end = _advance(grid, x0, events, max_events)
+        return Trajectory(segments, events, x_end, path, params, grid)
+    target = _record(events, _event(params, t0, x0, jump), max_events).x_plus
+    if target in grid.continued:
+        for ev in grid.continued[target][1]:
+            _record(events, ev, max_events)
+    else:
+        segments, x_end = _advance(grid, target, events, max_events)
+        for arr in (a for seg in segments for a in seg):
+            arr.flags.writeable = False
+        grid.continued[target] = segments, events[1:], x_end, _simpson_pass(grid, segments)
+    segments, _, x_end, passes = grid.continued[target]
+    return Trajectory([(np.array([t0]), np.array([x0]))] + segments, events, x_end, path,
+                      params, None, passes=[None] + passes)
 
 
 def admissibility_check(traj: Trajectory, policy: ThresholdPolicy) -> AdmissibilityReport:

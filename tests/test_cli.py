@@ -6,8 +6,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from impulsegame import build_policy, run_verification, solve_backward
-from impulsegame.cli import _write_csv, cmd_verify, load_config, main, parse_config
+from impulsegame import (
+    build_policy,
+    gamma_star,
+    make_rollout_hook,
+    run_verification,
+    solve_backward,
+)
+from impulsegame.cli import (
+    _write_csv,
+    cmd_simulate,
+    cmd_solve,
+    cmd_verify,
+    load_config,
+    main,
+    parse_config,
+)
 from impulsegame.errors import ConfigError
 
 REPO = Path(__file__).resolve().parent.parent
@@ -260,6 +274,33 @@ def test_report_csv_is_the_report_cell_by_cell(tmp_path, base, capsys):
     assert np.isnan(report.hjb1).any()
     if base == BASE_CFG:
         assert np.isposinf(report.margin_ell2).any()
+
+
+@pytest.mark.parametrize("base", [BASE_CFG, W2_1_CFG], ids=["table1", "table1_w2_1"])
+def test_solve_and_simulate_csvs_are_their_arrays_cell_by_cell(tmp_path, base):
+    # every cell is format(value, ".12g") of the array it comes from
+    cfg = load_config(str(write_cfg(tmp_path, base=base, output_dir=tmp_path / "out")))
+    assert cmd_solve(cfg) == 0 and cmd_simulate(cfg) == 0
+    path = solve_backward(cfg.params, cfg.n_steps)
+    policy = build_policy(path, cfg.params)
+
+    def expect(name, header, columns):
+        lines = [",".join(header)] + [",".join(format(v, ".12g") for v in row)
+                                      for row in zip(*columns)]
+        assert (tmp_path / "out" / name).read_bytes() == "".join(
+            line + "\n" for line in lines).encode(), name
+
+    ts = path.time_grid
+    expect("thresholds.csv", ["t", "ell1", "alpha", "beta", "ell2"],
+           (ts, policy.ell1, policy.alpha, policy.beta, policy.ell2))
+    expect("coefficients.csv", ["t", "p1", "q1", "n1", "p2", "q2", "n2", "a_x"],
+           (ts, path.p1, path.q1, path.n1, path.p2, path.q2, path.n2, path.a_x))
+    hook = make_rollout_hook(path, policy, cfg.params, cfg.sim_step)
+    for x0 in cfg.initial_states:
+        traj = hook(0.0, x0)
+        t, x = (np.concatenate([seg[i] for seg in traj.segments]) for i in (0, 1))
+        expect(f"trajectory_{format(x0, '.12g')}.csv", ["t", "x", "u"],
+               (t, x, gamma_star(path, cfg.params, t, x)))
 
 
 def test_verify_fails_with_named_condition_on_adversarial_config(tmp_path, capsys):

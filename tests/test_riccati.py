@@ -11,6 +11,7 @@ from impulsegame import (
     constants,
     p1_closed_form,
     p2_closed_form,
+    riccati,
     solve_backward,
 )
 
@@ -81,6 +82,30 @@ def test_affine_solve_matches_stagewise_reference(params):
     for j, name in enumerate(("q1", "n1", "q2", "n2")):
         np.testing.assert_allclose(getattr(path, name), ref[:, j], rtol=1e-12, atol=0.0,
                                    err_msg=name)
+
+
+@pytest.mark.parametrize("params", [BASELINE, variant(w2=1.0), variant(T=200.0)],
+                         ids=["table1", "table1_w2_1", "T200"])
+def test_quadrature_scan_equals_the_float_loop(params, monkeypatch):
+    # n1 and n2 have the step multiplier the float 1.0: their accumulated
+    # sum equals the recurrence's float loop bit for bit
+    scans = []
+    scan_back = riccati._scan_back
+
+    def recording(mult, add, y_end):
+        scans.append((mult, add, y_end, scan_back(mult, add, y_end)))
+        return scans[-1][-1]
+
+    monkeypatch.setattr(riccati, "_scan_back", recording)
+    path = solve_backward(params)
+    quadratures = [s for s in scans if isinstance(s[0], float)]
+    assert [s[0] for s in quadratures] == [1.0, 1.0]
+    for (mult, add, y_end, got), name in zip(quadratures, ("n1", "n2")):
+        want = [y_end]
+        for c in reversed(add.tolist()):
+            want.append(mult * want[-1] + c)
+        assert got.tobytes() == np.array(want[::-1]).tobytes(), name
+        assert getattr(path, name).tobytes() == got.tobytes(), name
 
 
 def test_overflowing_p2_reported_at_first_node():

@@ -1,4 +1,6 @@
+import dataclasses
 import gc
+import re
 import weakref
 from pathlib import Path
 
@@ -13,6 +15,7 @@ from impulsegame import (
     build_policy,
     impulse_bound,
     impulse_bound_parts,
+    impulse_map,
     make_rollout_hook,
     rollout,
     simulate,
@@ -497,6 +500,11 @@ def test_sweep_start_propagates_once(path, policy, params, monkeypatch):
         assert [ev.tau for ev in traj.events] == taus
         assert calls == [(0, len(traj.segments[-1][0]) - 1)]
         assert block_ends == [calls[0][1]]
+    # a second start jumping to the same target goes on along the kept rollout
+    calls.clear()
+    again = hook(0.3, 0.25)
+    assert [ev.tau for ev in again.events] == [0.3] and calls == []
+    assert shares_continuation(again, traj)
 
 
 @pytest.mark.parametrize("when", ["first segment", "after events"])
@@ -544,20 +552,27 @@ def test_admissibility_names_each_segments_first_bad_sample(grids):
 
 
 def test_spurious_exit_flag_keeps_the_node(monkeypatch):
-    # A node whose cached threshold puts it on the band edge while the
-    # locator, which evaluates the thresholds itself, finds no crossing on
-    # the step onto it: the rollout accepts the node and goes on.
+    # A node the scan flags while the locator, which steps onto it from
+    # the node before, finds no crossing on that step: the rollout accepts
+    # the node and goes on.  (The scan's cumulative-product state can sit
+    # on an edge by rounding where the locator's one step lands inside.)
     p = LONG_HORIZON["table1_T200"]
     pth = solve_backward(p)
     pol = build_policy(pth, p)
     clean = simulate._rollout_on_grid(_RolloutGrid(pth, pol, p, 0.0, p.T / 4096), 4.2, None)
     seg_t, seg_x = max(clean.segments, key=lambda seg: len(seg[0]))
     k = len(seg_t) // 2
-    grid = _RolloutGrid(pth, pol, p, 0.0, p.T / 4096)
+
+    class SpuriousFlag(_RolloutGrid):
+        def scan(self, i0, x, block):
+            xs, flagged = super().scan(i0, x, block)
+            if i0 < j < i0 + len(xs) - flagged:
+                return xs[:j - i0 + 1], True
+            return xs, flagged
+
+    grid = SpuriousFlag(pth, pol, p, 0.0, p.T / 4096)
     j = int(np.searchsorted(grid.ts, seg_t[k]))
     assert grid.ts[j] == seg_t[k]
-    grid.ell1 = grid.ell1.copy()
-    grid.ell1[j] = seg_x[k] + 1e-9
 
     misses = []
     locate = simulate._bisect_crossing
@@ -800,3 +815,116 @@ def test_hook_keeps_only_the_latest_start_times_grid(path, policy, params, monke
     assert len(built) == 50     # the two starts at one time share a grid
     assert sum(ref() is not None for ref in built) <= 1
     assert all(traj.costs_from(traj.start_time) == (traj.j1, traj.j2) for traj in kept)
+
+
+# ---------------------------------------------------------------------------
+# Starts outside the band share the rollout from their reset target: each
+# start's trajectory and errors against a fresh rollout from that start.
+
+
+def same(a, b):
+    """Byte equality of two floats, arrays or lists of event tuples."""
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def shares_continuation(a, b):
+    """Whether a and b hold the same array objects after their first segment."""
+    return len(a.segments) == len(b.segments) and all(
+        x is y for sa, sb in zip(a.segments[1:], b.segments[1:]) for x, y in zip(sa, sb))
+
+
+def assert_same_trajectory(got, want, T):
+    assert same([dataclasses.astuple(e) for e in got.events],
+                [dataclasses.astuple(e) for e in want.events])
+    assert len(got.segments) == len(want.segments)
+    for (ta, xa), (tb, xb) in zip(got.segments, want.segments):
+        assert same(ta, tb) and same(xa, xb)
+    assert same((got.terminal_state, got.j1, got.j2), (want.terminal_state, want.j1, want.j2))
+    seg_t = got.segments[-1][0]
+    t0 = got.start_time
+    for t in (t0, t0 + 0.3 * (seg_t[1] - t0), float(seg_t[len(seg_t) // 2]), 0.5 * (t0 + T), T):
+        assert same(got.state_at(t), want.state_at(t)), t
+        assert same(got.costs_from(t), want.costs_from(t)), t
+
+
+@pytest.mark.parametrize("name", ["table1", "table1_w2_1"])
+def test_shared_continuation_equals_fresh_rollout(name):
+    cfg = load_config(CONFIGS / f"{name}.cfg")
+    p = cfg.params
+    pth = solve_backward(p, cfg.n_steps)
+    pol = build_policy(pth, p)
+    hook = make_rollout_hook(pth, pol, p, cfg.sim_step)
+    shared = 0
+    for t in (0.0, 0.3, 0.77, p.T - 3e-10):
+        kept = {}
+        for x in np.linspace(cfg.box.x_lo, cfg.box.x_hi, cfg.nx + 1):
+            got = hook(t, x)
+            assert_same_trajectory(got, rollout(pth, pol, p, t, x, step=cfg.sim_step), p.T)
+            if got.events and got.events[0].tau == t:
+                first = kept.setdefault(got.events[0].x_plus, got)
+                assert shares_continuation(got, first)
+                assert not any(a.flags.writeable for seg in got.segments[1:] for a in seg)
+                shared += got is not first
+        assert 1 <= len(kept) <= 2, t   # starts outside the band go on from alpha or beta
+    assert shared >= 100
+
+
+def test_shared_continuation_raises_what_a_fresh_rollout_raises(monkeypatch):
+    # a start below the band jumps to alpha at t0, and the rollout from
+    # alpha meets the lower edge six more times
+    p = STEP_SCENARIOS["event_chain"]
+    pth = solve_backward(p)
+    pol = build_policy(pth, p)
+    built = []
+
+    class RecordedGrid(_RolloutGrid):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(simulate, "_RolloutGrid", RecordedGrid)
+    hook = make_rollout_hook(pth, pol, p)
+    for kept in (False, True):
+        for x0, cap in ((0.0, 0), (1.0, 1), (-2.0, 1)):
+            with pytest.raises(ImpulseBudgetExceeded,
+                               match=f"^{cap + 1} events exceed the analytic bound {cap}$"):
+                hook(0.0, x0, max_events=cap)
+            assert bool(built[0].continued) == kept     # a rollout that raised is not kept
+        full = hook(0.0, 0.0)
+        assert len(full.events) == 7 and len(built[0].continued) == 1
+    # chatter against the t0 event: the kept rollout's first event is
+    # within the (widened) tolerance of it
+    tau1 = full.events[1].tau
+    want = f"chattering: events at tau=0.0 and tau={tau1!r}"
+    with monkeypatch.context() as m:
+        m.setattr(simulate, "CHATTER_TOL", 2.0 * tau1)
+        for h in (hook, make_rollout_hook(pth, pol, p)):    # kept, then fresh
+            with pytest.raises(ImpulseBudgetExceeded, match=f"^{re.escape(want)}$"):
+                h(0.0, 1.0)
+    assert len(built) == 2 and not built[1].continued
+    # a diverging rollout from alpha: every start jumping there raises
+    grid = _RolloutGrid(pth, pol, p, 0.0, p.T / 4096)
+    j = 40
+    assert full.segments[1][0][j + 1] == grid.ts[j + 1]
+    grid.step_mult = grid.step_mult.copy()
+    grid.step_mult[j] = np.inf
+    for x0 in (0.0, 1.0):
+        with pytest.raises(simulate.NonFiniteStateError, match=f"at node {j + 1} "):
+            simulate._rollout_on_grid(grid, x0, None)
+    assert not grid.continued
+
+
+def test_locator_ends_on_a_probed_point_outside_the_band():
+    # On one step of this rollout the band margin is not monotone near its
+    # root at the 1e-11 level: bisection's last midpoint, which the
+    # locator's replay does not probe, lies 7.5e-12 inside the band.  The
+    # locator ends on its bracket's probed end instead, so every exit fires.
+    cfg = load_config(Path(__file__).resolve().parent / "data" / "locator_inside_band.cfg")
+    p = cfg.params
+    pth = solve_backward(p, cfg.n_steps)
+    pol = build_policy(pth, p)
+    traj = rollout(pth, pol, p, 0.0, cfg.initial_states[0], step=cfg.sim_step)
+    assert len(traj.events) >= 500
+    assert all(impulse_map(pol, ev.tau, ev.x_minus) is not None for ev in traj.events)
+    report = admissibility_check(traj, pol)
+    assert report.ok, report.violations
