@@ -91,7 +91,12 @@ def intervention_cost(params: GameParams, xi):
     Piecewise linear with a fixed part: ``C + c*xi`` upward, ``D - d*xi``
     downward, and ``min(C, D)`` for a zero-size intervention.  Accepts
     scalars or arrays; the infimum over all sizes is ``min(C, D) > 0``.
+    A float takes the same comparisons and arithmetic without numpy.
     """
+    if isinstance(xi, float):
+        if xi > 0.0:
+            return float(params.C + params.c * xi)
+        return float(params.D - params.d * xi if xi < 0.0 else min(params.C, params.D))
     xi = np.asarray(xi, dtype=float)
     cost = np.where(
         xi > 0.0,

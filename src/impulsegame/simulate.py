@@ -627,13 +627,16 @@ def _advance(grid, x_cur, events, max_events):
             t_cur, x_cur = T, _rk4_step(path, tau, x_new, T - tau) if tau < T else x_new
         else:
             # the exit closes the segment; the next opens at the reset target.
-            # The locator found x_new's margin <= 0 at tau, so impulse_map
-            # fires there (a NaN margin would leave it None)
+            # The locator found x_new's margin <= 0 at tau; impulse_map
+            # finds no reset only on a NaN band or thresholds that differ
+            if (jump := impulse_map(policy, tau, x_new)) is None:
+                raise NonFiniteStateError(
+                    f"no reset at the located exit tau={tau!r}, x={x_new!r}: the "
+                    f"thresholds there are not finite or differ from the locator's")
             segments.append((np.concatenate(seg_t + [[tau]]), np.concatenate(seg_x + [[x_new]])))
             seg_t, seg_x = [], []
             block = len(segments[-1][0])
-            ev = _record(events, _event(params, tau, x_new, impulse_map(policy, tau, x_new)),
-                         max_events)
+            ev = _record(events, _event(params, tau, x_new, jump), max_events)
             t_cur, x_cur = tau, ev.x_plus
             node = int(np.searchsorted(ts, t_cur))
         seg_t.append([t_cur])

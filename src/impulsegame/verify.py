@@ -12,8 +12,8 @@ coefficient.  Each check takes the whole grid in one call: the
 times as a column ``t[:, None]`` against the row of states.  The coarse
 dynamic programming oracle for Player 2's value, :func:`dp_oracle_v2`,
 is a separate, independent check that :func:`run_verification` does not
-call.  Both do their value-independent work once: the states' placement
-among the jump targets, and the oracle's advected states for every layer.
+call.  Both build the jump minimum once as a plan of its value-independent
+work; each row of target values, or oracle layer, runs only the rest.
 
 The time derivatives in the residuals are central differences of the
 value quadratics themselves (closed-form p1, p2, and q1, n1, q2, n2
@@ -23,7 +23,6 @@ solve those equations, at solver nodes as well as between them.
 """
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -171,42 +170,51 @@ def hjb1_residual(path: CoefficientPath, policy: ThresholdPolicy,
     return float(_hjb1(path, params, t, x))
 
 
-def _running_argmin(w):
-    """Index of the first minimum of ``w[..., :i + 1]``, for every i, along the last axis."""
+def _running_argmin(w, pos):
+    """``pos`` at the first minimum of ``w[..., :i + 1]``, for every i, along the last axis;
+    ``pos`` is nonnegative and increasing along that axis."""
     run = np.minimum.accumulate(w, axis=-1)
     drop = np.ones(run.shape, dtype=bool)     # where a new running minimum starts
     drop[..., 1:] = run[..., 1:] < run[..., :-1]
-    return np.maximum.accumulate(np.where(drop, np.arange(w.shape[-1]), 0), axis=-1)
+    return np.maximum.accumulate(np.where(drop, pos, 0), axis=-1)
 
 
-def _min_jump(params, targets, v_targets, x, lo, hi):
-    """min over m of ``v_targets[..., m] + intervention_cost(targets[m] - x)``.
+def _min_jump(params, targets, x, lo, hi):
+    """Plan for min over m of ``v_targets[..., m] + intervention_cost(targets[m] - x)``.
 
-    ``targets`` is strictly increasing, ``v_targets`` finite and ``x`` an
-    array, each along its last axis; leading axes broadcast, one row of
-    target values per row of states.  ``lo`` and ``hi`` place x among the
-    targets, ``targets[:lo] < x < targets[hi:]``, so ``lo < hi`` only on a
-    target; the placement does not depend on the values, so each caller
-    finds it once.  The jump cost is ``D - d*xi`` downward and ``C + c*xi``
-    upward, so the best target below x minimises ``v - d*y`` over a prefix
-    and the best above x minimises ``v + c*y`` over a suffix; a target
-    equal to x is the zero-size jump, ``min(C, D)``.  Those (at most) three
-    winners are scored by their known signs, with the dense minimum's
-    arithmetic, in O(len(targets) + len(x)) time per row.
+    ``targets`` is strictly increasing; ``x`` holds a row of states per row
+    of target values the plan takes.  ``lo`` and ``hi``, broadcast to x,
+    place it among the targets, ``targets[:lo] < x < targets[hi:]``, so
+    ``lo < hi`` only on a target.  The jump cost is ``D - d*xi`` downward
+    and ``C + c*xi`` upward, so the best target below x minimises ``v - d*y``
+    over a prefix and the best above x minimises ``v + c*y`` over a suffix;
+    a target equal to x is the zero-size jump, ``min(C, D)``.  The plan
+    holds what does not depend on the values: ``d*y``, ``c*y``, every
+    gather's flat index and the masks of absent candidates.  Applied to
+    finite values it runs the two running argmins and scores the (at most)
+    three winners with the dense minimum's arithmetic, O(m + len(x)) per row.
     """
-    lead = np.broadcast_shapes(v_targets.shape[:-1], x.shape[:-1])
-    if lead:    # take_along_axis needs every leading axis on every operand
-        v_targets = np.broadcast_to(v_targets, lead + v_targets.shape[-1:])
-        x, lo, hi = (np.broadcast_to(a, lead + x.shape[-1:]) for a in (x, lo, hi))
-    take = partial(np.take_along_axis, axis=-1)
     m = targets.size
-    below = take(_running_argmin(v_targets - params.d * targets), lo - 1)
-    above = take(m - 1 - _running_argmin((v_targets + params.c * targets)[..., ::-1])[..., ::-1],
-                 np.minimum(hi, m - 1))
-    score = np.stack([take(v_targets, below) + (params.D - params.d * (targets[below] - x)),
-                      take(v_targets, np.minimum(lo, m - 1)) + min(params.C, params.D),
-                      take(v_targets, above) + (params.C + params.c * (targets[above] - x))])
-    return np.min(score, axis=0, where=np.stack([lo > 0, hi > lo, hi < m]), initial=np.inf)
+    start = m * np.arange(np.prod(x.shape[:-1], dtype=int)).reshape(x.shape[:-1] + (1,))
+    pos, mirror = start + np.arange(m), 2 * start + m - 1    # flat positions, rows as (rows, m)
+    d_targets, c_targets = params.d * targets, params.c * targets
+    i_below, i_self = start + lo - 1, start + np.minimum(lo, m - 1)
+    i_above = start + m - 1 - np.minimum(hi, m - 1)    # in the reversed rows
+    missing = (lo <= 0, hi <= lo, hi >= m)
+
+    def min_jump(v_targets):
+        below = _running_argmin(v_targets - d_targets, pos).take(i_below)
+        # the suffix scan runs on reversed rows, whose position p is mirror - p here
+        above = mirror - _running_argmin((v_targets + c_targets)[..., ::-1], pos).take(i_above)
+        y_below, y_above = (targets.take(i, mode="wrap") for i in (below, above))    # i mod m
+        scores = (v_targets.take(below) + (params.D - params.d * (y_below - x)),
+                  v_targets.take(i_self) + min(params.C, params.D),
+                  v_targets.take(above) + (params.C + params.c * (y_above - x)))
+        for score, absent in zip(scores, missing):
+            np.copyto(score, np.inf, where=absent)
+        return np.minimum(np.minimum(scores[0], scores[1]), scores[2])
+
+    return min_jump
 
 
 def brute_force_rv2(path, policy, params, t, x, box: StateBox):
@@ -220,7 +228,9 @@ def brute_force_rv2(path, policy, params, t, x, box: StateBox):
     v2_targets = value_v2(path, policy, params, t, targets)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     lo, hi = (np.searchsorted(targets, x_arr, side=side) for side in ("left", "right"))
-    out = _min_jump(params, targets, v2_targets, x_arr, lo, hi)
+    lead = np.broadcast_shapes(v2_targets.shape[:-1], x_arr.shape[:-1])
+    x_arr, v2_targets = (np.broadcast_to(a, lead + a.shape[-1:]) for a in (x_arr, v2_targets))
+    out = _min_jump(params, targets, x_arr, lo, hi)(v2_targets)
     return float(out[0]) if np.ndim(x) == 0 and np.ndim(t) == 0 else out
 
 
@@ -326,8 +336,8 @@ def dp_oracle_v2(params: GameParams, path: CoefficientPath, box: StateBox,
     jumping value is the best target-node value plus the jump cost, the
     exact minimum over all nodes found in linear time per layer.
     Against the closed-form value this scheme is first-order accurate.
-    Before the loop, every layer's advected states are found in one
-    call, and each node is placed on itself as a jump target.
+    Before the loop, one call finds every layer's advected states and one
+    min-jump plan places each node on itself as a jump target.
     """
     if nt < 16 or nx < 16:
         raise ValueError(f"oracle grids need nt, nx >= 16 (got nt={nt}, nx={nx})")
@@ -341,7 +351,7 @@ def dp_oracle_v2(params: GameParams, path: CoefficientPath, box: StateBox,
     run_cost = dt * 0.5 * params.w2 * (xg - params.rho2) ** 2
     advected = xg + dt * (params.a * xg
                           + params.b * gamma_star(path, params, np.arange(nt)[:, None] * dt, xg))
-    lo, hi = np.arange(nx + 1), np.arange(1, nx + 2)     # the states are the targets
+    min_jump = _min_jump(params, xg, xg, np.arange(nx + 1), np.arange(1, nx + 2))    # on itself
     for k in range(nt - 1, -1, -1):
         v_next = values[k + 1]
         x_adv = advected[k]
@@ -355,7 +365,7 @@ def dp_oracle_v2(params: GameParams, path: CoefficientPath, box: StateBox,
         cont = v_adv + run_cost
         # a second jump never helps: each jump pays a fixed cost, so the
         # obstacle uses waiting values at the targets
-        jump = _min_jump(params, xg, cont, xg, lo, hi)
+        jump = min_jump(cont)
         values[k] = np.minimum(cont, jump)
         intervene[k] = jump < cont
     return DpOracleResult(t_grid=np.linspace(0.0, params.T, nt + 1), x_grid=xg,

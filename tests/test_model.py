@@ -72,6 +72,19 @@ def test_intervention_cost_one_sided_continuity():
     assert intervention_cost(BASELINE, 0.0) == min(BASELINE.C, BASELINE.D)
 
 
+@pytest.mark.parametrize("fixed", [(3.0, 5.0), (5, 3)], ids=["floats", "ints"])
+def test_intervention_cost_float_path_equals_array_path(fixed):
+    prm = variant(C=fixed[0], D=fixed[1])
+    xi = [-2.75, -1e-300, -0.0, 0.0, 1e-300, 0.1, 7.3, float("nan")]
+    array = intervention_cost(prm, np.array(xi))
+    for k, x in enumerate(xi):
+        for one in (x, np.float64(x)):
+            cost = intervention_cost(prm, one)
+            assert type(cost) is float, (x, type(cost))
+            assert np.float64(cost).tobytes() == array[k].tobytes(), (x, cost, array[k])
+    assert intervention_cost(prm, -0.0) == intervention_cost(prm, float("nan")) == min(fixed)
+
+
 def test_player1_impulse_cost_values():
     assert player1_impulse_cost(BASELINE, 2.5) == pytest.approx(5.0)
     assert player1_impulse_cost(BASELINE, 0.0) == 0.0

@@ -29,3 +29,25 @@ def test_every_private_def_is_referenced():
     assert len(defs) >= 30         # the walk found the package's helpers
     unreferenced = sorted(f"{file}: {name}" for name, file in defs.items() if name not in used)
     assert not unreferenced, unreferenced
+
+
+def test_every_module_import_is_used():
+    """Every name a module imports is used in that module or listed in its ``__all__``."""
+    unused, imported = [], 0
+    for file in sorted(SRC.glob("*.py")):
+        tree = ast.parse(file.read_text(), filename=str(file))
+        names, used, exported = {}, set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    names[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                exported.update(ast.literal_eval(node.value))
+        imported += len(names)
+        unused += [f"{file.name}:{line}: {name}" for name, line in names.items()
+                   if name not in used and name not in exported]
+    assert imported >= 50          # the walk found the package's imports
+    assert not unused, unused

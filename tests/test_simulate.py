@@ -22,7 +22,7 @@ from impulsegame import (
     solve_backward,
     value_v2,
 )
-from impulsegame.cli import load_config
+from impulsegame.cli import EXIT_MODEL, load_config, main
 from impulsegame.riccati import affine_rk4, hermite
 from impulsegame.simulate import EVENT_TIME_TOL, Trajectory, _bisect_crossing, _RolloutGrid
 
@@ -928,3 +928,19 @@ def test_locator_ends_on_a_probed_point_outside_the_band():
     assert all(impulse_map(pol, ev.tau, ev.x_minus) is not None for ev in traj.events)
     report = admissibility_check(traj, pol)
     assert report.ok, report.violations
+
+
+def test_located_exit_without_a_reset_is_a_named_error(tmp_path, monkeypatch, capsys):
+    # impulse_map finding no reset where the locator located an exit (as
+    # on a NaN band) is a model violation with its tau and x, not a crash
+    p = variant()
+    pth = solve_backward(p)
+    pol = build_policy(pth, p)
+    monkeypatch.setattr(simulate, "impulse_map", lambda policy, t, x: None)
+    message = r"no reset at the located exit tau=\S+, x=\S+: the thresholds there are not finite"
+    with pytest.raises(simulate.NonFiniteStateError, match=f"^{message}"):
+        rollout(pth, pol, p, 0.0, 8.0)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text((CONFIGS / "table1.cfg").read_text() + f"\noutput_dir = {tmp_path / 'out'}\n")
+    assert main(["simulate", "--config", str(cfg)]) == EXIT_MODEL
+    assert re.match(f"model violation: {message}", capsys.readouterr().err)

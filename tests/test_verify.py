@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,11 +22,14 @@ from impulsegame import (
     value_v2,
     verify,
 )
+from impulsegame.cli import load_config
 from impulsegame.model import intervention_cost
 from impulsegame.verify import (GAP_BASE_TOL, XI_RESOLUTION, DpOracleResult, QviSample,
                                 _min_jump, _phi_rates)
 
 from conftest import defining_rates, variant
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _shifted(path, name, slope=1e-3):
@@ -644,7 +649,7 @@ def test_min_jump_matches_dense_on_random_cases(fixed):
         np.testing.assert_array_equal(hi[:5], lo[:5] + 1)
         np.testing.assert_array_equal(np.concatenate([lo[5:8], hi[5:8]]), 0)
         np.testing.assert_array_equal(np.concatenate([lo[8:11], hi[8:11]]), m)
-        got = _min_jump(prm, targets, v, x, lo, hi)
+        got = _min_jump(prm, targets, x, lo, hi)(v)
         expected = _dense_min_jump(prm, targets, v, x)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0,
                                    err_msg=f"case {case}")
@@ -653,19 +658,68 @@ def test_min_jump_matches_dense_on_random_cases(fixed):
         np.testing.assert_array_equal(np.stack(_placement(targets, targets)),
                                       np.stack([on_self, on_self + 1]))
         np.testing.assert_array_equal(
-            _min_jump(prm, targets, v, targets, on_self, on_self + 1),
-            _min_jump(prm, targets, v, targets, *_placement(targets, targets)),
+            _min_jump(prm, targets, targets, on_self, on_self + 1)(v),
+            _min_jump(prm, targets, targets, *_placement(targets, targets))(v),
             err_msg=f"case {case}")
         # stacked rows of target values, against one shared row of states
         # and against one row of states each: every row equals its own call
         rows = np.stack([v, rng.permutation(v), v + rng.normal()])
         for xs in (x, np.stack([x, rng.permutation(x), -x])):
-            stacked = _min_jump(prm, targets, rows, xs, *_placement(targets, xs))
+            rows_xs = np.broadcast_to(xs, (3, x.size))      # a row of states per row of values
+            stacked = _min_jump(prm, targets, rows_xs, *_placement(targets, rows_xs))(rows)
             assert stacked.shape == (3, x.size)
             for k in range(3):
                 x_k = xs if xs.ndim == 1 else xs[k]
                 np.testing.assert_array_equal(
-                    stacked[k], _min_jump(prm, targets, rows[k], x_k, *_placement(targets, x_k)),
+                    stacked[k], _min_jump(prm, targets, x_k, *_placement(targets, x_k))(rows[k]),
                     err_msg=f"case {case}, row {k}")
                 np.testing.assert_allclose(stacked[k], _dense_min_jump(prm, targets, rows[k], x_k),
                                            rtol=1e-12, atol=0.0, err_msg=f"case {case}, row {k}")
+
+
+@pytest.mark.parametrize("fixed", [(3.0, 5.0), (5.0, 3.0)], ids=["C<D", "C>D"])
+def test_min_jump_plan_reused_on_many_rows_equals_fresh_plans(fixed):
+    """One plan applied to row after row, as the oracle applies it layer by
+    layer: each result equals a fresh plan's on that row and the dense
+    minimum, and stays so after the later rows (no state leaks between calls)."""
+    rng = np.random.default_rng(20261019)
+    prm = variant(C=fixed[0], D=fixed[1], c=1.7, d=2.9)
+    targets = np.linspace(-5.0, 5.0, 301)
+    for xs in (targets, np.concatenate([rng.uniform(-7.0, 7.0, 40), targets[::7]]),
+               np.stack([targets, targets[::-1]])):
+        plan = _min_jump(prm, targets, xs, *_placement(targets, xs))
+        rows = [rng.normal(size=xs.shape[:-1] + targets.shape) * scale
+                for scale in (0.1, 1.0, 10.0, 100.0)]
+        rows += [np.full_like(rows[0], 2.5), (targets - 1.0) ** 2 + 0.0 * rows[0], rows[1]]
+        copies = [r.copy() for r in rows]
+        results = [plan(r) for r in rows]
+        for k, (row, got) in enumerate(zip(rows, results)):
+            np.testing.assert_array_equal(row, copies[k], err_msg=f"row {k} was written")
+            np.testing.assert_array_equal(
+                got, _min_jump(prm, targets, xs, *_placement(targets, xs))(row), err_msg=f"row {k}")
+            for r in range(xs.shape[0] if xs.ndim == 2 else 1):
+                x_r, row_r, got_r = (a[r] if xs.ndim == 2 else a for a in (xs, row, got))
+                np.testing.assert_allclose(got_r, _dense_min_jump(prm, targets, row_r, x_r),
+                                           rtol=1e-12, atol=0.0, err_msg=f"row {k}, {r}")
+        np.testing.assert_array_equal(results[1], results[-1])    # the same row, applied again
+
+
+@pytest.mark.parametrize("name", ["table1", "table1_w2_1"])
+def test_dp_oracle_converges_at_first_order_on_shipped_configs(name):
+    """Criterion 7's rule on each shipped config at its own horizon:
+    doubling the oracle's grid cuts its interior error at t = 0 by about 2."""
+    cfg = load_config(CONFIGS / f"{name}.cfg")
+    prm = cfg.params
+    pth = solve_backward(prm)
+    pol = build_policy(pth, prm)
+    ell1, _, _, ell2 = pol.thresholds_at(0.0)
+
+    def discrepancy(n):
+        oracle = dp_oracle_v2(prm, pth, cfg.box, nt=n, nx=n)
+        xs = oracle.x_grid
+        interior = (xs > ell1) & (xs < ell2)
+        return float(np.max(np.abs(oracle.values[0] - value_v2(pth, pol, prm, 0.0, xs))[interior]))
+
+    disc200, disc400 = discrepancy(200), discrepancy(400)
+    assert disc200 <= 5e-2, disc200
+    assert disc400 <= 0.52 * disc200, (disc200, disc400)
