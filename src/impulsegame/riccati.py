@@ -15,12 +15,13 @@ verifier node slopes from finite differences of the node values instead.
 
 Every formula here has one body that serves a Python float and an array.
 A scalar time (float, int or 0-d array) runs through it on Python floats
-and returns a float: no array round trip, and :func:`hermite` finds the
-cell with :func:`bisect.bisect_right` on node lists that each
-``CoefficientPath`` builds once.  This is the path a rollout's event
-locator takes on every probe.  The float path equals the array path bit
-for bit: both round each operation once, and both use ``np.exp``
-(``math.exp`` differs from it in the last ulp for some arguments).
+and returns a float: no array round trip, and :func:`_interpolate` finds
+the cell with :func:`bisect.bisect_right` on node lists that each
+``CoefficientPath`` builds once.  A rollout's event locator evaluates
+:meth:`CoefficientPath.coefficients_at` twice per probe: a_x, b_x*q1, p2
+and q2 from one exponential and one Hermite cell.  The float path equals
+the array path bit for bit: both round each operation once, and both use
+``np.exp`` (``math.exp`` differs from it in the last ulp for some arguments).
 """
 
 import bisect
@@ -65,11 +66,11 @@ def constants(params: GameParams) -> RiccatiConstants:
         raise DegenerateParameterError(
             f"theta + 2*(b^2/r1)*s1 - 2*a vanished (theta={theta!r})"
         )
-    c1 = (2.0 * theta / divisor - 1.0) * _exp(-theta * T)
+    c1 = (2.0 * theta / divisor - 1.0) * float(np.exp(-theta * T))
 
     if theta == 0.0:
         raise DegenerateParameterError("theta = 0: control has no authority")
-    eT = _exp(theta * T)
+    eT = float(np.exp(theta * T))
     h_const = (
         2.0 * c1 * s2
         + s2 / eT
@@ -88,16 +89,20 @@ def _float_or_array(t):
     return float(t) if t.ndim == 0 else t
 
 
-def _exp(x):
-    """``np.exp``, returned as a Python float for a float argument."""
-    return float(np.exp(x)) if isinstance(x, float) else np.exp(x)
-
-
-def _denominator(consts: RiccatiConstants, t):
-    den = consts.c1 * _exp(consts.theta * t) + 1.0
+def _closed_forms(consts: RiccatiConstants, params, t, band):
+    """(a_x, p2) at a float or array ``t`` from one exponential e^(theta*t);
+    p2 is None unless ``band``.  The one body of both closed forms."""
+    theta, c1 = consts.theta, consts.c1
+    e = float(np.exp(theta * t)) if isinstance(t, float) else np.exp(theta * t)
+    den = c1 * e + 1.0
     if den == 0.0 if isinstance(den, float) else np.any(den == 0.0):
         raise DegenerateParameterError("c1*exp(theta*t) + 1 vanished")
-    return den
+    ax = theta / 2.0 - theta / den
+    if not band:
+        return ax, None
+    h, w2 = consts.h_const, params.w2
+    num = -w2 * e * e * c1 * c1 - 2.0 * t * theta * w2 * e * c1 + w2 + h * theta * e
+    return ax, num / (theta * (den * den))
 
 
 def a_x(consts: RiccatiConstants, t):
@@ -105,7 +110,7 @@ def a_x(consts: RiccatiConstants, t):
 
     Identically equal to a + b_x*p1(t).
     """
-    return consts.theta / 2.0 - consts.theta / _denominator(consts, _float_or_array(t))
+    return _closed_forms(consts, None, _float_or_array(t), False)[0]
 
 
 def p1_closed_form(consts: RiccatiConstants, params: GameParams, t):
@@ -117,13 +122,7 @@ def p1_closed_form(consts: RiccatiConstants, params: GameParams, t):
 
 def p2_closed_form(consts: RiccatiConstants, params: GameParams, t):
     """Player 2 quadratic coefficient p2(t); p2(T) = s2 by construction."""
-    t = _float_or_array(t)
-    theta, c1, h = consts.theta, consts.c1, consts.h_const
-    w2 = params.w2
-    e = _exp(theta * t)
-    num = -w2 * e * e * c1 * c1 - 2.0 * t * theta * w2 * e * c1 + w2 + h * theta * e
-    den = _denominator(consts, t)
-    return num / (theta * (den * den))
+    return _closed_forms(consts, params, _float_or_array(t), True)[1]
 
 
 def affine_rk4(h, a, b):
@@ -133,18 +132,42 @@ def affine_rk4(h, a, b):
     t, t + h/2, t + h/2 and t + h; each entry may be a scalar or an array
     (one step per element).  Returns ``(stages, mult, add)``: stage j's
     state is ``s_j*y + r_j`` with ``stages[j] = (s_j, r_j)``, and the step
-    is ``y -> mult*y + add``.
+    is ``y -> mult*y + add``.  Stage j's slope is ``u_j*y + v_j``; the
+    stages are written out, and the weighted sums start from 0.0.
     """
-    stages = [(1.0, 0.0)]
-    u_sum = v_sum = 0.0
-    for aj, bj, weight, c in zip(a, b, (1.0, 2.0, 2.0, 1.0), (0.5 * h, 0.5 * h, h, None)):
-        s, r = stages[-1]
-        u, v = aj * s, aj * r + bj            # stage slope k_j = u*y + v
-        u_sum = u_sum + weight * u
-        v_sum = v_sum + weight * v
-        if c is not None:
-            stages.append((1.0 + c * u, c * v))
-    return stages, 1.0 + h / 6.0 * u_sum, h / 6.0 * v_sum
+    (a0, a1, a2, a3), (b0, b1, b2, b3) = a, b
+    c = 0.5 * h
+    v0 = a0 * 0.0 + b0                  # u0 = a0
+    s1, r1 = 1.0 + c * a0, c * v0
+    u1, v1 = a1 * s1, a1 * r1 + b1
+    s2, r2 = 1.0 + c * u1, c * v1
+    u2, v2 = a2 * s2, a2 * r2 + b2
+    s3, r3 = 1.0 + h * u2, h * v2
+    u3, v3 = a3 * s3, a3 * r3 + b3
+    u_sum = 0.0 + a0 + 2.0 * u1 + 2.0 * u2 + u3
+    v_sum = 0.0 + v0 + 2.0 * v1 + 2.0 * v2 + v3
+    return [(1.0, 0.0), (s1, r1), (s2, r2), (s3, r3)], 1.0 + h / 6.0 * u_sum, h / 6.0 * v_sum
+
+
+def _interpolate(ts, t, first, second=None):
+    """Cubic Hermite interpolants at ``t`` through ``first`` and ``second``
+    (None if not given), each (node values, node slopes) on the nodes ``ts``,
+    from one cell search and one set of weights.  See :func:`hermite`."""
+    if isinstance(t, float):
+        k = bisect.bisect_right(ts, t, 1, len(ts) - 1) - 1
+    else:
+        k = np.searchsorted(ts[1:-1], t, side="right")
+    t0 = ts[k]
+    h = ts[k + 1] - t0
+    s = (t - t0) / h
+    s1 = 1.0 - s
+    w_y0, w_b0, w_f0, w_y1, w_b1, w_f1 = s1 * s1, 1.0 + 2.0 * s, s * h, s * s, 3.0 - 2.0 * s, s1 * h
+    ys, dys = first
+    y = w_y0 * (w_b0 * ys[k] + w_f0 * dys[k]) + w_y1 * (w_b1 * ys[k + 1] - w_f1 * dys[k + 1])
+    if second is None:
+        return y, None
+    ys, dys = second
+    return y, w_y0 * (w_b0 * ys[k] + w_f0 * dys[k]) + w_y1 * (w_b1 * ys[k + 1] - w_f1 * dys[k + 1])
 
 
 def hermite(ts, ys, dys, t):
@@ -155,16 +178,7 @@ def hermite(ts, ys, dys, t):
     float ``t`` takes the cell by bisection, which is cheapest when
     ``ts``, ``ys`` and ``dys`` are lists; the arithmetic is the same.
     """
-    if isinstance(t, float):
-        k = bisect.bisect_right(ts, t, 1, len(ts) - 1) - 1
-    else:
-        k = np.searchsorted(ts[1:-1], t, side="right")
-    t0 = ts[k]
-    h = ts[k + 1] - t0
-    s = (t - t0) / h
-    s1 = 1.0 - s
-    return (s1 * s1 * ((1.0 + 2.0 * s) * ys[k] + s * h * dys[k])
-            + s * s * ((3.0 - 2.0 * s) * ys[k + 1] - s1 * h * dys[k + 1]))
+    return _interpolate(ts, t, (ys, dys))[0]
 
 
 def _slopes(params: GameParams, b_x, ax, p2, q1, q2):
@@ -238,6 +252,17 @@ class CoefficientPath:
     def a_x_at(self, t):
         return a_x(self.constants, t)
 
+    def coefficients_at(self, t, band=True):
+        """(a_x, b_x*q1, p2, q2) at ``t``, or (a_x, b_x*q1) without the band's p2, q2,
+        from one exponential and one Hermite cell: :func:`a_x`, :meth:`q1_at`,
+        :func:`p2_closed_form` and :meth:`q2_at` bit for bit."""
+        t = _float_or_array(t)
+        ax, p2 = _closed_forms(self.constants, self.params, t, band)
+        grid, tables = self._lists if isinstance(t, float) else (self.time_grid, self._tables)
+        q1, q2 = _interpolate(grid, t, tables["q1"], tables["q2"] if band else None)
+        bq1 = self.constants.b_x * q1
+        return (ax, bq1, p2, q2) if band else (ax, bq1)
+
     # interpolated evaluations
     def _interp(self, which, t):
         t = _float_or_array(t)
@@ -305,8 +330,7 @@ def solve_backward(params: GameParams, n_steps: int = DEFAULT_STEPS) -> Coeffici
     ts = np.linspace(0.0, params.T, n_steps + 1)
     h = -params.T / n_steps             # step i runs from node i + 1 to node i
     mids = ts[1:] + 0.5 * h
-    ax_n, ax_m = a_x(consts, ts), a_x(consts, mids)
-    p2_n, p2_m = p2_closed_form(consts, params, ts), p2_closed_form(consts, params, mids)
+    (ax_n, p2_n), (ax_m, p2_m) = (_closed_forms(consts, params, t, True) for t in (ts, mids))
     ax_st = (ax_n[1:], ax_m, ax_m, ax_n[:-1])
     p2_st = (p2_n[1:], p2_m, p2_m, p2_n[:-1])
     neg_ax = [-ax for ax in ax_st]      # q1 and q2 share the linear part -a_x*y

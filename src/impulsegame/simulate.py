@@ -17,8 +17,9 @@ bracket (event location as in Shampine & Thompson 2000).  That is
 bisection's point unless the margin's sign wobbles near its root at
 rounding level; then the locator ends on the bracket's probed end, so
 the exit it returns is always on or past a band edge.  Where no bracket
-forms, plain bisection runs.  Each probe evaluates the coefficients and
-thresholds on Python floats (see :mod:`.riccati`).  The impulse resets
+forms, plain bisection runs.  Each probe evaluates the coefficients on
+Python floats at two times (see :mod:`.riccati`): the drift at the
+substep's midpoint, the drift and the band at its end.  The impulse resets
 the state exactly to the target, and integration resumes; a located exit
 within EVENT_TIME_TOL of T carries no impulse, while a start outside the
 band fires at any t0 but T itself.  Running costs are summed with
@@ -134,13 +135,6 @@ class Trajectory:
             lo = min(lo, float(np.min(u)))
             hi = max(hi, float(np.max(u)))
         return lo, hi
-
-    def impulse_range(self):
-        """(min, max) impulse size over the events, (0.0, 0.0) if none."""
-        if not self.events:
-            return 0.0, 0.0
-        sizes = [ev.xi for ev in self.events]
-        return min(sizes), max(sizes)
 
     def costs_from(self, t1):
         """Running, impulse and terminal costs accumulated on [t1, T].
@@ -281,26 +275,21 @@ def _simpson_pass(grid, segments):
     return passes
 
 
-def _stage_terms(path, t):
-    """(a_x, b_x*q1) at ``t``: the closed loop's coefficients at one RK4 stage."""
-    return path.a_x_at(t), path.constants.b_x * path.q1_at(t)
-
-
-def _step_map(path, t, h, start=None):
+def _step_map(path, t, h, start=None, end=None):
     """RK4 steps of the closed loop from ``t`` over ``h`` as x -> mult*x + add.
 
-    ``t`` and ``h`` are floats, or arrays of equal shape; ``start``, if
-    given, is :func:`_stage_terms` at ``t``."""
-    a0, b0 = _stage_terms(path, t) if start is None else start
-    am, bm = _stage_terms(path, t + 0.5 * h)
-    a1, b1 = _stage_terms(path, t + h)
+    ``t`` and ``h`` are floats, or arrays of equal shape; ``start`` and
+    ``end``, if given, are the drift's (a_x, b_x*q1) at ``t`` and ``t + h``."""
+    a0, b0 = path.coefficients_at(t, band=False) if start is None else start
+    am, bm = path.coefficients_at(t + 0.5 * h, band=False)
+    a1, b1 = path.coefficients_at(t + h, band=False) if end is None else end
     _, mult, add = affine_rk4(h, (a0, am, am, a1), (b0, bm, bm, b1))
     return mult, add
 
 
-def _rk4_step(path, t, x, h, start=None):
+def _rk4_step(path, t, x, h):
     """One explicit RK4 step of the closed-loop dynamics."""
-    mult, add = _step_map(path, t, h, start)
+    mult, add = _step_map(path, t, h)
     return float(mult * x + add)
 
 
@@ -527,38 +516,41 @@ def _bisect_crossing(grid, t_lo, x_lo, h):
     not monotone at rounding level (about 1e-11): an unprobed final hi
     with m > 0 is replaced by b, probed and within EVENT_TIME_TOL of it.
     Without a bracket (m(0) <= 0, or m(h) is NaN) every midpoint is
-    probed: plain bisection.  A whole grid step takes its map and end
-    thresholds from the grid, equal to the float path bit for bit.
+    probed: plain bisection.  A step from a grid node takes its start
+    terms and thresholds from the grid, evaluating nothing there; a whole
+    grid step also takes its map and end thresholds from it.  Each equals
+    the float path bit for bit.
     """
     path, policy, ts = grid.path, grid.policy, grid.ts
-    start = _stage_terms(path, t_lo)
     states = {}
     i = int(ts.searchsorted(t_lo))
-    whole = i + 1 < len(ts) and ts[i] == t_lo and t_lo + h == ts[i + 1]
-    nodes = {0.0: i, h: i + 1} if whole else {}     # offsets of grid nodes
+    on_node = i < len(ts) and ts[i] == t_lo
+    whole = on_node and i + 1 < len(ts) and t_lo + h == ts[i + 1]
+    start = grid.nodes[:2, i].tolist() if on_node else path.coefficients_at(t_lo, band=False)
 
-    def margin(s, x):
+    def margin(x, ell1, _alpha, _beta, ell2):
         # <= 0 exactly where sides() fires; Illinois needs its signed value
-        if s in nodes:
-            ell1, ell2 = float(grid.ell1[nodes[s]]), float(grid.ell2[nodes[s]])
-        else:
-            ell1, _, _, ell2 = policy.thresholds_at(t_lo + s)
         return min(x - ell1, ell2 - x)
 
+    def node_band(k):
+        return float(grid.ell1[k]), None, None, float(grid.ell2[k])
+
     def probe(s):
-        x = states[s] = _rk4_step(path, t_lo, x_lo, s, start)
-        return margin(s, x)
+        a1, b1, p2, q2 = path.coefficients_at(t_lo + s)
+        mult, add = _step_map(path, t_lo, s, start, (a1, b1))
+        x = states[s] = mult * x_lo + add
+        return margin(x, *policy.band(p2, q2))
 
     if whole:
         states[h] = float(grid.step_mult[i]) * x_lo + float(grid.step_add[i])
-        m_h = margin(h, states[h])
+        m_h = margin(states[h], *node_band(i + 1))
     else:
         m_h = probe(h)
     if m_h > 0.0:
         return None, states[h]
     a, b = 0.0, h
     if h > EVENT_TIME_TOL and m_h <= 0.0:    # m_h is not NaN
-        m_0 = margin(0.0, x_lo)
+        m_0 = margin(x_lo, *(node_band(i) if on_node else policy.thresholds_at(t_lo)))
         if m_0 > 0.0:
             a, b = _illinois(probe, a, m_0, b, m_h)
     lo, hi = 0.0, h
@@ -604,7 +596,7 @@ def _advance(grid, x_cur, events, max_events):
     T, ts = params.T, grid.ts
     t_cur, segments = grid.t0, []
     seg_t, seg_x = [[t_cur]], [[x_cur]]     # the open segment, in array pieces
-    node = int(np.searchsorted(ts, t_cur))     # the node the next step ends on
+    node = int(ts.searchsorted(t_cur))     # the node the next step ends on
     block = len(ts)     # a scan's first block: to the horizon, then the last closed segment's length
     while t_cur < T:
         if ts[node] == t_cur:
@@ -638,7 +630,7 @@ def _advance(grid, x_cur, events, max_events):
             block = len(segments[-1][0])
             ev = _record(events, _event(params, tau, x_new, jump), max_events)
             t_cur, x_cur = tau, ev.x_plus
-            node = int(np.searchsorted(ts, t_cur))
+            node = int(ts.searchsorted(t_cur))
         seg_t.append([t_cur])
         seg_x.append([x_cur])
     segments.append((np.concatenate(seg_t), np.concatenate(seg_x)))

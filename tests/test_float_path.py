@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from impulsegame import build_policy, solve_backward
+from impulsegame.policy import _band
 from impulsegame.riccati import a_x, hermite, p1_closed_form, p2_closed_form
 from impulsegame.simulate import _step_map
 
@@ -84,6 +85,28 @@ def test_thresholds(solved):
         want = policy.thresholds_at(ts)
     for k, curve in enumerate(want):
         assert_same([g[k] for g in got], curve)
+
+
+def test_coefficients_at_equals_each_coefficients_array_path(solved):
+    # one exponential and one Hermite cell per time, for a probe's
+    # midpoint (no band) and its end (with the band)
+    params, path, policy = solved
+    ts = probe_times(params, path)
+    consts = path.constants
+    p2 = p2_closed_form(consts, params, ts)
+    want = (a_x(consts, ts), consts.b_x * path.q1_at(ts), p2, path.q2_at(ts))
+    for band, n in ((True, 4), (False, 2)):
+        got = path.coefficients_at(ts, band=band)
+        floats = [path.coefficients_at(t, band=band) for t in ts.tolist()]
+        assert len(got) == n and all(len(f) == n for f in floats)
+        for k in range(n):
+            assert_same(got[k], want[k])
+            assert all(type(f[k]) is float for f in floats)
+            assert_same([f[k] for f in floats], want[k])
+    with np.errstate(invalid="ignore"):   # p2 < 0 far past T: NaN on both paths
+        band = _band(p2, want[3], params)
+        for k, curve in enumerate(policy.thresholds_at(ts)):
+            assert_same(curve, band[k])
 
 
 def test_step_map(solved):

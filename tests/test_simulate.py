@@ -17,6 +17,7 @@ from impulsegame import (
     impulse_bound_parts,
     impulse_map,
     make_rollout_hook,
+    riccati,
     rollout,
     simulate,
     solve_backward,
@@ -282,10 +283,10 @@ def test_realized_control_and_impulse_ranges(path, policy, params):
     traj = rollout(path, policy, params, 0.0, 8.0)
     lo, hi = traj.control_range()
     assert lo <= gamma_star(path, params, 0.5, traj.state_at(0.5)) <= hi
-    xi_lo, xi_hi = traj.impulse_range()
-    assert xi_lo == xi_hi == traj.events[0].xi
+    sizes = [ev.xi for ev in traj.events]
+    assert min(sizes) == max(sizes) == traj.events[0].xi
     quiet = rollout(path, policy, params, 0.0, 5.0)
-    assert quiet.impulse_range() == (0.0, 0.0)
+    assert quiet.events == []
 
 
 def test_deterministic_replay(path, policy, params):
@@ -393,6 +394,41 @@ def test_locator_equals_bisection_on_seeded_steps(grids):
             counts["no_bracket"] += got[0] is not None and min(x_lo - ell1, ell2 - x_lo) <= 0.0
     assert counts["steps"] >= 2000 and counts["crossing"] >= 1000, counts
     assert min(counts.values()) >= 100, counts
+
+
+def test_locator_probe_evaluates_the_coefficients_at_two_times(grids, monkeypatch):
+    # a probe's RK4 substep evaluates the closed forms and the
+    # interpolants at its midpoint and its end only; a step from a grid
+    # node takes that node's terms from the grid
+    calls = {"affine_rk4": [], "_closed_forms": [], "_interpolate": []}
+
+    def record(module, name, time_arg):
+        fn = getattr(module, name)
+
+        def recorded(*args):
+            calls[name].append(args[time_arg])
+            return fn(*args)
+        monkeypatch.setattr(module, name, recorded)
+
+    record(simulate, "affine_rk4", 0)
+    record(riccati, "_closed_forms", 2)
+    record(riccati, "_interpolate", 1)
+    probes = on_node = 0
+    for j, name in enumerate(LONG_HORIZON):
+        grid = grids[name]
+        for t_lo, x_lo, h in seeded_steps(grid, 400, seed=300 + j):
+            for c in calls.values():
+                c.clear()
+            _bisect_crossing(grid, t_lo, x_lo, h)
+            n = len(calls["affine_rk4"])
+            node = t_lo in grid.ts
+            for times in (calls["_closed_forms"], calls["_interpolate"]):
+                later = [t for t in times if t != t_lo]
+                assert len(later) <= 2 * n, (name, t_lo, x_lo, h)
+                assert len(times) - len(later) <= (0 if node else 2), (name, t_lo, x_lo, h)
+            probes += n
+            on_node += node
+    assert probes >= 2000 and on_node >= 300
 
 
 def test_locator_falls_back_to_bisection_without_bracket(grids, monkeypatch):
