@@ -10,7 +10,6 @@ from .errors import (
     InvalidParameterError,
     NonFiniteStateError,
     OrderingViolation,
-    RegionError,
 )
 from .model import (
     GameParams,
@@ -55,7 +54,6 @@ from .verify import (
     brute_force_rv2,
     convexity_margin,
     dp_oracle_v2,
-    hjb1_residual,
     qvi_check,
     run_verification,
     sufficiency_margins,
@@ -72,9 +70,9 @@ __all__ = [
     "impulse_bound", "impulse_bound_parts", "admissibility_check",
     "make_rollout_hook",
     "QviSample", "SufficiencySample", "VerificationReport", "DpOracleResult",
-    "hjb1_residual", "qvi_check", "brute_force_rv2", "sufficiency_margins",
+    "qvi_check", "brute_force_rv2", "sufficiency_margins",
     "convexity_margin", "dp_oracle_v2", "run_verification",
     "InvalidParameterError", "DegenerateParameterError", "ConvexityViolation",
     "OrderingViolation", "ImpulseBudgetExceeded", "NonFiniteStateError",
-    "RegionError", "ConfigError",
+    "ConfigError",
 ]

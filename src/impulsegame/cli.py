@@ -2,16 +2,19 @@
 solve / simulate / value / verify / bound pipelines, emit CSV artifacts.
 
 All CSV output is deterministic: '.' decimal separator, 12 significant
-digits, header row, newline-terminated rows.  Exit codes: 0 success,
-1 config error, 2 numeric or model violation, 3 verification failure.
+digits, header row, newline-terminated rows.  Every CSV goes through one
+column writer, :func:`_write_csv`: each numeric cell is Python's
+``'%.12g' % v`` of the float64 value, byte for byte (``nan``, ``inf``,
+``-inf``, ``-0`` included), formatted a column at a time in numpy with a
+per-cell ``%`` only where the fast path cannot be sure of the rounding.
+Exit codes: 0 success, 1 config error, 2 numeric or model violation,
+3 verification failure.
 """
 
 import argparse
 import os
 import sys
 from dataclasses import dataclass, field, fields
-from functools import cache
-from itertools import chain
 
 import numpy as np
 
@@ -123,22 +126,144 @@ def _fmt(value) -> str:
     return f"{value:.12g}"
 
 
-def _write_csv(path, header, rows):
-    """Write ``header`` and ``rows``, one line per row.
+# '%.12g' of a float64 column, in numpy.  Cells are position-major: row j of
+# a (width, n) uint8 array is byte j of every cell.  A cell may hold NULs
+# anywhere, since _lines deletes them, so each byte has a fixed row: a float
+# cell is a sign, five bytes for "0." and up to three zeros, thirteen for
+# twelve digits with the point among them, and four for "e-XX".  With X the
+# decimal exponent, column X + 30 of _AFFIX holds the prefix and exponent
+# bytes for X in [-30, 11] (fixed notation for -4 <= X < 12, as %g has it);
+# columns 42-44 hold "nan", "inf" and "0".
+_X = np.arange(-30, 12)
+_SCI = _X < -4
+_POINT = np.concatenate([np.where(_SCI, 1, np.where(_X >= 0, _X + 1, 13)), [13, 13, 13]])
+_AFFIX = np.zeros((9, 45), np.uint8)
+_AFFIX[:5, :42] = (np.arange(5)[:, None] < 1 - _X) * (~_SCI & (_X < 0)) * np.frombuffer(
+    b"0.000", np.uint8)[:, None]
+_AFFIX[5:, :42] = np.stack([np.full(42, ord("e")), np.where(_X < 0, ord("-"), ord("+")),
+                            ord("0") + -_X // 10, ord("0") + -_X % 10]) * _SCI
+_AFFIX[:3, 42:] = np.frombuffer(b"naninf0\0\0", np.uint8).reshape(3, 3).T
+# the four digits of each group 0..9999, as one uint32, and its trailing zeros
+_GROUPS = np.stack(np.broadcast_arrays(*np.ix_(*4 * [np.frombuffer(b"0123456789", np.uint8)])),
+                   -1).reshape(10000, 4)
+_DIGITS = _GROUPS.view(np.uint32).ravel()
+_ZEROS = (_GROUPS == ord("0")).T
+_TRAILING_ZEROS = _ZEROS[3] * (1 + _ZEROS[2] * (1 + _ZEROS[1] * (1 + _ZEROS[0].astype(np.intp))))
+_POW10 = 10.0 ** np.arange(23)
+_SLOTS = np.arange(13, dtype=np.uint8)[:, None]
+_MINUS, _DOT = np.uint8(ord("-")), np.uint8(ord("."))
+_BLOCK = 16384      # cells written at a time
 
-    Each line is formatted by one ``%`` template built from the first
-    row: ``%s`` for str cells and ``%.12g`` for numbers, the same float
-    formatter as :func:`_fmt`.  Every row must have the first row's cell
-    types.
+
+def _format(v):
+    """``'%.12g' % x`` for every x of the float64 array ``v``, as (23, n) cells.
+
+    Finite |x| in [1e-30, 1e11) takes the fast path: an estimate of
+    X = floor(log10 |x|), corrected by +-1 until s = |x|*10**(11 - X) is
+    in [1e11, 1e12), and the twelve digits of m = rint(s).  A cell whose m
+    may not be the correctly rounded mantissa, and any other nonzero
+    finite cell, is formatted by :func:`_exact`.
     """
-    rows = iter(rows)
-    first = next(rows, None)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        if first is not None:
-            template = ",".join("%s" if isinstance(cell, str) else "%.12g"
-                                for cell in first) + "\n"
-            fh.writelines(template % tuple(row) for row in chain((first,), rows))
+    n = len(v)
+    a = np.abs(v)
+    fast = (a >= 1e-30) & (a < 1e11)
+    a1 = np.where(fast, a, 1.0)
+    expo = np.floor(np.log10(a1.astype(np.float32))).astype(np.intp)   # X, or X +- 1
+
+    def scaled(expo):   # at most two products with exact powers 10**j, j <= 22
+        k = 11 - expo
+        return a1 * _POW10[np.minimum(k, 22)] * _POW10[np.maximum(k - 22, 0)]
+
+    s = scaled(expo)
+    expo += (s >= 1e12).astype(np.intp) - (s < 1e11)
+    s = scaled(expo)
+    m = np.rint(s)
+    # s is the exact product after at most two roundings, so within
+    # 2 * 2**-53 * 1e12 < 2.3e-4 of it: m is the correctly rounded mantissa
+    # unless s is within 1e-3 of a tie or near either end of [1e11, 1e12)
+    unsure = (np.abs(s - m) >= 0.5 - 1e-3) | (np.abs(s - 1e11) < 0.1) | (np.abs(s - 1e12) < 1e-3)
+    carry = m == 1e12
+    expo += carry
+    m = np.where(carry, 1e11, m).astype(np.int64)
+    groups = np.stack([m // 100000000, m // 10000 % 10000, m % 10000])
+    digits = np.zeros((14, n), np.uint8)      # NUL, the twelve digits, NUL
+    digits[1:13].reshape(3, 4, n)[:] = _DIGITS[groups].view(np.uint8).reshape(
+        3, n, 4).transpose(0, 2, 1)
+    g0, g1, g2 = groups
+    z0, z1, z2 = _TRAILING_ZEROS[groups]
+    significant = 12 - (z2 + (g2 == 0) * (z1 + (g1 == 0) * z0))
+    col = np.where(fast, expo + 30, np.where(np.isnan(v), 42, np.where(a == np.inf, 43, 44)))
+    point = _POINT[col].astype(np.uint8)      # digits before the point; 13: no point
+    shown = np.where(expo >= 0, np.maximum(significant, expo + 1), significant)
+    length = ((shown + (shown > point)) * fast).astype(np.uint8)
+    cells = np.empty((23, n), np.uint8)
+    cells[0] = (np.signbit(v) & ~np.isnan(v)) * _MINUS
+    affix = _AFFIX.take(col, axis=1)
+    cells[1:6], cells[19:] = affix[:5], affix[5:]
+    cells[6:19] = (digits[1:] * (_SLOTS < point) + digits[:13] * (_SLOTS > point)
+                   + (_SLOTS == point) * _DOT) * (_SLOTS < length)
+    slow = (fast & unsure) | (np.isfinite(v) & ~fast & (a != 0.0))
+    if slow.any():
+        cells[:, slow] = _exact(v[slow])
+    return cells
+
+
+def _exact(v):
+    """The fast path's fallback: ``'%.12g' % x`` one cell at a time."""
+    return np.array([b"%.12g" % x for x in v.tolist()], "S23").view(np.uint8).reshape(-1, 23).T
+
+
+def _text(column):
+    """A str or bytes column as (width, n) NUL-padded cells, verbatim."""
+    if column.dtype.kind == "U":
+        codes = column.view(np.uint32)
+        if np.any(codes > 127):
+            raise ValueError("CSV text cells must be ASCII")
+        column = codes.astype(np.uint8).view(f"S{column.itemsize // 4}")
+    return column.view(np.uint8).reshape(len(column), column.itemsize).T
+
+
+def _lines(columns) -> bytes:
+    """The CSV lines of equal-length ``columns``, newline-terminated.
+
+    str and bytes columns are written verbatim; the other columns are
+    numbers, all formatted by one :func:`_format` call.
+    """
+    columns = [np.asarray(c) for c in columns]
+    text = [c.dtype.kind in "US" for c in columns]
+    numbers = [c for c, is_text in zip(columns, text) if not is_text]
+    formatted = iter(np.hsplit(_format(np.concatenate(numbers).astype(np.float64)),
+                               len(numbers)) if numbers else [])
+    cells = [_text(c) if is_text else next(formatted) for c, is_text in zip(columns, text)]
+    buf = np.empty((sum(len(c) + 1 for c in cells), len(columns[0])), np.uint8)
+    at = 0
+    for c in cells:
+        buf[at:at + len(c)] = c
+        buf[at + len(c)] = ord(",")
+        at += len(c) + 1
+    buf[-1] = ord("\n")
+    return buf.T.tobytes().translate(None, b"\0")
+
+
+def _strings(columns):
+    """The lines of :func:`_lines` as a bytes array, to be repeated as cells."""
+    return np.array(_lines(columns).split(b"\n")[:-1])
+
+
+def _write_csv(path, header, blocks):
+    """Write ``header`` and then each block, a sequence of equal-length columns.
+
+    A str or bytes column is written verbatim, any other column cell by
+    cell as Python's ``'%.12g' %`` of its float64 value.  A block is
+    written in pieces of about ``_BLOCK`` cells.
+    """
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode() + b"\n")
+        for columns in blocks:
+            columns = [np.asarray(c) for c in columns]
+            step = max(1, _BLOCK // len(columns))       # rows
+            for i in range(0, len(columns[0]), step):
+                fh.write(_lines([c[i:i + step] for c in columns]))
 
 
 def _build(cfg: RunConfig):
@@ -155,20 +280,11 @@ def _outpath(cfg, name):
 def cmd_solve(cfg: RunConfig) -> int:
     """Write thresholds.csv and coefficients.csv over the solver grid."""
     path, policy = _build(cfg)
-    # Python floats format faster than numpy scalars, to the same bytes;
-    # the time column is formatted once for both files
-    ts = [_fmt(t) for t in path.time_grid.tolist()]
-    _write_csv(
-        _outpath(cfg, "thresholds.csv"),
-        ["t", "ell1", "alpha", "beta", "ell2"],
-        zip(ts, *(c.tolist() for c in (policy.ell1, policy.alpha, policy.beta, policy.ell2))),
-    )
-    _write_csv(
-        _outpath(cfg, "coefficients.csv"),
-        ["t", "p1", "q1", "n1", "p2", "q2", "n2", "a_x"],
-        zip(ts, *(c.tolist() for c in (path.p1, path.q1, path.n1, path.p2, path.q2, path.n2,
-                                       path.a_x))),
-    )
+    ts = path.time_grid
+    _write_csv(_outpath(cfg, "thresholds.csv"), ["t", "ell1", "alpha", "beta", "ell2"],
+               [[ts, policy.ell1, policy.alpha, policy.beta, policy.ell2]])
+    _write_csv(_outpath(cfg, "coefficients.csv"), ["t", "p1", "q1", "n1", "p2", "q2", "n2", "a_x"],
+               [[ts, path.p1, path.q1, path.n1, path.p2, path.q2, path.n2, path.a_x]])
     return EXIT_OK
 
 
@@ -178,23 +294,18 @@ def cmd_simulate(cfg: RunConfig) -> int:
         raise ConfigError("simulate needs a non-empty initial_states list")
     path, policy = _build(cfg)
     hook = make_rollout_hook(path, policy, cfg.params, cfg.sim_step)
-    fmt_t = cache(_fmt)     # the starts share their grid times: each is formatted once
-    cost_rows = []
+    event_fields = ["tau", "x_minus", "x_plus", "xi", "cost_p1", "cost_p2"]
+    costs = []
     for x0 in cfg.initial_states:
         traj = hook(0.0, x0)
         tag = _fmt(x0)
-        rows = []
-        for seg_t, seg_x in traj.segments:
-            u = gamma_star(path, cfg.params, seg_t, seg_x)
-            rows.extend(zip(map(fmt_t, seg_t.tolist()), seg_x.tolist(), u.tolist()))
-        _write_csv(_outpath(cfg, f"trajectory_{tag}.csv"), ["t", "x", "u"], rows)
-        _write_csv(
-            _outpath(cfg, f"events_{tag}.csv"),
-            ["tau", "x_minus", "x_plus", "xi", "cost_p1", "cost_p2"],
-            [(e.tau, e.x_minus, e.x_plus, e.xi, e.cost_p1, e.cost_p2) for e in traj.events],
-        )
-        cost_rows.append((x0, traj.j1, traj.j2, float(len(traj.events))))
-    _write_csv(_outpath(cfg, "costs.csv"), ["x0", "J1", "J2", "n_events"], cost_rows)
+        t, x = (np.concatenate([seg[i] for seg in traj.segments]) for i in (0, 1))
+        _write_csv(_outpath(cfg, f"trajectory_{tag}.csv"), ["t", "x", "u"],
+                   [[t, x, gamma_star(path, cfg.params, t, x)]])
+        _write_csv(_outpath(cfg, f"events_{tag}.csv"), event_fields,
+                   [[[getattr(e, k) for e in traj.events] for k in event_fields]])
+        costs.append((x0, traj.j1, traj.j2, len(traj.events)))
+    _write_csv(_outpath(cfg, "costs.csv"), ["x0", "J1", "J2", "n_events"], [list(zip(*costs))])
     return EXIT_OK
 
 
@@ -207,34 +318,9 @@ def cmd_value(cfg: RunConfig, t: float) -> int:
     v2 = value_v2(path, policy, cfg.params, t, xs)
     hook = make_rollout_hook(path, policy, cfg.params, cfg.sim_step)
     v1 = [hook(t, x).j1 for x in xs]
-    regions = policy.region(t, xs)
-    _write_csv(
-        _outpath(cfg, f"values_t{_fmt(t)}.csv"),
-        ["x0", "V1", "V2", "region"],
-        zip(xs.tolist(), v1, v2.tolist(), regions.tolist()),
-    )
+    _write_csv(_outpath(cfg, f"values_t{_fmt(t)}.csv"), ["x0", "V1", "V2", "region"],
+               [[xs, v1, v2, policy.region(t, xs)]])
     return EXIT_OK
-
-
-def _report_rows(report):
-    """report.csv rows, one per (t, x) node, t-major.
-
-    t and the seven per-t cells are formatted once per t (the seven as one
-    ``str`` cell) and x once per column, by :func:`_fmt`; only the region
-    and the four per-node floats are left to ``_write_csv``'s ``%.12g``.
-    """
-    xs = [_fmt(x) for x in report.x_nodes.tolist()]
-    per_t = zip(report.t_nodes.tolist(), report.x11.tolist(), report.x22.tolist(),
-                report.theta_alpha.tolist(), report.theta_beta.tolist(),
-                report.margin_ell1.tolist(), report.margin_ell2.tolist(),
-                report.convexity_margin.tolist())
-    per_node = zip(report.region.tolist(), report.hjb1.tolist(),
-                   report.qvi_residual.tolist(), report.gap.tolist(),
-                   report.complementarity.tolist())
-    for (t, *tail), cells in zip(per_t, per_node):
-        t, tail = _fmt(t), ",".join(map(_fmt, tail))
-        for row in zip(xs, *cells):
-            yield (t, *row, tail)
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -244,12 +330,23 @@ def cmd_verify(cfg: RunConfig) -> int:
         raise ConfigError(f"verify needs n_steps >= 4 (got {cfg.n_steps})")
     path, policy = _build(cfg)
     report = run_verification(path, policy, cfg.params, cfg.box, nt=cfg.nt, nx=cfg.nx)
+    # one line per (t, x) node, t-major: t, x and the seven per-t cells are
+    # formatted once and repeated, the rest in blocks of whole t rows
+    nx = len(report.x_nodes)
+    ts, xs = _strings([report.t_nodes]), _strings([report.x_nodes])
+    tails = _strings([report.x11, report.x22, report.theta_alpha, report.theta_beta,
+                      report.margin_ell1, report.margin_ell2, report.convexity_margin])
+    per_node = (report.region, report.hjb1, report.qvi_residual, report.gap,
+                report.complementarity)
+    step = max(1, _BLOCK // ((len(per_node) + 3) * nx))    # t rows in _BLOCK cells
     _write_csv(
         _outpath(cfg, "report.csv"),
         ["t", "x", "region", "hjb1_residual", "qvi_residual", "gap", "complementarity",
          "x11", "x22", "theta_alpha", "theta_beta", "margin_ell1", "margin_ell2",
          "convexity_margin"],
-        _report_rows(report),
+        ([np.repeat(ts[i:i + step], nx), np.tile(xs, len(ts[i:i + step])),
+          *(c[i:i + step].ravel() for c in per_node), np.repeat(tails[i:i + step], nx)]
+         for i in range(0, len(ts), step)),
     )
     for cond in report.conditions:
         where = "" if cond.t is None else (

@@ -25,9 +25,5 @@ class NonFiniteStateError(RuntimeError):
     """The integrated state or a coefficient path became non-finite."""
 
 
-class RegionError(ValueError):
-    """An operation restricted to the continuation region was called outside it."""
-
-
 class ConfigError(ValueError):
     """A run configuration file could not be parsed."""

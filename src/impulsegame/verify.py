@@ -26,9 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import RegionError
 from .model import GameParams, StateBox, validate_box
-from .policy import ThresholdPolicy, gamma_star, labels, phi2, sides, value_v2
+from .policy import gamma_star, labels, phi2, sides, value_v2
 from .riccati import CoefficientPath, RiccatiConstants, hermite
 
 RESIDUAL_TOL = 1e-5
@@ -152,22 +151,6 @@ def _hjb1(path, params, t, x):
         + 0.5 * params.r1 * u * u
         + dphi1_dx * (params.a * x + params.b * u)
     )
-
-
-def hjb1_residual(path: CoefficientPath, policy: ThresholdPolicy,
-                  params: GameParams, t, x) -> float:
-    """Signed residual of Player 1's optimality equation at an interior point.
-
-    The time derivative is a central difference of Player 1's value
-    quadratic, independent of the defining equations, so the residual
-    is zero only up to integration, interpolation and differencing
-    error.  Raises RegionError outside the band, where Player 1's value
-    is not differentiable in this sense.
-    """
-    ell1, _, _, ell2 = policy.thresholds_at(t)
-    if any(sides(ell1, ell2, x)):
-        raise RegionError(f"(t={t!r}, x={x!r}) is not in the continuation region")
-    return float(_hjb1(path, params, t, x))
 
 
 def _running_argmin(w, pos):

@@ -396,7 +396,7 @@ def test_csv_uses_12_significant_digits(tmp_path):
 
 
 def test_write_csv_matches_per_cell_format(tmp_path):
-    # one %-template per file must give the bytes of formatting each cell
+    # the column writer must give the bytes of formatting each cell
     # with format(cell, ".12g") (str cells verbatim)
     row = (np.float64(1.0 / 3.0), 2.0 / 3.0, 7, 10 ** 15, np.nan, np.inf, -np.inf, -0.0,
            1e-300, 1e300, np.float64(-2.5e-7), "interior", np.str_("above"))
@@ -407,7 +407,8 @@ def test_write_csv_matches_per_cell_format(tmp_path):
     expected = ",".join(header) + "\n" + "".join(
         ",".join(c if isinstance(c, str) else format(c, ".12g") for c in r) + "\n"
         for r in rows)
-    for name, given in (("list.csv", rows), ("gen.csv", iter(rows))):
+    for name, given in (("list.csv", [list(zip(*rows))]),
+                        ("gen.csv", (list(zip(*rows[i:i + 7])) for i in range(0, len(rows), 7)))):
         _write_csv(tmp_path / name, header, given)
         assert (tmp_path / name).read_bytes() == expected.encode("utf-8")
     _write_csv(tmp_path / "empty.csv", ["x", "y"], [])

@@ -6,7 +6,6 @@ import pytest
 from impulsegame import policy as policy_module
 from impulsegame import (
     CoefficientPath,
-    RegionError,
     StateBox,
     brute_force_rv2,
     build_policy,
@@ -14,7 +13,6 @@ from impulsegame import (
     constants,
     dp_oracle_v2,
     gamma_star,
-    hjb1_residual,
     qvi_check,
     run_verification,
     solve_backward,
@@ -50,7 +48,7 @@ def test_hjb1_residual_small_on_interior_grid(path, policy, params):
     for t in np.linspace(0.02, 0.98, 20):
         ell1, _, _, ell2 = policy.thresholds_at(t)
         for x in np.linspace(ell1 + 0.05, ell2 - 0.05, 20):
-            worst = max(worst, abs(hjb1_residual(path, policy, params, t, x)))
+            worst = max(worst, abs(verify._hjb1(path, params, t, x)))
     assert worst < 1e-6
 
 
@@ -59,13 +57,7 @@ def test_hjb1_residual_continuous_up_to_horizon(path, policy, params):
     t = params.T - 1e-9
     ell1, _, _, ell2 = policy.thresholds_at(t)
     for x in np.linspace(ell1 + 0.1, ell2 - 0.1, 7):
-        assert abs(hjb1_residual(path, policy, params, t, x)) < 1e-6
-
-
-def test_hjb1_rejects_exterior_points(path, policy, params):
-    ell1, _, _, _ = policy.thresholds_at(0.0)
-    with pytest.raises(RegionError):
-        hjb1_residual(path, policy, params, 0.0, ell1 - 0.5)
+        assert abs(verify._hjb1(path, params, t, x)) < 1e-6
 
 
 def test_hjb1_residual_sensitive_to_coefficient_error(path, params, box):
