@@ -63,7 +63,7 @@ class ThresholdPolicy:
 
     def thresholds_at(self, t):
         """(ell1, alpha, beta, ell2) at time ``t``: floats for a scalar, else arrays."""
-        return self.band(*self.path.coefficients_at(t)[2:])
+        return self.band(self.path.p2_at(t), self.path.q2_at(t))
 
     def band(self, p2, q2):
         """(ell1, alpha, beta, ell2) from p2 and q2, as ``path.coefficients_at`` gives them."""

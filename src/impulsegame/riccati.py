@@ -10,8 +10,7 @@ grid, every step written as an affine map by :func:`affine_rk4`.  Between
 grid nodes the integrated paths are evaluated with the cubic Hermite
 interpolant :func:`hermite`, whose node slopes come from the defining
 equations, while ``p1``, ``p2`` and the closed-loop gain ``a_x`` always
-use their closed forms.  ``CoefficientPath.difference_slopes`` gives the
-verifier node slopes from finite differences of the node values instead.
+use their closed forms.
 
 Every formula here has one body that serves a Python float and an array.
 A scalar time (float, int or 0-d array) runs through it on Python floats
@@ -191,25 +190,6 @@ def _slopes(params: GameParams, b_x, ax, p2, q1, q2):
     )
 
 
-# one-sided fourth-order first-derivative stencils at the first and second
-# of five uniform nodes, times 12h
-_EDGE_STENCILS = ((-25.0, 48.0, -36.0, 16.0, -3.0), (-3.0, -10.0, 18.0, -6.0, 1.0))
-
-
-def _difference_slope(ys, h):
-    """Fourth-order finite-difference slopes of node values ``ys`` at spacing ``h``.
-
-    The central five-point stencil inside, the one-sided stencils at the
-    two nodes at each end (mirrored at the far end).
-    """
-    out = np.empty_like(ys)
-    out[2:-2] = ys[:-4] - 8.0 * ys[1:-3] + 8.0 * ys[3:-1] - ys[4:]
-    for k, stencil in enumerate(_EDGE_STENCILS):
-        out[k] = np.dot(stencil, ys[:5])
-        out[-1 - k] = -np.dot(stencil[::-1], ys[-5:])
-    return out / (12.0 * h)
-
-
 class CoefficientPath:
     """Coefficient paths on a uniform grid over [0, T].
 
@@ -282,20 +262,6 @@ class CoefficientPath:
 
     def n2_at(self, t):
         return self._interp("n2", t)
-
-    @cached_property
-    def difference_slopes(self):
-        """(q1', n1', q2', n2') at the nodes by fourth-order finite differences.
-
-        Unlike the interpolants' slopes these come from the node values
-        alone, never the defining equations, so an error in the node
-        values shows in them.
-        """
-        if self.time_grid.size < 5:
-            raise ValueError(
-                f"difference slopes need at least 5 nodes (got {self.time_grid.size})")
-        h = self.time_grid[1] - self.time_grid[0]
-        return tuple(_difference_slope(ys, h) for ys in (self.q1, self.n1, self.q2, self.n2))
 
 
 def _scan_back(mult, add, y_end):

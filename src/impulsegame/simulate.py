@@ -24,8 +24,9 @@ the state exactly to the target, and integration resumes; a located exit
 within EVENT_TIME_TOL of T carries no impulse, while a start outside the
 band fires at any t0 but T itself.  Running costs are summed with
 Simpson's rule on the cubic-Hermite midpoint state, matching the
-integrator's accuracy, in one pass per trajectory that keeps each
-segment's integrals and drift slopes for later queries.
+integrator's accuracy, in one pass per trajectory that evaluates only
+event samples and an off-grid start afresh (:func:`_simpson_pass`) and
+keeps each segment's integrals and drift slopes for later queries.
 
 :func:`make_rollout_hook` returns one checked body for many starts, and
 :func:`rollout` calls a fresh one once.  The body keeps the
@@ -95,19 +96,19 @@ class Trajectory:
     consecutive interventions; an event time closes one segment at
     ``x_minus`` and opens the next at ``x_plus``.  Between samples the
     state is the cubic Hermite interpolant with the closed-loop drift as
-    slope.  ``grid`` is the :class:`_RolloutGrid` the segments were built
-    on; the constructor runs :func:`_simpson_pass` on its terms, unless
-    given that pass as ``passes``, and keeps the integrals and slopes, not
-    the grid, for ``j1``, ``j2``, :meth:`state_at` and :meth:`costs_from`.
+    slope.  ``passes`` holds, per segment, its :func:`_simpson_pass` entry
+    (running-cost integrals and drift at the samples), or None for a lone
+    sample; ``j1``, ``j2``, :meth:`state_at` and :meth:`costs_from` read
+    them, and the trajectory keeps no grid.
     """
 
-    def __init__(self, segments, events, terminal_state, path, params, grid, passes=None):
+    def __init__(self, segments, events, terminal_state, path, params, passes):
         self.segments = segments
         self.events = events
         self.terminal_state = terminal_state
         self._path = path
         self._params = params
-        self._passes = _simpson_pass(grid, segments) if passes is None else passes
+        self._passes = passes
         self.j1, self.j2 = self.costs_from(self.start_time)
 
     @property
@@ -161,7 +162,7 @@ class Trajectory:
                 y = _integrands(pr, _node_terms(self._path, seg_t), seg_x)
                 c = _cell_costs(pr, _cell_terms(self._path, seg_t[:-1], seg_t[1:]),
                                 [v[:-1] for v in y], [v[1:] for v in y])
-                a1, a2 = float(np.sum(c[0])), float(np.sum(c[1]))
+                a1, a2 = float(np.add.reduce(c[0])), float(np.add.reduce(c[1]))
             j1 += a1
             j2 += a2
         for ev in self.events:
@@ -224,42 +225,39 @@ def _simpson_pass(grid, segments):
     """(j1, j2, drift at the samples) per segment, None for a lone sample.
 
     Interior samples are consecutive grid nodes: their states, scattered
-    into one node-aligned array, take the cached terms.  End samples off
-    the grid (at events; a node closing one segment and opening the next
-    is on it for the first) and their cells take one :func:`_node_terms`
-    and one :func:`_cell_terms` call.  Each segment's cells are summed in
-    order by one ``np.sum``.
+    into one node-aligned array, take the cached terms.  An event sample
+    is never taken as a node, so of the end samples only the first of the
+    first segment, when it equals its node, and the last of the last, the
+    horizon, can be on the grid.  The samples off it and their cells take
+    one :func:`_node_terms` and one :func:`_cell_terms` call.  Each
+    segment's cells are summed in order by one ``np.add.reduce``.
     """
     passes = [None] * len(segments)
     multi = [k for k, (seg_t, _) in enumerate(segments) if len(seg_t) > 1]
-    if not multi:       # a lone sample at the horizon, without a grid
-        return passes
+    segs = [segments[k] for k in multi]
     ts, last, params = grid.ts, len(grid.ts) - 1, grid.params
+    ns = np.array([len(seg_t) - 1 for seg_t, _ in segs])
+    los = ts.searchsorted([seg_t[1] for seg_t, _ in segs]) - 1     # node before each 2nd sample
+    first_on = ts[los[0]] == segs[0][0][0]
+    last_on = ts[los[-1] + ns[-1]] == segs[-1][0][-1]
+    event_free = len(segs) == 1 and first_on and last_on    # every sample on its node
     xg = np.zeros(last + 1)
-    spans = []          # (node of the first sample if on it, cells, first and last on the grid)
-    closed = None       # the node the previous segment closed on
-    for k in multi:
-        seg_t, seg_x = segments[k]
-        n = len(seg_t) - 1
-        lo = int(ts.searchsorted(seg_t[1])) - 1
-        on0 = bool(lo >= 0 and ts[lo] == seg_t[0] and lo != closed)
-        on1 = bool(lo + n <= last and ts[lo + n] == seg_t[-1])
-        closed = lo + n if on1 else None
-        xg[lo + 1 - on0:lo + n + on1] = seg_x[1 - on0:n + on1]
-        spans.append((lo, n, on0, on1))
-    lo, n, first_on, last_on = zip(*spans)
+    if event_free:
+        xg[los[0]:los[0] + ns[0] + 1] = segs[0][1]
+    else:
+        so = np.cumsum(ns + 1) - ns - 1                         # first sample of each segment
+        t_all, x_all = (np.concatenate([seg[i] for seg in segs]) for i in (0, 1))
+        on = np.ones(len(t_all), bool)
+        on[so] = on[so + ns] = False
+        on[0], on[-1] = first_on, last_on
+        sidx = np.arange(len(on)) + np.repeat(los - so, ns + 1)     # node of each on-grid sample,
+        xg[sidx[on]] = x_all[on]
+        sidx[~on] = last + 1 + np.arange(len(on) - np.count_nonzero(on))    # column of the others
     y = _integrands(params, grid.nodes, xg)
     c = _cell_costs(params, grid.cells, [v[:-1] for v in y], [v[1:] for v in y])
-    if all(first_on) and all(last_on):
-        f, c0, s0 = y[1], lo, lo
+    if event_free:
+        f, c0, s0 = y[1], los, los
     else:
-        los, ns, on0, on1 = (np.array(v) for v in (lo, n, first_on, last_on))
-        so = np.cumsum(ns + 1) - ns - 1                         # first sample of each segment
-        t_all, x_all = (np.concatenate([segments[k][i] for k in multi]) for i in (0, 1))
-        on = np.ones(len(t_all), bool)
-        on[so[~on0]] = on[(so + ns)[~on1]] = False
-        sidx = np.arange(len(on)) + np.repeat(los - so, ns + 1)     # node of each on-grid sample,
-        sidx[~on] = last + 1 + np.arange(len(on) - np.count_nonzero(on))    # column of the others
         y = np.concatenate((y, _integrands(params, _node_terms(grid.path, t_all[~on]),
                                            x_all[~on])), axis=1)
         starts = np.delete(np.arange(len(on)), so + ns)         # first sample of each cell
@@ -269,9 +267,10 @@ def _simpson_pass(grid, segments):
                             y[:, sidx[s]], y[:, sidx[s + 1]])
         cidx = np.where(off, last + np.cumsum(off) - 1, sidx[starts])
         c = np.concatenate((c, c_off), axis=1)[:, cidx]
-        f, c0, s0 = y[1, sidx], (so - np.arange(len(ns))).tolist(), so.tolist()
-    for k, m, i, j in zip(multi, n, c0, s0):
-        passes[k] = float(np.sum(c[0][i:i + m])), float(np.sum(c[1][i:i + m])), f[j:j + m + 1]
+        f, c0, s0 = y[1, sidx], so - np.arange(len(ns)), so
+    for k, m, i, j in zip(multi, ns.tolist(), c0.tolist(), s0.tolist()):
+        a1, a2 = float(np.add.reduce(c[0][i:i + m])), float(np.add.reduce(c[1][i:i + m]))
+        passes[k] = a1, a2, f[j:j + m + 1]
     return passes
 
 
@@ -285,12 +284,6 @@ def _step_map(path, t, h, start=None, end=None):
     a1, b1 = path.coefficients_at(t + h, band=False) if end is None else end
     _, mult, add = affine_rk4(h, (a0, am, am, a1), (b0, bm, bm, b1))
     return mult, add
-
-
-def _rk4_step(path, t, x, h):
-    """One explicit RK4 step of the closed-loop dynamics."""
-    mult, add = _step_map(path, t, h)
-    return float(mult * x + add)
 
 
 class _RolloutGrid:
@@ -419,7 +412,7 @@ def _rollouts(path, policy, params, step):
             raise ValueError(f"x0 must be finite (got {x0!r})")
         if T - t0 <= 1e-12:
             # no impulse fires at the horizon itself: the state stays, terminal costs only
-            return Trajectory([(np.array([T]), np.array([x0]))], [], x0, path, params, None)
+            return Trajectory([(np.array([T]), np.array([x0]))], [], x0, path, params, [None])
         if latest is None or latest.t0 != t0:
             latest = _RolloutGrid(path, policy, params, float(t0), step)
         return _rollout_on_grid(latest, x0, max_events)
@@ -616,7 +609,10 @@ def _advance(grid, x_cur, events, max_events):
             t_cur, x_cur = float(ts[node]), x_new
         elif tau >= T - EVENT_TIME_TOL:
             # an exit this close to the horizon carries no impulse
-            t_cur, x_cur = T, _rk4_step(path, tau, x_new, T - tau) if tau < T else x_new
+            if tau < T:
+                mult, add = _step_map(path, tau, T - tau)
+                x_new = float(mult * x_new + add)
+            t_cur, x_cur = T, x_new
         else:
             # the exit closes the segment; the next opens at the reset target.
             # The locator found x_new's margin <= 0 at tau; impulse_map
@@ -652,7 +648,7 @@ def _rollout_on_grid(grid, x0, max_events):
     t0, events = grid.t0, []
     if (jump := impulse_map(policy, t0, x0)) is None:
         segments, x_end = _advance(grid, x0, events, max_events)
-        return Trajectory(segments, events, x_end, path, params, grid)
+        return Trajectory(segments, events, x_end, path, params, _simpson_pass(grid, segments))
     target = _record(events, _event(params, t0, x0, jump), max_events).x_plus
     if target in grid.continued:
         for ev in grid.continued[target][1]:
@@ -664,7 +660,7 @@ def _rollout_on_grid(grid, x0, max_events):
         grid.continued[target] = segments, events[1:], x_end, _simpson_pass(grid, segments)
     segments, _, x_end, passes = grid.continued[target]
     return Trajectory([(np.array([t0]), np.array([x0]))] + segments, events, x_end, path,
-                      params, None, passes=[None] + passes)
+                      params, [None] + passes)
 
 
 def admissibility_check(traj: Trajectory, policy: ThresholdPolicy) -> AdmissibilityReport:

@@ -17,9 +17,10 @@ work; each row of target values, or oracle layer, runs only the rest.
 
 The time derivatives in the residuals are central differences of the
 value quadratics themselves (closed-form p1, p2, and q1, n1, q2, n2
-interpolated with finite-difference node slopes), never the defining
-equations, so a residual measures how well the computed node values
-solve those equations, at solver nodes as well as between them.
+interpolated with the node slopes of :func:`difference_slopes`, fourth-order
+finite differences of the node values), never the defining equations,
+so a residual measures how well the computed node values solve those
+equations, at solver nodes as well as between them.
 """
 
 from dataclasses import dataclass, field
@@ -37,6 +38,9 @@ DEFAULT_GRID = 200       # intervals along each axis of the certification grid
 # central-difference step for the time derivatives, as a fraction of T:
 # the cube root of machine epsilon balances truncation against rounding
 TIME_STEP = np.finfo(float).eps ** (1.0 / 3.0)
+# one-sided fourth-order first-derivative stencils at the first and second
+# of five uniform nodes, times 12h
+_EDGE_STENCILS = ((-25.0, 48.0, -36.0, 16.0, -3.0), (-3.0, -10.0, 18.0, -6.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -119,18 +123,40 @@ class VerificationReport:
         return all(c.passed for c in self.conditions)
 
 
+def difference_slopes(path):
+    """(q1', n1', q2', n2') at the path's nodes by fourth-order finite differences.
+
+    The central five-point stencil inside, the one-sided stencils at the
+    two nodes at each end (mirrored at the far end).  Unlike the
+    interpolants' slopes these come from the node values alone, never the
+    defining equations, so an error in the node values shows in them.
+    """
+    ts = path.time_grid
+    if ts.size < 5:
+        raise ValueError(f"difference slopes need at least 5 nodes (got {ts.size})")
+    slopes = []
+    for ys in (path.q1, path.n1, path.q2, path.n2):
+        out = np.empty_like(ys)
+        out[2:-2] = ys[:-4] - 8.0 * ys[1:-3] + 8.0 * ys[3:-1] - ys[4:]
+        for k, stencil in enumerate(_EDGE_STENCILS):
+            out[k] = np.dot(stencil, ys[:5])
+            out[-1 - k] = -np.dot(stencil[::-1], ys[-5:])
+        slopes.append(out / (12.0 * (ts[1] - ts[0])))
+    return tuple(slopes)
+
+
 def _phi_rates(path, t, x):
     """(dphi1/dt, dphi2/dt) at (t, x) by central differences; broadcasts.
 
     Both value quadratics are differenced through their coefficients:
     the closed forms of p1 and p2, and cubic Hermite interpolants of the
-    q1, n1, q2 and n2 node values whose node slopes are the paths'
-    finite-difference slopes, so the rates depend on the node values
+    q1, n1, q2 and n2 node values whose node slopes are
+    :func:`difference_slopes`, so the rates depend on the node values
     alone.  The interpolants extrapolate past either end of the horizon.
     """
     h = TIME_STEP * path.params.T
     ts = path.time_grid
-    integrated = list(zip((path.q1, path.n1, path.q2, path.n2), path.difference_slopes))
+    integrated = list(zip((path.q1, path.n1, path.q2, path.n2), difference_slopes(path)))
 
     def coefficients(s):
         q1, n1, q2, n2 = (hermite(ts, ys, dys, s) for ys, dys in integrated)

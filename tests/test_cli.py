@@ -1,4 +1,5 @@
 import csv
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -309,6 +310,17 @@ def test_verify_fails_with_named_condition_on_adversarial_config(tmp_path, capsy
     out = capsys.readouterr().out
     assert "FAIL band_margin_lower" in out
     assert "verification FAILED" in out
+
+
+def test_verify_fails_on_the_locator_regression_game(tmp_path, capsys):
+    # band_margin_lower fails inside the horizon; the residual rows that
+    # also fail on this game peak at t = T
+    base = REPO / "tests" / "data" / "locator_inside_band.cfg"
+    cfg = write_cfg(tmp_path, base=base, output_dir=tmp_path / "out")
+    assert main(["verify", "--config", str(cfg)]) == 3
+    out = capsys.readouterr().out
+    t = float(re.search(r"^FAIL band_margin_lower: .* at t=(\S+) ", out, re.M).group(1))
+    assert t < load_config(base).params.T
 
 
 def test_verify_rejects_grid_too_short_for_difference_slopes(tmp_path):

@@ -12,6 +12,7 @@ from impulsegame import build_policy, solve_backward
 from impulsegame.policy import _band
 from impulsegame.riccati import a_x, hermite, p1_closed_form, p2_closed_form
 from impulsegame.simulate import _step_map
+from impulsegame.verify import difference_slopes
 
 from conftest import BASELINE, variant
 
@@ -69,7 +70,7 @@ def test_hermite_and_interpolated_paths(solved):
     ts = probe_times(params, path)
     grid, grid_list = path.time_grid, path.time_grid.tolist()
     for name, ys, dys in zip(("q1", "n1", "q2", "n2"),
-                             (path.q1, path.n1, path.q2, path.n2), path.difference_slopes):
+                             (path.q1, path.n1, path.q2, path.n2), difference_slopes(path)):
         assert_float_path_equals(getattr(path, f"{name}_at"), ts)
         want = hermite(grid, ys, dys, ts)
         ys_list, dys_list = ys.tolist(), dys.tolist()

@@ -14,6 +14,7 @@ from impulsegame import (
     riccati,
     solve_backward,
 )
+from impulsegame.verify import difference_slopes
 
 from conftest import BASELINE, defining_rates, variant
 
@@ -306,7 +307,7 @@ def test_difference_slopes_exact_on_quartics():
     coefs = ([1.0, -2.0, 3.0, -0.5, 0.25], [0.0, 1.0, 0.0, 0.0, -1.0],
              [2.0, 0.0, -1.0, 1.0, 0.0], [-1.0, 0.5, 0.5, 0.0, 0.125])
     polys = [np.polynomial.Polynomial(c) for c in coefs]
-    slopes = _node_path(ts, *(poly(ts) for poly in polys)).difference_slopes
+    slopes = difference_slopes(_node_path(ts, *(poly(ts) for poly in polys)))
     for got, poly in zip(slopes, polys):
         np.testing.assert_allclose(got, poly.deriv()(ts), rtol=1e-12, atol=1e-12)
 
@@ -314,4 +315,4 @@ def test_difference_slopes_exact_on_quartics():
 def test_difference_slopes_need_five_nodes():
     ts = np.linspace(0.0, 1.0, 4)
     with pytest.raises(ValueError, match="at least 5 nodes"):
-        _node_path(ts, ts.copy(), ts.copy(), ts.copy(), ts.copy()).difference_slopes
+        difference_slopes(_node_path(ts, ts.copy(), ts.copy(), ts.copy(), ts.copy()))

@@ -25,7 +25,13 @@ from impulsegame import (
 )
 from impulsegame.cli import EXIT_MODEL, load_config, main
 from impulsegame.riccati import affine_rk4, hermite
-from impulsegame.simulate import EVENT_TIME_TOL, Trajectory, _bisect_crossing, _RolloutGrid
+from impulsegame.simulate import (
+    EVENT_TIME_TOL,
+    Trajectory,
+    _bisect_crossing,
+    _RolloutGrid,
+    _simpson_pass,
+)
 
 from conftest import variant
 
@@ -179,7 +185,7 @@ def test_admissibility_rejects_interior_event(path, policy, params):
                               xi=-0.4, cost_p1=0.8, cost_p2=6.2)
     grid = _RolloutGrid(path, policy, params, 0.0, params.T / 4096)
     doctored = Trajectory(base.segments, [fake_event], base.terminal_state,
-                          path, params, grid)
+                          path, params, _simpson_pass(grid, base.segments))
     report = admissibility_check(doctored, policy)
     assert not report.ok
     assert any("event 0" in v for v in report.violations)
@@ -581,7 +587,8 @@ def test_admissibility_names_each_segments_first_bad_sample(grids):
         i = outside[0]
         want.append(f"segment {k}: sample at t={seg_t[i]!r} (x={seg_x[i]!r}) "
                     "is outside the open band before the segment end")
-    doctored = Trajectory(segments, traj.events, traj.terminal_state, g.path, p, g)
+    doctored = Trajectory(segments, traj.events, traj.terminal_state, g.path, p,
+                          _simpson_pass(g, segments))
     report = admissibility_check(doctored, pol)
     assert not report.ok
     assert report.violations == want
@@ -774,9 +781,10 @@ def test_long_horizon_costs_equal_reference(grids, name, x0s):
             assert traj.costs_from(t1) == reference_costs_from(pth, p, traj, t1), (x0, t1)
 
 
-def test_event_on_a_node_costs_equal_reference(grids):
+def test_event_on_a_node_costs_equal_reference(grids, monkeypatch):
     # a segment that closes on a grid node and a next one that opens there
-    # at another state: the node's two samples keep their own states
+    # at another state: the node's two samples keep their own states, and
+    # both take fresh terms, as every event sample does
     grid = grids["table1_T200"]
     p = grid.params
     traj = rollout(grid.path, grid.policy, p, 0.0, 4.2, step=p.T / 4096)
@@ -786,7 +794,19 @@ def test_event_on_a_node_costs_equal_reference(grids):
     m = len(seg_t) // 2
     assert seg_t[m] in grid.ts
     segments[k:k + 1] = [(seg_t[:m + 1], seg_x[:m + 1]), (seg_t[m:], seg_x[m:] - 0.25)]
-    split = Trajectory(segments, traj.events, traj.terminal_state, grid.path, p, grid)
+    sampled = []
+    node_terms = simulate._node_terms
+
+    def counting(path, t):
+        sampled.append(np.size(t))
+        return node_terms(path, t)
+
+    monkeypatch.setattr(simulate, "_node_terms", counting)
+    _simpson_pass(grid, traj.segments)
+    unsplit, sampled[:] = sum(sampled), []
+    passes = _simpson_pass(grid, segments)
+    assert sum(sampled) == unsplit + 2
+    split = Trajectory(segments, traj.events, traj.terminal_state, grid.path, p, passes)
     assert (split.j1, split.j2) == reference_costs_from(grid.path, p, split, 0.0)
     for t1 in (0.5 * (seg_t[m - 1] + seg_t[m]), 0.5 * (seg_t[m] + seg_t[m + 1])):
         assert split.costs_from(t1) == reference_costs_from(grid.path, p, split, t1)
