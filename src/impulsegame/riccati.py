@@ -1,30 +1,31 @@
 """Time-varying coefficients of both players' quadratic value terms.
 
-Player 1's quadratic coefficient ``p1`` and Player 2's ``p2`` have closed
-forms built from the constants ``theta``, ``c1`` and ``h_const``.  The
-linear and constant coefficients ``q1, n1, q2, n2`` solve a
-lower-triangular affine system: q1 stands alone, q2 is forced by q1, and
-n1, n2 are quadratures of them.  Each is integrated backward from its
-terminal condition with classical fourth-order Runge-Kutta on a uniform
-grid, every step written as an affine map by :func:`affine_rk4`.  Between
-grid nodes the integrated paths are evaluated with the cubic Hermite
-interpolant :func:`hermite`, whose node slopes come from the defining
-equations, while ``p1``, ``p2`` and the closed-loop gain ``a_x`` always
-use their closed forms.
+Player 1's layer is closed.  With Phi = exp(integral of a_x), its
+integral Psi, G an integral of Phi^-2 (:func:`_layer1`) and the constant
+K (``k1``), the quadratic, linear and constant coefficients ``p1``,
+``q1``, ``n1`` are closed forms of e^(theta*t), and so is the closed loop
+between interventions (:meth:`CoefficientPath.coefficients_at`).
+Player 2's quadratic coefficient ``p2`` is closed too.  Its linear and
+constant coefficients ``q2, n2`` are integrated backward from their
+terminal conditions with classical fourth-order Runge-Kutta on a uniform
+grid, every step written as an affine map by :func:`affine_rk4`, and
+evaluated between nodes by the cubic Hermite interpolant :func:`hermite`,
+whose node slopes come from the defining equations.
 
 Every formula here has one body that serves a Python float and an array.
 A scalar time (float, int or 0-d array) runs through it on Python floats
-and returns a float: no array round trip, and :func:`_interpolate` finds
-the cell with :func:`bisect.bisect_right` on node lists that each
+and returns a float: no array round trip, and :func:`hermite` finds the
+cell with :func:`bisect.bisect_right` on node lists that each
 ``CoefficientPath`` builds once.  A rollout's event locator evaluates
-:meth:`CoefficientPath.coefficients_at` twice per probe: a_x, b_x*q1, p2
-and q2 from one exponential and one Hermite cell.  The float path equals
-the array path bit for bit: both round each operation once, and both use
-``np.exp`` (``math.exp`` differs from it in the last ulp for some arguments).
+:meth:`CoefficientPath.coefficients_at` once per probe.  The float path
+equals the array path bit for bit: both round each operation once, both
+use ``np.exp`` (``math.exp`` differs from it in the last ulp for some
+arguments), and a square root is correctly rounded either way.
 """
 
 import bisect
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -43,16 +44,19 @@ class RiccatiConstants:
     c1       integration constant fixing p1(T) = s1
     h_const  integration constant fixing p2(T) = s2
     b_x      effective control gain -b^2/r1 of the closed loop
+    k1       integration constant K = Phi(T)*q1(T) - w1*rho1*Psi(T) fixing
+             q1(T) = -s1*rho1 (see :func:`q1_closed_form`)
     """
 
     theta: float
     c1: float
     h_const: float
     b_x: float
+    k1: float
 
 
 def constants(params: GameParams) -> RiccatiConstants:
-    """Evaluate theta, c1, h_const and b_x for a validated parameter set."""
+    """Evaluate theta, c1, h_const, b_x and k1 for a validated parameter set."""
     validate(params)
     a, b, r1, s1, w1 = params.a, params.b, params.r1, params.s1, params.w1
     w2, s2, T = params.w2, params.s2, params.T
@@ -77,7 +81,9 @@ def constants(params: GameParams) -> RiccatiConstants:
         + c1 * c1 * s2 * eT
         + 2.0 * c1 * T * w2
     )
-    return RiccatiConstants(theta=theta, c1=c1, h_const=h_const, b_x=b_x)
+    consts = RiccatiConstants(theta=theta, c1=c1, h_const=h_const, b_x=b_x, k1=0.0)
+    phi_end, psi_end, _ = _layer1(consts, *_exponential(consts, float(T)))
+    return replace(consts, k1=phi_end * (-params.s1 * params.rho1) - w1 * params.rho1 * psi_end)
 
 
 def _float_or_array(t):
@@ -88,20 +94,31 @@ def _float_or_array(t):
     return float(t) if t.ndim == 0 else t
 
 
-def _closed_forms(consts: RiccatiConstants, params, t, band):
-    """(a_x, p2) at a float or array ``t`` from one exponential e^(theta*t);
-    p2 is None unless ``band``.  The one body of both closed forms."""
-    theta, c1 = consts.theta, consts.c1
+def _exponential(consts: RiccatiConstants, t):
+    """(e, den) = (e^(theta*t), c1*e + 1) at a float or array ``t``: the one
+    exponential every closed form takes.  Raises where den vanishes."""
+    theta = consts.theta
     e = float(np.exp(theta * t)) if isinstance(t, float) else np.exp(theta * t)
-    den = c1 * e + 1.0
+    den = consts.c1 * e + 1.0
     if den == 0.0 if isinstance(den, float) else np.any(den == 0.0):
         raise DegenerateParameterError("c1*exp(theta*t) + 1 vanished")
-    ax = theta / 2.0 - theta / den
-    if not band:
-        return ax, None
-    h, w2 = consts.h_const, params.w2
+    return e, den
+
+
+def _p2(consts: RiccatiConstants, params, t, e, den):
+    """p2 at ``t`` from its :func:`_exponential` terms."""
+    theta, c1, h, w2 = consts.theta, consts.c1, consts.h_const, params.w2
     num = -w2 * e * e * c1 * c1 - 2.0 * t * theta * w2 * e * c1 + w2 + h * theta * e
-    return ax, num / (theta * (den * den))
+    return num / (theta * (den * den))
+
+
+def _layer1(consts: RiccatiConstants, e, den):
+    """(Phi, Psi, G) from :func:`_exponential`'s terms: Phi = exp(integral of
+    a_x) = den/sqrt(e), its integral Psi = (2/theta)*(c1*e - 1)/sqrt(e), and
+    G = e/(theta*den), an integral of Phi^-2."""
+    theta = consts.theta
+    root = math.sqrt(e) if isinstance(e, float) else np.sqrt(e)
+    return den / root, (2.0 / theta) * (consts.c1 * e - 1.0) / root, e / (theta * den)
 
 
 def a_x(consts: RiccatiConstants, t):
@@ -109,7 +126,8 @@ def a_x(consts: RiccatiConstants, t):
 
     Identically equal to a + b_x*p1(t).
     """
-    return _closed_forms(consts, None, _float_or_array(t), False)[0]
+    _, den = _exponential(consts, _float_or_array(t))
+    return consts.theta / 2.0 - consts.theta / den
 
 
 def p1_closed_form(consts: RiccatiConstants, params: GameParams, t):
@@ -121,7 +139,40 @@ def p1_closed_form(consts: RiccatiConstants, params: GameParams, t):
 
 def p2_closed_form(consts: RiccatiConstants, params: GameParams, t):
     """Player 2 quadratic coefficient p2(t); p2(T) = s2 by construction."""
-    return _closed_forms(consts, params, _float_or_array(t), True)[1]
+    t = _float_or_array(t)
+    return _p2(consts, params, t, *_exponential(consts, t))
+
+
+def q1_closed_form(consts: RiccatiConstants, params: GameParams, t):
+    """Player 1 linear coefficient q1 = (K + w1*rho1*Psi)/Phi.
+
+    Phi*q1 has the rate w1*rho1*Phi, so Phi*q1 - w1*rho1*Psi is the
+    constant K.  Written as q1(T) plus a correction that vanishes at T,
+    so q1(T) = -s1*rho1 exactly.
+    """
+    t = _float_or_array(t)
+    phi, psi, _ = _layer1(consts, *_exponential(consts, t))
+    q1_end = -params.s1 * params.rho1
+    return q1_end + (consts.k1 - (phi * q1_end - params.w1 * params.rho1 * psi)) / phi
+
+
+def n1_closed_form(consts: RiccatiConstants, params: GameParams, t):
+    """Player 1 constant coefficient n1(t) = n1(T) + integral over [t, T] of
+    0.5*b_x*q1^2 + 0.5*w1*rho1^2.
+
+    With W = w1*rho1, k = 4/theta^2 and Phi^2 - Psi^2/k = 4*c1, an
+    antiderivative of q1^2 is K^2*G - 2*K*W*k/Phi + W^2*k*(t - 4*c1*G).  Its
+    increment over [t, T] is taken term by term, so n1(T) is exact.
+    """
+    t = _float_or_array(t)
+    T = float(params.T)
+    phi, _, g = _layer1(consts, *_exponential(consts, t))
+    phi_end, _, g_end = _layer1(consts, *_exponential(consts, T))
+    k1, w, k = consts.k1, params.w1 * params.rho1, 4.0 / consts.theta ** 2
+    q1_squared = ((k1 * k1 - 4.0 * consts.c1 * w * w * k) * (g_end - g)
+                  - 2.0 * k1 * w * k * (1.0 / phi_end - 1.0 / phi) + w * w * k * (T - t))
+    return (0.5 * params.s1 * params.rho1 ** 2 + 0.5 * consts.b_x * q1_squared
+            + 0.5 * params.w1 * params.rho1 ** 2 * (T - t))
 
 
 def affine_rk4(h, a, b):
@@ -148,27 +199,6 @@ def affine_rk4(h, a, b):
     return [(1.0, 0.0), (s1, r1), (s2, r2), (s3, r3)], 1.0 + h / 6.0 * u_sum, h / 6.0 * v_sum
 
 
-def _interpolate(ts, t, first, second=None):
-    """Cubic Hermite interpolants at ``t`` through ``first`` and ``second``
-    (None if not given), each (node values, node slopes) on the nodes ``ts``,
-    from one cell search and one set of weights.  See :func:`hermite`."""
-    if isinstance(t, float):
-        k = bisect.bisect_right(ts, t, 1, len(ts) - 1) - 1
-    else:
-        k = np.searchsorted(ts[1:-1], t, side="right")
-    t0 = ts[k]
-    h = ts[k + 1] - t0
-    s = (t - t0) / h
-    s1 = 1.0 - s
-    w_y0, w_b0, w_f0, w_y1, w_b1, w_f1 = s1 * s1, 1.0 + 2.0 * s, s * h, s * s, 3.0 - 2.0 * s, s1 * h
-    ys, dys = first
-    y = w_y0 * (w_b0 * ys[k] + w_f0 * dys[k]) + w_y1 * (w_b1 * ys[k + 1] - w_f1 * dys[k + 1])
-    if second is None:
-        return y, None
-    ys, dys = second
-    return y, w_y0 * (w_b0 * ys[k] + w_f0 * dys[k]) + w_y1 * (w_b1 * ys[k + 1] - w_f1 * dys[k + 1])
-
-
 def hermite(ts, ys, dys, t):
     """Cubic Hermite interpolant through ``(ts, ys)`` with slopes ``dys``.
 
@@ -177,14 +207,21 @@ def hermite(ts, ys, dys, t):
     float ``t`` takes the cell by bisection, which is cheapest when
     ``ts``, ``ys`` and ``dys`` are lists; the arithmetic is the same.
     """
-    return _interpolate(ts, t, (ys, dys))[0]
+    if isinstance(t, float):
+        k = bisect.bisect_right(ts, t, 1, len(ts) - 1) - 1
+    else:
+        k = np.searchsorted(ts[1:-1], t, side="right")
+    t0 = ts[k]
+    h = ts[k + 1] - t0
+    s = (t - t0) / h
+    s1 = 1.0 - s
+    return (s1 * s1 * ((1.0 + 2.0 * s) * ys[k] + s * h * dys[k])
+            + s * s * ((3.0 - 2.0 * s) * ys[k + 1] - s1 * h * dys[k + 1]))
 
 
 def _slopes(params: GameParams, b_x, ax, p2, q1, q2):
-    """(q1', n1', q2', n2') from their defining equations, elementwise."""
+    """(q2', n2') from their defining equations, elementwise."""
     return (
-        -ax * q1 + params.w1 * params.rho1,
-        -0.5 * b_x * q1 * q1 - 0.5 * params.w1 * params.rho1 ** 2,
         -ax * q2 - b_x * p2 * q1 + params.w2 * params.rho2,
         -b_x * q1 * q2 - 0.5 * params.w2 * params.rho2 ** 2,
     )
@@ -194,9 +231,9 @@ class CoefficientPath:
     """Coefficient paths on a uniform grid over [0, T].
 
     Node arrays are read-only.  Evaluation at arbitrary times uses the
-    exact closed forms for p1, p2 and a_x, and cubic Hermite
-    interpolation for the integrated paths q1, n1, q2, n2, with node
-    slopes taken from their defining equations.
+    exact closed forms for p1, q1, n1, p2 and a_x, and cubic Hermite
+    interpolation for the integrated paths q2 and n2, with node slopes
+    taken from their defining equations.
     """
 
     def __init__(self, time_grid, p1, q1, n1, p2, q2, n2, ax_vals, consts, params):
@@ -213,8 +250,8 @@ class CoefficientPath:
         slopes = _slopes(params, consts.b_x, ax_vals, p2, q1, q2)
         for arr in (time_grid, p1, q1, n1, p2, q2, n2, ax_vals):
             arr.flags.writeable = False
-        # (nodes, node slopes) of q1, n1, q2, n2 for the interpolants
-        self._tables = dict(zip(("q1", "n1", "q2", "n2"), zip((q1, n1, q2, n2), slopes)))
+        # (nodes, node slopes) of q2 and n2 for the interpolants
+        self._tables = {"q2": (q2, slopes[0]), "n2": (n2, slopes[1])}
 
     @cached_property
     def _lists(self):
@@ -226,6 +263,12 @@ class CoefficientPath:
     def p1_at(self, t):
         return p1_closed_form(self.constants, self.params, t)
 
+    def q1_at(self, t):
+        return q1_closed_form(self.constants, self.params, t)
+
+    def n1_at(self, t):
+        return n1_closed_form(self.constants, self.params, t)
+
     def p2_at(self, t):
         return p2_closed_form(self.constants, self.params, t)
 
@@ -233,29 +276,28 @@ class CoefficientPath:
         return a_x(self.constants, t)
 
     def coefficients_at(self, t, band=True):
-        """(a_x, b_x*q1, p2, q2) at ``t``, or (a_x, b_x*q1) without the band's p2, q2,
-        from one exponential and one Hermite cell: :func:`a_x`, :meth:`q1_at`,
-        :func:`p2_closed_form` and :meth:`q2_at` bit for bit."""
+        """(Phi, H, p2, q2) at ``t``, or (Phi, H) without the band's p2 and q2,
+        from one exponential and one Hermite cell.
+
+        Between interventions the closed loop's state is Phi*(c + H) with c
+        constant: (x/Phi)' = b_x*q1/Phi = b_x*(K + w1*rho1*Psi)/Phi^2, and
+        Phi' = (theta^2/4)*Psi, so H = b_x*(K*G - w1*rho1*(4/theta^2)/Phi).
+        """
         t = _float_or_array(t)
-        ax, p2 = _closed_forms(self.constants, self.params, t, band)
-        grid, tables = self._lists if isinstance(t, float) else (self.time_grid, self._tables)
-        q1, q2 = _interpolate(grid, t, tables["q1"], tables["q2"] if band else None)
-        bq1 = self.constants.b_x * q1
-        return (ax, bq1, p2, q2) if band else (ax, bq1)
+        consts = self.constants
+        e, den = _exponential(consts, t)
+        phi, _, g = _layer1(consts, e, den)
+        w = self.params.w1 * self.params.rho1
+        shift = consts.b_x * (consts.k1 * g - w * (4.0 / consts.theta ** 2) / phi)
+        if not band:
+            return phi, shift
+        return phi, shift, _p2(consts, self.params, t, e, den), self._interp("q2", t)
 
     # interpolated evaluations
     def _interp(self, which, t):
         t = _float_or_array(t)
-        if isinstance(t, float):
-            grid, tables = self._lists
-            return hermite(grid, *tables[which], t)
-        return hermite(self.time_grid, *self._tables[which], t)
-
-    def q1_at(self, t):
-        return self._interp("q1", t)
-
-    def n1_at(self, t):
-        return self._interp("n1", t)
+        grid, tables = self._lists if isinstance(t, float) else (self.time_grid, self._tables)
+        return hermite(grid, *tables[which], t)
 
     def q2_at(self, t):
         return self._interp("q2", t)
@@ -269,7 +311,7 @@ def _scan_back(mult, add, y_end):
 
     A plain loop over floats: a cumulative product of ``mult`` would
     underflow on long horizons where the recurrence itself does not.  A
-    quadrature (``mult`` the float 1.0, as for n1 and n2) is the same
+    quadrature (``mult`` the float 1.0, as for n2) is the same
     sequential sum, which ``np.add.accumulate`` takes in the loop's order.
     """
     if isinstance(mult, float) and mult == 1.0:
@@ -282,12 +324,12 @@ def _scan_back(mult, add, y_end):
 
 
 def solve_backward(params: GameParams, n_steps: int = DEFAULT_STEPS) -> CoefficientPath:
-    """Integrate q1, n1, q2, n2 backward from their terminal conditions.
+    """Fill every coefficient at the nodes of a uniform grid over [0, T].
 
-    Classical RK4 on a uniform grid of ``n_steps`` intervals over [0, T];
-    p1, p2 and a_x are filled from their closed forms at every node.
-    q1 is integrated first; its stage values force q2 and are integrated
-    into n1, and both stage values are integrated into n2.
+    p1, q1, n1, p2 and a_x come from their closed forms.  q2 and n2 are
+    integrated backward from their terminal conditions with classical RK4
+    on ``n_steps`` intervals, the closed forms of a_x, p2 and q1 taken at
+    the stages; q2's stage values are integrated into n2.
     """
     if n_steps < 2:
         raise ValueError(f"n_steps must be >= 2 (got {n_steps})")
@@ -296,13 +338,17 @@ def solve_backward(params: GameParams, n_steps: int = DEFAULT_STEPS) -> Coeffici
     ts = np.linspace(0.0, params.T, n_steps + 1)
     h = -params.T / n_steps             # step i runs from node i + 1 to node i
     mids = ts[1:] + 0.5 * h
-    (ax_n, p2_n), (ax_m, p2_m) = (_closed_forms(consts, params, t, True) for t in (ts, mids))
-    ax_st = (ax_n[1:], ax_m, ax_m, ax_n[:-1])
-    p2_st = (p2_n[1:], p2_m, p2_m, p2_n[:-1])
-    neg_ax = [-ax for ax in ax_st]      # q1 and q2 share the linear part -a_x*y
-    zeros = (0.0,) * 4                  # n1 and n2 have none
 
-    def slopes(q1_st, q2_st):
+    def at_stages(closed_form):     # at the nodes, and at the four stages of every step
+        nodes, mid = closed_form(ts), closed_form(mids)
+        return nodes, (nodes[1:], mid, mid, nodes[:-1])
+
+    ax_n, ax_st = at_stages(lambda t: a_x(consts, t))
+    p2_n, p2_st = at_stages(lambda t: p2_closed_form(consts, params, t))
+    q1, q1_st = at_stages(lambda t: q1_closed_form(consts, params, t))
+    n1 = n1_closed_form(consts, params, ts)
+
+    def slopes(q2_st):
         return [_slopes(params, consts.b_x, ax, p2, q1, q2)
                 for ax, p2, q1, q2 in zip(ax_st, p2_st, q1_st, q2_st)]
 
@@ -311,13 +357,11 @@ def solve_backward(params: GameParams, n_steps: int = DEFAULT_STEPS) -> Coeffici
         ys = _scan_back(mult, add, y_end)
         return ys, [s * ys[1:] + r for s, r in stages]
 
-    # with an equation's own state at zero, its slope is its forcing term
-    q1, q1_st = integrate(neg_ax, [s[0] for s in slopes(zeros, zeros)], -params.s1 * params.rho1)
-    sl = slopes(q1_st, zeros)
-    n1, _ = integrate(zeros, [s[1] for s in sl], 0.5 * params.s1 * params.rho1 ** 2)
-    q2, q2_st = integrate(neg_ax, [s[2] for s in sl], -params.s2 * params.rho2)
-    n2, _ = integrate(zeros, [s[3] for s in slopes(q1_st, q2_st)],
-                      0.5 * params.s2 * params.rho2 ** 2)
+    # with q2 at zero, its slope is its forcing term; n2 has no linear part
+    zeros = (0.0,) * 4
+    q2, q2_st = integrate([-ax for ax in ax_st], [s[0] for s in slopes(zeros)],
+                          -params.s2 * params.rho2)
+    n2, _ = integrate(zeros, [s[1] for s in slopes(q2_st)], 0.5 * params.s2 * params.rho2 ** 2)
 
     bad = np.flatnonzero(~np.isfinite([q1, n1, q2, n2]).all(axis=0))
     if bad.size:

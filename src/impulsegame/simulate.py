@@ -1,40 +1,29 @@
 """Forward equilibrium rollout with event detection and cost accounting.
 
-Between interventions the closed loop is the scalar linear ODE
-``xdot = a_x(t)*x + b_x*q1(t)``, integrated with classical RK4 on a
-uniform grid; each step is the affine map of :func:`affine_rk4`, so an
-impulse-free stretch propagates as one cumulative product.  The rollout
-is one loop whose step follows from its position.  From a grid node,
-:meth:`_RolloutGrid.scan` propagates to the first node on or past a band
-edge (:func:`.policy.sides`), or to the horizon.  From off the grid (after
-an event) or from the node before a flagged one, :func:`_bisect_crossing`
-steps onto the next node: it accepts the node, or locates the exit on
-the step to EVENT_TIME_TOL.  It returns bisection's point but probes far
-fewer substeps: Illinois regula falsi brackets the sign change of the
-band margin, two probes tighten the bracket, and bisection's own
-midpoint sequence is replayed, probing only the midpoints inside the
-bracket (event location as in Shampine & Thompson 2000).  That is
-bisection's point unless the margin's sign wobbles near its root at
-rounding level; then the locator ends on the bracket's probed end, so
-the exit it returns is always on or past a band edge.  Where no bracket
-forms, plain bisection runs.  Each probe evaluates the coefficients on
-Python floats at two times (see :mod:`.riccati`): the drift at the
-substep's midpoint, the drift and the band at its end.  The impulse resets
-the state exactly to the target, and integration resumes; a located exit
-within EVENT_TIME_TOL of T carries no impulse, while a start outside the
-band fires at any t0 but T itself.  Running costs are summed with
-Simpson's rule on the cubic-Hermite midpoint state, matching the
-integrator's accuracy, in one pass per trajectory that evaluates only
-event samples and an off-grid start afresh (:func:`_simpson_pass`) and
-keeps each segment's integrals and drift slopes for later queries.
+Between interventions the closed loop ``xdot = a_x(t)*x + b_x*q1(t)`` has
+a closed flow: the state is ``Phi(t)*(c + H(t))`` with one constant c
+(:meth:`.riccati.CoefficientPath.coefficients_at`).  The rollout is one
+loop whose step follows from its position.  From a grid node,
+:meth:`_RolloutGrid.scan` evaluates the node states to the first node on
+or past a band edge (:func:`.policy.sides`), or to the horizon.  From off
+the grid (after an event) or from the node before a flagged one,
+:func:`_bisect_crossing` steps onto the next node: it accepts the node,
+or locates the exit on the step to EVENT_TIME_TOL, at bisection's point
+with far fewer probes (Illinois regula falsi and a replay of bisection's
+midpoints, as in Shampine & Thompson 2000) and always on or past a band
+edge.  Each probe evaluates the coefficients on Python floats at its own
+time only (see :mod:`.riccati`).  The impulse resets the state exactly to
+the target, and the flow resumes from it; a located exit within
+EVENT_TIME_TOL of T carries no impulse, while a start outside the band
+fires at any t0 but T itself.  Running costs are summed with Simpson's
+rule on the cubic-Hermite midpoint state, in one pass per trajectory
+(:func:`_simpson_pass`) that evaluates only event samples and an off-grid
+start afresh and keeps each segment's integrals and drift slopes.
 
 :func:`make_rollout_hook` returns one checked body for many starts, and
 :func:`rollout` calls a fresh one once.  The body keeps the
 :class:`_RolloutGrid` of the latest start time, which computes what every
-start shares: the step maps, the thresholds, the drift and running-cost
-coefficients at the nodes and cell midpoints, the Hermite midpoint
-weights, the impulse budget's extremes and the last cumulative product.
-Starts outside the band share the rollout from their reset target, since
+start shares (see its docstring).  Starts outside the band share the rollout from their reset target, since
 Player 2 resets each to alpha(t0) or beta(t0): the grid keeps the rollout
 from each target, Simpson passes included, and such a start adds only
 its own t0 sample and event in front.  The trajectory does not keep the
@@ -57,14 +46,14 @@ from .model import (
     validate_box,
 )
 from .policy import ThresholdPolicy, gamma_star, impulse_map, sides
-from .riccati import DEFAULT_STEPS, affine_rk4, hermite
+from .riccati import DEFAULT_STEPS, hermite
 
 # Resolution of the event locator: tau is the right end of bisection's
 # final interval on the step, no wider than this.  _bisect_crossing
 # finds that same point with fewer probes, or a probed point within this
 # of it where the band margin is not monotone at rounding level.  A
-# located exit this close to T carries no impulse; the state is
-# integrated on to T.
+# located exit this close to T carries no impulse; the flow carries the
+# state on to T.
 EVENT_TIME_TOL = 1e-10
 ILLINOIS_MAX_ITER = 40   # safety cap on the bracket narrowing; tau stays exact past it
 CHATTER_TOL = 1e-8       # two events closer than this abort the rollout
@@ -274,33 +263,20 @@ def _simpson_pass(grid, segments):
     return passes
 
 
-def _step_map(path, t, h, start=None, end=None):
-    """RK4 steps of the closed loop from ``t`` over ``h`` as x -> mult*x + add.
-
-    ``t`` and ``h`` are floats, or arrays of equal shape; ``start`` and
-    ``end``, if given, are the drift's (a_x, b_x*q1) at ``t`` and ``t + h``."""
-    a0, b0 = path.coefficients_at(t, band=False) if start is None else start
-    am, bm = path.coefficients_at(t + 0.5 * h, band=False)
-    a1, b1 = path.coefficients_at(t + h, band=False) if end is None else end
-    _, mult, add = affine_rk4(h, (a0, am, am, a1), (b0, bm, bm, b1))
-    return mult, add
-
-
 class _RolloutGrid:
     """Precomputed rollout data on one (t0, step) grid, shared by every start.
 
-    Each RK4 step of the affine dynamics is the map x -> m*x + q from
-    :func:`affine_rk4`, so trajectories with different starting states
-    reuse the same per-step arrays and the thresholds at the nodes.  None
-    of the following depends on the start state either, so it is cached
-    here once:
+    None of the following depends on the start state, so it is cached here
+    once:
 
+    - ``phi``, ``shift``: the flow's Phi and H at every node
+      (:meth:`.riccati.CoefficientPath.coefficients_at`); between events
+      the node states are ``phi*(c + shift)`` with one constant c;
+    - ``ell1``, ``ell2``: the band's edges at every node;
     - ``nodes``: :func:`_node_terms` (a_x, b_x*q1, p1, q1) at every node;
     - ``cells``: :func:`_cell_terms` (h/6, p1 and q1 at the midpoint, the
       six Hermite midpoint weights) of every cell;
     - ``ell1_min``, ``ell2_max``: the policy extremes of the impulse budget;
-    - the cumulative product and sum of the steps from :meth:`scan`'s
-      latest start node, as far as a scan has needed them;
     - ``continued``: per reset target, the rollout from it at t0 (see
       :func:`_rollout_on_grid`).
 
@@ -319,13 +295,12 @@ class _RolloutGrid:
         self.params = params
         self.t0 = t0
         self.ts = ts
-        self.step_mult, self.step_add = _step_map(path, ts[:-1], np.diff(ts))
+        self.phi, self.shift = path.coefficients_at(ts, band=False)
         self.ell1, _, _, self.ell2 = policy.thresholds_at(ts)
         self.nodes = np.array(_node_terms(path, ts))
         self.cells = np.array(_cell_terms(path, ts[:-1], ts[1:]))
         self.ell1_min = float(np.min(policy.ell1))
         self.ell2_max = float(np.max(policy.ell2))
-        self._i0, self._prod, self._shift, self._filled = None, None, None, 0   # scan's
         self.continued = {}
 
     def scan(self, i0, x, block):
@@ -333,35 +308,23 @@ class _RolloutGrid:
         later node :func:`.policy.sides` flags, or through the horizon, and
         whether a node was flagged.
 
-        The cumulative product and sum from the last i0 are extended on
-        demand from their last values, so every prefix is bit for bit that
-        of one sweep to the horizon.  They are extended and tested in
-        blocks: the first ``block`` nodes past i0, then doubled until a
-        block holds a flagged node.  Raises NonFiniteStateError naming a
-        block's first non-finite node.
+        The states are ``phi*(c + shift)`` with c fixed by ``x`` at i0,
+        evaluated and tested in blocks: the first ``block`` nodes past i0,
+        then doubled until a block holds a flagged node.  Raises
+        NonFiniteStateError naming a block's first non-finite node.
         """
-        if self._i0 != i0:
-            self._i0, self._filled = i0, 0
-            self._prod, self._shift = np.empty((2, len(self.ts) - i0))
-            self._prod[0], self._shift[0] = 1.0, 0.0
-        prod, shift = self._prod, self._shift
-        ell1, ell2, last = self.ell1[i0:], self.ell2[i0:], len(prod) - 1
+        c = x / self.phi[i0] - self.shift[i0]
+        phi, shift = self.phi[i0:], self.shift[i0:]
+        ell1, ell2, last = self.ell1[i0:], self.ell2[i0:], len(phi) - 1
+        xs = np.full(len(phi), x)
         a, b = 0, min(last, block)
         while True:
-            f = self._filled
-            if b > f:
-                prod[f + 1:b + 1] = self.step_mult[i0 + f:i0 + b]
-                np.multiply.accumulate(prod[f:b + 1], out=prod[f:b + 1])
-                shift[f + 1:b + 1] = self.step_add[i0 + f:i0 + b] / prod[f + 1:b + 1]
-                terms = shift[max(f, 1):b + 1]      # the sweep's sum starts at its first term
-                np.add.accumulate(terms, out=terms)
-                self._filled = b
-            xs = prod[:b + 1] * (x + shift[:b + 1])
-            bad = np.flatnonzero(~np.isfinite(xs[a:]))
+            np.multiply(phi[a + 1:b + 1], c + shift[a + 1:b + 1], out=xs[a + 1:b + 1])
+            bad = np.flatnonzero(~np.isfinite(xs[a:b + 1]))
             if bad.size:
                 k = i0 + a + int(bad[0])
                 raise NonFiniteStateError(f"state non-finite at node {k} (t={self.ts[k]!r})")
-            below, above = sides(ell1[a + 1:b + 1], ell2[a + 1:b + 1], xs[a + 1:])
+            below, above = sides(ell1[a + 1:b + 1], ell2[a + 1:b + 1], xs[a + 1:b + 1])
             exits = np.flatnonzero(below | above)
             if exits.size:
                 return xs[:a + 2 + int(exits[0])], True
@@ -491,9 +454,8 @@ def _illinois(probe, a, fa, b, fb):
 def _bisect_crossing(grid, t_lo, x_lo, h):
     """Locate the first threshold crossing inside one step to EVENT_TIME_TOL.
 
-    The state at a trial offset s is an RK4 substep of size s from the
-    step's left node, so the located point is on the integrator's own
-    trajectory up to its local error.  Returns ``(tau, x_minus)`` at the
+    The state at a trial offset s is the closed-form flow from
+    ``(t_lo, x_lo)`` to ``t_lo + s``.  Returns ``(tau, x_minus)`` at the
     crossing, or ``(None, x_end)`` with the step's end state when the
     margin ``m(s) = min(x - ell1, ell2 - x)`` is positive at s = h.
 
@@ -506,44 +468,32 @@ def _bisect_crossing(grid, t_lo, x_lo, h):
     only a midpoint strictly inside (a, b) is probed, tightening the
     bracket.  That is bisection's tau bit for bit when every unprobed
     midpoint has the sign the bracket implies, which can fail where m is
-    not monotone at rounding level (about 1e-11): an unprobed final hi
-    with m > 0 is replaced by b, probed and within EVENT_TIME_TOL of it.
-    Without a bracket (m(0) <= 0, or m(h) is NaN) every midpoint is
-    probed: plain bisection.  A step from a grid node takes its start
-    terms and thresholds from the grid, evaluating nothing there; a whole
-    grid step also takes its map and end thresholds from it.  Each equals
-    the float path bit for bit.
+    not monotone at rounding level: an unprobed final hi with m > 0 is
+    replaced by b, probed and within EVENT_TIME_TOL of it.  Without a
+    bracket (m(0) <= 0, or m(h) is NaN) every midpoint is probed: plain
+    bisection.  Every evaluation is on the float path, which equals the
+    array path bit for bit.
     """
-    path, policy, ts = grid.path, grid.policy, grid.ts
+    path, policy = grid.path, grid.policy
     states = {}
-    i = int(ts.searchsorted(t_lo))
-    on_node = i < len(ts) and ts[i] == t_lo
-    whole = on_node and i + 1 < len(ts) and t_lo + h == ts[i + 1]
-    start = grid.nodes[:2, i].tolist() if on_node else path.coefficients_at(t_lo, band=False)
+    phi, shift = path.coefficients_at(t_lo, band=False)
+    c = x_lo / phi - shift
 
     def margin(x, ell1, _alpha, _beta, ell2):
         # <= 0 exactly where sides() fires; Illinois needs its signed value
         return min(x - ell1, ell2 - x)
 
-    def node_band(k):
-        return float(grid.ell1[k]), None, None, float(grid.ell2[k])
-
     def probe(s):
-        a1, b1, p2, q2 = path.coefficients_at(t_lo + s)
-        mult, add = _step_map(path, t_lo, s, start, (a1, b1))
-        x = states[s] = mult * x_lo + add
+        phi, shift, p2, q2 = path.coefficients_at(t_lo + s)
+        x = states[s] = phi * (c + shift)
         return margin(x, *policy.band(p2, q2))
 
-    if whole:
-        states[h] = float(grid.step_mult[i]) * x_lo + float(grid.step_add[i])
-        m_h = margin(states[h], *node_band(i + 1))
-    else:
-        m_h = probe(h)
+    m_h = probe(h)
     if m_h > 0.0:
         return None, states[h]
     a, b = 0.0, h
     if h > EVENT_TIME_TOL and m_h <= 0.0:    # m_h is not NaN
-        m_0 = margin(x_lo, *(node_band(i) if on_node else policy.thresholds_at(t_lo)))
+        m_0 = margin(x_lo, *policy.thresholds_at(t_lo))
         if m_0 > 0.0:
             a, b = _illinois(probe, a, m_0, b, m_h)
     lo, hi = 0.0, h
@@ -610,8 +560,9 @@ def _advance(grid, x_cur, events, max_events):
         elif tau >= T - EVENT_TIME_TOL:
             # an exit this close to the horizon carries no impulse
             if tau < T:
-                mult, add = _step_map(path, tau, T - tau)
-                x_new = float(mult * x_new + add)
+                (phi, shift), (phi_T, shift_T) = (path.coefficients_at(t, band=False)
+                                                  for t in (tau, T))
+                x_new = phi_T * (x_new / phi - shift + shift_T)
             t_cur, x_cur = T, x_new
         else:
             # the exit closes the segment; the next opens at the reset target.

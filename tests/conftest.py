@@ -1,10 +1,13 @@
 import dataclasses
+import functools
 
 import pytest
+from scipy.integrate import quad, solve_ivp
 
 from impulsegame import (
     GameParams,
     StateBox,
+    a_x,
     build_policy,
     constants,
     solve_backward,
@@ -40,6 +43,32 @@ def defining_rates(path, t):
         -ax * q2 - b_x * p2 * q1 + pr.w2 * pr.rho2,
         -b_x * q1 * q2 - 0.5 * pr.w2 * pr.rho2 ** 2,
     )
+
+
+@functools.lru_cache(maxsize=8)
+def q1_reference(params):
+    """q1 on [0, T] as a function of t, integrated backward from q1(T) =
+    -s1*rho1 by scipy's DOP853 (rtol = atol = 1e-13), not from its closed form.
+
+    Steps of at most 0.25 keep the dense output near that accuracy: with
+    DOP853's own steps it is off by up to 2e-12 relative at T=200.
+    """
+    consts = constants(params)
+    sol = solve_ivp(lambda t, y: -a_x(consts, t) * y + params.w1 * params.rho1,
+                    (params.T, 0.0), [-params.s1 * params.rho1], method="DOP853",
+                    rtol=1e-13, atol=1e-13, dense_output=True, max_step=0.25)
+    return lambda t: sol.sol(t)[0]
+
+
+def n1_reference(params, t):
+    """n1(t) = n1(T) plus ``quad`` over [t, T] of 0.5*b_x*q1^2 + 0.5*w1*rho1^2,
+    the negative of n1's defining rate, with q1 from :func:`q1_reference`."""
+    q1 = q1_reference(params)
+    b_x = -params.b * params.b / params.r1
+    forcing = 0.5 * params.w1 * params.rho1 ** 2
+    integral, _ = quad(lambda s: 0.5 * b_x * q1(s) ** 2 + forcing, t, params.T,
+                       epsrel=1e-12, epsabs=0.0, limit=500)
+    return 0.5 * params.s1 * params.rho1 ** 2 + integral
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,7 @@
 """The float path of every closed form and interpolant equals the array path.
 
-A rollout's event locator evaluates a_x, q1, p2, q2 and the band one
-Python float at a time; everything else evaluates them on arrays.  Both
+A rollout's event locator evaluates the flow's Phi and H, p2, q2 and the
+band one Python float at a time; everything else evaluates them on arrays.  Both
 must give the same double bit for bit, so equality here is exact.
 """
 
@@ -10,8 +10,8 @@ import pytest
 
 from impulsegame import build_policy, solve_backward
 from impulsegame.policy import _band
-from impulsegame.riccati import a_x, hermite, p1_closed_form, p2_closed_form
-from impulsegame.simulate import _step_map
+from impulsegame.riccati import (a_x, hermite, n1_closed_form, p1_closed_form, p2_closed_form,
+                                 q1_closed_form)
 from impulsegame.verify import difference_slopes
 
 from conftest import BASELINE, variant
@@ -63,6 +63,8 @@ def test_closed_forms(solved):
     assert_float_path_equals(lambda t: a_x(consts, t), ts)
     assert_float_path_equals(lambda t: p1_closed_form(consts, params, t), ts)
     assert_float_path_equals(lambda t: p2_closed_form(consts, params, t), ts)
+    assert_float_path_equals(lambda t: q1_closed_form(consts, params, t), ts)
+    assert_float_path_equals(lambda t: n1_closed_form(consts, params, t), ts)
 
 
 def test_hermite_and_interpolated_paths(solved):
@@ -89,13 +91,14 @@ def test_thresholds(solved):
 
 
 def test_coefficients_at_equals_each_coefficients_array_path(solved):
-    # one exponential and one Hermite cell per time, for a probe's
-    # midpoint (no band) and its end (with the band)
+    # one exponential and one Hermite cell per time: the flow's Phi and H
+    # for a probe's start (no band), with p2 and q2 at its end
     params, path, policy = solved
     ts = probe_times(params, path)
     consts = path.constants
     p2 = p2_closed_form(consts, params, ts)
-    want = (a_x(consts, ts), consts.b_x * path.q1_at(ts), p2, path.q2_at(ts))
+    phi, shift = path.coefficients_at(ts, band=False)
+    want = (phi, shift, p2, path.q2_at(ts))
     for band, n in ((True, 4), (False, 2)):
         got = path.coefficients_at(ts, band=band)
         floats = [path.coefficients_at(t, band=band) for t in ts.tolist()]
@@ -110,13 +113,26 @@ def test_coefficients_at_equals_each_coefficients_array_path(solved):
             assert_same(curve, band[k])
 
 
+def step(path, t, x, h):
+    """The closed loop's state at t + h from x at t: phi*(c + shift), c fixed at t."""
+    phi, shift = path.coefficients_at(t, band=False)
+    phi_h, shift_h = path.coefficients_at(t + h, band=False)
+    return phi_h * (x / phi - shift + shift_h)
+
+
 def test_step_map(solved):
-    params, path, _ = solved
+    # a step of the closed-form flow, as the locator takes it on floats,
+    # equals the same step on arrays; two steps compose into one
+    params, path, policy = solved
     ts = probe_times(params, path)
     rng = np.random.default_rng(7)
-    step = params.T / 4096
-    hs = np.concatenate([rng.uniform(0.0, step, ts.size - 3), [step, 1e-11, 0.0]])
-    got = [_step_map(path, t, h) for t, h in zip(ts.tolist(), hs.tolist())]
-    mult, add = _step_map(path, ts, hs)
-    assert_same([g[0] for g in got], mult)
-    assert_same([g[1] for g in got], add)
+    step_size = params.T / 4096
+    hs = np.concatenate([rng.uniform(0.0, step_size, ts.size - 3), [step_size, 1e-11, 0.0]])
+    xs = rng.uniform(-2.0, 12.0, ts.size)
+    got = [step(path, t, x, h) for t, x, h in zip(ts.tolist(), xs.tolist(), hs.tolist())]
+    assert all(type(g) is float for g in got)
+    assert_same(got, step(path, ts, xs, hs))
+    inside = (ts >= 0.0) & (ts + 2.0 * hs <= params.T)
+    t, x, h = ts[inside], xs[inside], hs[inside]
+    twice = step(path, t + h, step(path, t, x, h), h)
+    np.testing.assert_allclose(twice, step(path, t, x, 2.0 * h), rtol=1e-13, atol=1e-13)

@@ -16,7 +16,7 @@ from impulsegame import (
 )
 from impulsegame.verify import difference_slopes
 
-from conftest import BASELINE, defining_rates, variant
+from conftest import BASELINE, defining_rates, n1_reference, q1_reference, variant
 
 
 def rk4_terminal_value(rhs, y_terminal, t_grid):
@@ -40,36 +40,35 @@ def rk4_terminal_value(rhs, y_terminal, t_grid):
     return out
 
 
-def seed_backward_rk4(params, n_steps=4096):
-    """The original backward solve, kept as a reference: one RK4 step of the
-    four-component system per loop pass, stages evaluated numerically."""
+def seed_backward_rk4(params, q1, n_steps=4096):
+    """The original backward solve of q2 and n2, kept as a reference: one RK4
+    step of the two-component system per loop pass, stages evaluated
+    numerically, with q1 taken from the function ``q1`` at every stage."""
     consts = constants(params)
     ts = np.linspace(0.0, params.T, n_steps + 1)
     h = params.T / n_steps
-    w1, rho1, w2, rho2 = params.w1, params.rho1, params.w2, params.rho2
+    w2, rho2 = params.w2, params.rho2
     b_x = consts.b_x
+    q1_nodes, q1_mids = q1(ts), q1(ts[1:] - 0.5 * h)
 
-    def rhs(t, y):
-        q1v, n1v, q2v, n2v = y
+    def rhs(t, y, q1v):
+        q2v, n2v = y
         axv = a_x(consts, t)
         p2v = p2_closed_form(consts, params, t)
         return np.array([
-            -axv * q1v + w1 * rho1,
-            -0.5 * b_x * q1v * q1v - 0.5 * w1 * rho1 ** 2,
             -axv * q2v - b_x * p2v * q1v + w2 * rho2,
             -b_x * q1v * q2v - 0.5 * w2 * rho2 ** 2,
         ])
 
-    y = np.array([-params.s1 * rho1, 0.5 * params.s1 * rho1 ** 2,
-                  -params.s2 * rho2, 0.5 * params.s2 * rho2 ** 2])
-    out = np.empty((n_steps + 1, 4))
+    y = np.array([-params.s2 * rho2, 0.5 * params.s2 * rho2 ** 2])
+    out = np.empty((n_steps + 1, 2))
     out[n_steps] = y
     for i in range(n_steps, 0, -1):
         t = ts[i]
-        k1 = rhs(t, y)
-        k2 = rhs(t - 0.5 * h, y - 0.5 * h * k1)
-        k3 = rhs(t - 0.5 * h, y - 0.5 * h * k2)
-        k4 = rhs(t - h, y - h * k3)
+        k1 = rhs(t, y, q1_nodes[i])
+        k2 = rhs(t - 0.5 * h, y - 0.5 * h * k1, q1_mids[i - 1])
+        k3 = rhs(t - 0.5 * h, y - 0.5 * h * k2, q1_mids[i - 1])
+        k4 = rhs(t - h, y - h * k3, q1_nodes[i - 1])
         y = y - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out[i - 1] = y
     return out
@@ -78,9 +77,16 @@ def seed_backward_rk4(params, n_steps=4096):
 @pytest.mark.parametrize("params", [BASELINE, variant(w2=1.0), variant(T=200.0)],
                          ids=["table1", "table1_w2_1", "T200"])
 def test_affine_solve_matches_stagewise_reference(params):
+    # q1 against DOP853 and n1 against quad of its rate; q2 and n2, forced
+    # by that q1, against the stage-wise RK4 reference
     path = solve_backward(params)
-    ref = seed_backward_rk4(params)
-    for j, name in enumerate(("q1", "n1", "q2", "n2")):
+    q1 = q1_reference(params)
+    np.testing.assert_allclose(path.q1, q1(path.time_grid), rtol=1e-12, atol=0.0, err_msg="q1")
+    for k in (0, 2048, 4095):
+        np.testing.assert_allclose(path.n1[k], n1_reference(params, float(path.time_grid[k])),
+                                   rtol=1e-12, atol=0.0, err_msg=f"n1 at node {k}")
+    ref = seed_backward_rk4(params, q1)
+    for j, name in enumerate(("q2", "n2")):
         np.testing.assert_allclose(getattr(path, name), ref[:, j], rtol=1e-12, atol=0.0,
                                    err_msg=name)
 
@@ -88,8 +94,8 @@ def test_affine_solve_matches_stagewise_reference(params):
 @pytest.mark.parametrize("params", [BASELINE, variant(w2=1.0), variant(T=200.0)],
                          ids=["table1", "table1_w2_1", "T200"])
 def test_quadrature_scan_equals_the_float_loop(params, monkeypatch):
-    # n1 and n2 have the step multiplier the float 1.0: their accumulated
-    # sum equals the recurrence's float loop bit for bit
+    # n2 has the step multiplier the float 1.0: its accumulated sum equals
+    # the recurrence's float loop bit for bit
     scans = []
     scan_back = riccati._scan_back
 
@@ -100,8 +106,8 @@ def test_quadrature_scan_equals_the_float_loop(params, monkeypatch):
     monkeypatch.setattr(riccati, "_scan_back", recording)
     path = solve_backward(params)
     quadratures = [s for s in scans if isinstance(s[0], float)]
-    assert [s[0] for s in quadratures] == [1.0, 1.0]
-    for (mult, add, y_end, got), name in zip(quadratures, ("n1", "n2")):
+    assert [s[0] for s in quadratures] == [1.0]
+    for (mult, add, y_end, got), name in zip(quadratures, ("n2",)):
         want = [y_end]
         for c in reversed(add.tolist()):
             want.append(mult * want[-1] + c)
@@ -151,7 +157,7 @@ def test_degenerate_divisor_raises():
 def test_vanishing_denominator_raises_for_float_and_array(t):
     # c1 = -1 makes c1*e^(theta*t) + 1 vanish at t = 0; the float path
     # must keep the zero check the array path has
-    consts = RiccatiConstants(theta=1.0, c1=-1.0, h_const=0.0, b_x=-0.09)
+    consts = RiccatiConstants(theta=1.0, c1=-1.0, h_const=0.0, b_x=-0.09, k1=0.0)
     with pytest.raises(DegenerateParameterError):
         a_x(consts, t)
 

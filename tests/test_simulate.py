@@ -24,7 +24,8 @@ from impulsegame import (
     value_v2,
 )
 from impulsegame.cli import EXIT_MODEL, load_config, main
-from impulsegame.riccati import affine_rk4, hermite
+from impulsegame.policy import phi2
+from impulsegame.riccati import hermite
 from impulsegame.simulate import (
     EVENT_TIME_TOL,
     Trajectory,
@@ -306,17 +307,16 @@ def test_deterministic_replay(path, policy, params):
 
 # ---------------------------------------------------------------------------
 # Event location against the reference: plain bisection with every probe on
-# the array path, an RK4 substep whose stage coefficients are one array and
-# thresholds evaluated on an array.
+# the array path, the closed-form flow over the probe's offset with the
+# flow's terms at both ends evaluated as one array, and thresholds
+# evaluated on an array.
 
 
 def reference_step(path, t, x, h):
-    """One RK4 step of the closed loop, stage coefficients evaluated as one array."""
-    st = np.array([t, t + 0.5 * h, t + h])
-    a = path.a_x_at(st)
-    b = path.constants.b_x * path.q1_at(st)
-    _, mult, add = affine_rk4(h, (a[0], a[1], a[1], a[2]), (b[0], b[1], b[1], b[2]))
-    return float(mult * x + add)
+    """The closed loop's state at t + h from x at t: phi*(c + shift) with c
+    fixed at t, both ends' terms evaluated as one array."""
+    phi, shift = path.coefficients_at(np.array([t, t + h]), band=False)
+    return float(phi[1] * (x / phi[0] - shift[0] + shift[1]))
 
 
 def reference_bisect(grid, t_lo, x_lo, h):
@@ -402,39 +402,36 @@ def test_locator_equals_bisection_on_seeded_steps(grids):
     assert min(counts.values()) >= 100, counts
 
 
-def test_locator_probe_evaluates_the_coefficients_at_two_times(grids, monkeypatch):
-    # a probe's RK4 substep evaluates the closed forms and the
-    # interpolants at its midpoint and its end only; a step from a grid
-    # node takes that node's terms from the grid
-    calls = {"affine_rk4": [], "_closed_forms": [], "_interpolate": []}
+def test_locator_probe_evaluates_the_coefficients_at_one_time(grids, monkeypatch):
+    # a probe evaluates one exponential (the flow's Phi and H and p2) and
+    # one q2 interpolant, at its own time only; the step's start adds at
+    # most two exponentials (the flow, then the thresholds) and one
+    # interpolant at t_lo
+    calls = {"_exponential": [], "hermite": []}
 
-    def record(module, name, time_arg):
-        fn = getattr(module, name)
+    def record(name, time_arg):
+        fn = getattr(riccati, name)
 
         def recorded(*args):
             calls[name].append(args[time_arg])
             return fn(*args)
-        monkeypatch.setattr(module, name, recorded)
+        monkeypatch.setattr(riccati, name, recorded)
 
-    record(simulate, "affine_rk4", 0)
-    record(riccati, "_closed_forms", 2)
-    record(riccati, "_interpolate", 1)
-    probes = on_node = 0
+    record("_exponential", 1)
+    record("hermite", 3)
+    probes = 0
     for j, name in enumerate(LONG_HORIZON):
         grid = grids[name]
         for t_lo, x_lo, h in seeded_steps(grid, 400, seed=300 + j):
             for c in calls.values():
                 c.clear()
             _bisect_crossing(grid, t_lo, x_lo, h)
-            n = len(calls["affine_rk4"])
-            node = t_lo in grid.ts
-            for times in (calls["_closed_forms"], calls["_interpolate"]):
-                later = [t for t in times if t != t_lo]
-                assert len(later) <= 2 * n, (name, t_lo, x_lo, h)
-                assert len(times) - len(later) <= (0 if node else 2), (name, t_lo, x_lo, h)
-            probes += n
-            on_node += node
-    assert probes >= 2000 and on_node >= 300
+            exps, cells = ([t for t in calls[k] if t != t_lo] for k in ("_exponential", "hermite"))
+            assert exps == cells, (name, t_lo, x_lo, h)
+            assert len(calls["_exponential"]) - len(exps) <= 2, (name, t_lo, x_lo, h)
+            assert len(calls["hermite"]) - len(cells) <= 1, (name, t_lo, x_lo, h)
+            probes += len(exps)
+    assert probes >= 2000
 
 
 def test_locator_falls_back_to_bisection_without_bracket(grids, monkeypatch):
@@ -474,10 +471,10 @@ def test_long_horizon_rollouts_equal_bisection_rollouts(grids, monkeypatch, name
 
 
 def fresh_sweep(grid, i0, x):
-    """Node states from i0 to the horizon by one uncached cumulative product and sum."""
-    prod = np.concatenate(([1.0], np.cumprod(grid.step_mult[i0:])))
-    shift = np.concatenate(([0.0], np.cumsum(grid.step_add[i0:] / prod[1:])))
-    return prod * (x + shift)
+    """Node states from i0 to the horizon by one whole-array evaluation of the flow."""
+    xs = grid.phi[i0:] * (x / grid.phi[i0] - grid.shift[i0] + grid.shift[i0:])
+    xs[0] = x
+    return xs
 
 
 def flag_only(grid, k=None):
@@ -488,23 +485,27 @@ def flag_only(grid, k=None):
         grid.ell2[k] = -np.inf
 
 
-def test_propagate_memo_equals_fresh_sweep():
-    p = LONG_HORIZON["table1_T200"]
-    pth = solve_backward(p)
-    grid = _RolloutGrid(pth, build_policy(pth, p), p, 0.0, p.T / 4096)
-    flag_only(grid)     # every scan runs to the horizon
-    for i0, x in ((0, 4.2), (1234, 4.2), (0, 6.1), (3000, 5.0), (3000, 3.9), (17, 5.5), (0, 4.2)):
-        want = fresh_sweep(grid, i0, x)
-        got, flagged = grid.scan(i0, x, len(grid.ts))
+def test_propagate_memo_equals_fresh_sweep(grids):
+    # with no node flagged every scan runs to the horizon: whole-horizon
+    # blocks and blocks doubled from short ones, from several start nodes
+    # and back to an old one, all give one whole-array evaluation of the
+    # flow byte for byte
+    g = grids["table1_T200"]
+    grid = _RolloutGrid(g.path, g.policy, g.params, 0.0, g.params.T / 4096)
+    flag_only(grid)
+    n = len(grid.ts)
+    for i0, x, block in ((0, 4.2, n), (1234, 4.2, n), (0, 6.1, n), (3000, 5.0, n),
+                         (3000, 3.9, n), (17, 5.5, n), (0, 4.2, n),
+                         (1234, 4.2, 1), (0, 6.1, 7), (3000, 3.9, 100), (17, 5.5, 2), (0, 4.2, 3)):
+        got, flagged = grid.scan(i0, x, block)
         assert not flagged
-        assert got.tobytes() == want.tobytes(), (i0, x)
+        assert got.tobytes() == fresh_sweep(grid, i0, x).tobytes(), (i0, x, block)
 
 
 def test_propagate_blocks_equal_fresh_sweep(grids):
-    # blocks extend the cached sums from their last values: a short block
-    # then longer ones, doubled past the flagged node ``stop``, a shorter
-    # one read from the cache, a new i0, and a return to an old one all
-    # give the fresh sweep's prefix byte for byte
+    # blocks of the flow's node arrays: a short block then longer ones,
+    # doubled past the flagged node ``stop``, a new i0 and a return to an
+    # old one, all give one whole-array evaluation's prefix byte for byte
     g = grids["table1_T200"]
     grid = _RolloutGrid(g.path, g.policy, g.params, 0.0, g.params.T / 4096)
     last = len(grid.ts) - 1
@@ -551,8 +552,8 @@ def test_sweep_start_propagates_once(path, policy, params, monkeypatch):
 
 @pytest.mark.parametrize("when", ["first segment", "after events"])
 def test_nonfinite_step_names_its_node(grids, when):
-    # an infinite step map at node j makes the state at node j+1 the first
-    # non-finite one, whichever block of propagation reaches it
+    # an infinite Phi at node j+1 makes the state there the first
+    # non-finite one, whichever block of the scan reaches it
     g = grids["table1_T200"]
     p = g.params
     clean = rollout(g.path, g.policy, p, 0.0, 8.0, step=p.T / 4096)    # inside the band
@@ -563,8 +564,8 @@ def test_nonfinite_step_names_its_node(grids, when):
     grid = _RolloutGrid(g.path, g.policy, p, 0.0, p.T / 4096)
     j = int(np.searchsorted(grid.ts, seg_t[2]))
     assert grid.ts[j] == seg_t[2] and grid.ts[j + 1] == seg_t[3]
-    grid.step_mult = grid.step_mult.copy()
-    grid.step_mult[j] = np.inf
+    grid.phi = grid.phi.copy()
+    grid.phi[j + 1] = np.inf
     with pytest.raises(simulate.NonFiniteStateError, match=f"at node {j + 1} "):
         simulate._rollout_on_grid(grid, 8.0, None)
 
@@ -597,8 +598,8 @@ def test_admissibility_names_each_segments_first_bad_sample(grids):
 def test_spurious_exit_flag_keeps_the_node(monkeypatch):
     # A node the scan flags while the locator, which steps onto it from
     # the node before, finds no crossing on that step: the rollout accepts
-    # the node and goes on.  (The scan's cumulative-product state can sit
-    # on an edge by rounding where the locator's one step lands inside.)
+    # the node and goes on.  (The scan's state can sit on an edge by
+    # rounding where the locator's step from the node before lands inside.)
     p = LONG_HORIZON["table1_T200"]
     pth = solve_backward(p)
     pol = build_policy(pth, p)
@@ -962,25 +963,51 @@ def test_shared_continuation_raises_what_a_fresh_rollout_raises(monkeypatch):
     grid = _RolloutGrid(pth, pol, p, 0.0, p.T / 4096)
     j = 40
     assert full.segments[1][0][j + 1] == grid.ts[j + 1]
-    grid.step_mult = grid.step_mult.copy()
-    grid.step_mult[j] = np.inf
+    grid.phi = grid.phi.copy()
+    grid.phi[j + 1] = np.inf
     for x0 in (0.0, 1.0):
         with pytest.raises(simulate.NonFiniteStateError, match=f"at node {j + 1} "):
             simulate._rollout_on_grid(grid, x0, None)
     assert not grid.continued
 
 
-def test_locator_ends_on_a_probed_point_outside_the_band():
+def test_locator_ends_on_a_probed_point_outside_the_band(monkeypatch):
     # On one step of this rollout the band margin is not monotone near its
-    # root at the 1e-11 level: bisection's last midpoint, which the
-    # locator's replay does not probe, lies 7.5e-12 inside the band.  The
-    # locator ends on its bracket's probed end instead, so every exit fires.
+    # root at rounding level: bisection's last midpoint, which the
+    # locator's replay does not probe, lies inside the band.  The locator
+    # probes it and ends on its bracket's probed end instead, so every exit
+    # fires.  That branch is counted: the locator's last probe then lies
+    # past the point it returns, with a positive margin, which no other
+    # branch leaves behind.
     cfg = load_config(Path(__file__).resolve().parent / "data" / "locator_inside_band.cfg")
     p = cfg.params
     pth = solve_backward(p, cfg.n_steps)
     pol = build_policy(pth, p)
+    locate, evaluate = simulate._bisect_crossing, type(pth).coefficients_at
+    bracket_ends = []
+
+    def counting_locate(grid, t_lo, x_lo, h):
+        log = []
+
+        def recording(t, band=True):
+            log.append((t, evaluate(grid.path, t, band)))
+            return log[-1][1]
+
+        with monkeypatch.context() as m:
+            m.setattr(grid.path, "coefficients_at", recording)
+            got = locate(grid, t_lo, x_lo, h)
+        (_, (phi, shift)), *_, (t, (phi_t, shift_t, p2, q2)) = log
+        x = phi_t * (x_lo / phi - shift + shift_t)      # the last probe's state
+        ell1, _, _, ell2 = pol.band(p2, q2)
+        if got[0] is not None and t > got[0] and min(x - ell1, ell2 - x) > 0.0:
+            bracket_ends.append(got[0])
+        return got
+
+    monkeypatch.setattr(simulate, "_bisect_crossing", counting_locate)
     traj = rollout(pth, pol, p, 0.0, cfg.initial_states[0], step=cfg.sim_step)
     assert len(traj.events) >= 500
+    assert len(bracket_ends) >= 1
+    assert set(bracket_ends) <= {ev.tau for ev in traj.events}
     assert all(impulse_map(pol, ev.tau, ev.x_minus) is not None for ev in traj.events)
     report = admissibility_check(traj, pol)
     assert report.ok, report.violations
@@ -1000,3 +1027,80 @@ def test_located_exit_without_a_reset_is_a_named_error(tmp_path, monkeypatch, ca
     cfg.write_text((CONFIGS / "table1.cfg").read_text() + f"\noutput_dir = {tmp_path / 'out'}\n")
     assert main(["simulate", "--config", str(cfg)]) == EXIT_MODEL
     assert re.match(f"model violation: {message}", capsys.readouterr().err)
+
+
+# ---------------------------------------------------------------------------
+# The verification identity along every rollout.  phi1 solves Player 1's
+# HJB along the feedback path and phi2 Player 2's interior equation in the
+# band, so for a rollout from (t0, x0) and each player i
+#   J_i = phi_i(t0, x0) + sum over events of
+#         (cost_p_i + phi_i(tau, x_plus) - phi_i(tau, x_minus)).
+# The rollout's Simpson costs and the value quadratics are computed
+# independently, so the identity checks one against the other.
+
+
+def phi1(path, t, x):
+    return 0.5 * path.p1_at(t) * x * x + path.q1_at(t) * x + path.n1_at(t)
+
+
+def identity_defects(name, T):
+    """Each player's largest |J_i - identity| over 41 starts spread over the
+    config's box at t = 0, relative to the largest |J_i| over those starts.
+
+    Relative to the value's scale over the box, not to each start's J_i:
+    J2 nearly vanishes for starts near rho2, where phi2's terms are about
+    100, so a per-start ratio would measure that cancellation (2e-11 on
+    table1 at T=1 from x0 = 5), not the identity.
+    """
+    cfg = load_config(CONFIGS / f"{name}.cfg")
+    p = dataclasses.replace(cfg.params, T=T)
+    pth = solve_backward(p, cfg.n_steps)
+    pol = build_policy(pth, p)
+    hook = make_rollout_hook(pth, pol, p)
+    defects, scales = np.zeros(2), np.zeros(2)
+    for x0 in np.linspace(cfg.box.x_lo, cfg.box.x_hi, 41):
+        traj = hook(0.0, float(x0))
+        for i, (phi, j, cost) in enumerate(((phi1, traj.j1, "cost_p1"),
+                                            (phi2, traj.j2, "cost_p2"))):
+            want = phi(pth, 0.0, x0) + sum(
+                getattr(ev, cost) + phi(pth, ev.tau, ev.x_plus) - phi(pth, ev.tau, ev.x_minus)
+                for ev in traj.events)
+            defects[i] = max(defects[i], abs(j - want))
+            scales[i] = max(scales[i], abs(j))
+    return defects / scales
+
+
+@pytest.mark.parametrize("name", ["table1", "table1_w2_1"])
+@pytest.mark.parametrize("T", [1.0, 5.0])
+def test_verification_identity_along_every_rollout(name, T):
+    assert np.all(identity_defects(name, T) <= 1e-12)
+
+
+@pytest.mark.parametrize("name, T, bounds", [("table1", 200.0, (2e-10, 1e-9)),
+                                             ("table1_w2_1", 400.0, (2.5e-9, 1e-8))])
+def test_verification_identity_at_long_horizons(name, T, bounds):
+    # Measured: J1 8.5e-11 / 1.2e-9 and J2 5.7e-10 / 5.3e-9 at T = 200 / 400
+    # (RK4 q1 and flow: J1 5.0e-10 / 7.9e-9).  What is left is the cost
+    # quadrature's error, Simpson's rule on the cubic-Hermite midpoint
+    # state at step T/4096: with step T/16384 the same starts give J1
+    # 3.5e-13 / 5.0e-12 and J2 1.5e-11 / 7.9e-11, the rest of J2's being
+    # the RK4 error in q2 and n2.
+    assert np.all(identity_defects(name, T) <= bounds)
+
+
+def test_table1_rolls_out_at_its_longest_solvable_horizon():
+    # T = 560 (theta*T = 354) is the longest horizon table1 solves at: the
+    # closed forms and the flow's node arrays stay finite there under the
+    # suite's warnings-as-errors, and every rollout is admissible
+    cfg = load_config(CONFIGS / "table1.cfg")
+    p = dataclasses.replace(cfg.params, T=560.0)
+    pth = solve_backward(p, cfg.n_steps)
+    pol = build_policy(pth, p)
+    hook = make_rollout_hook(pth, pol, p)
+    for x0 in (2.0, 5.0, 8.0):
+        traj = hook(0.0, x0)
+        assert len(traj.events) >= 500
+        assert all(np.all(np.isfinite(x)) for _, x in traj.segments)
+        assert np.isfinite([traj.j1, traj.j2, traj.terminal_state]).all()
+        report = admissibility_check(traj, pol)
+        assert report.ok, report.violations
