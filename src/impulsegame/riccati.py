@@ -6,11 +6,11 @@ K (``k1``), the quadratic, linear and constant coefficients ``p1``,
 ``q1``, ``n1`` are closed forms of e^(theta*t), and so is the closed loop
 between interventions (:meth:`CoefficientPath.coefficients_at`).
 Player 2's quadratic coefficient ``p2`` is closed too.  Its linear and
-constant coefficients ``q2, n2`` are integrated backward from their
-terminal conditions with classical fourth-order Runge-Kutta on a uniform
-grid, every step written as an affine map by :func:`affine_rk4`, and
-evaluated between nodes by the cubic Hermite interpolant :func:`hermite`,
-whose node slopes come from the defining equations.
+constant coefficients ``q2, n2`` are quadratures of closed forms through
+the same integrating factor Phi (:func:`solve_backward`): Gauss-Legendre
+sums on the cells of a uniform grid, exact at T.  Between nodes they are
+evaluated by the cubic Hermite interpolant :func:`hermite`, whose node
+slopes come from the defining equations.  Nothing here integrates an ODE.
 
 Every formula here has one body that serves a Python float and an array.
 A scalar time (float, int or 0-d array) runs through it on Python floats
@@ -34,6 +34,9 @@ from .errors import DegenerateParameterError, NonFiniteStateError
 from .model import GameParams, validate
 
 DEFAULT_STEPS = 4096
+# Gauss-Legendre nodes and weights on [-1, 1]: three points, exact for quintics
+GAUSS_NODES = (-math.sqrt(0.6), 0.0, math.sqrt(0.6))
+GAUSS_WEIGHTS = (5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0)
 
 
 @dataclass(frozen=True)
@@ -150,10 +153,21 @@ def q1_closed_form(consts: RiccatiConstants, params: GameParams, t):
     constant K.  Written as q1(T) plus a correction that vanishes at T,
     so q1(T) = -s1*rho1 exactly.
     """
-    t = _float_or_array(t)
-    phi, psi, _ = _layer1(consts, *_exponential(consts, t))
+    phi, psi, _ = _layer1(consts, *_exponential(consts, _float_or_array(t)))
+    return _q1(consts, params, phi, psi)
+
+
+def _q1(consts: RiccatiConstants, params, phi, psi):
+    """q1 from :func:`_layer1`'s Phi and Psi."""
     q1_end = -params.s1 * params.rho1
     return q1_end + (consts.k1 - (phi * q1_end - params.w1 * params.rho1 * psi)) / phi
+
+
+def _m(consts: RiccatiConstants, params, phi, g):
+    """M = K*G - w1*rho1*(4/theta^2)/Phi, an antiderivative of q1/Phi (as
+    Phi' = (theta^2/4)*Psi), from :func:`_layer1`'s Phi and G."""
+    w = params.w1 * params.rho1
+    return consts.k1 * g - w * (4.0 / consts.theta ** 2) / phi
 
 
 def n1_closed_form(consts: RiccatiConstants, params: GameParams, t):
@@ -173,30 +187,6 @@ def n1_closed_form(consts: RiccatiConstants, params: GameParams, t):
                   - 2.0 * k1 * w * k * (1.0 / phi_end - 1.0 / phi) + w * w * k * (T - t))
     return (0.5 * params.s1 * params.rho1 ** 2 + 0.5 * consts.b_x * q1_squared
             + 0.5 * params.w1 * params.rho1 ** 2 * (T - t))
-
-
-def affine_rk4(h, a, b):
-    """One classical RK4 step of ``y' = a(t)*y + b(t)`` written as affine maps.
-
-    ``a`` and ``b`` hold the coefficients at the four stages, at times
-    t, t + h/2, t + h/2 and t + h; each entry may be a scalar or an array
-    (one step per element).  Returns ``(stages, mult, add)``: stage j's
-    state is ``s_j*y + r_j`` with ``stages[j] = (s_j, r_j)``, and the step
-    is ``y -> mult*y + add``.  Stage j's slope is ``u_j*y + v_j``; the
-    stages are written out, and the weighted sums start from 0.0.
-    """
-    (a0, a1, a2, a3), (b0, b1, b2, b3) = a, b
-    c = 0.5 * h
-    v0 = a0 * 0.0 + b0                  # u0 = a0
-    s1, r1 = 1.0 + c * a0, c * v0
-    u1, v1 = a1 * s1, a1 * r1 + b1
-    s2, r2 = 1.0 + c * u1, c * v1
-    u2, v2 = a2 * s2, a2 * r2 + b2
-    s3, r3 = 1.0 + h * u2, h * v2
-    u3, v3 = a3 * s3, a3 * r3 + b3
-    u_sum = 0.0 + a0 + 2.0 * u1 + 2.0 * u2 + u3
-    v_sum = 0.0 + v0 + 2.0 * v1 + 2.0 * v2 + v3
-    return [(1.0, 0.0), (s1, r1), (s2, r2), (s3, r3)], 1.0 + h / 6.0 * u_sum, h / 6.0 * v_sum
 
 
 def hermite(ts, ys, dys, t):
@@ -232,8 +222,8 @@ class CoefficientPath:
 
     Node arrays are read-only.  Evaluation at arbitrary times uses the
     exact closed forms for p1, q1, n1, p2 and a_x, and cubic Hermite
-    interpolation for the integrated paths q2 and n2, with node slopes
-    taken from their defining equations.
+    interpolation between the quadrature nodes of q2 and n2, with node
+    slopes taken from their defining equations.
     """
 
     def __init__(self, time_grid, p1, q1, n1, p2, q2, n2, ax_vals, consts, params):
@@ -280,15 +270,13 @@ class CoefficientPath:
         from one exponential and one Hermite cell.
 
         Between interventions the closed loop's state is Phi*(c + H) with c
-        constant: (x/Phi)' = b_x*q1/Phi = b_x*(K + w1*rho1*Psi)/Phi^2, and
-        Phi' = (theta^2/4)*Psi, so H = b_x*(K*G - w1*rho1*(4/theta^2)/Phi).
+        constant: (x/Phi)' = b_x*q1/Phi, so H = b_x*M (:func:`_m`).
         """
         t = _float_or_array(t)
         consts = self.constants
         e, den = _exponential(consts, t)
         phi, _, g = _layer1(consts, e, den)
-        w = self.params.w1 * self.params.rho1
-        shift = consts.b_x * (consts.k1 * g - w * (4.0 / consts.theta ** 2) / phi)
+        shift = consts.b_x * _m(consts, self.params, phi, g)
         if not band:
             return phi, shift
         return phi, shift, _p2(consts, self.params, t, e, den), self._interp("q2", t)
@@ -306,81 +294,56 @@ class CoefficientPath:
         return self._interp("n2", t)
 
 
-def _scan_back(mult, add, y_end):
-    """Nodes of the backward recurrence y[i] = mult[i]*y[i+1] + add[i].
-
-    A plain loop over floats: a cumulative product of ``mult`` would
-    underflow on long horizons where the recurrence itself does not.  A
-    quadrature (``mult`` the float 1.0, as for n2) is the same
-    sequential sum, which ``np.add.accumulate`` takes in the loop's order.
-    """
-    if isinstance(mult, float) and mult == 1.0:
-        return np.add.accumulate(np.r_[y_end, add[::-1]])[::-1].copy()
-    mult = np.broadcast_to(mult, np.shape(add)).tolist()
-    ys = [y_end]
-    for m, c in zip(reversed(mult), reversed(add.tolist())):
-        ys.append(m * ys[-1] + c)
-    return np.array(ys[::-1])
-
-
 def solve_backward(params: GameParams, n_steps: int = DEFAULT_STEPS) -> CoefficientPath:
     """Fill every coefficient at the nodes of a uniform grid over [0, T].
 
-    p1, q1, n1, p2 and a_x come from their closed forms.  q2 and n2 are
-    integrated backward from their terminal conditions with classical RK4
-    on ``n_steps`` intervals, the closed forms of a_x, p2 and q1 taken at
-    the stages; q2's stage values are integrated into n2.
+    p1, q1, n1, p2 and a_x come from their closed forms, q2 and n2 from
+    quadratures.  With f = Phi*(w2*rho2 - b_x*p2*q1), F(t) its integral
+    over [t, T] and A = Phi(T)*q2(T), (Phi*q2)' = f gives q2 = (A - F)/Phi.
+    Integrating q1*q2 = M'*(A - F) by parts (M from :func:`_m`) gives
+    n2 = n2(T) + b_x*(A*(M(T) - M) + M*F - integral of f*M over [t, T])
+    + 0.5*w2*rho2^2*(T - t).  Both integrals are Gauss-Legendre sums on
+    the ``n_steps`` cells, accumulated backward from T; q2(T) and n2(T)
+    are exact.
     """
     if n_steps < 2:
         raise ValueError(f"n_steps must be >= 2 (got {n_steps})")
     consts = constants(params)
+    b_x, w2, rho2 = consts.b_x, params.w2, params.rho2
 
     ts = np.linspace(0.0, params.T, n_steps + 1)
-    h = -params.T / n_steps             # step i runs from node i + 1 to node i
-    mids = ts[1:] + 0.5 * h
+    h = params.T / n_steps
+    gauss = ts[:-1] + (0.5 * h) * (1.0 + np.array(GAUSS_NODES))[:, None]  # a row per point
 
-    def at_stages(closed_form):     # at the nodes, and at the four stages of every step
-        nodes, mid = closed_form(ts), closed_form(mids)
-        return nodes, (nodes[1:], mid, mid, nodes[:-1])
+    def layer(t):   # (p2, q1, Phi, M) from one exponential
+        e, den = _exponential(consts, t)
+        phi, psi, g = _layer1(consts, e, den)
+        return (_p2(consts, params, t, e, den), _q1(consts, params, phi, psi), phi,
+                _m(consts, params, phi, g))
 
-    ax_n, ax_st = at_stages(lambda t: a_x(consts, t))
-    p2_n, p2_st = at_stages(lambda t: p2_closed_form(consts, params, t))
-    q1, q1_st = at_stages(lambda t: q1_closed_form(consts, params, t))
-    n1 = n1_closed_form(consts, params, ts)
+    p2, q1, phi, m = layer(ts)
+    p2_g, q1_g, phi_g, m_g = layer(gauss)
+    f = phi_g * (w2 * rho2 - b_x * p2_g * q1_g)
 
-    def slopes(q2_st):
-        return [_slopes(params, consts.b_x, ax, p2, q1, q2)
-                for ax, p2, q1, q2 in zip(ax_st, p2_st, q1_st, q2_st)]
+    def integral_to_end(y):         # at every node, from the cells' Gauss sums
+        cells = (0.5 * h) * sum(w * row for w, row in zip(GAUSS_WEIGHTS, y))
+        return np.add.accumulate(np.r_[0.0, cells[::-1]])[::-1]
 
-    def integrate(coef, rates, y_end):
-        stages, mult, add = affine_rk4(h, coef, rates)
-        ys = _scan_back(mult, add, y_end)
-        return ys, [s * ys[1:] + r for s, r in stages]
-
-    # with q2 at zero, its slope is its forcing term; n2 has no linear part
-    zeros = (0.0,) * 4
-    q2, q2_st = integrate([-ax for ax in ax_st], [s[0] for s in slopes(zeros)],
-                          -params.s2 * params.rho2)
-    n2, _ = integrate(zeros, [s[1] for s in slopes(q2_st)], 0.5 * params.s2 * params.rho2 ** 2)
+    big_f = integral_to_end(f)
+    q2_end = -params.s2 * rho2
+    q2 = q2_end * (phi[-1] / phi) - big_f / phi        # not A/Phi: exact at T
+    n2 = (0.5 * params.s2 * rho2 ** 2
+          + b_x * (phi[-1] * q2_end * (m[-1] - m) + m * big_f - integral_to_end(f * m_g))
+          + 0.5 * w2 * rho2 ** 2 * (params.T - ts))
+    n1, ax = n1_closed_form(consts, params, ts), a_x(consts, ts)
 
     bad = np.flatnonzero(~np.isfinite([q1, n1, q2, n2]).all(axis=0))
     if bad.size:
         raise NonFiniteStateError(f"coefficient integration diverged at node {bad[-1]}")
     p1_vals = p1_closed_form(consts, params, ts)
-    for name, arr in (("p1", p1_vals), ("p2", p2_n), ("a_x", ax_n)):
+    for name, arr in (("p1", p1_vals), ("p2", p2), ("a_x", ax)):
         bad = np.flatnonzero(~np.isfinite(arr))
         if bad.size:
             raise NonFiniteStateError(f"{name} non-finite at node {bad[0]}")
 
-    return CoefficientPath(
-        time_grid=ts,
-        p1=p1_vals,
-        q1=q1,
-        n1=n1,
-        p2=p2_n,
-        q2=q2,
-        n2=n2,
-        ax_vals=ax_n,
-        consts=consts,
-        params=params,
-    )
+    return CoefficientPath(ts, p1_vals, q1, n1, p2, q2, n2, ax, consts, params)

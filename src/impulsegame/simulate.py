@@ -452,12 +452,15 @@ def _illinois(probe, a, fa, b, fb):
 
 
 def _bisect_crossing(grid, t_lo, x_lo, h):
-    """Locate the first threshold crossing inside one step to EVENT_TIME_TOL.
+    """Locate a threshold crossing inside one step to EVENT_TIME_TOL.
 
     The state at a trial offset s is the closed-form flow from
     ``(t_lo, x_lo)`` to ``t_lo + s``.  Returns ``(tau, x_minus)`` at the
     crossing, or ``(None, x_end)`` with the step's end state when the
     margin ``m(s) = min(x - ell1, ell2 - x)`` is positive at s = h.
+    Where m changes sign once on the step, tau is within EVENT_TIME_TOL
+    past that crossing.  Where it changes sign more than once, tau is
+    some point with m <= 0, not necessarily past the first crossing.
 
     tau is bisection's on [0, h]: midpoints ``0.5*(lo + hi)``, ``hi``
     moving where m <= 0, until ``hi - lo <= EVENT_TIME_TOL``; tau is

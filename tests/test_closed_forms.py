@@ -1,9 +1,10 @@
-"""Player 1's closed forms against independent integrators.
+"""Closed forms and quadratures against independent integrators.
 
 q1 comes from scipy's DOP853 (:func:`conftest.q1_reference`), n1 from
-``quad`` of its defining rate on that q1, and the closed loop between
-interventions from DOP853 on ``xdot = a_x*x + b_x*q1``.  At T=200 and
-T=400 an RK4 path with 4096 steps is off by 1e-10 to 1e-8 here, far
+``quad`` of its defining rate on that q1, Player 2's q2 and n2 from DOP853
+on their defining equations forced by that q1, and the closed loop
+between interventions from DOP853 on ``xdot = a_x*x + b_x*q1``.  At T=200
+and T=400 an RK4 path with 4096 steps is off by 6e-12 to 1e-8 here, far
 above these gates.
 """
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from impulsegame import a_x, build_policy, make_rollout_hook, solve_backward
+from impulsegame import a_x, build_policy, make_rollout_hook, p2_closed_form, solve_backward
 
 from conftest import n1_reference, q1_reference, variant
 
@@ -30,6 +31,31 @@ def test_n1_matches_quadrature_of_its_rate(name):
     for k in (0, 2048, 4095):
         want = n1_reference(p, float(path.time_grid[k]))
         assert abs(path.n1[k] - want) <= 1e-13 * abs(want), (k, path.n1[k], want)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_q2_and_n2_match_dop853(name):
+    # both quadratures against DOP853 on the (q2, n2) system, backward from
+    # the terminal conditions, relative to each reference's largest value
+    p = SCENARIOS[name]
+    path = solve_backward(p)
+    consts, q1 = path.constants, q1_reference(p)
+    b_x, w2, rho2 = consts.b_x, p.w2, p.rho2
+
+    def rates(t, y):
+        q2, _ = y
+        forcing = b_x * p2_closed_form(consts, p, t) * q1(t)
+        return [-a_x(consts, t) * q2 - forcing + w2 * rho2,
+                -b_x * q1(t) * q2 - 0.5 * w2 * rho2 ** 2]
+
+    nodes = [4095, 4000, 2048, 1024, 0]
+    sol = solve_ivp(rates, (p.T, 0.0), [-p.s2 * rho2, 0.5 * p.s2 * rho2 ** 2],
+                    method="DOP853", t_eval=path.time_grid[nodes],
+                    rtol=1e-13, atol=1e-13, max_step=0.25)
+    assert sol.success
+    for got, want, label in zip((path.q2[nodes], path.n2[nodes]), sol.y, ("q2", "n2")):
+        rel = np.abs(got - want) / np.max(np.abs(want))
+        assert np.max(rel) <= 1e-13, (label, nodes[int(np.argmax(rel))], np.max(rel))
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))

@@ -1,4 +1,4 @@
-"""Guard against private code that nothing in the package calls."""
+"""Guard against code that nothing in the package calls or exports."""
 
 import ast
 from pathlib import Path
@@ -51,3 +51,25 @@ def test_every_module_import_is_used():
                    if name not in used and name not in exported]
     assert imported >= 50          # the walk found the package's imports
     assert not unused, unused
+
+
+def test_every_public_def_is_exported_or_referenced():
+    """Every public module-level function and class is in the package's
+    ``__all__`` or used somewhere in src/."""
+    _, used = private_defs_and_references()
+    init = ast.parse((SRC / "__init__.py").read_text())
+    exported = set()
+    for node in init.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported.update(ast.literal_eval(node.value))
+    defs = {}
+    for file in sorted(SRC.glob("*.py")):
+        for node in ast.parse(file.read_text(), filename=str(file)).body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                defs.setdefault(node.name, file.name)
+    assert len(exported) >= 30 and len(defs) >= 40     # the walk found the API
+    unreferenced = sorted(f"{file}: {name}" for name, file in defs.items()
+                          if name not in exported and name not in used)
+    assert not unreferenced, unreferenced

@@ -11,7 +11,6 @@ from impulsegame import (
     constants,
     p1_closed_form,
     p2_closed_form,
-    riccati,
     solve_backward,
 )
 from impulsegame.verify import difference_slopes
@@ -22,8 +21,8 @@ from conftest import BASELINE, defining_rates, n1_reference, q1_reference, varia
 def rk4_terminal_value(rhs, y_terminal, t_grid):
     """Independent RK4 oracle: integrate dy/dt = rhs(t, y) backward from t_grid[-1].
 
-    Deliberately separate from the library integrator so closed forms and
-    integrated paths are checked through two routes.
+    The library integrates no ODE, so the closed forms are checked
+    through a second, independent route.
     """
     out = np.empty(len(t_grid))
     y = float(y_terminal)
@@ -74,11 +73,12 @@ def seed_backward_rk4(params, q1, n_steps=4096):
     return out
 
 
-@pytest.mark.parametrize("params", [BASELINE, variant(w2=1.0), variant(T=200.0)],
-                         ids=["table1", "table1_w2_1", "T200"])
+@pytest.mark.parametrize("params", [BASELINE, variant(w2=1.0)], ids=["table1", "table1_w2_1"])
 def test_affine_solve_matches_stagewise_reference(params):
     # q1 against DOP853 and n1 against quad of its rate; q2 and n2, forced
-    # by that q1, against the stage-wise RK4 reference
+    # by that q1, against the stage-wise RK4 reference, which is as
+    # accurate as the quadrature at T=1 (tests/test_closed_forms.py checks
+    # q2 and n2 at long horizons)
     path = solve_backward(params)
     q1 = q1_reference(params)
     np.testing.assert_allclose(path.q1, q1(path.time_grid), rtol=1e-12, atol=0.0, err_msg="q1")
@@ -89,30 +89,6 @@ def test_affine_solve_matches_stagewise_reference(params):
     for j, name in enumerate(("q2", "n2")):
         np.testing.assert_allclose(getattr(path, name), ref[:, j], rtol=1e-12, atol=0.0,
                                    err_msg=name)
-
-
-@pytest.mark.parametrize("params", [BASELINE, variant(w2=1.0), variant(T=200.0)],
-                         ids=["table1", "table1_w2_1", "T200"])
-def test_quadrature_scan_equals_the_float_loop(params, monkeypatch):
-    # n2 has the step multiplier the float 1.0: its accumulated sum equals
-    # the recurrence's float loop bit for bit
-    scans = []
-    scan_back = riccati._scan_back
-
-    def recording(mult, add, y_end):
-        scans.append((mult, add, y_end, scan_back(mult, add, y_end)))
-        return scans[-1][-1]
-
-    monkeypatch.setattr(riccati, "_scan_back", recording)
-    path = solve_backward(params)
-    quadratures = [s for s in scans if isinstance(s[0], float)]
-    assert [s[0] for s in quadratures] == [1.0]
-    for (mult, add, y_end, got), name in zip(quadratures, ("n2",)):
-        want = [y_end]
-        for c in reversed(add.tolist()):
-            want.append(mult * want[-1] + c)
-        assert got.tobytes() == np.array(want[::-1]).tobytes(), name
-        assert getattr(path, name).tobytes() == got.tobytes(), name
 
 
 def test_overflowing_p2_reported_at_first_node():
@@ -241,15 +217,17 @@ def test_zero_target_zeroes_q1_n1():
     assert np.max(np.abs(path.n1)) == 0.0
 
 
-def test_q2_self_convergence_is_fourth_order():
-    # Richardson ratio of q2(0) under step halving should sit near 2^4
-    def q2_at_zero(n):
-        return solve_backward(BASELINE, n_steps=n).q2[0]
-
-    d1 = q2_at_zero(16) - q2_at_zero(32)
-    d2 = q2_at_zero(32) - q2_at_zero(64)
-    ratio = d1 / d2
-    assert 16.0 * 0.7 <= ratio <= 16.0 * 1.3
+def test_q2_and_n2_quadrature_is_sixth_order():
+    # Three Gauss points per cell make q2 and n2 sixth order: halving the
+    # step divides the change at the coarse nodes by about 2^6, where the
+    # midpoint rule gives 4 and Simpson's 16.  T=20 on 32 to 128 cells is
+    # coarse enough for the change to stand above rounding.
+    steps = (32, 64, 128)
+    paths = [solve_backward(variant(T=20.0), n_steps=n) for n in steps]
+    for name in ("q2", "n2"):
+        coarse = [getattr(pth, name)[::n // steps[0]] for pth, n in zip(paths, steps)]
+        ratio = np.max(np.abs(coarse[0] - coarse[1])) / np.max(np.abs(coarse[1] - coarse[2]))
+        assert 64.0 * 0.8 <= ratio <= 64.0 * 1.25, (name, ratio)
 
 
 def test_q1_matches_integrating_factor_oracle(path, consts, params):

@@ -3,6 +3,7 @@ import gc
 import re
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from impulsegame import (
     build_policy,
     impulse_bound,
     impulse_bound_parts,
-    impulse_map,
     make_rollout_hook,
     riccati,
     rollout,
@@ -971,46 +971,33 @@ def test_shared_continuation_raises_what_a_fresh_rollout_raises(monkeypatch):
     assert not grid.continued
 
 
-def test_locator_ends_on_a_probed_point_outside_the_band(monkeypatch):
-    # On one step of this rollout the band margin is not monotone near its
-    # root at rounding level: bisection's last midpoint, which the
-    # locator's replay does not probe, lies inside the band.  The locator
-    # probes it and ends on its bracket's probed end instead, so every exit
-    # fires.  That branch is counted: the locator's last probe then lies
-    # past the point it returns, with a positive margin, which no other
-    # branch leaves behind.
-    cfg = load_config(Path(__file__).resolve().parent / "data" / "locator_inside_band.cfg")
-    p = cfg.params
-    pth = solve_backward(p, cfg.n_steps)
-    pol = build_policy(pth, p)
-    locate, evaluate = simulate._bisect_crossing, type(pth).coefficients_at
-    bracket_ends = []
+def test_locator_ends_on_a_probed_point_outside_the_band():
+    # Where the band margin is not monotone at rounding level, bisection's
+    # last midpoint, which the locator's replay has not probed, can lie
+    # inside the band.  The locator probes it last and then ends on its
+    # bracket's probed end instead, so the exit fires.  Here the margin at
+    # x = 0 is root - t, except at one time where it is 1: the point the
+    # replay ends on when the margin is monotone.
+    t_lo, h, root = 0.3, 0.01, 0.3037
+    spikes, probed = set(), []
 
-    def counting_locate(grid, t_lo, x_lo, h):
-        log = []
+    def band(t, _q2):           # (ell1, alpha, beta, ell2), p2 standing for t
+        probed.append(t)
+        return (-1.0 if t in spikes else t - root), 0.0, 0.0, 1.0
 
-        def recording(t, band=True):
-            log.append((t, evaluate(grid.path, t, band)))
-            return log[-1][1]
-
-        with monkeypatch.context() as m:
-            m.setattr(grid.path, "coefficients_at", recording)
-            got = locate(grid, t_lo, x_lo, h)
-        (_, (phi, shift)), *_, (t, (phi_t, shift_t, p2, q2)) = log
-        x = phi_t * (x_lo / phi - shift + shift_t)      # the last probe's state
-        ell1, _, _, ell2 = pol.band(p2, q2)
-        if got[0] is not None and t > got[0] and min(x - ell1, ell2 - x) > 0.0:
-            bracket_ends.append(got[0])
-        return got
-
-    monkeypatch.setattr(simulate, "_bisect_crossing", counting_locate)
-    traj = rollout(pth, pol, p, 0.0, cfg.initial_states[0], step=cfg.sim_step)
-    assert len(traj.events) >= 500
-    assert len(bracket_ends) >= 1
-    assert set(bracket_ends) <= {ev.tau for ev in traj.events}
-    assert all(impulse_map(pol, ev.tau, ev.x_minus) is not None for ev in traj.events)
-    report = admissibility_check(traj, pol)
-    assert report.ok, report.violations
+    path = SimpleNamespace(
+        coefficients_at=lambda t, band=True: (1.0, 0.0, t, 0.0) if band else (1.0, 0.0))
+    grid = SimpleNamespace(path=path, policy=SimpleNamespace(
+        band=band, thresholds_at=lambda t: band(t, 0.0)))
+    tau, x = _bisect_crossing(grid, t_lo, 0.0, h)
+    assert x == 0.0 and 0.0 <= tau - root <= EVENT_TIME_TOL
+    assert probed.index(tau) == len(probed) - 1     # bisection's point, probed last only
+    spikes.add(tau)
+    probed.clear()
+    tau_b, x_b = _bisect_crossing(grid, t_lo, 0.0, h)
+    assert probed[-1] == tau                # probed last, inside the band
+    assert tau_b in probed and x_b == 0.0
+    assert 0.0 <= tau_b - root and 0.0 < tau - tau_b <= EVENT_TIME_TOL
 
 
 def test_located_exit_without_a_reset_is_a_named_error(tmp_path, monkeypatch, capsys):
@@ -1079,12 +1066,13 @@ def test_verification_identity_along_every_rollout(name, T):
 @pytest.mark.parametrize("name, T, bounds", [("table1", 200.0, (2e-10, 1e-9)),
                                              ("table1_w2_1", 400.0, (2.5e-9, 1e-8))])
 def test_verification_identity_at_long_horizons(name, T, bounds):
-    # Measured: J1 8.5e-11 / 1.2e-9 and J2 5.7e-10 / 5.3e-9 at T = 200 / 400
+    # Measured: J1 8.5e-11 / 1.2e-9 and J2 5.9e-10 / 5.3e-9 at T = 200 / 400
     # (RK4 q1 and flow: J1 5.0e-10 / 7.9e-9).  What is left is the cost
     # quadrature's error, Simpson's rule on the cubic-Hermite midpoint
     # state at step T/4096: with step T/16384 the same starts give J1
-    # 3.5e-13 / 5.0e-12 and J2 1.5e-11 / 7.9e-11, the rest of J2's being
-    # the RK4 error in q2 and n2.
+    # 3.5e-13 / 5.0e-12 and J2 7.1e-12 / 5.2e-11, the rest of J2's being
+    # the cubic Hermite error of q2 and n2 between nodes (J2 2.4e-12 /
+    # 2.1e-11 on 16384 cells).
     assert np.all(identity_defects(name, T) <= bounds)
 
 
