@@ -39,6 +39,17 @@ GAUSS_NODES = (-math.sqrt(0.6), 0.0, math.sqrt(0.6))
 GAUSS_WEIGHTS = (5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0)
 
 
+def gauss_points(t0, h):
+    """The Gauss-Legendre points of the cells [t0, t0 + h], a row per point
+    (``t0`` an array, ``h`` a float or an array like it)."""
+    return t0 + (0.5 * h) * (1.0 + np.array(GAUSS_NODES))[:, None]
+
+
+def gauss_sum(h, y):
+    """Each cell's integral from the rows ``y`` of values at its :func:`gauss_points`."""
+    return (0.5 * h) * sum(w * row for w, row in zip(GAUSS_WEIGHTS, y))
+
+
 @dataclass(frozen=True)
 class RiccatiConstants:
     """Scalar constants of the closed-form coefficient solutions.
@@ -313,7 +324,7 @@ def solve_backward(params: GameParams, n_steps: int = DEFAULT_STEPS) -> Coeffici
 
     ts = np.linspace(0.0, params.T, n_steps + 1)
     h = params.T / n_steps
-    gauss = ts[:-1] + (0.5 * h) * (1.0 + np.array(GAUSS_NODES))[:, None]  # a row per point
+    gauss = gauss_points(ts[:-1], h)
 
     def layer(t):   # (p2, q1, Phi, M) from one exponential
         e, den = _exponential(consts, t)
@@ -326,8 +337,7 @@ def solve_backward(params: GameParams, n_steps: int = DEFAULT_STEPS) -> Coeffici
     f = phi_g * (w2 * rho2 - b_x * p2_g * q1_g)
 
     def integral_to_end(y):         # at every node, from the cells' Gauss sums
-        cells = (0.5 * h) * sum(w * row for w, row in zip(GAUSS_WEIGHTS, y))
-        return np.add.accumulate(np.r_[0.0, cells[::-1]])[::-1]
+        return np.add.accumulate(np.r_[0.0, gauss_sum(h, y)[::-1]])[::-1]
 
     big_f = integral_to_end(f)
     q2_end = -params.s2 * rho2

@@ -15,20 +15,25 @@ edge.  Each probe evaluates the coefficients on Python floats at its own
 time only (see :mod:`.riccati`).  The impulse resets the state exactly to
 the target, and the flow resumes from it; a located exit within
 EVENT_TIME_TOL of T carries no impulse, while a start outside the band
-fires at any t0 but T itself.  Running costs are summed with Simpson's
-rule on the cubic-Hermite midpoint state, in one pass per trajectory
-(:func:`_simpson_pass`) that evaluates only event samples and an off-grid
-start afresh and keeps each segment's integrals and drift slopes.
+fires at any t0 but T itself.
+
+Running costs are integrated cell by cell, between consecutive samples,
+by the three-point Gauss-Legendre rule that :func:`.riccati.solve_backward`
+uses (:func:`.riccati.gauss_points`, :func:`.riccati.gauss_sum`; sixth
+order), on the exact flow from the cell's left sample.  One pass per
+trajectory (:func:`_cost_pass`) takes the grid's cached terms for cells
+between nodes, evaluates only the cells at events and an off-grid start
+afresh, and keeps each segment's two integrals.
 
 :func:`make_rollout_hook` returns one checked body for many starts, and
 :func:`rollout` calls a fresh one once.  The body keeps the
 :class:`_RolloutGrid` of the latest start time, which computes what every
-start shares (see its docstring).  Starts outside the band share the rollout from their reset target, since
-Player 2 resets each to alpha(t0) or beta(t0): the grid keeps the rollout
-from each target, Simpson passes included, and such a start adds only
-its own t0 sample and event in front.  The trajectory does not keep the
-grid; ``costs_from(t1)`` integrates the segment holding t1 again at its
-own times.
+start shares (see its docstring).  Starts outside the band share the
+rollout from their reset target, since Player 2 resets each to alpha(t0)
+or beta(t0): the grid keeps the rollout from each target, cost pass
+included, and such a start adds only its own t0 sample and event in
+front.  The trajectory does not keep the grid; ``costs_from(t1)`` costs
+the segment holding t1 again at its own times.
 """
 
 import math
@@ -46,7 +51,7 @@ from .model import (
     validate_box,
 )
 from .policy import ThresholdPolicy, gamma_star, impulse_map, sides
-from .riccati import DEFAULT_STEPS, hermite
+from .riccati import DEFAULT_STEPS, gauss_points, gauss_sum
 
 # Resolution of the event locator: tau is the right end of bisection's
 # final interval on the step, no wider than this.  _bisect_crossing
@@ -84,11 +89,10 @@ class Trajectory:
     ``segments`` is a list of (time array, state array) pairs between
     consecutive interventions; an event time closes one segment at
     ``x_minus`` and opens the next at ``x_plus``.  Between samples the
-    state is the cubic Hermite interpolant with the closed-loop drift as
-    slope.  ``passes`` holds, per segment, its :func:`_simpson_pass` entry
-    (running-cost integrals and drift at the samples), or None for a lone
-    sample; ``j1``, ``j2``, :meth:`state_at` and :meth:`costs_from` read
-    them, and the trajectory keeps no grid.
+    state is the closed-form flow from the sample before (:func:`_flow`).
+    ``passes`` holds, per segment, its running-cost integrals (j1, j2) from
+    :func:`_cost_pass`, or None for a lone sample; ``j1``, ``j2`` and
+    :meth:`costs_from` read them, and the trajectory keeps no grid.
     """
 
     def __init__(self, segments, events, terminal_state, path, params, passes):
@@ -107,9 +111,11 @@ class Trajectory:
     def state_at(self, t):
         """State at time ``t``, right-continuous across interventions."""
         t = float(t)
-        for (seg_t, seg_x), kept in zip(reversed(self.segments), reversed(self._passes)):
+        for seg_t, seg_x in reversed(self.segments):
             if seg_t[0] <= t <= seg_t[-1]:
-                return float(seg_x[0] if kept is None else hermite(seg_t, seg_x, kept[2], t))
+                k = int(np.searchsorted(seg_t, t, side="right")) - 1
+                return float(seg_x[k]) if seg_t[k] == t else _flow(
+                    self._path, float(seg_t[k]), float(seg_x[k]), t)
         raise ValueError(f"t={t!r} outside the trajectory span")
 
     def control_range(self):
@@ -129,28 +135,26 @@ class Trajectory:
     def costs_from(self, t1):
         """Running, impulse and terminal costs accumulated on [t1, T].
 
-        Only the segment holding t1 is integrated again, its terms
-        evaluated at its own times.  Events with tau == t1 are counted;
-        to measure the tail after a jump, pass a time strictly inside the
+        Only the segment holding t1 is costed again, from t1 and its state
+        there, at its own times.  Events with tau == t1 are counted; to
+        measure the tail after a jump, pass a time strictly inside the
         following segment.
         """
         t1 = float(t1)
+        pr = self._params
         if t1 < self.start_time - 1e-12:
             raise ValueError(f"t1={t1!r} precedes the trajectory start")
-        pr = self._params
+        if t1 > pr.T + 1e-12:
+            raise ValueError(f"t1={t1!r} lies past the horizon T={pr.T!r}")
         j1 = j2 = 0.0
         for (seg_t, seg_x), kept in zip(self.segments, self._passes):
             if kept is None or seg_t[-1] <= t1:
                 continue
-            a1, a2, seg_f = kept
+            a1, a2 = kept
             if seg_t[0] < t1:
-                # start the segment at t1 on its interpolant
                 k = int(np.searchsorted(seg_t, t1, side="right"))
-                x1 = float(hermite(seg_t, seg_x, seg_f, t1))
-                seg_t, seg_x = np.r_[t1, seg_t[k:]], np.r_[x1, seg_x[k:]]
-                y = _integrands(pr, _node_terms(self._path, seg_t), seg_x)
-                c = _cell_costs(pr, _cell_terms(self._path, seg_t[:-1], seg_t[1:]),
-                                [v[:-1] for v in y], [v[1:] for v in y])
+                seg_t, seg_x = np.r_[t1, seg_t[k:]], np.r_[self.state_at(t1), seg_x[k:]]
+                c = _cell_costs(pr, _cell_terms(self._path, seg_t[:-1], seg_t[1:]), seg_x[:-1])
                 a1, a2 = float(np.add.reduce(c[0])), float(np.add.reduce(c[1]))
             j1 += a1
             j2 += a2
@@ -164,27 +168,20 @@ class Trajectory:
         return j1, j2
 
 
-def _node_terms(path, t):
-    """(a_x, b_x*q1, p1, q1) at the times ``t`` (a float or an array): the
-    coefficients the drift and the running costs take at a sample."""
-    q1 = path.q1_at(t)
-    return path.a_x_at(t), path.constants.b_x * q1, path.p1_at(t), q1
+def _flow(path, t0, x0, t):
+    """The closed-loop state at ``t`` (a float or an array) on the flow through (t0, x0)."""
+    phi0, shift0 = path.coefficients_at(t0, band=False)
+    phi, shift = path.coefficients_at(t, band=False)
+    return phi * (x0 / phi0 - shift0 + shift)
 
 
 def _cell_terms(path, t0, t1):
-    """Terms of the cells [t0, t1] (floats or arrays): h/6, p1 and q1 at the
-    midpoint, and the weights of the Hermite midpoint state.
-
-    Each weight is the expression :func:`hermite` evaluates at the
-    midpoint, ``s1*s1``, ``1+2s``, ``s*h``, ``s*s``, ``3-2s`` and
-    ``s1*h``, so :func:`_cell_costs` reproduces its midpoint bit for bit.
-    """
+    """Terms of the cells [t0, t1] (arrays): the width h, the flow's Phi and H
+    at t0, and Phi, H, p1 and q1 at the cells' :func:`.riccati.gauss_points`."""
     h = t1 - t0
-    tm = t0 + 0.5 * h
-    s = (tm - t0) / h
-    s1 = 1.0 - s
-    return (h / 6.0, path.p1_at(tm), path.q1_at(tm),
-            s1 * s1, 1.0 + 2.0 * s, s * h, s * s, 3.0 - 2.0 * s, s1 * h)
+    tg = gauss_points(t0, h)
+    return (h, *path.coefficients_at(t0, band=False), *path.coefficients_at(tg, band=False),
+            path.p1_at(tg), path.q1_at(tg))
 
 
 def _running_costs(params, p1, q1, x):
@@ -195,71 +192,56 @@ def _running_costs(params, p1, q1, x):
     return g1, g2
 
 
-def _integrands(params, nodes, x):
-    """(x, drift, g1, g2) at states ``x`` from :func:`_node_terms` rows ``nodes``."""
-    a_x, bq1, p1, q1 = nodes
-    return (x, a_x * x + bq1, *_running_costs(params, p1, q1, x))
+def _cell_costs(params, cells, x0):
+    """Gauss-Legendre integrals of both running costs on the cells ``cells``
+    (:func:`_cell_terms`), along the flow from the states ``x0`` at their left ends."""
+    h, phi0, shift0, phi, shift, p1, q1 = cells
+    g1, g2 = _running_costs(params, p1, q1, phi * (x0 / phi0 - shift0 + shift))
+    return gauss_sum(h, g1), gauss_sum(h, g2)
 
 
-def _cell_costs(params, cells, y0, y1):
-    """Simpson terms h/6*(g0 + 4*gm + g1) of both running costs on the cells ``cells``
-    (:func:`_cell_terms`), from the :func:`_integrands` ``y0``, ``y1`` at their ends."""
-    h6, p1m, q1m, w_y0, w_b0, w_f0, w_y1, w_b1, w_f1 = cells
-    xm = w_y0 * (w_b0 * y0[0] + w_f0 * y0[1]) + w_y1 * (w_b1 * y1[0] - w_f1 * y1[1])
-    g1m, g2m = _running_costs(params, p1m, q1m, xm)
-    return h6 * (y0[2] + 4.0 * g1m + y1[2]), h6 * (y0[3] + 4.0 * g2m + y1[3])
+def _cost_pass(grid, segments):
+    """(j1, j2) of each segment's running costs, None for a lone sample.
 
-
-def _simpson_pass(grid, segments):
-    """(j1, j2, drift at the samples) per segment, None for a lone sample.
-
-    Interior samples are consecutive grid nodes: their states, scattered
-    into one node-aligned array, take the cached terms.  An event sample
-    is never taken as a node, so of the end samples only the first of the
-    first segment, when it equals its node, and the last of the last, the
-    horizon, can be on the grid.  The samples off it and their cells take
-    one :func:`_node_terms` and one :func:`_cell_terms` call.  Each
-    segment's cells are summed in order by one ``np.add.reduce``.
+    A cell's integral depends only on its left sample's state.  Cells
+    between consecutive grid nodes take the cached terms: their left
+    states, scattered into one cell-aligned array, are costed together.
+    An event sample is never taken as a node, so of the end samples only
+    the first of the first segment, when it equals its node, and the last
+    of the last, the horizon, can be on the grid.  The cells off it take
+    one :func:`_cell_terms` call.  Each segment's cells are summed in
+    order by one ``np.add.reduce``.
     """
     passes = [None] * len(segments)
     multi = [k for k, (seg_t, _) in enumerate(segments) if len(seg_t) > 1]
     segs = [segments[k] for k in multi]
-    ts, last, params = grid.ts, len(grid.ts) - 1, grid.params
+    ts, params = grid.ts, grid.params
+    n_cells = len(ts) - 1
     ns = np.array([len(seg_t) - 1 for seg_t, _ in segs])
     los = ts.searchsorted([seg_t[1] for seg_t, _ in segs]) - 1     # node before each 2nd sample
     first_on = ts[los[0]] == segs[0][0][0]
     last_on = ts[los[-1] + ns[-1]] == segs[-1][0][-1]
-    event_free = len(segs) == 1 and first_on and last_on    # every sample on its node
-    xg = np.zeros(last + 1)
-    if event_free:
-        xg[los[0]:los[0] + ns[0] + 1] = segs[0][1]
+    xg = np.zeros(n_cells)
+    if len(segs) == 1 and first_on and last_on:     # event-free: every sample on its node
+        xg[los[0]:los[0] + ns[0]] = segs[0][1][:-1]
+        c, c0 = _cell_costs(params, grid.cells, xg), los
     else:
         so = np.cumsum(ns + 1) - ns - 1                         # first sample of each segment
         t_all, x_all = (np.concatenate([seg[i] for seg in segs]) for i in (0, 1))
         on = np.ones(len(t_all), bool)
         on[so] = on[so + ns] = False
         on[0], on[-1] = first_on, last_on
-        sidx = np.arange(len(on)) + np.repeat(los - so, ns + 1)     # node of each on-grid sample,
-        xg[sidx[on]] = x_all[on]
-        sidx[~on] = last + 1 + np.arange(len(on) - np.count_nonzero(on))    # column of the others
-    y = _integrands(params, grid.nodes, xg)
-    c = _cell_costs(params, grid.cells, [v[:-1] for v in y], [v[1:] for v in y])
-    if event_free:
-        f, c0, s0 = y[1], los, los
-    else:
-        y = np.concatenate((y, _integrands(params, _node_terms(grid.path, t_all[~on]),
-                                           x_all[~on])), axis=1)
+        sidx = np.arange(len(on)) + np.repeat(los - so, ns + 1)     # node of each on-grid sample
         starts = np.delete(np.arange(len(on)), so + ns)         # first sample of each cell
         off = ~(on[starts] & on[starts + 1])
+        xg[sidx[starts[~off]]] = x_all[starts[~off]]
         s = starts[off]
-        c_off = _cell_costs(params, _cell_terms(grid.path, t_all[s], t_all[s + 1]),
-                            y[:, sidx[s]], y[:, sidx[s + 1]])
-        cidx = np.where(off, last + np.cumsum(off) - 1, sidx[starts])
-        c = np.concatenate((c, c_off), axis=1)[:, cidx]
-        f, c0, s0 = y[1, sidx], so - np.arange(len(ns)), so
-    for k, m, i, j in zip(multi, ns.tolist(), c0.tolist(), s0.tolist()):
-        a1, a2 = float(np.add.reduce(c[0][i:i + m])), float(np.add.reduce(c[1][i:i + m]))
-        passes[k] = a1, a2, f[j:j + m + 1]
+        c_off = _cell_costs(params, _cell_terms(grid.path, t_all[s], t_all[s + 1]), x_all[s])
+        cidx = np.where(off, n_cells + np.cumsum(off) - 1, sidx[starts])
+        c = np.concatenate((_cell_costs(params, grid.cells, xg), c_off), axis=1)[:, cidx]
+        c0 = so - np.arange(len(ns))                            # first cell of each segment
+    for k, m, i in zip(multi, ns.tolist(), c0.tolist()):
+        passes[k] = float(np.add.reduce(c[0][i:i + m])), float(np.add.reduce(c[1][i:i + m]))
     return passes
 
 
@@ -273,9 +255,8 @@ class _RolloutGrid:
       (:meth:`.riccati.CoefficientPath.coefficients_at`); between events
       the node states are ``phi*(c + shift)`` with one constant c;
     - ``ell1``, ``ell2``: the band's edges at every node;
-    - ``nodes``: :func:`_node_terms` (a_x, b_x*q1, p1, q1) at every node;
-    - ``cells``: :func:`_cell_terms` (h/6, p1 and q1 at the midpoint, the
-      six Hermite midpoint weights) of every cell;
+    - ``cells``: :func:`_cell_terms` of every cell: its width, Phi and H at
+      its left node, and Phi, H, p1 and q1 at its three Gauss points;
     - ``ell1_min``, ``ell2_max``: the policy extremes of the impulse budget;
     - ``continued``: per reset target, the rollout from it at t0 (see
       :func:`_rollout_on_grid`).
@@ -297,8 +278,7 @@ class _RolloutGrid:
         self.ts = ts
         self.phi, self.shift = path.coefficients_at(ts, band=False)
         self.ell1, _, _, self.ell2 = policy.thresholds_at(ts)
-        self.nodes = np.array(_node_terms(path, ts))
-        self.cells = np.array(_cell_terms(path, ts[:-1], ts[1:]))
+        self.cells = _cell_terms(path, ts[:-1], ts[1:])
         self.ell1_min = float(np.min(policy.ell1))
         self.ell2_max = float(np.max(policy.ell2))
         self.continued = {}
@@ -563,9 +543,7 @@ def _advance(grid, x_cur, events, max_events):
         elif tau >= T - EVENT_TIME_TOL:
             # an exit this close to the horizon carries no impulse
             if tau < T:
-                (phi, shift), (phi_T, shift_T) = (path.coefficients_at(t, band=False)
-                                                  for t in (tau, T))
-                x_new = phi_T * (x_new / phi - shift + shift_T)
+                x_new = _flow(path, tau, x_new, T)
             t_cur, x_cur = T, x_new
         else:
             # the exit closes the segment; the next opens at the reset target.
@@ -602,7 +580,7 @@ def _rollout_on_grid(grid, x0, max_events):
     t0, events = grid.t0, []
     if (jump := impulse_map(policy, t0, x0)) is None:
         segments, x_end = _advance(grid, x0, events, max_events)
-        return Trajectory(segments, events, x_end, path, params, _simpson_pass(grid, segments))
+        return Trajectory(segments, events, x_end, path, params, _cost_pass(grid, segments))
     target = _record(events, _event(params, t0, x0, jump), max_events).x_plus
     if target in grid.continued:
         for ev in grid.continued[target][1]:
@@ -611,7 +589,7 @@ def _rollout_on_grid(grid, x0, max_events):
         segments, x_end = _advance(grid, target, events, max_events)
         for arr in (a for seg in segments for a in seg):
             arr.flags.writeable = False
-        grid.continued[target] = segments, events[1:], x_end, _simpson_pass(grid, segments)
+        grid.continued[target] = segments, events[1:], x_end, _cost_pass(grid, segments)
     segments, _, x_end, passes = grid.continued[target]
     return Trajectory([(np.array([t0]), np.array([x0]))] + segments, events, x_end, path,
                       params, [None] + passes)

@@ -25,13 +25,12 @@ from impulsegame import (
 )
 from impulsegame.cli import EXIT_MODEL, load_config, main
 from impulsegame.policy import phi2
-from impulsegame.riccati import hermite
 from impulsegame.simulate import (
     EVENT_TIME_TOL,
     Trajectory,
     _bisect_crossing,
     _RolloutGrid,
-    _simpson_pass,
+    _cost_pass,
 )
 
 from conftest import variant
@@ -186,7 +185,7 @@ def test_admissibility_rejects_interior_event(path, policy, params):
                               xi=-0.4, cost_p1=0.8, cost_p2=6.2)
     grid = _RolloutGrid(path, policy, params, 0.0, params.T / 4096)
     doctored = Trajectory(base.segments, [fake_event], base.terminal_state,
-                          path, params, _simpson_pass(grid, base.segments))
+                          path, params, _cost_pass(grid, base.segments))
     report = admissibility_check(doctored, policy)
     assert not report.ok
     assert any("event 0" in v for v in report.violations)
@@ -312,11 +311,16 @@ def test_deterministic_replay(path, policy, params):
 # evaluated on an array.
 
 
+def reference_flow(path, t0, x0, t):
+    """The closed loop's state at t from x0 at t0: phi*(c + shift) with c
+    fixed at t0, both ends' terms evaluated as one array."""
+    phi, shift = path.coefficients_at(np.array([t0, t]), band=False)
+    return float(phi[1] * (x0 / phi[0] - shift[0] + shift[1]))
+
+
 def reference_step(path, t, x, h):
-    """The closed loop's state at t + h from x at t: phi*(c + shift) with c
-    fixed at t, both ends' terms evaluated as one array."""
-    phi, shift = path.coefficients_at(np.array([t, t + h]), band=False)
-    return float(phi[1] * (x / phi[0] - shift[0] + shift[1]))
+    """The closed loop's state at t + h from x at t."""
+    return reference_flow(path, t, x, t + h)
 
 
 def reference_bisect(grid, t_lo, x_lo, h):
@@ -589,7 +593,7 @@ def test_admissibility_names_each_segments_first_bad_sample(grids):
         want.append(f"segment {k}: sample at t={seg_t[i]!r} (x={seg_x[i]!r}) "
                     "is outside the open band before the segment end")
     doctored = Trajectory(segments, traj.events, traj.terminal_state, g.path, p,
-                          _simpson_pass(g, segments))
+                          _cost_pass(g, segments))
     report = admissibility_check(doctored, pol)
     assert not report.ok
     assert report.violations == want
@@ -680,13 +684,10 @@ def test_located_exit_near_the_horizon_carries_no_impulse(monkeypatch, edge, off
 
 
 # ---------------------------------------------------------------------------
-# Cost accounting against the reference: Simpson's rule over each segment
-# with every coefficient, slope and Hermite weight evaluated at the
-# segment's own times, instead of taken from the grid's cache.
-
-
-def reference_drift(path, t, x):
-    return path.a_x_at(t) * x + path.constants.b_x * path.q1_at(t)
+# Cost accounting against the reference: the three-point Gauss-Legendre rule
+# on every cell between consecutive samples of a segment, along the
+# closed-form flow from the cell's left sample, with every coefficient
+# evaluated at the segment's own times instead of taken from the grid's cache.
 
 
 def reference_running_costs(path, params, t, x):
@@ -696,19 +697,19 @@ def reference_running_costs(path, params, t, x):
     return g1, g2
 
 
-def reference_segment_costs(path, params, seg_t, seg_x, seg_f):
-    """Simpson quadrature of both running costs over all steps of one segment."""
+def reference_segment_costs(path, params, seg_t, seg_x):
+    """Gauss-Legendre quadrature of both running costs over all cells of one segment."""
     if len(seg_t) < 2:
         return 0.0, 0.0
-    t0, t1 = seg_t[:-1], seg_t[1:]
-    h = t1 - t0
-    tm = t0 + 0.5 * h
-    xm = hermite(seg_t, seg_x, seg_f, tm)
-    g1a, g2a = reference_running_costs(path, params, t0, seg_x[:-1])
-    g1m, g2m = reference_running_costs(path, params, tm, xm)
-    g1b, g2b = reference_running_costs(path, params, t1, seg_x[1:])
-    j1 = float(np.sum(h / 6.0 * (g1a + 4.0 * g1m + g1b)))
-    j2 = float(np.sum(h / 6.0 * (g2a + 4.0 * g2m + g2b)))
+    t0 = seg_t[:-1]
+    h = seg_t[1:] - t0
+    tg = t0 + (0.5 * h) * (1.0 + np.array(riccati.GAUSS_NODES))[:, None]     # a row per point
+    phi0, shift0 = path.coefficients_at(t0, band=False)
+    phi, shift = path.coefficients_at(tg, band=False)
+    g1, g2 = reference_running_costs(path, params, tg, phi * (seg_x[:-1] / phi0 - shift0 + shift))
+    w0, w1, w2 = riccati.GAUSS_WEIGHTS
+    j1 = float(np.sum(0.5 * h * (w0 * g1[0] + w1 * g1[1] + w2 * g1[2])))
+    j2 = float(np.sum(0.5 * h * (w0 * g2[0] + w1 * g2[1] + w2 * g2[2])))
     return j1, j2
 
 
@@ -719,14 +720,14 @@ def reference_costs_from(path, params, traj, t1):
     for seg_t, seg_x in traj.segments:
         if seg_t[-1] <= t1:
             continue
-        seg_f = reference_drift(path, seg_t, seg_x)
         if seg_t[0] < t1:
+            # start the segment at t1, on the flow from the sample before it
             k = int(np.searchsorted(seg_t, t1, side="right"))
-            x1 = float(hermite(seg_t, seg_x, seg_f, t1))
+            x1 = seg_x[k - 1] if seg_t[k - 1] == t1 else reference_flow(
+                path, seg_t[k - 1], seg_x[k - 1], t1)
             seg_t = np.r_[t1, seg_t[k:]]
             seg_x = np.r_[x1, seg_x[k:]]
-            seg_f = np.r_[reference_drift(path, t1, x1), seg_f[k:]]
-        a1, a2 = reference_segment_costs(path, params, seg_t, seg_x, seg_f)
+        a1, a2 = reference_segment_costs(path, params, seg_t, seg_x)
         j1 += a1
         j2 += a2
     for ev in traj.events:
@@ -785,7 +786,8 @@ def test_long_horizon_costs_equal_reference(grids, name, x0s):
 def test_event_on_a_node_costs_equal_reference(grids, monkeypatch):
     # a segment that closes on a grid node and a next one that opens there
     # at another state: the node's two samples keep their own states, and
-    # both take fresh terms, as every event sample does
+    # the cells on both sides of it take fresh terms, as every cell at an
+    # event sample does
     grid = grids["table1_T200"]
     p = grid.params
     traj = rollout(grid.path, grid.policy, p, 0.0, 4.2, step=p.T / 4096)
@@ -796,16 +798,16 @@ def test_event_on_a_node_costs_equal_reference(grids, monkeypatch):
     assert seg_t[m] in grid.ts
     segments[k:k + 1] = [(seg_t[:m + 1], seg_x[:m + 1]), (seg_t[m:], seg_x[m:] - 0.25)]
     sampled = []
-    node_terms = simulate._node_terms
+    cell_terms = simulate._cell_terms
 
-    def counting(path, t):
-        sampled.append(np.size(t))
-        return node_terms(path, t)
+    def counting(path, t0, t1):
+        sampled.append(np.size(t0))
+        return cell_terms(path, t0, t1)
 
-    monkeypatch.setattr(simulate, "_node_terms", counting)
-    _simpson_pass(grid, traj.segments)
+    monkeypatch.setattr(simulate, "_cell_terms", counting)
+    _cost_pass(grid, traj.segments)
     unsplit, sampled[:] = sum(sampled), []
-    passes = _simpson_pass(grid, segments)
+    passes = _cost_pass(grid, segments)
     assert sum(sampled) == unsplit + 2
     split = Trajectory(segments, traj.events, traj.terminal_state, grid.path, p, passes)
     assert (split.j1, split.j2) == reference_costs_from(grid.path, p, split, 0.0)
@@ -829,9 +831,9 @@ def test_start_within_1e12_of_a_node_costs_equal_reference(path, policy, params)
 
 
 def test_trajectory_reuses_its_cost_pass(grids, monkeypatch):
-    # the constructor's Simpson pass keeps each segment's integrals and
-    # slopes: state_at evaluates no terms, and a costs_from(t1) inside a
-    # segment evaluates that one segment's terms again, at its own times
+    # the constructor's cost pass keeps each segment's integrals: state_at
+    # evaluates no cost terms, and a costs_from(t1) inside a segment
+    # evaluates that one segment's terms again, at its own times
     grid = grids["table1_T200"]
     p = grid.params
     traj = rollout(grid.path, grid.policy, p, 0.0, 4.2, step=p.T / 4096)
@@ -841,19 +843,19 @@ def test_trajectory_reuses_its_cost_pass(grids, monkeypatch):
     def counting(name):
         terms = getattr(simulate, name)
 
-        def count(path, *times):
-            calls.append((name, np.shape(times[0])))
-            return terms(path, *times)
+        def count(*args):
+            calls.append((name, np.shape(args[-1])))    # the cells' right ends, or left states
+            return terms(*args)
         monkeypatch.setattr(simulate, name, count)
 
-    counting("_node_terms")
     counting("_cell_terms")
+    counting("_cell_costs")
     traj.state_at(p.T / 2.7)
     assert calls == []
     seg_t = traj.segments[len(traj.segments) // 2][0]
     traj.costs_from(0.5 * (seg_t[1] + seg_t[2]))
-    n = len(seg_t) - 1      # t1 and the samples after it
-    assert calls == [("_node_terms", (n,)), ("_cell_terms", (n - 1,))]
+    n = len(seg_t) - 2      # the cells from t1 on
+    assert calls == [("_cell_terms", (n,)), ("_cell_costs", (n,))]
 
 
 def test_hook_keeps_only_the_latest_start_times_grid(path, policy, params, monkeypatch):
@@ -1022,8 +1024,9 @@ def test_located_exit_without_a_reset_is_a_named_error(tmp_path, monkeypatch, ca
 # band, so for a rollout from (t0, x0) and each player i
 #   J_i = phi_i(t0, x0) + sum over events of
 #         (cost_p_i + phi_i(tau, x_plus) - phi_i(tau, x_minus)).
-# The rollout's Simpson costs and the value quadratics are computed
-# independently, so the identity checks one against the other.
+# The rollout's costs (Gauss-Legendre sums along the flow) and the value
+# quadratics are computed independently, so the identity checks one
+# against the other.
 
 
 def phi1(path, t, x):
@@ -1063,17 +1066,81 @@ def test_verification_identity_along_every_rollout(name, T):
     assert np.all(identity_defects(name, T) <= 1e-12)
 
 
-@pytest.mark.parametrize("name, T, bounds", [("table1", 200.0, (2e-10, 1e-9)),
-                                             ("table1_w2_1", 400.0, (2.5e-9, 1e-8))])
+@pytest.mark.parametrize("name, T, bounds", [("table1", 200.0, (1e-13, 2e-11)),
+                                             ("table1_w2_1", 400.0, (1e-13, 1e-10))])
 def test_verification_identity_at_long_horizons(name, T, bounds):
-    # Measured: J1 8.5e-11 / 1.2e-9 and J2 5.9e-10 / 5.3e-9 at T = 200 / 400
-    # (RK4 q1 and flow: J1 5.0e-10 / 7.9e-9).  What is left is the cost
-    # quadrature's error, Simpson's rule on the cubic-Hermite midpoint
-    # state at step T/4096: with step T/16384 the same starts give J1
-    # 3.5e-13 / 5.0e-12 and J2 7.1e-12 / 5.2e-11, the rest of J2's being
-    # the cubic Hermite error of q2 and n2 between nodes (J2 2.4e-12 /
-    # 2.1e-11 on 16384 cells).
+    # Measured: J1 6.8e-15 / 2.4e-14 and J2 4.7e-12 / 3.0e-11 at T = 200 / 400.
+    # The costs are sixth-order sums on the exact flow and phi1 is closed,
+    # so J1's defect is rounding.  What is left of J2's is the cubic Hermite
+    # interpolant of q2 and n2 between the solver's nodes, which phi2 reads.
     assert np.all(identity_defects(name, T) <= bounds)
+
+
+def test_cost_rule_is_sixth_order():
+    # Three Gauss points per cell on the exact flow make the rollout's costs
+    # sixth order in its step: halving it divides the change in J1 and J2
+    # by about 2^6, where Simpson's rule gives 16.  An event-free rollout
+    # isolates the rule, since its node states do not depend on the step.
+    cfg = load_config(CONFIGS / "table1_w2_1.cfg")
+    p = dataclasses.replace(cfg.params, T=5.0)
+    pth = solve_backward(p, cfg.n_steps)
+    pol = build_policy(pth, p)
+    costs = []
+    for k in (8, 16, 32, 64):
+        traj = rollout(pth, pol, p, 0.0, 5.0, step=p.T / k)
+        assert traj.events == []
+        costs.append((traj.j1, traj.j2))
+    changes = np.abs(np.diff(costs, axis=0))
+    ratios = changes[:-1] / changes[1:]
+    assert np.all((64.0 * 0.8 <= ratios) & (ratios <= 64.0 * 1.25)), ratios
+
+
+def test_player1_profits_by_steering_into_the_upper_edge():
+    # Player 1's feedback is not a best response to Player 2's band at the
+    # shipped z1 = 2.  From (0, 7.0), just inside ell2 = 7.03, Player 1
+    # holds u = -10 until the state meets ell2 (t = 0.0108), pays z1*|xi|
+    # for Player 2's reset to beta and then plays the feedback: 14.58
+    # against V1 = 22.85.  The gain at ell2, phi1(ell2) - phi1(beta) -
+    # z1*(ell2 - beta), is positive wherever z1 is below the largest such
+    # secant slope of phi1 (8.3 on table1 at T = 1).
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
+
+    cfg = load_config(CONFIGS / "table1.cfg")
+    p = cfg.params
+    pth = solve_backward(p, cfg.n_steps)
+    pol = build_policy(pth, p)
+    u, x0 = -10.0, 7.0
+
+    def pushed(t):      # the state under u from x0 at t = 0, in closed form
+        return np.exp(p.a * t) * x0 + p.b * u * np.expm1(p.a * t) / p.a
+
+    def past_ell2(t):
+        return pushed(t) - pol.thresholds_at(t)[3]
+
+    assert past_ell2(0.0) < 0.0
+    tau = brentq(past_ell2, 0.0, 0.1, xtol=1e-15)
+    while past_ell2(tau) < 0.0:         # on or past the edge, so Player 2 resets
+        tau = np.nextafter(tau, 1.0)
+    push, _ = quad(lambda t: 0.5 * (p.w1 * (pushed(t) - p.rho1) ** 2 + p.r1 * u * u),
+                   0.0, tau, epsabs=1e-12)
+    after = rollout(pth, pol, p, tau, pushed(tau))
+    reset = after.events[0]
+    assert reset.tau == tau and reset.xi < 0.0
+    assert reset.cost_p1 == p.z1 * abs(reset.xi)
+    v1 = rollout(pth, pol, p, 0.0, x0).j1
+    assert v1 - (push + after.j1) > 5.0, (v1, push + after.j1)
+
+
+def test_costs_from_past_the_horizon_raises(path, policy, params):
+    traj = rollout(path, policy, params, 0.0, 8.0)
+    terminal = traj.costs_from(params.T)
+    assert traj.costs_from(params.T + 1e-13) == terminal
+    for t in (params.T + 1e-9, 5.0):
+        with pytest.raises(ValueError, match="past the horizon"):
+            traj.costs_from(t)
+        with pytest.raises(ValueError, match="outside the trajectory span"):
+            traj.state_at(t)
 
 
 def test_table1_rolls_out_at_its_longest_solvable_horizon():
