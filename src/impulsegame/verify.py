@@ -12,8 +12,12 @@ coefficient.  Each check takes the whole grid in one call: the
 times as a column ``t[:, None]`` against the row of states.  The coarse
 dynamic programming oracle for Player 2's value, :func:`dp_oracle_v2`,
 is a separate, independent check that :func:`run_verification` does not
-call.  Both build the jump minimum once as a plan of its value-independent
-work; each row of target values, or oracle layer, runs only the rest.
+call.  The intervention operator builds the jump minimum once as a plan
+of its value-independent work and runs only the rest on each row of
+target values.  The oracle scores only each node's best target below and
+above it; on a layer whose shifted waiting values fall strictly to their
+minimum, and rise strictly after it, one comparison per side finds them,
+and any other layer runs the running-argmin scan.
 
 The time derivatives in the residuals are central differences of the
 value quadratics themselves (closed-form p1, p2, and q1, n1, q2, n2
@@ -97,6 +101,11 @@ class VerificationReport:
     """Residual grids, margin curves and per-condition pass flags.
 
     Every flag is recomputable from the stored arrays and tolerances.
+    ``p1_edge_gain`` is not a condition: per t, the larger of Player 1's
+    gains from steering the state onto a band edge, phi1 there less phi1
+    at Player 2's reset target and Player 1's share ``z1*|xi|`` of the
+    jump.  Where it is positive, Player 1's feedback is not a best
+    response to the band.
     """
 
     t_nodes: np.ndarray
@@ -115,6 +124,7 @@ class VerificationReport:
     convexity_margin: np.ndarray
     continuity: np.ndarray
     p2: np.ndarray
+    p1_edge_gain: np.ndarray
     tolerances: dict
     conditions: list = field(default_factory=list)
 
@@ -186,6 +196,20 @@ def _running_argmin(w, pos):
     drop = np.ones(run.shape, dtype=bool)     # where a new running minimum starts
     drop[..., 1:] = run[..., 1:] < run[..., :-1]
     return np.maximum.accumulate(np.where(drop, pos, 0), axis=-1)
+
+
+def _prefix_argmins(w, ends):
+    """The first minimum's index in ``w[:e + 1]`` for each e in ``ends``, on a row ``w``.
+
+    With p the first argmin of the whole row, the answer is min(e, p) for
+    every e when w strictly decreases on [0, p]: one comparison and no
+    scan.  Any other row (ties, or a NaN after index 0, where
+    ``argmin`` stops) falls back to :func:`_running_argmin`.
+    """
+    p = w.argmin()
+    if (w[1:p + 1] < w[:p]).all():
+        return np.minimum(ends, p)
+    return _running_argmin(w, np.arange(w.size)).take(ends)
 
 
 def _min_jump(params, targets, x, lo, hi):
@@ -345,8 +369,20 @@ def dp_oracle_v2(params: GameParams, path: CoefficientPath, box: StateBox,
     jumping value is the best target-node value plus the jump cost, the
     exact minimum over all nodes found in linear time per layer.
     Against the closed-form value this scheme is first-order accurate.
-    Before the loop, one call finds every layer's advected states and one
-    min-jump plan places each node on itself as a jump target.
+    Before the loop, one call finds every layer's advected states and
+    which layers extrapolate below or above the grid.
+
+    The best target below node i is the first argmin of ``w = cont - d*y``
+    over ``w[:i]``, and above it the last argmin of ``cont + c*y`` over the
+    suffix past i.  The first is min(i - 1, p), for the first argmin p of
+    the whole row, when w strictly decreases on [0, p]; the second is the
+    mirror image (:func:`_prefix_argmins`).  Every layer on the shipped
+    configs meets both conditions; any other layer falls back to the
+    running-argmin scan.  The zero-size jump is not scored: it costs
+    min(C, D) > 0 on top of the node's own waiting value, so it never
+    beats waiting.  Both winners are scored in one gather with the dense
+    minimum's arithmetic, ``D - d*(y - x)`` and ``C + c*(y - x)``, so the
+    values equal the every-target minimum bit for bit.
     """
     if nt < 16 or nx < 16:
         raise ValueError(f"oracle grids need nt, nx >= 16 (got nt={nt}, nx={nx})")
@@ -360,23 +396,34 @@ def dp_oracle_v2(params: GameParams, path: CoefficientPath, box: StateBox,
     run_cost = dt * 0.5 * params.w2 * (xg - params.rho2) ** 2
     advected = xg + dt * (params.a * xg
                           + params.b * gamma_star(path, params, np.arange(nt)[:, None] * dt, xg))
-    min_jump = _min_jump(params, xg, xg, np.arange(nx + 1), np.arange(1, nx + 2))    # on itself
+    low_layers = (advected.min(axis=1) < xg[0]).tolist()
+    high_layers = (advected.max(axis=1) > xg[-1]).tolist()
+    # w[:i] ends at i - 1 (node 0 has no target below); read backwards, the
+    # suffix past i ends at ends[nx - i]
+    ends = np.maximum(np.arange(-1, nx), 0)
+    d_y, c_y = params.d * xg, params.c * xg
+    fixed, slope = np.array([[params.D], [params.C]]), np.array([[-params.d], [params.c]])
+    winners = np.empty((2, nx + 1), dtype=np.intp)     # below, above
     for k in range(nt - 1, -1, -1):
         v_next = values[k + 1]
         x_adv = advected[k]
         v_adv = np.interp(x_adv, xg, v_next)
-        low = x_adv < xg[0]
-        high = x_adv > xg[-1]
-        if low.any():
+        if low_layers[k]:
+            low = x_adv < xg[0]
             v_adv[low] = v_next[0] + (v_next[1] - v_next[0]) / dx * (x_adv[low] - xg[0])
-        if high.any():
+        if high_layers[k]:
+            high = x_adv > xg[-1]
             v_adv[high] = v_next[-1] + (v_next[-1] - v_next[-2]) / dx * (x_adv[high] - xg[-1])
         cont = v_adv + run_cost
         # a second jump never helps: each jump pays a fixed cost, so the
         # obstacle uses waiting values at the targets
-        jump = min_jump(cont)
-        values[k] = np.minimum(cont, jump)
-        intervene[k] = jump < cont
+        winners[0] = _prefix_argmins(cont - d_y, ends)
+        np.subtract(nx, _prefix_argmins((cont + c_y)[::-1], ends[::-1]), out=winners[1])
+        scores = cont.take(winners) + (fixed + slope * (xg.take(winners) - xg))
+        scores[0, 0] = scores[1, -1] = np.inf
+        jump = np.minimum(scores[0], scores[1])
+        np.minimum(cont, jump, out=values[k])
+        np.less(jump, cont, out=intervene[k])
     return DpOracleResult(t_grid=np.linspace(0.0, params.T, nt + 1), x_grid=xg,
                           values=values, intervene=intervene)
 
@@ -408,10 +455,14 @@ def run_verification(path, policy, params: GameParams, box: StateBox,
     hjb1 = np.where(interior_mask, _hjb1(path, params, t_nodes[:, None], x_nodes), np.nan)
 
     # V2's jump across each band edge: value_v2 takes its outside form there
-    ell1, _, _, ell2 = policy.thresholds_at(t_nodes)
+    ell1, alpha, beta, ell2 = policy.thresholds_at(t_nodes)
     jumps = [np.abs(value_v2(path, policy, params, t_nodes, e) - phi2(path, t_nodes, e))
              for e in (ell1, ell2)]
     continuity = np.maximum(*jumps)
+    p1, q1 = path.p1_at(t_nodes), path.q1_at(t_nodes)
+    # phi1(a) - phi1(b) = (a - b) * (0.5*p1*(a + b) + q1), so n1 cancels
+    edge_gain = np.maximum((alpha - ell1) * (-0.5 * p1 * (ell1 + alpha) - q1 - params.z1),
+                           (ell2 - beta) * (0.5 * p1 * (beta + ell2) + q1 - params.z1))
     suff = sufficiency_margins(path, policy, params, t_nodes)
     convexity = convexity_margin(path.constants, params, t_nodes)
 
@@ -473,6 +524,7 @@ def run_verification(path, policy, params: GameParams, box: StateBox,
         convexity_margin=convexity,
         continuity=continuity,
         p2=p2_vals,
+        p1_edge_gain=edge_gain,
         tolerances={
             "residual_tol": RESIDUAL_TOL,
             "gap_tol": gap_tol,

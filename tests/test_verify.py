@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from impulsegame import (
 from impulsegame.cli import load_config
 from impulsegame.model import intervention_cost
 from impulsegame.verify import (GAP_BASE_TOL, XI_RESOLUTION, DpOracleResult, QviSample,
-                                _min_jump, _phi_rates)
+                                _min_jump, _phi_rates, _prefix_argmins, _running_argmin)
 
 from conftest import defining_rates, variant
 
@@ -304,6 +305,35 @@ def test_run_verification_passes_both_scenarios(path, policy, params,
         assert report.passed, [c.name for c in report.conditions if not c.passed]
 
 
+@pytest.mark.parametrize("name, gain_at_0", [("table1", 9.187), ("table1_w2_1", 21.163)])
+def test_p1_edge_gain_positive_at_shipped_z1_and_not_at_z1_20(name, gain_at_0):
+    """Player 1's edge gain is phi1 at the edge less phi1 at the reset target
+    and z1*|xi|; at the shipped z1 = 2 steering into an edge pays, at z1 = 20
+    it pays nowhere.  It is reported, not a condition, so the verdict holds."""
+    cfg = load_config(CONFIGS / f"{name}.cfg")
+    for z1 in (cfg.params.z1, 20.0):
+        prm = replace(cfg.params, z1=z1)
+        pth = solve_backward(prm, cfg.n_steps)
+        pol = build_policy(pth, prm)
+        report = run_verification(pth, pol, prm, cfg.box)
+        t = report.t_nodes
+        ell1, alpha, beta, ell2 = pol.thresholds_at(t)
+
+        def phi1(x):
+            return 0.5 * pth.p1_at(t) * x * x + pth.q1_at(t) * x + pth.n1_at(t)
+
+        direct = np.maximum(phi1(ell1) - phi1(alpha) - z1 * (alpha - ell1),
+                            phi1(ell2) - phi1(beta) - z1 * (ell2 - beta))
+        np.testing.assert_allclose(report.p1_edge_gain, direct, rtol=0.0, atol=1e-12)
+        assert report.passed
+        assert "p1_edge_gain" not in {c.name for c in report.conditions}
+        if z1 == 20.0:
+            assert np.all(report.p1_edge_gain <= 0.0), report.p1_edge_gain.max()
+        else:
+            assert report.p1_edge_gain[0] > 5.0
+            assert report.p1_edge_gain[0] == pytest.approx(gain_at_0, abs=1e-3)
+
+
 @pytest.mark.parametrize("w2, t_pass, t_fail", [(4.0, 2.600, 2.608), (1.0, 3.716, 3.725)],
                          ids=["table1", "table1_w2_1"])
 def test_certificate_holds_up_to_a_horizon(box, w2, t_pass, t_fail):
@@ -530,10 +560,11 @@ def _dense_rv2(path, policy, params, t, x, box):
     return np.min(v2_targets[None, :] + jump_cost, axis=1)
 
 
-def _dense_dp_oracle(params, path, box, nt, nx):
+def _dense_dp_oracle(params, path, box, nt, nx, control=gamma_star):
     """The oracle with every target scored, and the number of layers in
     which a state extrapolated below, and above, the grid keeps its
-    waiting value (so the extrapolation decides that node's value)."""
+    waiting value (so the extrapolation decides that node's value).
+    ``control`` stands in for Player 1's feedback, as gamma_star's signature."""
     xg = np.linspace(box.x_lo, box.x_hi, nx + 1)
     dt = params.T / nt
     dx = (box.x_hi - box.x_lo) / nx
@@ -546,7 +577,7 @@ def _dense_dp_oracle(params, path, box, nt, nx):
     for k in range(nt - 1, -1, -1):
         t = k * dt
         v_next = values[k + 1]
-        x_adv = xg + dt * (params.a * xg + params.b * gamma_star(path, params, t, xg))
+        x_adv = xg + dt * (params.a * xg + params.b * control(path, params, t, xg))
         v_adv = np.interp(x_adv, xg, v_next)
         low = x_adv < xg[0]
         high = x_adv > xg[-1]
@@ -595,8 +626,10 @@ def test_intervention_operator_equals_dense_minimum(scenario, request, box):
         np.testing.assert_array_equal(stacked[k], dense, err_msg=f"stacked, t={t}")
 
 
-@pytest.mark.parametrize("scenario", ["", "_w2_1", "_rho1_low"])
-@pytest.mark.parametrize("n", [200, 400])
+# n = 800 is the certify benchmark's oracle grid
+@pytest.mark.parametrize("n, scenario", [(200, ""), (200, "_rho1_low"), (200, "_w2_1"),
+                                         (400, ""), (400, "_rho1_low"), (400, "_w2_1"),
+                                         (800, ""), (800, "_w2_1")])
 def test_dp_oracle_equals_dense_layers(scenario, n, request, box):
     pth, prm = (request.getfixturevalue(name + scenario) for name in ("path", "params"))
     box = LOW_BOX if scenario == "_rho1_low" else box
@@ -605,6 +638,81 @@ def test_dp_oracle_equals_dense_layers(scenario, n, request, box):
     # each extrapolation branch decides some node's value: above the box
     # in the shipped scenarios, below it with the low rho1
     assert (low_layers if scenario == "_rho1_low" else high_layers) > 0
+    np.testing.assert_array_equal(fast.values, dense.values)
+    np.testing.assert_array_equal(fast.intervene, dense.intervene)
+
+
+def _prefix_argmin_rows(rng):
+    """Rows of every kind the oracle's argmin shortcut must get right or refuse."""
+    rows = [np.array([1.0]), np.array([np.nan]), np.array([2.0, 1.0]), np.array([1.0, 2.0]),
+            np.array([1.0, 1.0]), np.array([np.nan, 1.0]), np.array([1.0, np.nan]),
+            np.full(7, 3.0),                                   # flat
+            np.linspace(5.0, -5.0, 9), np.linspace(-5.0, 5.0, 9),   # strictly monotone
+            np.array([4.0, 2.0, 1.0, 1.0, 3.0]),               # ties at the minimum
+            np.array([4.0, 1.0, 3.0, 1.0, 2.0]),
+            np.array([3.0, 2.0, 1.0, 2.0, 3.0]),               # unimodal
+            np.array([np.inf, 5.0, -np.inf, 0.0, np.inf]),
+            np.array([np.inf, np.inf, 1.0]), np.array([-np.inf, -np.inf, 0.0]),
+            np.array([1.0, -np.inf, -np.inf])]
+    for m in (2, 3, 11, 40):
+        rows += [rng.normal(size=m), np.round(rng.normal(size=m)), (np.arange(m) - m / 3) ** 2]
+    with_nan = []
+    for row in rows:
+        if row.size >= 3:
+            for at in (0, row.size // 2, row.size - 1):        # a NaN first, in the middle, last
+                with_nan.append(row.copy())
+                with_nan[-1][at] = np.nan
+    return rows + with_nan
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The rows that reach the running-argmin scan, the shortcut's fallback."""
+    seen = []
+    monkeypatch.setattr(verify, "_running_argmin",
+                        lambda w, pos: seen.append(w) or _running_argmin(w, pos))
+    return seen
+
+
+def test_prefix_argmins_equals_running_argmin(scans):
+    """The shortcut's winners equal the running argmin's on every row, read
+    forwards (targets below) and backwards (targets above, as the oracle
+    reads ``cont + c*y`` reversed), and the shortcut is taken where it applies."""
+    for case, row in enumerate(_prefix_argmin_rows(np.random.default_rng(20261019))):
+        for w in (row, row[::-1]):
+            m = w.size
+            ends = np.maximum(np.arange(-1, m - 1), 0)
+            for e in (ends, np.arange(m)):
+                scans.clear()
+                got = _prefix_argmins(w, e)
+                np.testing.assert_array_equal(got, _running_argmin(w, np.arange(m)).take(e),
+                                              err_msg=f"case {case}: {w}")
+                p = np.argmin(w)
+                descends = bool(np.all(w[1:p + 1] < w[:p]))
+                assert len(scans) == (0 if descends else 1), (case, w)
+
+
+def _sawtooth(path, params, t, x):
+    """A control with no unimodal layer: it folds the advected states over."""
+    return 40.0 * np.sin(7.0 * x + 3.0 * t)
+
+
+@pytest.mark.parametrize("name", ["table1", "table1_w2_1"])
+def test_dp_oracle_takes_the_shortcut_on_every_shipped_layer(name, scans):
+    cfg = load_config(CONFIGS / f"{name}.cfg")
+    for n in (200, 800):
+        dp_oracle_v2(cfg.params, solve_backward(cfg.params, cfg.n_steps), cfg.box, nt=n, nx=n)
+        assert scans == [], (n, len(scans))
+
+
+def test_dp_oracle_falls_back_on_non_unimodal_layers(params, box, scans, monkeypatch):
+    """Layers whose waiting values rise and fall run the scan, and the
+    values still equal the every-target minimum's bit for bit."""
+    pth = solve_backward(params)
+    monkeypatch.setattr(verify, "gamma_star", _sawtooth)
+    fast = dp_oracle_v2(params, pth, box, nt=100, nx=100)
+    dense, _, _ = _dense_dp_oracle(params, pth, box, nt=100, nx=100, control=_sawtooth)
+    assert len(scans) == 2 * 100, len(scans)       # every layer, on both sides
     np.testing.assert_array_equal(fast.values, dense.values)
     np.testing.assert_array_equal(fast.intervene, dense.intervene)
 
@@ -645,7 +753,7 @@ def test_min_jump_matches_dense_on_random_cases(fixed):
         expected = _dense_min_jump(prm, targets, v, x)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0,
                                    err_msg=f"case {case}")
-        # the oracle's states are the targets, each placed on itself
+        # states on the targets, each placed on itself
         on_self = np.arange(m)
         np.testing.assert_array_equal(np.stack(_placement(targets, targets)),
                                       np.stack([on_self, on_self + 1]))
@@ -671,9 +779,9 @@ def test_min_jump_matches_dense_on_random_cases(fixed):
 
 @pytest.mark.parametrize("fixed", [(3.0, 5.0), (5.0, 3.0)], ids=["C<D", "C>D"])
 def test_min_jump_plan_reused_on_many_rows_equals_fresh_plans(fixed):
-    """One plan applied to row after row, as the oracle applies it layer by
-    layer: each result equals a fresh plan's on that row and the dense
-    minimum, and stays so after the later rows (no state leaks between calls)."""
+    """One plan applied to row after row: each result equals a fresh plan's
+    on that row and the dense minimum, and stays so after the later rows
+    (no state leaks between calls)."""
     rng = np.random.default_rng(20261019)
     prm = variant(C=fixed[0], D=fixed[1], c=1.7, d=2.9)
     targets = np.linspace(-5.0, 5.0, 301)
