@@ -3,10 +3,13 @@ solve / simulate / value / verify / bound pipelines, emit CSV artifacts.
 
 All CSV output is deterministic: '.' decimal separator, 12 significant
 digits, header row, newline-terminated rows.  Every CSV goes through one
-column writer, :func:`_write_csv`: each numeric cell is Python's
-``'%.12g' % v`` of the float64 value, byte for byte (``nan``, ``inf``,
-``-inf``, ``-0`` included), formatted a column at a time in numpy with a
-per-cell ``%`` only where the fast path cannot be sure of the rounding.
+writer, :func:`_write_csv`: each numeric cell is Python's ``'%.12g' % v``
+of the float64 value, byte for byte (``nan``, ``inf``, ``-inf``, ``-0``
+included), formatted a column at a time in numpy with a per-cell ``%``
+only where the fast path cannot be sure of the rounding.  report.csv
+formats each time's cells once: its rows are ready bytes, each node's
+cells spliced between its time's head (t) and tail (the seven per-t
+cells).
 Exit codes: 0 success, 1 config error, 2 numeric or model violation,
 3 verification failure.
 """
@@ -159,10 +162,11 @@ def _format(v):
     """``'%.12g' % x`` for every x of the float64 array ``v``, as (23, n) cells.
 
     Finite |x| in [1e-30, 1e11) takes the fast path: an estimate of
-    X = floor(log10 |x|), corrected by +-1 until s = |x|*10**(11 - X) is
-    in [1e11, 1e12), and the twelve digits of m = rint(s).  A cell whose m
-    may not be the correctly rounded mantissa, and any other nonzero
-    finite cell, is formatted by :func:`_exact`.
+    X = floor(log10 |x|), corrected by +-1 where s = |x|*10**(11 - X) is
+    not in [1e11, 1e12) and s taken again there, and the twelve digits of
+    m = rint(s).  A cell whose m may not be the correctly rounded
+    mantissa, and any other nonzero finite cell, is formatted by
+    :func:`_exact`.
     """
     n = len(v)
     a = np.abs(v)
@@ -170,13 +174,15 @@ def _format(v):
     a1 = np.where(fast, a, 1.0)
     expo = np.floor(np.log10(a1.astype(np.float32))).astype(np.intp)   # X, or X +- 1
 
-    def scaled(expo):   # at most two products with exact powers 10**j, j <= 22
+    def scaled(a, expo):    # at most two products with exact powers 10**j, j <= 22
         k = 11 - expo
-        return a1 * _POW10[np.minimum(k, 22)] * _POW10[np.maximum(k - 22, 0)]
+        return a * _POW10.take(k, mode="clip") * _POW10.take(k - 22, mode="clip")
 
-    s = scaled(expo)
-    expo += (s >= 1e12).astype(np.intp) - (s < 1e11)
-    s = scaled(expo)
+    s = scaled(a1, expo)
+    miss = np.flatnonzero((s >= 1e12) | (s < 1e11))
+    if miss.size:
+        expo[miss] += np.where(s[miss] >= 1e12, 1, -1)
+        s[miss] = scaled(a1[miss], expo[miss])
     m = np.rint(s)
     # s is the exact product after at most two roundings, so within
     # 2 * 2**-53 * 1e12 < 2.3e-4 of it: m is the correctly rounded mantissa
@@ -184,16 +190,21 @@ def _format(v):
     unsure = (np.abs(s - m) >= 0.5 - 1e-3) | (np.abs(s - 1e11) < 0.1) | (np.abs(s - 1e12) < 1e-3)
     carry = m == 1e12
     expo += carry
-    m = np.where(carry, 1e11, m).astype(np.int64)
-    groups = np.stack([m // 100000000, m // 10000 % 10000, m % 10000])
+    m[carry] = 1e11
+    # four-digit groups by float division: exact, since m < 2**53 and each
+    # quotient is over 1e-8 from the next integer, far above its rounding
+    g0 = np.floor(m / 1e8)
+    m -= g0 * 1e8
+    g1 = np.floor(m / 1e4)
+    groups = np.stack([g0, g1, m - g1 * 1e4]).astype(np.intp)
     digits = np.zeros((14, n), np.uint8)      # NUL, the twelve digits, NUL
-    digits[1:13].reshape(3, 4, n)[:] = _DIGITS[groups].view(np.uint8).reshape(
+    digits[1:13].reshape(3, 4, n)[:] = _DIGITS.take(groups).view(np.uint8).reshape(
         3, n, 4).transpose(0, 2, 1)
     g0, g1, g2 = groups
-    z0, z1, z2 = _TRAILING_ZEROS[groups]
+    z0, z1, z2 = _TRAILING_ZEROS.take(groups)
     significant = 12 - (z2 + (g2 == 0) * (z1 + (g1 == 0) * z0))
     col = np.where(fast, expo + 30, np.where(np.isnan(v), 42, np.where(a == np.inf, 43, 44)))
-    point = _POINT[col].astype(np.uint8)      # digits before the point; 13: no point
+    point = _POINT.take(col).astype(np.uint8)      # digits before the point; 13: no point
     shown = np.where(expo >= 0, np.maximum(significant, expo + 1), significant)
     length = ((shown + (shown > point)) * fast).astype(np.uint8)
     cells = np.empty((23, n), np.uint8)
@@ -251,16 +262,20 @@ def _strings(columns):
 
 
 def _write_csv(path, header, blocks):
-    """Write ``header`` and then each block, a sequence of equal-length columns.
+    """Write ``header`` and then each block: ready bytes, or a sequence of
+    equal-length columns.
 
     A str or bytes column is written verbatim, any other column cell by
-    cell as Python's ``'%.12g' %`` of its float64 value.  A block is
-    written in pieces of about ``_BLOCK`` cells.
+    cell as Python's ``'%.12g' %`` of its float64 value.  A block of
+    columns is written in pieces of about ``_BLOCK`` cells.
     """
     with open(path, "wb") as fh:
         fh.write(",".join(header).encode() + b"\n")
-        for columns in blocks:
-            columns = [np.asarray(c) for c in columns]
+        for block in blocks:
+            if isinstance(block, bytes):
+                fh.write(block)
+                continue
+            columns = [np.asarray(c) for c in block]
             step = max(1, _BLOCK // len(columns))       # rows
             for i in range(0, len(columns[0]), step):
                 fh.write(_lines([c[i:i + step] for c in columns]))
@@ -330,23 +345,37 @@ def cmd_verify(cfg: RunConfig) -> int:
         raise ConfigError(f"verify needs n_steps >= 4 (got {cfg.n_steps})")
     path, policy = _build(cfg)
     report = run_verification(path, policy, cfg.params, cfg.box, nt=cfg.nt, nx=cfg.nx)
-    # one line per (t, x) node, t-major: t, x and the seven per-t cells are
-    # formatted once and repeated, the rest in blocks of whole t rows
+    # one line per (t, x) node, t-major: t and the seven per-t cells are
+    # formatted once per t, as the head and tail of every line of its row.
+    # Each block of whole t rows formats x and the five per-node cells, one
+    # line per node, and splices each row's lines between its head and tail.
     nx = len(report.x_nodes)
-    ts, xs = _strings([report.t_nodes]), _strings([report.x_nodes])
-    tails = _strings([report.x11, report.x22, report.theta_alpha, report.theta_beta,
-                      report.margin_ell1, report.margin_ell2, report.convexity_margin])
+    heads = [t + b"," for t in _strings([report.t_nodes])]
+    tails = [b"," + c + b"\n" for c in _strings([
+        report.x11, report.x22, report.theta_alpha, report.theta_beta,
+        report.margin_ell1, report.margin_ell2, report.convexity_margin])]
+    xs = _strings([report.x_nodes])
     per_node = (report.region, report.hjb1, report.qvi_residual, report.gap,
                 report.complementarity)
-    step = max(1, _BLOCK // ((len(per_node) + 3) * nx))    # t rows in _BLOCK cells
+    step = max(1, _BLOCK // ((len(per_node) + 1) * nx))    # t rows in _BLOCK cells
+
+    def rows():
+        for i in range(0, len(heads), step):
+            block_heads, block_tails = heads[i:i + step], tails[i:i + step]
+            text = _lines([np.tile(xs, len(block_heads)),
+                           *(c[i:i + step].ravel() for c in per_node)])
+            # each t row's lines end at its last node's newline
+            ends = np.flatnonzero(np.frombuffer(text, np.uint8) == ord("\n"))[nx - 1::nx].tolist()
+            starts = [0] + [e + 1 for e in ends[:-1]]
+            for a, b, head, tail in zip(starts, ends, block_heads, block_tails):
+                yield head + text[a:b].replace(b"\n", tail + head) + tail
+
     _write_csv(
         _outpath(cfg, "report.csv"),
         ["t", "x", "region", "hjb1_residual", "qvi_residual", "gap", "complementarity",
          "x11", "x22", "theta_alpha", "theta_beta", "margin_ell1", "margin_ell2",
          "convexity_margin"],
-        ([np.repeat(ts[i:i + step], nx), np.tile(xs, len(ts[i:i + step])),
-          *(c[i:i + step].ravel() for c in per_node), np.repeat(tails[i:i + step], nx)]
-         for i in range(0, len(ts), step)),
+        rows(),
     )
     for cond in report.conditions:
         where = "" if cond.t is None else (

@@ -45,9 +45,13 @@ def gauss_points(t0, h):
     return t0 + (0.5 * h) * (1.0 + np.array(GAUSS_NODES))[:, None]
 
 
-def gauss_sum(h, y):
-    """Each cell's integral from the rows ``y`` of values at its :func:`gauss_points`."""
-    return (0.5 * h) * sum(w * row for w, row in zip(GAUSS_WEIGHTS, y))
+def gauss_sum(h, y, out=None):
+    """Each cell's integral from the rows ``y`` of values at its :func:`gauss_points`,
+    summed into ``out`` (a new array if None)."""
+    out = np.multiply(GAUSS_WEIGHTS[0], y[0], out=out)
+    for w, row in zip(GAUSS_WEIGHTS[1:], y[1:]):
+        out += w * row
+    return np.multiply(0.5 * h, out, out=out)
 
 
 @dataclass(frozen=True)

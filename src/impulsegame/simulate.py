@@ -184,20 +184,28 @@ def _cell_terms(path, t0, t1):
             path.p1_at(tg), path.q1_at(tg))
 
 
-def _running_costs(params, p1, q1, x):
-    """Both players' running-cost integrands at states ``x`` with coefficients p1, q1."""
-    u = -(params.b / params.r1) * (p1 * x + q1)
-    g1 = 0.5 * (params.w1 * (x - params.rho1) ** 2 + params.r1 * u * u)
-    g2 = 0.5 * params.w2 * (x - params.rho2) ** 2
-    return g1, g2
-
-
-def _cell_costs(params, cells, x0):
+def _cell_costs(params, cells, x0, work=None):
     """Gauss-Legendre integrals of both running costs on the cells ``cells``
-    (:func:`_cell_terms`), along the flow from the states ``x0`` at their left ends."""
+    (:func:`_cell_terms`), along the flow from the states ``x0`` at their left ends.
+
+    Player 1's integrand is 0.5*(w1*(x - rho1)**2 + r1*u*u) with the
+    feedback u = -(b/r1)*(p1*x + q1), Player 2's 0.5*w2*(x - rho2)**2.
+    They are evaluated in ``work`` (:attr:`_RolloutGrid.work`) if given,
+    else in new arrays; the two integrals are its last two arrays.
+    """
     h, phi0, shift0, phi, shift, p1, q1 = cells
-    g1, g2 = _running_costs(params, p1, q1, phi * (x0 / phi0 - shift0 + shift))
-    return gauss_sum(h, g1), gauss_sum(h, g2)
+    x, u, g, j1, j2 = work or (*(np.empty(phi.shape) for _ in range(3)),
+                               *(np.empty(h.shape) for _ in range(2)))
+    np.multiply(phi, np.add(x0 / phi0 - shift0, shift, out=x), out=x)
+    np.add(np.multiply(p1, x, out=u), q1, out=u)
+    np.multiply(-(params.b / params.r1), u, out=u)
+    np.multiply(np.multiply(params.r1, u, out=g), u, out=g)
+    np.square(np.subtract(x, params.rho1, out=u), out=u)
+    np.add(np.multiply(params.w1, u, out=u), g, out=g)
+    np.multiply(0.5, g, out=g)
+    np.square(np.subtract(x, params.rho2, out=x), out=x)
+    np.multiply(0.5 * params.w2, x, out=x)
+    return gauss_sum(h, g, out=j1), gauss_sum(h, x, out=j2)
 
 
 def _cost_pass(grid, segments):
@@ -224,7 +232,7 @@ def _cost_pass(grid, segments):
     xg = np.zeros(n_cells)
     if len(segs) == 1 and first_on and last_on:     # event-free: every sample on its node
         xg[los[0]:los[0] + ns[0]] = segs[0][1][:-1]
-        c, c0 = _cell_costs(params, grid.cells, xg), los
+        c, c0 = _cell_costs(params, grid.cells, xg, grid.work), los
     else:
         so = np.cumsum(ns + 1) - ns - 1                         # first sample of each segment
         t_all, x_all = (np.concatenate([seg[i] for seg in segs]) for i in (0, 1))
@@ -238,7 +246,8 @@ def _cost_pass(grid, segments):
         s = starts[off]
         c_off = _cell_costs(params, _cell_terms(grid.path, t_all[s], t_all[s + 1]), x_all[s])
         cidx = np.where(off, n_cells + np.cumsum(off) - 1, sidx[starts])
-        c = np.concatenate((_cell_costs(params, grid.cells, xg), c_off), axis=1)[:, cidx]
+        c = np.concatenate((_cell_costs(params, grid.cells, xg, grid.work), c_off),
+                           axis=1)[:, cidx]
         c0 = so - np.arange(len(ns))                            # first cell of each segment
     for k, m, i in zip(multi, ns.tolist(), c0.tolist()):
         passes[k] = float(np.add.reduce(c[0][i:i + m])), float(np.add.reduce(c[1][i:i + m]))
@@ -257,6 +266,8 @@ class _RolloutGrid:
     - ``ell1``, ``ell2``: the band's edges at every node;
     - ``cells``: :func:`_cell_terms` of every cell: its width, Phi and H at
       its left node, and Phi, H, p1 and q1 at its three Gauss points;
+    - ``work``: arrays the cost over ``cells`` is evaluated in
+      (:func:`_cell_costs`), so a cost pass allocates none of that size;
     - ``ell1_min``, ``ell2_max``: the policy extremes of the impulse budget;
     - ``continued``: per reset target, the rollout from it at t0 (see
       :func:`_rollout_on_grid`).
@@ -279,6 +290,7 @@ class _RolloutGrid:
         self.phi, self.shift = path.coefficients_at(ts, band=False)
         self.ell1, _, _, self.ell2 = policy.thresholds_at(ts)
         self.cells = _cell_terms(path, ts[:-1], ts[1:])
+        self.work = (*(np.empty((3, n)) for _ in range(3)), *(np.empty(n) for _ in range(2)))
         self.ell1_min = float(np.min(policy.ell1))
         self.ell2_max = float(np.max(policy.ell2))
         self.continued = {}

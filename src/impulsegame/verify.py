@@ -13,11 +13,12 @@ times as a column ``t[:, None]`` against the row of states.  The coarse
 dynamic programming oracle for Player 2's value, :func:`dp_oracle_v2`,
 is a separate, independent check that :func:`run_verification` does not
 call.  The intervention operator builds the jump minimum once as a plan
-of its value-independent work and runs only the rest on each row of
-target values.  The oracle scores only each node's best target below and
-above it; on a layer whose shifted waiting values fall strictly to their
-minimum, and rise strictly after it, one comparison per side finds them,
-and any other layer runs the running-argmin scan.
+of its value-independent work and runs only the rest on each batch of
+rows of target values.  Both it and the oracle take each state's best
+target below and above it from one helper, :func:`_prefix_argmins`: on
+rows of shifted values that fall strictly to their minimum, and rise
+strictly after it, one comparison per side finds them, and a batch
+holding any other row runs the running-argmin scan.
 
 The time derivatives in the residuals are central differences of the
 value quadratics themselves (closed-form p1, p2, and q1, n1, q2, n2
@@ -199,17 +200,23 @@ def _running_argmin(w, pos):
 
 
 def _prefix_argmins(w, ends):
-    """The first minimum's index in ``w[:e + 1]`` for each e in ``ends``, on a row ``w``.
+    """The first minimum's index in ``w[..., :e + 1]`` for each e in ``ends``, per row of ``w``.
 
-    With p the first argmin of the whole row, the answer is min(e, p) for
-    every e when w strictly decreases on [0, p]: one comparison and no
-    scan.  Any other row (ties, or a NaN after index 0, where
-    ``argmin`` stops) falls back to :func:`_running_argmin`.
+    ``ends`` broadcasts against the rows.  With p a row's first argmin,
+    the answer is min(e, p) for every e when the row strictly decreases
+    on [0, p], that is when the first i at which ``w[i + 1] < w[i]``
+    fails (at the last index it fails) is p.  That i is never after p,
+    so one comparison of the two index lists checks every row.  Unless
+    every row qualifies (ties, or a NaN after index 0, where ``argmin``
+    stops, do not), the rows run :func:`_running_argmin`.
     """
-    p = w.argmin()
-    if (w[1:p + 1] < w[:p]).all():
+    p = w.argmin(axis=-1, keepdims=True)
+    falls = np.zeros(w.shape, dtype=bool)
+    np.less(w[..., 1:], w[..., :-1], out=falls[..., :-1])
+    if falls.argmin(axis=-1, keepdims=True).tolist() == p.tolist():
         return np.minimum(ends, p)
-    return _running_argmin(w, np.arange(w.size)).take(ends)
+    run = _running_argmin(w, np.arange(w.shape[-1]))
+    return np.take_along_axis(run, np.broadcast_to(ends, w.shape[:-1] + np.shape(ends)[-1:]), -1)
 
 
 def _min_jump(params, targets, x, lo, hi):
@@ -224,25 +231,26 @@ def _min_jump(params, targets, x, lo, hi):
     a target equal to x is the zero-size jump, ``min(C, D)``.  The plan
     holds what does not depend on the values: ``d*y``, ``c*y``, every
     gather's flat index and the masks of absent candidates.  Applied to
-    finite values it runs the two running argmins and scores the (at most)
-    three winners with the dense minimum's arithmetic, O(m + len(x)) per row.
+    finite values it finds the two winners by :func:`_prefix_argmins`
+    (the suffix on reversed rows) and scores the (at most) three winners
+    with the dense minimum's arithmetic, O(m + len(x)) per row.
     """
     m = targets.size
     start = m * np.arange(np.prod(x.shape[:-1], dtype=int)).reshape(x.shape[:-1] + (1,))
-    pos, mirror = start + np.arange(m), 2 * start + m - 1    # flat positions, rows as (rows, m)
     d_targets, c_targets = params.d * targets, params.c * targets
-    i_below, i_self = start + lo - 1, start + np.minimum(lo, m - 1)
-    i_above = start + m - 1 - np.minimum(hi, m - 1)    # in the reversed rows
+    # prefix ends, clipped to the row: an absent candidate's score is masked anyway
+    below_ends = np.maximum(lo - 1, 0)
+    above_ends = m - 1 - np.minimum(hi, m - 1)     # in the reversed rows
+    i_self = start + np.minimum(lo, m - 1)
     missing = (lo <= 0, hi <= lo, hi >= m)
 
     def min_jump(v_targets):
-        below = _running_argmin(v_targets - d_targets, pos).take(i_below)
-        # the suffix scan runs on reversed rows, whose position p is mirror - p here
-        above = mirror - _running_argmin((v_targets + c_targets)[..., ::-1], pos).take(i_above)
-        y_below, y_above = (targets.take(i, mode="wrap") for i in (below, above))    # i mod m
-        scores = (v_targets.take(below) + (params.D - params.d * (y_below - x)),
+        below = _prefix_argmins(v_targets - d_targets, below_ends)
+        above = m - 1 - _prefix_argmins((v_targets + c_targets)[..., ::-1], above_ends)
+        y_below, y_above = targets.take(below), targets.take(above)
+        scores = (v_targets.take(start + below) + (params.D - params.d * (y_below - x)),
                   v_targets.take(i_self) + min(params.C, params.D),
-                  v_targets.take(above) + (params.C + params.c * (y_above - x)))
+                  v_targets.take(start + above) + (params.C + params.c * (y_above - x)))
         for score, absent in zip(scores, missing):
             np.copyto(score, np.inf, where=absent)
         return np.minimum(np.minimum(scores[0], scores[1]), scores[2])

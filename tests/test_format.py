@@ -52,6 +52,34 @@ def test_powers_of_two_and_of_ten_and_their_neighbours():
     assert_cells_are_format((near * (1.0 + steps)).ravel())
 
 
+def test_mantissas_at_the_digit_group_boundaries():
+    # the twelve digits are three groups of four: mantissas k*10**8 and
+    # k*10**4 end in whole zero groups, 10**11 and 10**12 - 1 are the ends
+    rng = np.random.default_rng(22)
+    mantissas = [10 ** 11, 10 ** 12 - 1]
+    mantissas += [k * 10 ** 8 for k in rng.integers(1000, 10000, 40).tolist()]
+    mantissas += [k * 10 ** 4 for k in rng.integers(10 ** 7, 10 ** 8, 40).tolist()]
+    mantissas += [m + d for m in mantissas[2:] for d in (-1, 1)]
+    values = np.array([float(f"{m}e{e}") for m in mantissas for e in range(-41, 0)])
+    assert {len(format(v, ".12g").replace(".", "").split("e")[0].strip("0")) for v in values
+            } >= {1, 4, 8, 12}
+    assert_cells_are_format(np.concatenate([values, -values]))
+
+
+def test_values_whose_float32_exponent_estimate_misses():
+    # within float32 rounding of a power of ten, log10 of the float32 value
+    # can round across the integer: those cells, and only those, are
+    # scaled a second time with the corrected exponent
+    tens = np.array([float(f"1e{k}") for k in range(-30, 11)])
+    steps = np.ldexp(1.0, -np.arange(14, 40))
+    values = (tens[:, None] * np.concatenate([1.0 - steps, 1.0 + steps])).ravel()
+    guess = np.floor(np.log10(values.astype(np.float32))).astype(int)
+    exponent = np.array([int(format(v, ".11e").split("e")[1]) for v in values.tolist()])
+    assert np.sum(guess > exponent) >= 100 and np.sum(guess < exponent) >= 100
+    mixed = np.concatenate([values, np.linspace(0.1, 9.9, values.size)])
+    assert_cells_are_format(np.concatenate([mixed, -mixed]))
+
+
 def test_twelve_digit_ties():
     rng = np.random.default_rng(20)
     # exact ties: n * 2**-j with n odd has j decimals, the last a 5, and is

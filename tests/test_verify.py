@@ -334,6 +334,28 @@ def test_p1_edge_gain_positive_at_shipped_z1_and_not_at_z1_20(name, gain_at_0):
             assert report.p1_edge_gain[0] == pytest.approx(gain_at_0, abs=1e-3)
 
 
+@pytest.mark.parametrize("name, z1_star", [("table1", 8.304), ("table1_w2_1", 11.152)])
+def test_z1_star_is_the_largest_edge_secant_slope_of_phi1(name, z1_star):
+    """z1*, the least z1 at which no edge gain is positive, is the largest
+    secant slope over the solver nodes of phi1 on [beta, ell2] and of -phi1
+    on [ell1, alpha].  On both shipped configs it is the upper edge's at
+    t = 0, with that edge inside the box; the lower edge's stays small."""
+    cfg = load_config(CONFIGS / f"{name}.cfg")
+    pth = solve_backward(cfg.params, cfg.n_steps)
+    pol = build_policy(pth, cfg.params)
+
+    def phi1(x):
+        return 0.5 * pth.p1 * x * x + pth.q1 * x + pth.n1
+
+    upper = (phi1(pol.ell2) - phi1(pol.beta)) / (pol.ell2 - pol.beta)
+    lower = (phi1(pol.ell1) - phi1(pol.alpha)) / (pol.alpha - pol.ell1)
+    slopes = np.maximum(upper, lower)
+    assert pth.time_grid[np.argmax(slopes)] == 0.0
+    assert slopes.max() == pytest.approx(z1_star, abs=1e-3)
+    assert slopes.max() == upper[0] and pol.ell2[0] < cfg.box.x_hi
+    assert lower.max() <= 0.725, lower.max()
+
+
 @pytest.mark.parametrize("w2, t_pass, t_fail", [(4.0, 2.600, 2.608), (1.0, 3.716, 3.725)],
                          ids=["table1", "table1_w2_1"])
 def test_certificate_holds_up_to_a_horizon(box, w2, t_pass, t_fail):
@@ -690,6 +712,47 @@ def test_prefix_argmins_equals_running_argmin(scans):
                 p = np.argmin(w)
                 descends = bool(np.all(w[1:p + 1] < w[:p]))
                 assert len(scans) == (0 if descends else 1), (case, w)
+
+
+@pytest.mark.parametrize("name", ["table1", "table1_w2_1"])
+def test_run_verification_takes_the_operator_shortcut_on_every_row(name, scans, monkeypatch):
+    """The intervention operator's 201 rows of target values, below and
+    above, all descend to their first minimum, so no row is scanned."""
+    batches = []
+    monkeypatch.setattr(verify, "_prefix_argmins",
+                        lambda w, ends: batches.append(w.shape) or _prefix_argmins(w, ends))
+    cfg = load_config(CONFIGS / f"{name}.cfg")
+    pth = solve_backward(cfg.params, cfg.n_steps)
+    run_verification(pth, build_policy(pth, cfg.params), cfg.params, cfg.box)
+    assert batches == [(201, 1001)] * 2
+    assert scans == []
+
+
+def test_min_jump_batch_with_a_tie_row_and_a_nan_row_falls_back(scans):
+    """One row with a tie on its way down and one with a NaN send a whole
+    batch of rows to the scan; every row still equals its own plan's, and
+    a finite row the every-target minimum, bit for bit.  Integer targets,
+    values and slopes and half-integer states keep the arithmetic exact."""
+    prm = variant(C=3.0, D=5.0, c=1.0, d=3.0)
+    targets = np.arange(-20.0, 21.0)
+    clean = targets * targets - targets     # v - d*y and v + c*y fall strictly to their minimum
+    tie = clean.copy()
+    tie[11] = tie[10] + prm.d               # v - d*y is level from y = -10 to -9
+    nan = clean.copy()
+    nan[30] = np.nan
+    rows = np.stack([clean, tie, nan, clean + 7.0])
+    x = np.concatenate([targets[::5], targets[2::5] + 0.5, [-25.0, 25.0]])
+    xs = np.broadcast_to(x, (len(rows), x.size))
+    got = _min_jump(prm, targets, xs, *_placement(targets, xs))(rows)
+    assert len(scans) == 2         # the prefix and the suffix batch
+    for k, row in enumerate(rows):
+        scans.clear()
+        alone = _min_jump(prm, targets, x, *_placement(targets, x))(row)
+        assert len(scans) == (0, 1, 2, 0)[k], k     # the tie is below, the NaN on both sides
+        np.testing.assert_array_equal(got[k], alone, err_msg=f"row {k}")
+        if k != 2:
+            np.testing.assert_array_equal(got[k], _dense_min_jump(prm, targets, row, x),
+                                          err_msg=f"row {k}")
 
 
 def _sawtooth(path, params, t, x):
