@@ -267,9 +267,14 @@ def _write_csv(path, header, blocks):
 
     A str or bytes column is written verbatim, any other column cell by
     cell as Python's ``'%.12g' %`` of its float64 value.  A block of
-    columns is written in pieces of about ``_BLOCK`` cells.
+    columns is written in pieces of about ``_BLOCK`` cells.  An existing
+    file is written over in place and then cut at the end of the new
+    bytes: truncating a file that holds data first costs more than the
+    write.
     """
-    with open(path, "wb") as fh:
+    # O_BINARY (Windows only) keeps the C runtime from translating newlines
+    flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+    with open(os.open(path, flags, 0o666), "wb") as fh:
         fh.write(",".join(header).encode() + b"\n")
         for block in blocks:
             if isinstance(block, bytes):
@@ -279,6 +284,7 @@ def _write_csv(path, header, blocks):
             step = max(1, _BLOCK // len(columns))       # rows
             for i in range(0, len(columns[0]), step):
                 fh.write(_lines([c[i:i + step] for c in columns]))
+        fh.truncate()
 
 
 def _build(cfg: RunConfig):

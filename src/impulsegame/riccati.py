@@ -8,9 +8,11 @@ between interventions (:meth:`CoefficientPath.coefficients_at`).
 Player 2's quadratic coefficient ``p2`` is closed too.  Its linear and
 constant coefficients ``q2, n2`` are quadratures of closed forms through
 the same integrating factor Phi (:func:`solve_backward`): Gauss-Legendre
-sums on the cells of a uniform grid, exact at T.  Between nodes they are
-evaluated by the cubic Hermite interpolant :func:`hermite`, whose node
-slopes come from the defining equations.  Nothing here integrates an ODE.
+sums on the cells of a uniform grid, exact at T.  Between nodes the band
+reads them through the cubic Hermite interpolant :func:`hermite`, whose
+node slopes come from the defining equations; the rollout's costs read
+them from :meth:`CoefficientPath.quadratics_at`, the node sums plus one
+on the partial cell, exact at any time.  Nothing here integrates an ODE.
 
 Every formula here has one body that serves a Python float and an array.
 A scalar time (float, int or 0-d array) runs through it on Python floats
@@ -45,13 +47,12 @@ def gauss_points(t0, h):
     return t0 + (0.5 * h) * (1.0 + np.array(GAUSS_NODES))[:, None]
 
 
-def gauss_sum(h, y, out=None):
-    """Each cell's integral from the rows ``y`` of values at its :func:`gauss_points`,
-    summed into ``out`` (a new array if None)."""
-    out = np.multiply(GAUSS_WEIGHTS[0], y[0], out=out)
+def gauss_sum(h, y):
+    """Each cell's integral from the rows ``y`` of values at its :func:`gauss_points`."""
+    out = GAUSS_WEIGHTS[0] * y[0]
     for w, row in zip(GAUSS_WEIGHTS[1:], y[1:]):
         out += w * row
-    return np.multiply(0.5 * h, out, out=out)
+    return 0.5 * h * out
 
 
 @dataclass(frozen=True)
@@ -204,6 +205,34 @@ def n1_closed_form(consts: RiccatiConstants, params: GameParams, t):
             + 0.5 * params.w1 * params.rho1 ** 2 * (T - t))
 
 
+def _integrands(consts: RiccatiConstants, params, t):
+    """(f, f*M) at ``t``: the integrands of q2 and n2 (:func:`solve_backward`),
+    f = Phi*(w2*rho2 - b_x*p2*q1), from one exponential."""
+    e, den = _exponential(consts, t)
+    phi, psi, g = _layer1(consts, e, den)
+    f = phi * (params.w2 * params.rho2
+               - consts.b_x * _p2(consts, params, t, e, den) * _q1(consts, params, phi, psi))
+    return f, f * _m(consts, params, phi, g)
+
+
+def _quadratics(consts: RiccatiConstants, params, t, big_f, big_fm):
+    """(p1, q1, n1, p2, q2, n2) at ``t``, q2 and n2 from the integrals F and
+    f*M over [t, T] (:func:`solve_backward`); q2(T) and n2(T) are exact."""
+    e, den = _exponential(consts, t)
+    phi, psi, g = _layer1(consts, e, den)
+    phi_end, _, g_end = _layer1(consts, *_exponential(consts, float(params.T)))
+    m = _m(consts, params, phi, g)
+    s2, rho2, w2 = params.s2, params.rho2, params.w2
+    q2_end = -s2 * rho2
+    q2 = q2_end * (phi_end / phi) - big_f / phi        # not A/Phi: exact at T
+    n2 = (0.5 * s2 * rho2 ** 2
+          + consts.b_x * (phi_end * q2_end * (_m(consts, params, phi_end, g_end) - m)
+                          + m * big_f - big_fm)
+          + 0.5 * w2 * rho2 ** 2 * (params.T - t))
+    return (p1_closed_form(consts, params, t), _q1(consts, params, phi, psi),
+            n1_closed_form(consts, params, t), _p2(consts, params, t, e, den), q2, n2)
+
+
 def hermite(ts, ys, dys, t):
     """Cubic Hermite interpolant through ``(ts, ys)`` with slopes ``dys``.
 
@@ -238,10 +267,13 @@ class CoefficientPath:
     Node arrays are read-only.  Evaluation at arbitrary times uses the
     exact closed forms for p1, q1, n1, p2 and a_x, and cubic Hermite
     interpolation between the quadrature nodes of q2 and n2, with node
-    slopes taken from their defining equations.
+    slopes taken from their defining equations; ``integrals`` (F and the
+    integral of f*M over [t, T] at the nodes, see :func:`solve_backward`)
+    let :meth:`quadratics_at` evaluate q2 and n2 exactly instead.
     """
 
-    def __init__(self, time_grid, p1, q1, n1, p2, q2, n2, ax_vals, consts, params):
+    def __init__(self, time_grid, p1, q1, n1, p2, q2, n2, ax_vals, consts, params,
+                 integrals=None):
         self.time_grid = time_grid
         self.p1 = p1
         self.q1 = q1
@@ -252,6 +284,7 @@ class CoefficientPath:
         self.a_x = ax_vals
         self.constants = consts
         self.params = params
+        self._integrals = integrals
         slopes = _slopes(params, consts.b_x, ax_vals, p2, q1, q2)
         for arr in (time_grid, p1, q1, n1, p2, q2, n2, ax_vals):
             arr.flags.writeable = False
@@ -296,6 +329,24 @@ class CoefficientPath:
             return phi, shift
         return phi, shift, _p2(consts, self.params, t, e, den), self._interp("q2", t)
 
+    def quadratics_at(self, t):
+        """(p1, q1, n1, p2, q2, n2) at the times ``t`` (an array): both value
+        quadratics, with q2 and n2 exact between nodes as at them.
+
+        q2 and n2 take their integrals over [t, T] (:func:`solve_backward`)
+        as the solver's at the first node at or past t plus a Gauss-Legendre
+        sum on the partial cell up to it; at a node that cell is empty.
+        Needs the ``integrals`` that :func:`solve_backward` keeps.
+        """
+        t = np.asarray(t, dtype=float)
+        ts = self.time_grid
+        k = ts.searchsorted(t)
+        h = ts[k] - t
+        f, fm = _integrands(self.constants, self.params, gauss_points(t, h))
+        big_f, big_fm = self._integrals
+        return _quadratics(self.constants, self.params, t,
+                           big_f[k] + gauss_sum(h, f), big_fm[k] + gauss_sum(h, fm))
+
     # interpolated evaluations
     def _interp(self, which, t):
         t = _float_or_array(t)
@@ -319,45 +370,31 @@ def solve_backward(params: GameParams, n_steps: int = DEFAULT_STEPS) -> Coeffici
     n2 = n2(T) + b_x*(A*(M(T) - M) + M*F - integral of f*M over [t, T])
     + 0.5*w2*rho2^2*(T - t).  Both integrals are Gauss-Legendre sums on
     the ``n_steps`` cells, accumulated backward from T; q2(T) and n2(T)
-    are exact.
+    are exact.  The path keeps both at the nodes for
+    :meth:`CoefficientPath.quadratics_at`, which shares this formula
+    (:func:`_quadratics`).
     """
     if n_steps < 2:
         raise ValueError(f"n_steps must be >= 2 (got {n_steps})")
     consts = constants(params)
-    b_x, w2, rho2 = consts.b_x, params.w2, params.rho2
-
     ts = np.linspace(0.0, params.T, n_steps + 1)
     h = params.T / n_steps
-    gauss = gauss_points(ts[:-1], h)
-
-    def layer(t):   # (p2, q1, Phi, M) from one exponential
-        e, den = _exponential(consts, t)
-        phi, psi, g = _layer1(consts, e, den)
-        return (_p2(consts, params, t, e, den), _q1(consts, params, phi, psi), phi,
-                _m(consts, params, phi, g))
-
-    p2, q1, phi, m = layer(ts)
-    p2_g, q1_g, phi_g, m_g = layer(gauss)
-    f = phi_g * (w2 * rho2 - b_x * p2_g * q1_g)
+    f, fm = _integrands(consts, params, gauss_points(ts[:-1], h))
 
     def integral_to_end(y):         # at every node, from the cells' Gauss sums
         return np.add.accumulate(np.r_[0.0, gauss_sum(h, y)[::-1]])[::-1]
 
-    big_f = integral_to_end(f)
-    q2_end = -params.s2 * rho2
-    q2 = q2_end * (phi[-1] / phi) - big_f / phi        # not A/Phi: exact at T
-    n2 = (0.5 * params.s2 * rho2 ** 2
-          + b_x * (phi[-1] * q2_end * (m[-1] - m) + m * big_f - integral_to_end(f * m_g))
-          + 0.5 * w2 * rho2 ** 2 * (params.T - ts))
-    n1, ax = n1_closed_form(consts, params, ts), a_x(consts, ts)
+    integrals = integral_to_end(f), integral_to_end(fm)
+    p1_vals, q1, n1, p2, q2, n2 = _quadratics(consts, params, ts, *integrals)
+    ax = a_x(consts, ts)
 
     bad = np.flatnonzero(~np.isfinite([q1, n1, q2, n2]).all(axis=0))
     if bad.size:
         raise NonFiniteStateError(f"coefficient integration diverged at node {bad[-1]}")
-    p1_vals = p1_closed_form(consts, params, ts)
     for name, arr in (("p1", p1_vals), ("p2", p2), ("a_x", ax)):
         bad = np.flatnonzero(~np.isfinite(arr))
         if bad.size:
             raise NonFiniteStateError(f"{name} non-finite at node {bad[0]}")
 
-    return CoefficientPath(ts, p1_vals, q1, n1, p2, q2, n2, ax, consts, params)
+    return CoefficientPath(ts, p1_vals, q1, n1, p2, q2, n2, ax, consts, params,
+                           integrals=integrals)

@@ -17,23 +17,24 @@ the target, and the flow resumes from it; a located exit within
 EVENT_TIME_TOL of T carries no impulse, while a start outside the band
 fires at any t0 but T itself.
 
-Running costs are integrated cell by cell, between consecutive samples,
-by the three-point Gauss-Legendre rule that :func:`.riccati.solve_backward`
-uses (:func:`.riccati.gauss_points`, :func:`.riccati.gauss_sum`; sixth
-order), on the exact flow from the cell's left sample.  One pass per
-trajectory (:func:`_cost_pass`) takes the grid's cached terms for cells
-between nodes, evaluates only the cells at events and an off-grid start
-afresh, and keeps each segment's two integrals.
+Running costs follow from the verification identity: phi1 solves Player
+1's HJB along the feedback flow and phi2 Player 2's interior equation in
+the band, so a segment's running cost for player i is phi_i at its first
+sample minus phi_i at its last (:func:`_value_ends`).  Both quadratics
+take their coefficients from :meth:`.riccati.CoefficientPath.quadratics_at`,
+exact at any time.  The grid keeps them at t0 and T, so an event-free
+rollout evaluates two quadratics per player; a rollout with events
+evaluates the coefficients at its event times in one array call.
 
 :func:`make_rollout_hook` returns one checked body for many starts, and
 :func:`rollout` calls a fresh one once.  The body keeps the
 :class:`_RolloutGrid` of the latest start time, which computes what every
 start shares (see its docstring).  Starts outside the band share the
 rollout from their reset target, since Player 2 resets each to alpha(t0)
-or beta(t0): the grid keeps the rollout from each target, cost pass
-included, and such a start adds only its own t0 sample and event in
-front.  The trajectory does not keep the grid; ``costs_from(t1)`` costs
-the segment holding t1 again at its own times.
+or beta(t0): the grid keeps the rollout from each target, its segments'
+end values included, and such a start adds only its own t0 sample and event in
+front.  The trajectory does not keep the grid; ``costs_from(t1)``
+evaluates the coefficients at t1 once.
 """
 
 import math
@@ -51,7 +52,7 @@ from .model import (
     validate_box,
 )
 from .policy import ThresholdPolicy, gamma_star, impulse_map, sides
-from .riccati import DEFAULT_STEPS, gauss_points, gauss_sum
+from .riccati import DEFAULT_STEPS
 
 # Resolution of the event locator: tau is the right end of bisection's
 # final interval on the step, no wider than this.  _bisect_crossing
@@ -90,18 +91,19 @@ class Trajectory:
     consecutive interventions; an event time closes one segment at
     ``x_minus`` and opens the next at ``x_plus``.  Between samples the
     state is the closed-form flow from the sample before (:func:`_flow`).
-    ``passes`` holds, per segment, its running-cost integrals (j1, j2) from
-    :func:`_cost_pass`, or None for a lone sample; ``j1``, ``j2`` and
+    ``ends`` holds, per segment, phi1 and phi2 at its first and at its
+    last sample (:func:`_value_ends`), or None for a lone sample; a
+    segment's running costs are their differences.  ``j1``, ``j2`` and
     :meth:`costs_from` read them, and the trajectory keeps no grid.
     """
 
-    def __init__(self, segments, events, terminal_state, path, params, passes):
+    def __init__(self, segments, events, terminal_state, path, params, ends):
         self.segments = segments
         self.events = events
         self.terminal_state = terminal_state
         self._path = path
         self._params = params
-        self._passes = passes
+        self._ends = ends
         self.j1, self.j2 = self.costs_from(self.start_time)
 
     @property
@@ -135,10 +137,10 @@ class Trajectory:
     def costs_from(self, t1):
         """Running, impulse and terminal costs accumulated on [t1, T].
 
-        Only the segment holding t1 is costed again, from t1 and its state
-        there, at its own times.  Events with tau == t1 are counted; to
-        measure the tail after a jump, pass a time strictly inside the
-        following segment.
+        The segment holding t1 starts at t1 and its state there, where
+        the coefficients are evaluated once.  Events with tau == t1 are
+        counted; to measure the tail after a jump, pass a time strictly
+        inside the following segment.
         """
         t1 = float(t1)
         pr = self._params
@@ -147,17 +149,14 @@ class Trajectory:
         if t1 > pr.T + 1e-12:
             raise ValueError(f"t1={t1!r} lies past the horizon T={pr.T!r}")
         j1 = j2 = 0.0
-        for (seg_t, seg_x), kept in zip(self.segments, self._passes):
-            if kept is None or seg_t[-1] <= t1:
+        for (seg_t, _), ends in zip(self.segments, self._ends):
+            if ends is None or seg_t[-1] <= t1:
                 continue
-            a1, a2 = kept
+            a1, a2, b1, b2 = ends
             if seg_t[0] < t1:
-                k = int(np.searchsorted(seg_t, t1, side="right"))
-                seg_t, seg_x = np.r_[t1, seg_t[k:]], np.r_[self.state_at(t1), seg_x[k:]]
-                c = _cell_costs(pr, _cell_terms(self._path, seg_t[:-1], seg_t[1:]), seg_x[:-1])
-                a1, a2 = float(np.add.reduce(c[0])), float(np.add.reduce(c[1]))
-            j1 += a1
-            j2 += a2
+                a1, a2 = _values(*_quadratics_by_time(self._path, [t1])[t1], self.state_at(t1))
+            j1 += a1 - b1
+            j2 += a2 - b2
         for ev in self.events:
             if ev.tau >= t1:
                 j1 += ev.cost_p1
@@ -175,83 +174,34 @@ def _flow(path, t0, x0, t):
     return phi * (x0 / phi0 - shift0 + shift)
 
 
-def _cell_terms(path, t0, t1):
-    """Terms of the cells [t0, t1] (arrays): the width h, the flow's Phi and H
-    at t0, and Phi, H, p1 and q1 at the cells' :func:`.riccati.gauss_points`."""
-    h = t1 - t0
-    tg = gauss_points(t0, h)
-    return (h, *path.coefficients_at(t0, band=False), *path.coefficients_at(tg, band=False),
-            path.p1_at(tg), path.q1_at(tg))
+def _quadratics_by_time(path, times):
+    """{t: (p1, q1, n1, p2, q2, n2)} over ``times`` (floats), from one
+    :meth:`.riccati.CoefficientPath.quadratics_at` call."""
+    return dict(zip(times, zip(*(c.tolist() for c in path.quadratics_at(times)))))
 
 
-def _cell_costs(params, cells, x0, work=None):
-    """Gauss-Legendre integrals of both running costs on the cells ``cells``
-    (:func:`_cell_terms`), along the flow from the states ``x0`` at their left ends.
+def _values(p1, q1, n1, p2, q2, n2, x):
+    """(phi1, phi2) at x from the coefficients of both value quadratics."""
+    return 0.5 * p1 * x * x + q1 * x + n1, 0.5 * p2 * x * x + q2 * x + n2
 
-    Player 1's integrand is 0.5*(w1*(x - rho1)**2 + r1*u*u) with the
-    feedback u = -(b/r1)*(p1*x + q1), Player 2's 0.5*w2*(x - rho2)**2.
-    They are evaluated in ``work`` (:attr:`_RolloutGrid.work`) if given,
-    else in new arrays; the two integrals are its last two arrays.
+
+def _value_ends(grid, segments):
+    """Per segment, (phi1, phi2) at its first sample and at its last, as one
+    4-tuple, or None for a lone sample.
+
+    Between interventions phi1 and phi2 fall by exactly the running costs
+    the players accrue, so a segment's running costs are their
+    differences.  The grid's coefficients serve t0 and T; the other end
+    times, the event times, are evaluated in one array call.
     """
-    h, phi0, shift0, phi, shift, p1, q1 = cells
-    x, u, g, j1, j2 = work or (*(np.empty(phi.shape) for _ in range(3)),
-                               *(np.empty(h.shape) for _ in range(2)))
-    np.multiply(phi, np.add(x0 / phi0 - shift0, shift, out=x), out=x)
-    np.add(np.multiply(p1, x, out=u), q1, out=u)
-    np.multiply(-(params.b / params.r1), u, out=u)
-    np.multiply(np.multiply(params.r1, u, out=g), u, out=g)
-    np.square(np.subtract(x, params.rho1, out=u), out=u)
-    np.add(np.multiply(params.w1, u, out=u), g, out=g)
-    np.multiply(0.5, g, out=g)
-    np.square(np.subtract(x, params.rho2, out=x), out=x)
-    np.multiply(0.5 * params.w2, x, out=x)
-    return gauss_sum(h, g, out=j1), gauss_sum(h, x, out=j2)
-
-
-def _cost_pass(grid, segments):
-    """(j1, j2) of each segment's running costs, None for a lone sample.
-
-    A cell's integral depends only on its left sample's state.  Cells
-    between consecutive grid nodes take the cached terms: their left
-    states, scattered into one cell-aligned array, are costed together.
-    An event sample is never taken as a node, so of the end samples only
-    the first of the first segment, when it equals its node, and the last
-    of the last, the horizon, can be on the grid.  The cells off it take
-    one :func:`_cell_terms` call.  Each segment's cells are summed in
-    order by one ``np.add.reduce``.
-    """
-    passes = [None] * len(segments)
-    multi = [k for k, (seg_t, _) in enumerate(segments) if len(seg_t) > 1]
-    segs = [segments[k] for k in multi]
-    ts, params = grid.ts, grid.params
-    n_cells = len(ts) - 1
-    ns = np.array([len(seg_t) - 1 for seg_t, _ in segs])
-    los = ts.searchsorted([seg_t[1] for seg_t, _ in segs]) - 1     # node before each 2nd sample
-    first_on = ts[los[0]] == segs[0][0][0]
-    last_on = ts[los[-1] + ns[-1]] == segs[-1][0][-1]
-    xg = np.zeros(n_cells)
-    if len(segs) == 1 and first_on and last_on:     # event-free: every sample on its node
-        xg[los[0]:los[0] + ns[0]] = segs[0][1][:-1]
-        c, c0 = _cell_costs(params, grid.cells, xg, grid.work), los
-    else:
-        so = np.cumsum(ns + 1) - ns - 1                         # first sample of each segment
-        t_all, x_all = (np.concatenate([seg[i] for seg in segs]) for i in (0, 1))
-        on = np.ones(len(t_all), bool)
-        on[so] = on[so + ns] = False
-        on[0], on[-1] = first_on, last_on
-        sidx = np.arange(len(on)) + np.repeat(los - so, ns + 1)     # node of each on-grid sample
-        starts = np.delete(np.arange(len(on)), so + ns)         # first sample of each cell
-        off = ~(on[starts] & on[starts + 1])
-        xg[sidx[starts[~off]]] = x_all[starts[~off]]
-        s = starts[off]
-        c_off = _cell_costs(params, _cell_terms(grid.path, t_all[s], t_all[s + 1]), x_all[s])
-        cidx = np.where(off, n_cells + np.cumsum(off) - 1, sidx[starts])
-        c = np.concatenate((_cell_costs(params, grid.cells, xg, grid.work), c_off),
-                           axis=1)[:, cidx]
-        c0 = so - np.arange(len(ns))                            # first cell of each segment
-    for k, m, i in zip(multi, ns.tolist(), c0.tolist()):
-        passes[k] = float(np.add.reduce(c[0][i:i + m])), float(np.add.reduce(c[1][i:i + m]))
-    return passes
+    coeffs = grid.quadratics
+    ends = [(float(seg_t[0]), float(seg_x[0]), float(seg_t[-1]), float(seg_x[-1]))
+            if len(seg_t) > 1 else None for seg_t, seg_x in segments]
+    fresh = sorted({t for e in ends if e for t in e[::2]}.difference(coeffs))
+    if fresh:
+        coeffs = {**coeffs, **_quadratics_by_time(grid.path, fresh)}
+    return [None if e is None else (*_values(*coeffs[e[0]], e[1]), *_values(*coeffs[e[2]], e[3]))
+            for e in ends]
 
 
 class _RolloutGrid:
@@ -264,17 +214,12 @@ class _RolloutGrid:
       (:meth:`.riccati.CoefficientPath.coefficients_at`); between events
       the node states are ``phi*(c + shift)`` with one constant c;
     - ``ell1``, ``ell2``: the band's edges at every node;
-    - ``cells``: :func:`_cell_terms` of every cell: its width, Phi and H at
-      its left node, and Phi, H, p1 and q1 at its three Gauss points;
-    - ``work``: arrays the cost over ``cells`` is evaluated in
-      (:func:`_cell_costs`), so a cost pass allocates none of that size;
+    - ``quadratics``: the coefficients of both value quadratics at t0 and
+      at T (:meth:`.riccati.CoefficientPath.quadratics_at`), by time, for
+      :func:`_value_ends`;
     - ``ell1_min``, ``ell2_max``: the policy extremes of the impulse budget;
     - ``continued``: per reset target, the rollout from it at t0 (see
       :func:`_rollout_on_grid`).
-
-    The cached rows are the same expressions, evaluated elementwise, that
-    a cell-by-cell evaluation would compute, so costs taken from them are
-    bit-identical to it.
     """
 
     def __init__(self, path, policy, params, t0, step):
@@ -289,8 +234,7 @@ class _RolloutGrid:
         self.ts = ts
         self.phi, self.shift = path.coefficients_at(ts, band=False)
         self.ell1, _, _, self.ell2 = policy.thresholds_at(ts)
-        self.cells = _cell_terms(path, ts[:-1], ts[1:])
-        self.work = (*(np.empty((3, n)) for _ in range(3)), *(np.empty(n) for _ in range(2)))
+        self.quadratics = _quadratics_by_time(path, [t0, float(T)])
         self.ell1_min = float(np.min(policy.ell1))
         self.ell2_max = float(np.max(policy.ell2))
         self.continued = {}
@@ -592,7 +536,7 @@ def _rollout_on_grid(grid, x0, max_events):
     t0, events = grid.t0, []
     if (jump := impulse_map(policy, t0, x0)) is None:
         segments, x_end = _advance(grid, x0, events, max_events)
-        return Trajectory(segments, events, x_end, path, params, _cost_pass(grid, segments))
+        return Trajectory(segments, events, x_end, path, params, _value_ends(grid, segments))
     target = _record(events, _event(params, t0, x0, jump), max_events).x_plus
     if target in grid.continued:
         for ev in grid.continued[target][1]:
@@ -601,10 +545,10 @@ def _rollout_on_grid(grid, x0, max_events):
         segments, x_end = _advance(grid, target, events, max_events)
         for arr in (a for seg in segments for a in seg):
             arr.flags.writeable = False
-        grid.continued[target] = segments, events[1:], x_end, _cost_pass(grid, segments)
-    segments, _, x_end, passes = grid.continued[target]
+        grid.continued[target] = segments, events[1:], x_end, _value_ends(grid, segments)
+    segments, _, x_end, ends = grid.continued[target]
     return Trajectory([(np.array([t0]), np.array([x0]))] + segments, events, x_end, path,
-                      params, [None] + passes)
+                      params, [None] + ends)
 
 
 def admissibility_check(traj: Trajectory, policy: ThresholdPolicy) -> AdmissibilityReport:

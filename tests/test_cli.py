@@ -425,3 +425,15 @@ def test_write_csv_matches_per_cell_format(tmp_path):
         assert (tmp_path / name).read_bytes() == expected.encode("utf-8")
     _write_csv(tmp_path / "empty.csv", ["x", "y"], [])
     assert (tmp_path / "empty.csv").read_bytes() == b"x,y\n"
+
+
+def test_write_csv_over_an_existing_file_leaves_a_fresh_writes_bytes(tmp_path):
+    # the writer rewrites an existing file in place and cuts it after the
+    # new bytes: over a longer file and over a shorter one alike
+    header, block = ["x", "y"], [[np.arange(40) / 7.0, np.arange(40) * 1e-3]]
+    _write_csv(tmp_path / "fresh.csv", header, block)
+    fresh = (tmp_path / "fresh.csv").read_bytes()
+    for name, old in (("longer.csv", fresh + b"9" * 5000), ("shorter.csv", fresh[:17])):
+        (tmp_path / name).write_bytes(old)
+        _write_csv(tmp_path / name, header, block)
+        assert (tmp_path / name).read_bytes() == fresh, name

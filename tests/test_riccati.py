@@ -272,6 +272,26 @@ def test_between_node_interpolation_tracks_fine_grid(path):
     assert np.max(np.abs(path.q2_at(ts) - fine.q2_at(ts))) < 1e-9
 
 
+@pytest.mark.parametrize("params", [variant(T=200.0), variant(w2=1.0, T=400.0)],
+                         ids=["table1_T200", "table1_w2_1_T400"])
+def test_quadratics_at_is_exact_between_nodes(params):
+    # at the nodes the partial cell is empty: the node values bit for bit;
+    # between them, the cell midpoints against a grid eight times finer,
+    # where q2 and n2 are nodes.  Measured: q2 2.6e-15 / 1.0e-14 and n2
+    # 1.3e-14 / 6.1e-15; the cubic Hermite interpolant is off by
+    # 1.4e-9 / 2.4e-8 in q2 there.
+    path = solve_backward(params)
+    fine = solve_backward(params, n_steps=8 * 4096)
+    nodes = ("p1", "q1", "n1", "p2", "q2", "n2")
+    for name, got in zip(nodes, path.quadratics_at(path.time_grid)):
+        assert got.tobytes() == getattr(path, name).tobytes(), name
+    mids = fine.time_grid[4::8]
+    for name, got in zip(nodes, path.quadratics_at(mids)):
+        want = getattr(fine, name)[4::8]
+        rel = np.max(np.abs(got - want)) / np.max(np.abs(want))
+        assert rel <= 5e-14, (name, rel)
+
+
 def test_solve_backward_rejects_tiny_grid():
     with pytest.raises(ValueError):
         solve_backward(BASELINE, n_steps=1)
