@@ -14,11 +14,14 @@ dynamic programming oracle for Player 2's value, :func:`dp_oracle_v2`,
 is a separate, independent check that :func:`run_verification` does not
 call.  The intervention operator builds the jump minimum once as a plan
 of its value-independent work and runs only the rest on each batch of
-rows of target values.  Both it and the oracle take each state's best
-target below and above it from one helper, :func:`_prefix_argmins`: on
-rows of shifted values that fall strictly to their minimum, and rise
-strictly after it, one comparison per side finds them, and a batch
-holding any other row runs the running-argmin scan.
+rows of target values.  It takes each state's best target below and
+above it from :func:`_prefix_argmins`: on rows of shifted values that
+fall strictly to their minimum, and rise strictly after it, one
+comparison per side finds them, and a batch holding any other row runs
+the running-argmin scan.  The oracle's layers check the same condition
+and, where it holds, score only the layer's two winners (the whole row's
+first argmin below and last argmin above); any other layer runs the
+same scan.
 
 The time derivatives in the residuals are central differences of the
 value quadratics themselves (closed-form p1, p2, and q1, n1, q2, n2
@@ -46,6 +49,9 @@ TIME_STEP = np.finfo(float).eps ** (1.0 / 3.0)
 # one-sided fourth-order first-derivative stencils at the first and second
 # of five uniform nodes, times 12h
 _EDGE_STENCILS = ((-25.0, 48.0, -36.0, 16.0, -3.0), (-3.0, -10.0, 18.0, -6.0, 1.0))
+# 16u = 8 eps: the DP oracle's two-winner layers need fixed costs above
+# this times the values' scale (see dp_oracle_v2)
+_ROUNDING = 8.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -219,6 +225,12 @@ def _prefix_argmins(w, ends):
     return np.take_along_axis(run, np.broadcast_to(ends, w.shape[:-1] + np.shape(ends)[-1:]), -1)
 
 
+def _falls_to(w, p, buf):
+    """Whether ``w`` falls strictly on [0, p], compared into the bool buffer ``buf``."""
+    np.less(w[1:p + 1], w[:p], out=buf[:p])
+    return np.count_nonzero(buf[:p]) == p
+
+
 def _min_jump(params, targets, x, lo, hi):
     """Plan for min over m of ``v_targets[..., m] + intervention_cost(targets[m] - x)``.
 
@@ -380,17 +392,41 @@ def dp_oracle_v2(params: GameParams, path: CoefficientPath, box: StateBox,
     Before the loop, one call finds every layer's advected states and
     which layers extrapolate below or above the grid.
 
-    The best target below node i is the first argmin of ``w = cont - d*y``
-    over ``w[:i]``, and above it the last argmin of ``cont + c*y`` over the
-    suffix past i.  The first is min(i - 1, p), for the first argmin p of
-    the whole row, when w strictly decreases on [0, p]; the second is the
-    mirror image (:func:`_prefix_argmins`).  Every layer on the shipped
-    configs meets both conditions; any other layer falls back to the
-    running-argmin scan.  The zero-size jump is not scored: it costs
-    min(C, D) > 0 on top of the node's own waiting value, so it never
-    beats waiting.  Both winners are scored in one gather with the dense
-    minimum's arithmetic, ``D - d*(y - x)`` and ``C + c*(y - x)``, so the
-    values equal the every-target minimum bit for bit.
+    Two winners per layer.  The best target below node i is the first
+    argmin of ``w = cont - d*y`` over ``w[:i]``, and above it the last
+    argmin of ``v = cont + c*y`` over the suffix past i.  With p the first
+    argmin of the whole of w and q the last of v, every node past p takes
+    target p and every node before q takes target q.  A layer in which w
+    falls strictly on [0, p], v rises strictly on [q, nx] (one comparison
+    per side) and q <= p scores only those two: ``cont[q] + head`` on
+    [0, q), +inf on [q, p] and ``cont[p] + tail`` on (p, nx], with
+    ``head = C + c*(y_q - x)`` and ``tail = D - d*(y_p - x)``, the dense
+    minimum's arithmetic, so the values equal the every-target minimum
+    bit for bit.  head and tail depend on the layer only through q and p,
+    which move a node at a time, so each is rebuilt only when its winner
+    moves.  Adding w[p] <= w[q] to v[q] <= v[p] gives (c + d)*(y_q - y_p)
+    <= 0, so q <= p but for rounding; on the shipped configs every layer
+    takes this path.
+
+    Why no node at or before p jumps down.  Its only candidate is i - 1,
+    scored ``s = cont[i-1] + fl(D + fl(-d*fl(y[i-1] - y[i])))``, and
+    exactly s - cont[i] = D + w[i-1] - w[i] > D.  In floating point, with
+    u = 2**-53, W the largest |w| on [0, p] (at most max(|w[0]|, |w[p]|),
+    as w falls there) and Y the largest |d*y|, the strict fall gives
+    cont[i] < cont[i-1] + g + 2u(W + Y)(1 + 2u), with g = d*(y[i] - y[i-1])
+    <= 2Y(1 + 2u), and the rounded jump cost is at least (D + g)(1 - 3u).
+    So D > 16u(W + Y) makes cont[i-1] plus that cost exceed cont[i], and
+    rounding is monotone, so s >= cont[i]: the candidate never beats
+    waiting.  The mirror argument with C, v and c covers the nodes at or
+    after q.  A layer takes the two-winner path only when D and C clear
+    these bounds, plus the smallest normal number for products that
+    underflow.  The zero-size jump is never scored: it costs min(C, D) > 0
+    on top of the node's own waiting value.
+
+    Any other layer (a tie or a rise on the way to a winner, q > p, a NaN,
+    or a fixed cost within rounding of the values) takes every node's
+    winners from the running-argmin scan and scores them with the same
+    arithmetic.
     """
     if nt < 16 or nx < 16:
         raise ValueError(f"oracle grids need nt, nx >= 16 (got nt={nt}, nx={nx})")
@@ -406,12 +442,20 @@ def dp_oracle_v2(params: GameParams, path: CoefficientPath, box: StateBox,
                           + params.b * gamma_star(path, params, np.arange(nt)[:, None] * dt, xg))
     low_layers = (advected.min(axis=1) < xg[0]).tolist()
     high_layers = (advected.max(axis=1) > xg[-1]).tolist()
-    # w[:i] ends at i - 1 (node 0 has no target below); read backwards, the
-    # suffix past i ends at ends[nx - i]
-    ends = np.maximum(np.arange(-1, nx), 0)
-    d_y, c_y = params.d * xg, params.c * xg
+    # c*y reversed: the suffixes past each node are prefixes of the reversed row
+    d_y, c_y_rev = params.d * xg, (params.c * xg)[::-1].copy()
+    # the fixed costs' rounding bounds 16u(W + Y) + tiny, as 8 eps W + these
+    slack_d = _ROUNDING * np.abs(d_y).max() + np.finfo(float).tiny
+    slack_c = _ROUNDING * np.abs(c_y_rev).max() + np.finfo(float).tiny
+    # scan fallback: w[:i] ends at i - 1 (node 0 has no target below); read
+    # backwards, the suffix past i ends at ends[nx - i]
+    pos = np.arange(nx + 1)
+    ends = np.maximum(pos - 1, 0)
     fixed, slope = np.array([[params.D], [params.C]]), np.array([[-params.d], [params.c]])
     winners = np.empty((2, nx + 1), dtype=np.intp)     # below, above
+    falls = np.empty(nx, dtype=bool)
+    jump = np.empty(nx + 1)
+    p_tail = q_head = -1
     for k in range(nt - 1, -1, -1):
         v_next = values[k + 1]
         x_adv = advected[k]
@@ -425,11 +469,26 @@ def dp_oracle_v2(params: GameParams, path: CoefficientPath, box: StateBox,
         cont = v_adv + run_cost
         # a second jump never helps: each jump pays a fixed cost, so the
         # obstacle uses waiting values at the targets
-        winners[0] = _prefix_argmins(cont - d_y, ends)
-        np.subtract(nx, _prefix_argmins((cont + c_y)[::-1], ends[::-1]), out=winners[1])
-        scores = cont.take(winners) + (fixed + slope * (xg.take(winners) - xg))
-        scores[0, 0] = scores[1, -1] = np.inf
-        jump = np.minimum(scores[0], scores[1])
+        below, above = cont - d_y, cont[::-1] + c_y_rev
+        p = int(below.argmin())
+        r = int(above.argmin())
+        q = nx - r
+        if (q <= p and _falls_to(below, p, falls) and _falls_to(above, r, falls)
+                and params.D > _ROUNDING * max(abs(below[0]), abs(below[p])) + slack_d
+                and params.C > _ROUNDING * max(abs(above[0]), abs(above[r])) + slack_c):
+            if p != p_tail:
+                tail, p_tail = params.D + -params.d * (xg[p] - xg), p
+            if q != q_head:
+                head, q_head = params.C + params.c * (xg[q] - xg), q
+            np.add(cont[q], head[:q], out=jump[:q])
+            jump[q:p + 1] = np.inf
+            np.add(cont[p], tail[p + 1:], out=jump[p + 1:])
+        else:
+            winners[0] = _running_argmin(below, pos).take(ends)
+            np.subtract(nx, _running_argmin(above, pos).take(ends[::-1]), out=winners[1])
+            scores = cont.take(winners) + (fixed + slope * (xg.take(winners) - xg))
+            scores[0, 0] = scores[1, -1] = np.inf
+            np.minimum(scores[0], scores[1], out=jump)
         np.minimum(cont, jump, out=values[k])
         np.less(jump, cont, out=intervene[k])
     return DpOracleResult(t_grid=np.linspace(0.0, params.T, nt + 1), x_grid=xg,

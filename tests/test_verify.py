@@ -665,7 +665,7 @@ def test_dp_oracle_equals_dense_layers(scenario, n, request, box):
 
 
 def _prefix_argmin_rows(rng):
-    """Rows of every kind the oracle's argmin shortcut must get right or refuse."""
+    """Rows of every kind the argmin shortcut must get right or refuse."""
     rows = [np.array([1.0]), np.array([np.nan]), np.array([2.0, 1.0]), np.array([1.0, 2.0]),
             np.array([1.0, 1.0]), np.array([np.nan, 1.0]), np.array([1.0, np.nan]),
             np.full(7, 3.0),                                   # flat
@@ -698,8 +698,8 @@ def scans(monkeypatch):
 
 def test_prefix_argmins_equals_running_argmin(scans):
     """The shortcut's winners equal the running argmin's on every row, read
-    forwards (targets below) and backwards (targets above, as the oracle
-    reads ``cont + c*y`` reversed), and the shortcut is taken where it applies."""
+    forwards (targets below) and backwards (targets above, as the operator
+    reads ``v + c*y`` reversed), and the shortcut is taken where it applies."""
     for case, row in enumerate(_prefix_argmin_rows(np.random.default_rng(20261019))):
         for w in (row, row[::-1]):
             m = w.size
@@ -778,6 +778,42 @@ def test_dp_oracle_falls_back_on_non_unimodal_layers(params, box, scans, monkeyp
     assert len(scans) == 2 * 100, len(scans)       # every layer, on both sides
     np.testing.assert_array_equal(fast.values, dense.values)
     np.testing.assert_array_equal(fast.intervene, dense.intervene)
+
+
+@pytest.mark.parametrize("C, D, scanned", [(1e-13, 1e-13, 0), (1e-15, 1e-15, 2 * 100),
+                                            (3.0, 1e-15, 2 * 100), (1e-15, 5.0, 2 * 100)])
+def test_dp_oracle_equals_dense_layers_at_tiny_fixed_costs(C, D, scanned, box, scans):
+    """Fixed costs near the rounding of the values: at C = D = 1e-13 every
+    layer still scores its two winners alone, while a fixed cost of 1e-15
+    on either side fails its rounding bound and sends every layer to the
+    scan; each equals the every-target minimum bit for bit."""
+    prm = variant(C=C, D=D)
+    pth = solve_backward(prm)
+    fast = dp_oracle_v2(prm, pth, box, nt=100, nx=100)
+    dense, _, _ = _dense_dp_oracle(prm, pth, box, nt=100, nx=100)
+    assert len(scans) == scanned
+    np.testing.assert_array_equal(fast.values, dense.values)
+    np.testing.assert_array_equal(fast.intervene, dense.intervene)
+
+
+# table1's band at t = 0 is about [3.38, 7.03]
+@pytest.mark.parametrize("end_box, winner", [(StateBox(-5.0, 2.0), 100), (StateBox(8.0, 12.0), 0)])
+def test_dp_oracle_equals_dense_layers_with_winners_at_an_end_node(end_box, winner, params,
+                                                                     path, scans, monkeypatch):
+    """In a box below the band both winners are its top node (p = q = nx),
+    in one above it its bottom node (p = q = 0), in every layer, and the
+    values equal the every-target minimum bit for bit."""
+    seen = []
+    falls_to = verify._falls_to
+    monkeypatch.setattr(verify, "_falls_to", lambda w, p, buf: seen.append(p) or falls_to(w, p, buf))
+    fast = dp_oracle_v2(params, path, end_box, nt=100, nx=100)
+    dense, _, _ = _dense_dp_oracle(params, path, end_box, nt=100, nx=100)
+    # p, then q's index in the reversed row, per layer
+    assert seen == [winner, 100 - winner] * 100
+    assert scans == []
+    np.testing.assert_array_equal(fast.values, dense.values)
+    np.testing.assert_array_equal(fast.intervene, dense.intervene)
+    assert fast.intervene.any()
 
 
 def _dense_min_jump(params, targets, v, x):
