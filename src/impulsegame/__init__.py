@@ -45,6 +45,7 @@ from .simulate import (
     impulse_bound_parts,
     make_rollout_hook,
     rollout,
+    value_v1,
 )
 from .verify import (
     DpOracleResult,
@@ -68,7 +69,7 @@ __all__ = [
     "impulse_map", "value_v2",
     "ImpulseEvent", "Trajectory", "AdmissibilityReport", "rollout",
     "impulse_bound", "impulse_bound_parts", "admissibility_check",
-    "make_rollout_hook",
+    "make_rollout_hook", "value_v1",
     "QviSample", "SufficiencySample", "VerificationReport", "DpOracleResult",
     "qvi_check", "brute_force_rv2", "sufficiency_margins",
     "convexity_margin", "dp_oracle_v2", "run_verification",

@@ -33,7 +33,7 @@ from .errors import (
 from .model import GameParams, StateBox, validate, validate_box
 from .policy import build_policy, gamma_star, value_v2
 from .riccati import DEFAULT_STEPS, solve_backward
-from .simulate import impulse_bound_parts, make_rollout_hook
+from .simulate import impulse_bound_parts, make_rollout_hook, value_v1
 from .verify import DEFAULT_GRID, run_verification
 
 EXIT_OK = 0
@@ -331,14 +331,17 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_value(cfg: RunConfig, t: float) -> int:
-    """Write both players' values over the box grid at one time."""
+    """Write both players' values over the box grid at one time.
+
+    V2 is :func:`.policy.value_v2`; V1 is :func:`.simulate.value_v1`, each
+    start's rollout J1, bit for bit what a rollout hook gives start by start.
+    """
     if not 0.0 <= t <= cfg.params.T:
         raise ConfigError(f"value time must lie in [0, T] (got {t!r})")
     path, policy = _build(cfg)
     xs = np.linspace(cfg.box.x_lo, cfg.box.x_hi, cfg.nx + 1)
     v2 = value_v2(path, policy, cfg.params, t, xs)
-    hook = make_rollout_hook(path, policy, cfg.params, cfg.sim_step)
-    v1 = [hook(t, x).j1 for x in xs]
+    v1 = value_v1(path, policy, cfg.params, t, xs, cfg.sim_step)
     _write_csv(_outpath(cfg, f"values_t{_fmt(t)}.csv"), ["x0", "V1", "V2", "region"],
                [[xs, v1, v2, policy.region(t, xs)]])
     return EXIT_OK

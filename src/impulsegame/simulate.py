@@ -35,10 +35,18 @@ or beta(t0): the grid keeps the rollout from each target, its segments'
 end values included, and such a start adds only its own t0 sample and event in
 front.  The trajectory does not keep the grid; ``costs_from(t1)``
 evaluates the coefficients at t1 once.
+
+:func:`value_v1` gives Player 1's value at many starts at one time, each
+start's J1 bit for bit.  On one grid it takes most starts without a
+rollout: a run of starts inside the band, certified event-free by the
+scans of its two ends (node states are monotone in the start), and the
+starts outside the band, each its own jump in front of the kept rollout
+from its target.  Every other start rolls out through the same body.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -217,7 +225,9 @@ class _RolloutGrid:
     - ``quadratics``: the coefficients of both value quadratics at t0 and
       at T (:meth:`.riccati.CoefficientPath.quadratics_at`), by time, for
       :func:`_value_ends`;
-    - ``ell1_min``, ``ell2_max``: the policy extremes of the impulse budget;
+    - ``ell1_min``, ``ell2_max``: the policy extremes of the impulse budget,
+      and ``budget``, the budget of every start between them
+      (:meth:`budget_for`);
     - ``continued``: per reset target, the rollout from it at t0 (see
       :func:`_rollout_on_grid`).
     """
@@ -238,6 +248,23 @@ class _RolloutGrid:
         self.ell1_min = float(np.min(policy.ell1))
         self.ell2_max = float(np.max(policy.ell2))
         self.continued = {}
+
+    @cached_property
+    def budget(self):
+        """The analytic cap over [ell1_min - 1, ell2_max + 1], computed on first use."""
+        return impulse_bound(self.params, StateBox(self.ell1_min - 1.0, self.ell2_max + 1.0))
+
+    def budget_for(self, lo, hi):
+        """The analytic cap on events for starts in [lo, hi]: over a box that
+        holds every state they reach, [min(ell1_min, lo) - 1, max(ell2_max, hi) + 1].
+
+        Starts between ell1_min and ell2_max share ``budget``; the cap does
+        not fall as the box grows.
+        """
+        if self.ell1_min <= lo and hi <= self.ell2_max:
+            return self.budget
+        return impulse_bound(self.params, StateBox(min(self.ell1_min, lo) - 1.0,
+                                                   max(self.ell2_max, hi) + 1.0))
 
     def scan(self, i0, x, block):
         """Node states from node i0, starting at ``x``, through the first
@@ -291,10 +318,11 @@ def impulse_bound_parts(params: GameParams, box: StateBox):
 
 
 def _rollouts(path, policy, params, step):
-    """The one rollout body: a checked ``run(t0, x0, max_events=None)``.
+    """The one rollout body: a checked ``run(t0, x0, max_events=None)``, and
+    ``grid_at(t0)``, the :class:`_RolloutGrid` it runs on at t0 < T.
 
-    ``run`` keeps only the :class:`_RolloutGrid` of the latest start time,
-    shared by starts at that time.  The step defaults to T/DEFAULT_STEPS.
+    Only the grid of the latest start time is kept, shared by starts at
+    that time.  The step defaults to T/DEFAULT_STEPS.
     """
     T = params.T
     step = T / DEFAULT_STEPS if step is None else float(step)
@@ -302,8 +330,13 @@ def _rollouts(path, policy, params, step):
         raise ValueError(f"step must be finite and > 0 (got {step!r})")
     latest = None
 
-    def run(t0, x0, max_events=None):
+    def grid_at(t0):
         nonlocal latest
+        if latest is None or latest.t0 != t0:
+            latest = _RolloutGrid(path, policy, params, float(t0), step)
+        return latest
+
+    def run(t0, x0, max_events=None):
         if not 0.0 <= t0 <= T:
             raise ValueError(f"t0 must lie in [0, T] (got {t0!r})")
         x0 = float(x0)
@@ -312,11 +345,9 @@ def _rollouts(path, policy, params, step):
         if T - t0 <= 1e-12:
             # no impulse fires at the horizon itself: the state stays, terminal costs only
             return Trajectory([(np.array([T]), np.array([x0]))], [], x0, path, params, [None])
-        if latest is None or latest.t0 != t0:
-            latest = _RolloutGrid(path, policy, params, float(t0), step)
-        return _rollout_on_grid(latest, x0, max_events)
+        return _rollout_on_grid(grid_at(t0), x0, max_events)
 
-    return run
+    return run, grid_at
 
 
 def rollout(path, policy, params: GameParams, t0, x0, step=None, max_events=None):
@@ -330,7 +361,7 @@ def rollout(path, policy, params: GameParams, t0, x0, step=None, max_events=None
     diverges.  Starting exactly at the horizon yields the bare terminal
     evaluation.
     """
-    return _rollouts(path, policy, params, step)(t0, x0, max_events)
+    return _rollouts(path, policy, params, step)[0](t0, x0, max_events)
 
 
 def make_rollout_hook(path, policy, params, step=None):
@@ -341,7 +372,116 @@ def make_rollout_hook(path, policy, params, step=None):
     reset target, alpha(t0) or beta(t0), computed once; each adds its own
     t0 event and raises what a fresh :func:`rollout` from it raises.
     """
-    return _rollouts(path, policy, params, step)
+    return _rollouts(path, policy, params, step)[0]
+
+
+def value_v1(path, policy, params, t, xs, step=None):
+    """Player 1's value at (t, x) for every x of ``xs``: the J1 of its rollout.
+
+    The batched counterpart of :func:`.policy.value_v2`.  It equals
+    ``[make_rollout_hook(path, policy, params, step)(t, x).j1 for x in xs]``
+    bit for bit and raises what that raises; the hook stays the reference.
+    Two kinds of start take no rollout of their own:
+
+    - a run of starts inside the band that meet no band edge before T
+      (:func:`_event_free`).  Each J1 is ``costs_from``'s sum on one
+      segment: phi1 at (t, x) minus phi1 at (T, x_T), then the terminal
+      cost, taken on Python floats as ``costs_from`` takes it (``** 2`` is
+      libm's ``pow``, not numpy's product);
+    - starts outside the band, once the first of them that jumps to the
+      same target has rolled out: each adds its own t event, z1*|xi|, in
+      front of the grid's kept rollout from the target, whose event count
+      is within the smallest budget any start has.
+
+    Every other start rolls out through the hook, in the order of ``xs``;
+    so does every start when t is within 1e-12 of T or some start's cap
+    does not compute.
+    """
+    run, grid_at = _rollouts(path, policy, params, step)
+    xs = np.asarray(xs, dtype=float)
+    j1 = np.empty(len(xs))
+    done = np.zeros(len(xs), bool)
+    finite = np.isfinite(xs)
+    targets = [None] * len(xs)
+    T = params.T
+    grid = None
+    if 0.0 <= t <= T and T - t > 1e-12 and finite.any():
+        grid = grid_at(t)
+        try:    # the widest box: no start's own cap raises unless this one does
+            grid.budget_for(float(xs[finite].min()), float(xs[finite].max()))
+        except (OverflowError, ValueError):
+            grid = None
+    if grid is not None:
+        ell1, alpha, beta, ell2 = policy.thresholds_at(grid.t0)
+        below, above = sides(ell1, ell2, xs)
+        done = _event_free(grid, xs, finite & ~below & ~above)
+        x = xs[done]
+        x_T = grid.phi[-1] * (x / grid.phi[0] - grid.shift[0] + grid.shift[-1])
+        j1[done] = 0.0 + (_values(*grid.quadratics[grid.t0], x)[0]
+                          - _values(*grid.quadratics[float(T)], x_T)[0])
+        j1[done] += [0.5 * params.s1 * (v - params.rho1) ** 2 for v in x_T.tolist()]
+        targets = [alpha if lo else beta if hi else None
+                   for lo, hi in zip((finite & below).tolist(), (finite & above).tolist())]
+    followers = {}      # reset target: the starts that go on along its kept rollout
+    for i in np.flatnonzero(~done).tolist():
+        target = targets[i]
+        if target in followers:
+            followers[target].append(i)
+            continue
+        j1[i] = run(t, xs[i]).j1
+        # grid.budget is the smallest cap of any start
+        if target is not None and target in grid.continued \
+                and len(grid.continued[target][1]) < grid.budget:
+            followers[target] = []
+    for target, idx in followers.items():     # in costs_from's order
+        segments, events, x_end, ends = grid.continued[target]
+        v = 0.0
+        for (seg_t, _), e in zip(segments, ends):
+            if e is not None and seg_t[-1] > grid.t0:
+                v += e[0] - e[2]
+        v = v + params.z1 * np.abs(target - xs[idx])
+        for ev in events:
+            v += ev.cost_p1
+        j1[idx] = v + 0.5 * params.s1 * (x_end - params.rho1) ** 2
+    return j1
+
+
+def _event_free(grid, xs, inside):
+    """Mask of the starts of ``xs`` (a subset of ``inside``) whose scans from
+    (grid.t0, x) reach T with every node state finite and inside the band.
+
+    Where Phi > 0 and every node value is finite, a node state
+    fl(Phi*fl(c + H)) does not fall as c grows, nor c = x/Phi(t0) - H(t0)
+    as x grows: a start between two whose scans stay clear stays clear.
+    The envelopes ell1/Phi - H and ell2/Phi - H bound the c of starts that
+    stay inside; they choose the run, and the scans from its lowest and
+    highest start certify it, a failing end giving way to the next start.
+    """
+    phi, shift, ell1, ell2 = grid.phi, grid.shift, grid.ell1, grid.ell2
+    run = np.zeros_like(inside)
+    if not (np.all(phi > 0.0) and all(np.isfinite(a).all() for a in (phi, shift, ell1, ell2))):
+        return run
+    c = xs / phi[0] - shift[0]
+    run = inside & (c > np.max(ell1[1:] / phi[1:] - shift[1:])) \
+        & (c < np.min(ell2[1:] / phi[1:] - shift[1:]))
+    while run.any():
+        lo, hi = float(xs[run].min()), float(xs[run].max())
+        clear_lo, clear_hi = _clear(grid, lo), _clear(grid, hi)
+        if clear_lo and clear_hi:
+            return inside & (xs >= lo) & (xs <= hi)
+        if not clear_lo:
+            run &= xs > lo
+        if not clear_hi:
+            run &= xs < hi
+    return run
+
+
+def _clear(grid, x):
+    """Whether the scan from (grid.t0, x) reaches T with no flagged or non-finite node."""
+    try:
+        return not grid.scan(0, x, len(grid.ts))[1]
+    except NonFiniteStateError:
+        return False
 
 
 def _falsi(a, fa, b, fb):
@@ -530,9 +670,8 @@ def _rollout_on_grid(grid, x0, max_events):
     budget.  A rollout that raised is not kept.
     """
     path, policy, params = grid.path, grid.policy, grid.params
-    if max_events is None:      # the analytic cap over a box holding every reachable state
-        max_events = impulse_bound(params, StateBox(min(grid.ell1_min, x0) - 1.0,
-                                                    max(grid.ell2_max, x0) + 1.0))
+    if max_events is None:
+        max_events = grid.budget_for(x0, x0)
     t0, events = grid.t0, []
     if (jump := impulse_map(policy, t0, x0)) is None:
         segments, x_end = _advance(grid, x0, events, max_events)

@@ -13,11 +13,13 @@ from impulsegame import (
     make_rollout_hook,
     run_verification,
     solve_backward,
+    value_v2,
 )
 from impulsegame.cli import (
     _write_csv,
     cmd_simulate,
     cmd_solve,
+    cmd_value,
     cmd_verify,
     load_config,
     main,
@@ -279,15 +281,16 @@ def test_report_csv_is_the_report_cell_by_cell(tmp_path, base, capsys):
 
 @pytest.mark.parametrize("base", [BASE_CFG, W2_1_CFG], ids=["table1", "table1_w2_1"])
 def test_solve_and_simulate_csvs_are_their_arrays_cell_by_cell(tmp_path, base):
-    # every cell is format(value, ".12g") of the array it comes from
+    # every number is format(value, ".12g") of the array it comes from, and
+    # V1 each start's J1 from the per-start hook; the region is verbatim
     cfg = load_config(str(write_cfg(tmp_path, base=base, output_dir=tmp_path / "out")))
-    assert cmd_solve(cfg) == 0 and cmd_simulate(cfg) == 0
+    assert cmd_solve(cfg) == 0 and cmd_simulate(cfg) == 0 and cmd_value(cfg, 0.3) == 0
     path = solve_backward(cfg.params, cfg.n_steps)
     policy = build_policy(path, cfg.params)
 
     def expect(name, header, columns):
-        lines = [",".join(header)] + [",".join(format(v, ".12g") for v in row)
-                                      for row in zip(*columns)]
+        lines = [",".join(header)] + [",".join(v if isinstance(v, str) else format(v, ".12g")
+                                               for v in row) for row in zip(*columns)]
         assert (tmp_path / "out" / name).read_bytes() == "".join(
             line + "\n" for line in lines).encode(), name
 
@@ -302,6 +305,10 @@ def test_solve_and_simulate_csvs_are_their_arrays_cell_by_cell(tmp_path, base):
         t, x = (np.concatenate([seg[i] for seg in traj.segments]) for i in (0, 1))
         expect(f"trajectory_{format(x0, '.12g')}.csv", ["t", "x", "u"],
                (t, x, gamma_star(path, cfg.params, t, x)))
+    xs = np.linspace(cfg.box.x_lo, cfg.box.x_hi, cfg.nx + 1)
+    expect("values_t0.3.csv", ["x0", "V1", "V2", "region"],
+           (xs, [hook(0.3, x).j1 for x in xs], value_v2(path, policy, cfg.params, 0.3, xs),
+            policy.region(0.3, xs).tolist()))
 
 
 def test_verify_fails_with_named_condition_on_adversarial_config(tmp_path, capsys):

@@ -21,6 +21,7 @@ from impulsegame import (
     rollout,
     simulate,
     solve_backward,
+    value_v1,
     value_v2,
 )
 from impulsegame.cli import EXIT_MODEL, load_config, main
@@ -1047,6 +1048,180 @@ def test_located_exit_without_a_reset_is_a_named_error(tmp_path, monkeypatch, ca
     cfg.write_text((CONFIGS / "table1.cfg").read_text() + f"\noutput_dir = {tmp_path / 'out'}\n")
     assert main(["simulate", "--config", str(cfg)]) == EXIT_MODEL
     assert re.match(f"model violation: {message}", capsys.readouterr().err)
+
+
+# ---------------------------------------------------------------------------
+# value_v1 against the per-start hook it batches: the same J1 byte for byte,
+# and the same error where a start raises.
+
+
+def hook_v1(path, policy, params, t, xs, step=None):
+    """Player 1's values start by start, through a fresh rollout hook."""
+    hook = make_rollout_hook(path, policy, params, step)
+    return np.array([hook(t, x).j1 for x in xs])
+
+
+def assert_value_v1_is_the_hooks(path, policy, params, times, xs, step=None):
+    for t in times:
+        got = value_v1(path, policy, params, t, xs, step)
+        assert got.tobytes() == hook_v1(path, policy, params, t, xs, step).tobytes(), t
+
+
+def solved(name):
+    """(config, path, policy) of a shipped config, or of a test game by its file path."""
+    cfg = load_config(CONFIGS / f"{name}.cfg" if "/" not in name else name)
+    pth = solve_backward(cfg.params, cfg.n_steps)
+    return cfg, pth, build_policy(pth, cfg.params)
+
+
+@pytest.mark.parametrize("name", ["table1", "table1_w2_1"])
+def test_value_v1_equals_the_hook_bit_for_bit(name):
+    cfg, pth, pol = solved(name)
+    T = cfg.params.T
+    times = [*np.linspace(0.0, T, 20).tolist(), 0.3, 0.77, T - 3e-10, T - 1e-13]
+    xs = np.linspace(cfg.box.x_lo, cfg.box.x_hi, cfg.nx + 1)
+    assert_value_v1_is_the_hooks(pth, pol, cfg.params, times, xs, cfg.sim_step)
+
+
+def test_value_v1_rolls_out_only_the_first_start_per_reset_target(path, policy, params,
+                                                                  monkeypatch):
+    # at t < T on table1 every start inside the band is event-free: one
+    # rollout per reset target, the other 199 starts from the grid
+    calls = []
+    rollout_on_grid = simulate._rollout_on_grid
+
+    def counting(grid, x0, max_events):
+        calls.append(x0)
+        return rollout_on_grid(grid, x0, max_events)
+
+    monkeypatch.setattr(simulate, "_rollout_on_grid", counting)
+    xs = np.linspace(0.0, 10.0, 201)
+    for t in (0.0, 0.3, 0.77, 1.0 - 3e-10):
+        calls.clear()
+        value_v1(path, policy, params, t, xs)
+        ell1, _, _, ell2 = policy.thresholds_at(t)
+        assert calls == [*xs[xs <= ell1][:1], *xs[xs >= ell2][:1]] and calls, t
+
+
+@pytest.mark.parametrize("T", [5.0, 200.0])
+def test_value_v1_takes_the_hook_where_starts_inside_the_band_have_events(T):
+    p = variant(T=T)
+    pth = solve_backward(p)
+    pol = build_policy(pth, p)
+    xs = np.linspace(0.0, 10.0, 201 if T == 5.0 else 21)
+    times = (0.0, 0.3, T / 2, 0.9 * T) if T == 5.0 else (0.0, T / 2)
+    assert_value_v1_is_the_hooks(pth, pol, p, times, xs)
+    assert rollout(pth, pol, p, 0.0, 5.0).events     # a start inside the band meets an edge
+
+
+def test_value_v1_certifies_its_run_by_the_scans_of_its_ends():
+    # table1 at T=5, t=9/79: near the lowest start the band envelope
+    # admits, the envelope and the scan disagree at rounding level, and a
+    # start the envelope admits meets the lower edge (an event); the run's
+    # end scans give way to the next start until both stay clear
+    p = variant(T=5.0)
+    pth = solve_backward(p)
+    pol = build_policy(pth, p)
+    t = 9.0 / 79.0
+    grid = _RolloutGrid(pth, pol, p, t, p.T / 4096)
+    phi, shift = grid.phi, grid.shift
+    lowest = np.max(grid.ell1[1:] / phi[1:] - shift[1:])
+    x_edge = phi[0] * (lowest + shift[0])
+    xs = x_edge + np.arange(-20, 21) * np.spacing(x_edge)
+    ell1, _, _, ell2 = pol.thresholds_at(t)
+    assert np.all((xs > ell1) & (xs < ell2))
+    admitted = xs[xs / phi[0] - shift[0] > lowest]
+    assert any(rollout(pth, pol, p, t, x).events for x in admitted)
+    both = np.concatenate([xs, np.linspace(0.0, 10.0, 41)])
+    assert_value_v1_is_the_hooks(pth, pol, p, [t], both)
+
+
+def test_value_v1_on_the_locator_regression_game():
+    cfg, pth, pol = solved(str(Path(__file__).parent / "data" / "locator_inside_band.cfg"))
+    T = cfg.params.T
+    xs = np.linspace(cfg.box.x_lo, cfg.box.x_hi, 41)
+    assert_value_v1_is_the_hooks(pth, pol, cfg.params, (0.0, T / 2, T - 1e-13, T), xs,
+                                 cfg.sim_step)
+
+
+def test_value_v1_batches_the_kept_rollouts_events():
+    # starts below the band jump to alpha, and the rollout from alpha meets
+    # the lower edge six more times: each start adds its own jump in front
+    p = STEP_SCENARIOS["event_chain"]
+    pth = solve_backward(p)
+    pol = build_policy(pth, p)
+    assert len(rollout(pth, pol, p, 0.0, 0.0).events) == 7
+    assert_value_v1_is_the_hooks(pth, pol, p, (0.0, 0.2, 0.5), np.linspace(-4.0, 12.0, 161))
+
+
+def test_value_v1_raises_what_the_hook_raises(monkeypatch):
+    # at t=0 the band is about (14.2, 17.7): the starts below it jump to
+    # alpha and go on through six more events, so under a cap of 6 or less
+    # the first of them raises, after the starts in the band
+    p = STEP_SCENARIOS["event_chain"]
+    pth = solve_backward(p)
+    pol = build_policy(pth, p)
+    xs = np.linspace(17.0, -4.0, 43)
+
+    def message(fn, *args):
+        with pytest.raises(Exception) as err:
+            fn(*args)
+        return type(err.value), str(err.value)
+
+    for cap in (0, 3, 6, 7):
+        monkeypatch.setattr(simulate, "impulse_bound", lambda params, box: cap)
+        if cap == 7:
+            got = value_v1(pth, pol, p, 0.0, xs)
+            assert got.tobytes() == hook_v1(pth, pol, p, 0.0, xs).tobytes()
+            continue
+        want = message(hook_v1, pth, pol, p, 0.0, xs)
+        assert want == (ImpulseBudgetExceeded, f"{cap + 1} events exceed the analytic bound {cap}")
+        assert message(value_v1, pth, pol, p, 0.0, xs) == want
+    monkeypatch.undo()
+    for t, bad in ((0.0, [5.0, np.nan]), (0.0, [np.inf, 1.0]), (-0.1, [5.0]), (p.T + 1.0, [5.0])):
+        want = message(hook_v1, pth, pol, p, t, bad)
+        assert want[0] is ValueError
+        assert message(value_v1, pth, pol, p, t, bad) == want
+
+
+def test_value_v1_holds_each_start_to_its_own_budget(monkeypatch):
+    # at t=0 on the event-chain game every start below 14.2 jumps to alpha
+    # and goes on through 6 more events.  A stand-in bound that depends on
+    # the start: a start from below -10 has a cap of 100, or none at all
+    # (its bound overflows); the others a cap of 6
+    p = STEP_SCENARIOS["event_chain"]
+    pth = solve_backward(p)
+    pol = build_policy(pth, p)
+    analytic = simulate.impulse_bound
+
+    def far_capped(params, box):
+        return 100 if box.x_lo < -10.0 else 6
+
+    def far_overflowing(params, box):
+        if box.x_lo < -10.0:
+            raise OverflowError("cannot convert float infinity to integer")
+        return analytic(params, box)
+
+    for bound, xs, want in ((far_capped, [-40.0, 5.0], ImpulseBudgetExceeded),
+                            (far_overflowing, [0.0, -40.0], OverflowError)):
+        monkeypatch.setattr(simulate, "impulse_bound", bound)
+        with pytest.raises(want) as reference:
+            hook_v1(pth, pol, p, 0.0, xs)
+        with pytest.raises(want, match=f"^{re.escape(str(reference.value))}$"):
+            value_v1(pth, pol, p, 0.0, xs)
+        got = value_v1(pth, pol, p, 0.0, xs[:1])
+        assert got.tobytes() == hook_v1(pth, pol, p, 0.0, xs[:1]).tobytes()
+
+
+def test_a_starts_budget_is_its_box_bound(path, policy, params):
+    # the grid keeps the bound of the starts in [ell1_min, ell2_max]; any
+    # other start takes the bound of its own box
+    grid = _RolloutGrid(path, policy, params, 0.3, params.T / 4096)
+    lo, hi = grid.ell1_min, grid.ell2_max
+    for x0 in (lo - 40.0, lo - 0.5, lo, 5.0, hi, hi + 0.5, hi + 40.0):
+        box = StateBox(min(lo, x0) - 1.0, max(hi, x0) + 1.0)
+        assert grid.budget_for(x0, x0) == impulse_bound(params, box), x0
+    assert grid.budget_for(lo - 40.0, lo - 40.0) > grid.budget == grid.budget_for(lo, hi)
 
 
 # ---------------------------------------------------------------------------
