@@ -421,7 +421,10 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="path to a key=value config file")
     p = sub.add_parser("value", help="tabulate both value functions at one time")
     p.add_argument("--config", required=True)
-    p.add_argument("--t", required=True, type=float, help="evaluation time in [0, T]")
+    p.add_argument("--t", required=True, type=float,
+                   help="evaluation time in [0, T]; the table is values_t<t>.csv with t to 12 "
+                        "significant digits, so a later run at a time that rounds to the same name "
+                        "replaces it")
     args = parser.parse_args(argv)
 
     try:

@@ -29,19 +29,16 @@ evaluates the coefficients at its event times in one array call.
 :func:`make_rollout_hook` returns one checked body for many starts, and
 :func:`rollout` calls a fresh one once.  The body keeps the
 :class:`_RolloutGrid` of the latest start time, which computes what every
-start shares (see its docstring).  Starts outside the band share the
-rollout from their reset target, since Player 2 resets each to alpha(t0)
-or beta(t0): the grid keeps the rollout from each target, its segments'
-end values included, and such a start adds only its own t0 sample and event in
-front.  The trajectory does not keep the grid; ``costs_from(t1)``
-evaluates the coefficients at t1 once.
+start shares (see its docstring).  The trajectory does not keep the
+grid; ``costs_from(t1)`` evaluates the coefficients at t1 once.
 
 :func:`value_v1` gives Player 1's value at many starts at one time, each
 start's J1 bit for bit.  On one grid it takes most starts without a
 rollout: a run of starts inside the band, certified event-free by the
 scans of its two ends (node states are monotone in the start), and the
-starts outside the band, each its own jump in front of the kept rollout
-from its target.  Every other start rolls out through the same body.
+starts outside the band, each its own jump in front of the rollout of
+the first start that jumps to the same target, alpha(t0) or beta(t0).
+Every other start rolls out through the same body.
 """
 
 import math
@@ -227,9 +224,7 @@ class _RolloutGrid:
       :func:`_value_ends`;
     - ``ell1_min``, ``ell2_max``: the policy extremes of the impulse budget,
       and ``budget``, the budget of every start between them
-      (:meth:`budget_for`);
-    - ``continued``: per reset target, the rollout from it at t0 (see
-      :func:`_rollout_on_grid`).
+      (:meth:`budget_for`).
     """
 
     def __init__(self, path, policy, params, t0, step):
@@ -247,7 +242,6 @@ class _RolloutGrid:
         self.quadratics = _quadratics_by_time(path, [t0, float(T)])
         self.ell1_min = float(np.min(policy.ell1))
         self.ell2_max = float(np.max(policy.ell2))
-        self.continued = {}
 
     @cached_property
     def budget(self):
@@ -368,9 +362,6 @@ def make_rollout_hook(path, policy, params, step=None):
     """:func:`rollout`'s checked body as a closure (t0, x0, max_events=None).
 
     Starts at one time share a grid; only the latest start time's is kept.
-    Starts outside the band at that time share the rollout from their
-    reset target, alpha(t0) or beta(t0), computed once; each adds its own
-    t0 event and raises what a fresh :func:`rollout` from it raises.
     """
     return _rollouts(path, policy, params, step)[0]
 
@@ -390,8 +381,8 @@ def value_v1(path, policy, params, t, xs, step=None):
       libm's ``pow``, not numpy's product);
     - starts outside the band, once the first of them that jumps to the
       same target has rolled out: each adds its own t event, z1*|xi|, in
-      front of the grid's kept rollout from the target, whose event count
-      is within the smallest budget any start has.
+      front of that rollout's part from the target, whose event count is
+      within the smallest budget any start has.
 
     Every other start rolls out through the hook, in the order of ``xs``;
     so does every start when t is within 1e-12 of T or some start's cap
@@ -422,27 +413,26 @@ def value_v1(path, policy, params, t, xs, step=None):
         j1[done] += [0.5 * params.s1 * (v - params.rho1) ** 2 for v in x_T.tolist()]
         targets = [alpha if lo else beta if hi else None
                    for lo, hi in zip((finite & below).tolist(), (finite & above).tolist())]
-    followers = {}      # reset target: the starts that go on along its kept rollout
+    followers = {}      # reset target: its first start's rollout, the starts that go on along it
     for i in np.flatnonzero(~done).tolist():
         target = targets[i]
         if target in followers:
-            followers[target].append(i)
+            followers[target][1].append(i)
             continue
-        j1[i] = run(t, xs[i]).j1
-        # grid.budget is the smallest cap of any start
-        if target is not None and target in grid.continued \
-                and len(grid.continued[target][1]) < grid.budget:
-            followers[target] = []
-    for target, idx in followers.items():     # in costs_from's order
-        segments, events, x_end, ends = grid.continued[target]
+        traj = run(t, xs[i])
+        j1[i] = traj.j1
+        # grid.budget is the smallest cap of any start; the first event is the jump at t
+        if target is not None and len(traj.events) <= grid.budget:
+            followers[target] = traj, []
+    for target, (traj, idx) in followers.items():     # in costs_from's order
         v = 0.0
-        for (seg_t, _), e in zip(segments, ends):
+        for (seg_t, _), e in zip(traj.segments, traj._ends):
             if e is not None and seg_t[-1] > grid.t0:
                 v += e[0] - e[2]
         v = v + params.z1 * np.abs(target - xs[idx])
-        for ev in events:
+        for ev in traj.events[1:]:
             v += ev.cost_p1
-        j1[idx] = v + 0.5 * params.s1 * (x_end - params.rho1) ** 2
+        j1[idx] = v + 0.5 * params.s1 * (traj.terminal_state - params.rho1) ** 2
     return j1
 
 
@@ -662,32 +652,19 @@ def _advance(grid, x_cur, events, max_events):
 
 
 def _rollout_on_grid(grid, x0, max_events):
-    """The rollout from (grid.t0, x0).
-
-    A start outside the band fires at t0 and goes on along the rollout
-    from its reset target, kept in ``grid.continued`` with read-only
-    arrays; it replays that rollout's event checks against its own
-    budget.  A rollout that raised is not kept.
-    """
+    """The rollout from (grid.t0, x0).  A start outside the band fires at
+    t0: its first segment is the lone sample (t0, x0), and the flow goes
+    on from the reset target."""
     path, policy, params = grid.path, grid.policy, grid.params
     if max_events is None:
         max_events = grid.budget_for(x0, x0)
-    t0, events = grid.t0, []
-    if (jump := impulse_map(policy, t0, x0)) is None:
-        segments, x_end = _advance(grid, x0, events, max_events)
-        return Trajectory(segments, events, x_end, path, params, _value_ends(grid, segments))
-    target = _record(events, _event(params, t0, x0, jump), max_events).x_plus
-    if target in grid.continued:
-        for ev in grid.continued[target][1]:
-            _record(events, ev, max_events)
-    else:
-        segments, x_end = _advance(grid, target, events, max_events)
-        for arr in (a for seg in segments for a in seg):
-            arr.flags.writeable = False
-        grid.continued[target] = segments, events[1:], x_end, _value_ends(grid, segments)
-    segments, _, x_end, ends = grid.continued[target]
-    return Trajectory([(np.array([t0]), np.array([x0]))] + segments, events, x_end, path,
-                      params, [None] + ends)
+    t0, events, segments = grid.t0, [], []
+    if (jump := impulse_map(policy, t0, x0)) is not None:
+        segments.append((np.array([t0]), np.array([x0])))
+        x0 = _record(events, _event(params, t0, x0, jump), max_events).x_plus
+    tail, x_end = _advance(grid, x0, events, max_events)
+    segments += tail
+    return Trajectory(segments, events, x_end, path, params, _value_ends(grid, segments))
 
 
 def admissibility_check(traj: Trajectory, policy: ThresholdPolicy) -> AdmissibilityReport:

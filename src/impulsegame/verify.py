@@ -12,10 +12,8 @@ coefficient.  Each check takes the whole grid in one call: the
 times as a column ``t[:, None]`` against the row of states.  The coarse
 dynamic programming oracle for Player 2's value, :func:`dp_oracle_v2`,
 is a separate, independent check that :func:`run_verification` does not
-call.  The intervention operator builds the jump minimum once as a plan
-of its value-independent work and runs only the rest on each batch of
-rows of target values.  It takes each state's best target below and
-above it from :func:`_prefix_argmins`: on rows of shifted values that
+call.  The intervention operator takes each state's best target below
+and above it from :func:`_prefix_argmins`: on rows of shifted values that
 fall strictly to their minimum, and rise strictly after it, one
 comparison per side finds them, and a batch holding any other row runs
 the running-argmin scan.  The oracle's layers check the same condition
@@ -196,13 +194,12 @@ def _hjb1(path, params, t, x):
     )
 
 
-def _running_argmin(w, pos):
-    """``pos`` at the first minimum of ``w[..., :i + 1]``, for every i, along the last axis;
-    ``pos`` is nonnegative and increasing along that axis."""
+def _running_argmin(w):
+    """The index of the first minimum of ``w[..., :i + 1]``, for every i, along the last axis."""
     run = np.minimum.accumulate(w, axis=-1)
     drop = np.ones(run.shape, dtype=bool)     # where a new running minimum starts
     drop[..., 1:] = run[..., 1:] < run[..., :-1]
-    return np.maximum.accumulate(np.where(drop, pos, 0), axis=-1)
+    return np.maximum.accumulate(np.where(drop, np.arange(w.shape[-1]), 0), axis=-1)
 
 
 def _prefix_argmins(w, ends):
@@ -221,7 +218,7 @@ def _prefix_argmins(w, ends):
     np.less(w[..., 1:], w[..., :-1], out=falls[..., :-1])
     if falls.argmin(axis=-1, keepdims=True).tolist() == p.tolist():
         return np.minimum(ends, p)
-    run = _running_argmin(w, np.arange(w.shape[-1]))
+    run = _running_argmin(w)
     return np.take_along_axis(run, np.broadcast_to(ends, w.shape[:-1] + np.shape(ends)[-1:]), -1)
 
 
@@ -231,43 +228,33 @@ def _falls_to(w, p, buf):
     return np.count_nonzero(buf[:p]) == p
 
 
-def _min_jump(params, targets, x, lo, hi):
-    """Plan for min over m of ``v_targets[..., m] + intervention_cost(targets[m] - x)``.
+def _min_jump(params, targets, v_targets, x, lo, hi):
+    """Min over m of ``v_targets[..., m] + intervention_cost(targets[m] - x)``.
 
     ``targets`` is strictly increasing; ``x`` holds a row of states per row
-    of target values the plan takes.  ``lo`` and ``hi``, broadcast to x,
-    place it among the targets, ``targets[:lo] < x < targets[hi:]``, so
-    ``lo < hi`` only on a target.  The jump cost is ``D - d*xi`` downward
-    and ``C + c*xi`` upward, so the best target below x minimises ``v - d*y``
-    over a prefix and the best above x minimises ``v + c*y`` over a suffix;
-    a target equal to x is the zero-size jump, ``min(C, D)``.  The plan
-    holds what does not depend on the values: ``d*y``, ``c*y``, every
-    gather's flat index and the masks of absent candidates.  Applied to
-    finite values it finds the two winners by :func:`_prefix_argmins`
-    (the suffix on reversed rows) and scores the (at most) three winners
-    with the dense minimum's arithmetic, O(m + len(x)) per row.
+    of ``v_targets``.  ``lo`` and ``hi``, broadcast to x, place it among
+    the targets, ``targets[:lo] < x < targets[hi:]``, so ``lo < hi`` only
+    on a target.  The jump cost is ``D - d*xi`` downward and ``C + c*xi``
+    upward, so the best target below x minimises ``v - d*y`` over a prefix
+    and the best above x minimises ``v + c*y`` over a suffix; a target
+    equal to x is the zero-size jump, ``min(C, D)``.  On finite values it
+    finds the two winners by :func:`_prefix_argmins` (the suffix on
+    reversed rows) and scores the (at most) three winners with the dense
+    minimum's arithmetic, O(m + len(x)) per row.
     """
     m = targets.size
     start = m * np.arange(np.prod(x.shape[:-1], dtype=int)).reshape(x.shape[:-1] + (1,))
-    d_targets, c_targets = params.d * targets, params.c * targets
     # prefix ends, clipped to the row: an absent candidate's score is masked anyway
-    below_ends = np.maximum(lo - 1, 0)
-    above_ends = m - 1 - np.minimum(hi, m - 1)     # in the reversed rows
-    i_self = start + np.minimum(lo, m - 1)
-    missing = (lo <= 0, hi <= lo, hi >= m)
-
-    def min_jump(v_targets):
-        below = _prefix_argmins(v_targets - d_targets, below_ends)
-        above = m - 1 - _prefix_argmins((v_targets + c_targets)[..., ::-1], above_ends)
-        y_below, y_above = targets.take(below), targets.take(above)
-        scores = (v_targets.take(start + below) + (params.D - params.d * (y_below - x)),
-                  v_targets.take(i_self) + min(params.C, params.D),
-                  v_targets.take(start + above) + (params.C + params.c * (y_above - x)))
-        for score, absent in zip(scores, missing):
-            np.copyto(score, np.inf, where=absent)
-        return np.minimum(np.minimum(scores[0], scores[1]), scores[2])
-
-    return min_jump
+    below = _prefix_argmins(v_targets - params.d * targets, np.maximum(lo - 1, 0))
+    above = m - 1 - _prefix_argmins((v_targets + params.c * targets)[..., ::-1],
+                                    m - 1 - np.minimum(hi, m - 1))     # in the reversed rows
+    y_below, y_above = targets.take(below), targets.take(above)
+    scores = (v_targets.take(start + below) + (params.D - params.d * (y_below - x)),
+              v_targets.take(start + np.minimum(lo, m - 1)) + min(params.C, params.D),
+              v_targets.take(start + above) + (params.C + params.c * (y_above - x)))
+    for score, absent in zip(scores, (lo <= 0, hi <= lo, hi >= m)):
+        np.copyto(score, np.inf, where=absent)
+    return np.minimum(np.minimum(scores[0], scores[1]), scores[2])
 
 
 def brute_force_rv2(path, policy, params, t, x, box: StateBox):
@@ -283,7 +270,7 @@ def brute_force_rv2(path, policy, params, t, x, box: StateBox):
     lo, hi = (np.searchsorted(targets, x_arr, side=side) for side in ("left", "right"))
     lead = np.broadcast_shapes(v2_targets.shape[:-1], x_arr.shape[:-1])
     x_arr, v2_targets = (np.broadcast_to(a, lead + a.shape[-1:]) for a in (x_arr, v2_targets))
-    out = _min_jump(params, targets, x_arr, lo, hi)(v2_targets)
+    out = _min_jump(params, targets, v2_targets, x_arr, lo, hi)
     return float(out[0]) if np.ndim(x) == 0 and np.ndim(t) == 0 else out
 
 
@@ -449,8 +436,7 @@ def dp_oracle_v2(params: GameParams, path: CoefficientPath, box: StateBox,
     slack_c = _ROUNDING * np.abs(c_y_rev).max() + np.finfo(float).tiny
     # scan fallback: w[:i] ends at i - 1 (node 0 has no target below); read
     # backwards, the suffix past i ends at ends[nx - i]
-    pos = np.arange(nx + 1)
-    ends = np.maximum(pos - 1, 0)
+    ends = np.maximum(np.arange(nx + 1) - 1, 0)
     fixed, slope = np.array([[params.D], [params.C]]), np.array([[-params.d], [params.c]])
     winners = np.empty((2, nx + 1), dtype=np.intp)     # below, above
     falls = np.empty(nx, dtype=bool)
@@ -484,8 +470,8 @@ def dp_oracle_v2(params: GameParams, path: CoefficientPath, box: StateBox,
             jump[q:p + 1] = np.inf
             np.add(cont[p], tail[p + 1:], out=jump[p + 1:])
         else:
-            winners[0] = _running_argmin(below, pos).take(ends)
-            np.subtract(nx, _running_argmin(above, pos).take(ends[::-1]), out=winners[1])
+            winners[0] = _running_argmin(below).take(ends)
+            np.subtract(nx, _running_argmin(above).take(ends[::-1]), out=winners[1])
             scores = cont.take(winners) + (fixed + slope * (xg.take(winners) - xg))
             scores[0, 0] = scores[1, -1] = np.inf
             np.minimum(scores[0], scores[1], out=jump)

@@ -238,6 +238,15 @@ def test_value_command_at_horizon(tmp_path):
             assert float(row["V2"]) == pytest.approx(0.5 * 1.0 * (x - 5.0) ** 2, rel=1e-9)
 
 
+def test_value_table_is_named_by_t_to_12_significant_digits(tmp_path):
+    # 0.9999999999999 is 1 to 12 significant digits: both runs write
+    # values_t1.csv, the later replacing the earlier
+    cfg = write_cfg(tmp_path, output_dir=tmp_path / "out", nx=20)
+    for t in ("0.9999999999999", "1"):
+        assert main(["value", "--config", str(cfg), "--t", t]) == 0
+        assert [f.name for f in (tmp_path / "out").iterdir()] == ["values_t1.csv"], t
+
+
 def test_verify_passes_both_scenarios(tmp_path, capsys):
     for base in (BASE_CFG, W2_1_CFG):
         cfg = write_cfg(tmp_path, base=base, output_dir=tmp_path / "out",

@@ -548,11 +548,6 @@ def test_sweep_start_propagates_once(path, policy, params, monkeypatch):
         assert [ev.tau for ev in traj.events] == taus
         assert calls == [(0, len(traj.segments[-1][0]) - 1)]
         assert block_ends == [calls[0][1]]
-    # a second start jumping to the same target goes on along the kept rollout
-    calls.clear()
-    again = hook(0.3, 0.25)
-    assert [ev.tau for ev in again.events] == [0.3] and calls == []
-    assert shares_continuation(again, traj)
 
 
 @pytest.mark.parametrize("when", ["first segment", "after events"])
@@ -909,19 +904,13 @@ def test_hook_keeps_only_the_latest_start_times_grid(path, policy, params, monke
 
 
 # ---------------------------------------------------------------------------
-# Starts outside the band share the rollout from their reset target: each
-# start's trajectory and errors against a fresh rollout from that start.
+# Starts outside the band jump at t0 and go on from their reset target:
+# each start's trajectory and errors against a fresh rollout from that start.
 
 
 def same(a, b):
     """Byte equality of two floats, arrays or lists of event tuples."""
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
-
-
-def shares_continuation(a, b):
-    """Whether a and b hold the same array objects after their first segment."""
-    return len(a.segments) == len(b.segments) and all(
-        x is y for sa, sb in zip(a.segments[1:], b.segments[1:]) for x, y in zip(sa, sb))
 
 
 def assert_same_trajectory(got, want, T):
@@ -939,25 +928,33 @@ def assert_same_trajectory(got, want, T):
 
 
 @pytest.mark.parametrize("name", ["table1", "table1_w2_1"])
-def test_shared_continuation_equals_fresh_rollout(name):
+def test_hook_equals_fresh_rollout_at_every_start(name):
     cfg = load_config(CONFIGS / f"{name}.cfg")
     p = cfg.params
     pth = solve_backward(p, cfg.n_steps)
     pol = build_policy(pth, p)
     hook = make_rollout_hook(pth, pol, p, cfg.sim_step)
-    shared = 0
     for t in (0.0, 0.3, 0.77, p.T - 3e-10):
-        kept = {}
+        targets = set()
         for x in np.linspace(cfg.box.x_lo, cfg.box.x_hi, cfg.nx + 1):
             got = hook(t, x)
             assert_same_trajectory(got, rollout(pth, pol, p, t, x, step=cfg.sim_step), p.T)
             if got.events and got.events[0].tau == t:
-                first = kept.setdefault(got.events[0].x_plus, got)
-                assert shares_continuation(got, first)
-                assert not any(a.flags.writeable for seg in got.segments[1:] for a in seg)
-                shared += got is not first
-        assert 1 <= len(kept) <= 2, t   # starts outside the band go on from alpha or beta
-    assert shared >= 100
+                targets.add(got.events[0].x_plus)
+        assert 1 <= len(targets) <= 2, t   # starts outside the band go on from alpha or beta
+
+
+def test_starts_beyond_one_edge_share_no_arrays(path, policy, params):
+    # both starts lie below the band at t = 0.3 and jump to alpha; each
+    # trajectory owns its arrays, and they are writable
+    hook = make_rollout_hook(path, policy, params)
+    ell1 = policy.thresholds_at(0.3)[0]
+    a, b = hook(0.3, ell1 - 2.0), hook(0.3, ell1 - 1.0)
+    assert a.events[0].x_plus == b.events[0].x_plus and len(a.segments) == len(b.segments) > 1
+    arrays_a = [arr for seg in a.segments for arr in seg]
+    arrays_b = [arr for seg in b.segments for arr in seg]
+    assert all(arr.flags.writeable for arr in arrays_a + arrays_b)
+    assert not any(np.shares_memory(x, y) for x in arrays_a for y in arrays_b)
 
 
 def test_shared_continuation_raises_what_a_fresh_rollout_raises(monkeypatch):
@@ -975,24 +972,23 @@ def test_shared_continuation_raises_what_a_fresh_rollout_raises(monkeypatch):
 
     monkeypatch.setattr(simulate, "_RolloutGrid", RecordedGrid)
     hook = make_rollout_hook(pth, pol, p)
-    for kept in (False, True):
+    for _ in range(2):      # before and after a rollout from alpha has finished
         for x0, cap in ((0.0, 0), (1.0, 1), (-2.0, 1)):
             with pytest.raises(ImpulseBudgetExceeded,
                                match=f"^{cap + 1} events exceed the analytic bound {cap}$"):
                 hook(0.0, x0, max_events=cap)
-            assert bool(built[0].continued) == kept     # a rollout that raised is not kept
         full = hook(0.0, 0.0)
-        assert len(full.events) == 7 and len(built[0].continued) == 1
-    # chatter against the t0 event: the kept rollout's first event is
+        assert len(full.events) == 7
+    # chatter against the t0 event: the rollout from alpha's first event is
     # within the (widened) tolerance of it
     tau1 = full.events[1].tau
     want = f"chattering: events at tau=0.0 and tau={tau1!r}"
     with monkeypatch.context() as m:
         m.setattr(simulate, "CHATTER_TOL", 2.0 * tau1)
-        for h in (hook, make_rollout_hook(pth, pol, p)):    # kept, then fresh
+        for h in (hook, make_rollout_hook(pth, pol, p)):    # used, then fresh
             with pytest.raises(ImpulseBudgetExceeded, match=f"^{re.escape(want)}$"):
                 h(0.0, 1.0)
-    assert len(built) == 2 and not built[1].continued
+    assert len(built) == 2
     # a diverging rollout from alpha: every start jumping there raises
     grid = _RolloutGrid(pth, pol, p, 0.0, p.T / 4096)
     j = 40
@@ -1002,7 +998,6 @@ def test_shared_continuation_raises_what_a_fresh_rollout_raises(monkeypatch):
     for x0 in (0.0, 1.0):
         with pytest.raises(simulate.NonFiniteStateError, match=f"at node {j + 1} "):
             simulate._rollout_on_grid(grid, x0, None)
-    assert not grid.continued
 
 
 def test_locator_ends_on_a_probed_point_outside_the_band():

@@ -692,7 +692,7 @@ def scans(monkeypatch):
     """The rows that reach the running-argmin scan, the shortcut's fallback."""
     seen = []
     monkeypatch.setattr(verify, "_running_argmin",
-                        lambda w, pos: seen.append(w) or _running_argmin(w, pos))
+                        lambda w: seen.append(w) or _running_argmin(w))
     return seen
 
 
@@ -707,7 +707,7 @@ def test_prefix_argmins_equals_running_argmin(scans):
             for e in (ends, np.arange(m)):
                 scans.clear()
                 got = _prefix_argmins(w, e)
-                np.testing.assert_array_equal(got, _running_argmin(w, np.arange(m)).take(e),
+                np.testing.assert_array_equal(got, _running_argmin(w).take(e),
                                               err_msg=f"case {case}: {w}")
                 p = np.argmin(w)
                 descends = bool(np.all(w[1:p + 1] < w[:p]))
@@ -730,7 +730,7 @@ def test_run_verification_takes_the_operator_shortcut_on_every_row(name, scans, 
 
 def test_min_jump_batch_with_a_tie_row_and_a_nan_row_falls_back(scans):
     """One row with a tie on its way down and one with a NaN send a whole
-    batch of rows to the scan; every row still equals its own plan's, and
+    batch of rows to the scan; every row still equals its own call's, and
     a finite row the every-target minimum, bit for bit.  Integer targets,
     values and slopes and half-integer states keep the arithmetic exact."""
     prm = variant(C=3.0, D=5.0, c=1.0, d=3.0)
@@ -743,11 +743,11 @@ def test_min_jump_batch_with_a_tie_row_and_a_nan_row_falls_back(scans):
     rows = np.stack([clean, tie, nan, clean + 7.0])
     x = np.concatenate([targets[::5], targets[2::5] + 0.5, [-25.0, 25.0]])
     xs = np.broadcast_to(x, (len(rows), x.size))
-    got = _min_jump(prm, targets, xs, *_placement(targets, xs))(rows)
+    got = _min_jump(prm, targets, rows, xs, *_placement(targets, xs))
     assert len(scans) == 2         # the prefix and the suffix batch
     for k, row in enumerate(rows):
         scans.clear()
-        alone = _min_jump(prm, targets, x, *_placement(targets, x))(row)
+        alone = _min_jump(prm, targets, row, x, *_placement(targets, x))
         assert len(scans) == (0, 1, 2, 0)[k], k     # the tie is below, the NaN on both sides
         np.testing.assert_array_equal(got[k], alone, err_msg=f"row {k}")
         if k != 2:
@@ -848,7 +848,7 @@ def test_min_jump_matches_dense_on_random_cases(fixed):
         np.testing.assert_array_equal(hi[:5], lo[:5] + 1)
         np.testing.assert_array_equal(np.concatenate([lo[5:8], hi[5:8]]), 0)
         np.testing.assert_array_equal(np.concatenate([lo[8:11], hi[8:11]]), m)
-        got = _min_jump(prm, targets, x, lo, hi)(v)
+        got = _min_jump(prm, targets, v, x, lo, hi)
         expected = _dense_min_jump(prm, targets, v, x)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0,
                                    err_msg=f"case {case}")
@@ -857,50 +857,42 @@ def test_min_jump_matches_dense_on_random_cases(fixed):
         np.testing.assert_array_equal(np.stack(_placement(targets, targets)),
                                       np.stack([on_self, on_self + 1]))
         np.testing.assert_array_equal(
-            _min_jump(prm, targets, targets, on_self, on_self + 1)(v),
-            _min_jump(prm, targets, targets, *_placement(targets, targets))(v),
+            _min_jump(prm, targets, v, targets, on_self, on_self + 1),
+            _min_jump(prm, targets, v, targets, *_placement(targets, targets)),
             err_msg=f"case {case}")
         # stacked rows of target values, against one shared row of states
         # and against one row of states each: every row equals its own call
         rows = np.stack([v, rng.permutation(v), v + rng.normal()])
         for xs in (x, np.stack([x, rng.permutation(x), -x])):
             rows_xs = np.broadcast_to(xs, (3, x.size))      # a row of states per row of values
-            stacked = _min_jump(prm, targets, rows_xs, *_placement(targets, rows_xs))(rows)
+            stacked = _min_jump(prm, targets, rows, rows_xs, *_placement(targets, rows_xs))
             assert stacked.shape == (3, x.size)
             for k in range(3):
                 x_k = xs if xs.ndim == 1 else xs[k]
                 np.testing.assert_array_equal(
-                    stacked[k], _min_jump(prm, targets, x_k, *_placement(targets, x_k))(rows[k]),
+                    stacked[k], _min_jump(prm, targets, rows[k], x_k, *_placement(targets, x_k)),
                     err_msg=f"case {case}, row {k}")
                 np.testing.assert_allclose(stacked[k], _dense_min_jump(prm, targets, rows[k], x_k),
                                            rtol=1e-12, atol=0.0, err_msg=f"case {case}, row {k}")
-
-
-@pytest.mark.parametrize("fixed", [(3.0, 5.0), (5.0, 3.0)], ids=["C<D", "C>D"])
-def test_min_jump_plan_reused_on_many_rows_equals_fresh_plans(fixed):
-    """One plan applied to row after row: each result equals a fresh plan's
-    on that row and the dense minimum, and stays so after the later rows
-    (no state leaks between calls)."""
+    # 301 targets: rows of values at scales 0.1 to 100, a constant row and
+    # a quadratic one, against states on the targets, off them and in two
+    # rows; every input row stays unwritten
     rng = np.random.default_rng(20261019)
-    prm = variant(C=fixed[0], D=fixed[1], c=1.7, d=2.9)
+    prm = variant(C=C, D=D, c=1.7, d=2.9)
     targets = np.linspace(-5.0, 5.0, 301)
     for xs in (targets, np.concatenate([rng.uniform(-7.0, 7.0, 40), targets[::7]]),
                np.stack([targets, targets[::-1]])):
-        plan = _min_jump(prm, targets, xs, *_placement(targets, xs))
-        rows = [rng.normal(size=xs.shape[:-1] + targets.shape) * scale
-                for scale in (0.1, 1.0, 10.0, 100.0)]
-        rows += [np.full_like(rows[0], 2.5), (targets - 1.0) ** 2 + 0.0 * rows[0], rows[1]]
-        copies = [r.copy() for r in rows]
-        results = [plan(r) for r in rows]
-        for k, (row, got) in enumerate(zip(rows, results)):
-            np.testing.assert_array_equal(row, copies[k], err_msg=f"row {k} was written")
-            np.testing.assert_array_equal(
-                got, _min_jump(prm, targets, xs, *_placement(targets, xs))(row), err_msg=f"row {k}")
+        shape = xs.shape[:-1] + targets.shape
+        rows = [rng.normal(size=shape) * scale for scale in (0.1, 1.0, 10.0, 100.0)]
+        rows += [np.full(shape, 2.5), (targets - 1.0) ** 2 + np.zeros(shape)]
+        for k, row in enumerate(rows):
+            copy = row.copy()
+            got = _min_jump(prm, targets, row, xs, *_placement(targets, xs))
+            np.testing.assert_array_equal(row, copy, err_msg=f"row {k} was written")
             for r in range(xs.shape[0] if xs.ndim == 2 else 1):
                 x_r, row_r, got_r = (a[r] if xs.ndim == 2 else a for a in (xs, row, got))
                 np.testing.assert_allclose(got_r, _dense_min_jump(prm, targets, row_r, x_r),
                                            rtol=1e-12, atol=0.0, err_msg=f"row {k}, {r}")
-        np.testing.assert_array_equal(results[1], results[-1])    # the same row, applied again
 
 
 @pytest.mark.parametrize("name", ["table1", "table1_w2_1"])
