@@ -43,11 +43,10 @@ Every other start rolls out through the same body.
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .errors import ImpulseBudgetExceeded, NonFiniteStateError
+from .errors import ImpulseBudgetExceeded, InvalidParameterError, NonFiniteStateError
 from .model import (
     GameParams,
     StateBox,
@@ -69,6 +68,7 @@ EVENT_TIME_TOL = 1e-10
 ILLINOIS_MAX_ITER = 40   # safety cap on the bracket narrowing; tau stays exact past it
 CHATTER_TOL = 1e-8       # two events closer than this abort the rollout
 BOUNDARY_MATCH_TOL = 1e-6
+HORIZON_TOL = 1e-12      # a start this close to T is at the horizon: terminal costs only
 
 
 @dataclass(frozen=True)
@@ -149,9 +149,9 @@ class Trajectory:
         """
         t1 = float(t1)
         pr = self._params
-        if t1 < self.start_time - 1e-12:
+        if t1 < self.start_time - HORIZON_TOL:
             raise ValueError(f"t1={t1!r} precedes the trajectory start")
-        if t1 > pr.T + 1e-12:
+        if t1 > pr.T + HORIZON_TOL:
             raise ValueError(f"t1={t1!r} lies past the horizon T={pr.T!r}")
         j1 = j2 = 0.0
         for (seg_t, _), ends in zip(self.segments, self._ends):
@@ -222,9 +222,8 @@ class _RolloutGrid:
     - ``quadratics``: the coefficients of both value quadratics at t0 and
       at T (:meth:`.riccati.CoefficientPath.quadratics_at`), by time, for
       :func:`_value_ends`;
-    - ``ell1_min``, ``ell2_max``: the policy extremes of the impulse budget,
-      and ``budget``, the budget of every start between them
-      (:meth:`budget_for`).
+    - ``ell1_min``, ``ell2_max``: the policy extremes that every start's
+      event cap covers (:meth:`budget_for`).
     """
 
     def __init__(self, path, policy, params, t0, step):
@@ -243,20 +242,10 @@ class _RolloutGrid:
         self.ell1_min = float(np.min(policy.ell1))
         self.ell2_max = float(np.max(policy.ell2))
 
-    @cached_property
-    def budget(self):
-        """The analytic cap over [ell1_min - 1, ell2_max + 1], computed on first use."""
-        return impulse_bound(self.params, StateBox(self.ell1_min - 1.0, self.ell2_max + 1.0))
-
     def budget_for(self, lo, hi):
-        """The analytic cap on events for starts in [lo, hi]: over a box that
-        holds every state they reach, [min(ell1_min, lo) - 1, max(ell2_max, hi) + 1].
-
-        Starts between ell1_min and ell2_max share ``budget``; the cap does
-        not fall as the box grows.
-        """
-        if self.ell1_min <= lo and hi <= self.ell2_max:
-            return self.budget
+        """The analytic cap on events for starts in [lo, hi], which does not fall as
+        the box grows: over [min(ell1_min, lo) - 1, max(ell2_max, hi) + 1], a box
+        that holds every state they reach.  Raises InvalidParameterError where it overflows."""
         return impulse_bound(self.params, StateBox(min(self.ell1_min, lo) - 1.0,
                                                    max(self.ell2_max, hi) + 1.0))
 
@@ -292,32 +281,31 @@ class _RolloutGrid:
 
 def impulse_bound(params: GameParams, box: StateBox) -> int:
     """Analytic cap on the number of equilibrium interventions over ``box``."""
-    k, _, _, _ = impulse_bound_parts(params, box)
-    return k
+    return impulse_bound_parts(params, box)[0]
 
 
 def impulse_bound_parts(params: GameParams, box: StateBox):
     """(K, sup of running cost, sup of terminal cost, minimal impulse cost).
 
     The suprema over the box are attained at the endpoint farther from
-    Player 2's target, so they are evaluated exactly.
+    Player 2's target, so they are evaluated exactly.  Raises
+    InvalidParameterError where K = ceil(2*(T*h2_sup + s2_sup)/mu) overflows.
     """
     validate_box(box)
     far = max(abs(box.x_lo - params.rho2), abs(box.x_hi - params.rho2))
     h2_sup = 0.5 * params.w2 * far * far
     s2_sup = 0.5 * params.s2 * far * far
     mu = min_intervention_cost(params)
-    k = math.ceil(2.0 * (params.T * h2_sup + s2_sup) / mu)
-    return k, h2_sup, s2_sup, mu
+    k = 2.0 * (params.T * h2_sup + s2_sup) / mu
+    if not math.isfinite(k):
+        raise InvalidParameterError(f"the impulse bound over {box} overflows")
+    return math.ceil(k), h2_sup, s2_sup, mu
 
 
 def _rollouts(path, policy, params, step):
-    """The one rollout body: a checked ``run(t0, x0, max_events=None)``, and
-    ``grid_at(t0)``, the :class:`_RolloutGrid` it runs on at t0 < T.
-
-    Only the grid of the latest start time is kept, shared by starts at
-    that time.  The step defaults to T/DEFAULT_STEPS.
-    """
+    """The one rollout body: a checked ``run(t0, x0)``, and ``grid_at(t0)``,
+    the :class:`_RolloutGrid` it runs on at t0 < T, kept for the latest t0
+    only.  The step defaults to T/DEFAULT_STEPS."""
     T = params.T
     step = T / DEFAULT_STEPS if step is None else float(step)
     if not (math.isfinite(step) and step > 0.0):
@@ -330,36 +318,36 @@ def _rollouts(path, policy, params, step):
             latest = _RolloutGrid(path, policy, params, float(t0), step)
         return latest
 
-    def run(t0, x0, max_events=None):
+    def run(t0, x0):
         if not 0.0 <= t0 <= T:
             raise ValueError(f"t0 must lie in [0, T] (got {t0!r})")
         x0 = float(x0)
         if not math.isfinite(x0):
             raise ValueError(f"x0 must be finite (got {x0!r})")
-        if T - t0 <= 1e-12:
+        if T - t0 <= HORIZON_TOL:
             # no impulse fires at the horizon itself: the state stays, terminal costs only
             return Trajectory([(np.array([T]), np.array([x0]))], [], x0, path, params, [None])
-        return _rollout_on_grid(grid_at(t0), x0, max_events)
+        return _rollout_on_grid(grid_at(t0), x0)
 
     return run, grid_at
 
 
-def rollout(path, policy, params: GameParams, t0, x0, step=None, max_events=None):
+def rollout(path, policy, params: GameParams, t0, x0, step=None):
     """Simulate equilibrium play from (t0, x0) until the horizon.
 
     If x0 is on or outside a threshold at t0 an intervention fires
     immediately.  Raises ValueError for t0 outside [0, T], a non-finite
-    x0 or a step that is not finite and positive; ImpulseBudgetExceeded
-    when the event count passes ``max_events`` (by default the analytic
-    bound) or two events chatter; NonFiniteStateError if the state
-    diverges.  Starting exactly at the horizon yields the bare terminal
-    evaluation.
+    x0 or a step that is not finite and positive; InvalidParameterError
+    where the analytic bound on its events overflows; ImpulseBudgetExceeded
+    when the event count passes that bound or two events chatter;
+    NonFiniteStateError if the state diverges.  Starting within HORIZON_TOL
+    of the horizon yields the bare terminal evaluation.
     """
-    return _rollouts(path, policy, params, step)[0](t0, x0, max_events)
+    return _rollouts(path, policy, params, step)[0](t0, x0)
 
 
 def make_rollout_hook(path, policy, params, step=None):
-    """:func:`rollout`'s checked body as a closure (t0, x0, max_events=None).
+    """:func:`rollout`'s checked body as a closure (t0, x0).
 
     Starts at one time share a grid; only the latest start time's is kept.
     """
@@ -382,11 +370,11 @@ def value_v1(path, policy, params, t, xs, step=None):
     - starts outside the band, once the first of them that jumps to the
       same target has rolled out: each adds its own t event, z1*|xi|, in
       front of that rollout's part from the target, whose event count is
-      within the smallest budget any start has.
+      within the smallest cap any start has, ``budget_for(ell1_min, ell2_max)``.
 
     Every other start rolls out through the hook, in the order of ``xs``;
-    so does every start when t is within 1e-12 of T or some start's cap
-    does not compute.
+    so does every start when t is within HORIZON_TOL of T or some start's
+    cap overflows.
     """
     run, grid_at = _rollouts(path, policy, params, step)
     xs = np.asarray(xs, dtype=float)
@@ -396,13 +384,14 @@ def value_v1(path, policy, params, t, xs, step=None):
     targets = [None] * len(xs)
     T = params.T
     grid = None
-    if 0.0 <= t <= T and T - t > 1e-12 and finite.any():
+    if 0.0 <= t <= T and T - t > HORIZON_TOL and finite.any():
         grid = grid_at(t)
         try:    # the widest box: no start's own cap raises unless this one does
             grid.budget_for(float(xs[finite].min()), float(xs[finite].max()))
-        except (OverflowError, ValueError):
+        except InvalidParameterError:
             grid = None
     if grid is not None:
+        least = grid.budget_for(grid.ell1_min, grid.ell2_max)     # the smallest cap of any start
         ell1, alpha, beta, ell2 = policy.thresholds_at(grid.t0)
         below, above = sides(ell1, ell2, xs)
         done = _event_free(grid, xs, finite & ~below & ~above)
@@ -421,8 +410,7 @@ def value_v1(path, policy, params, t, xs, step=None):
             continue
         traj = run(t, xs[i])
         j1[i] = traj.j1
-        # grid.budget is the smallest cap of any start; the first event is the jump at t
-        if target is not None and len(traj.events) <= grid.budget:
+        if target is not None and len(traj.events) <= least:    # the first event is the jump at t
             followers[target] = traj, []
     for target, (traj, idx) in followers.items():     # in costs_from's order
         v = 0.0
@@ -588,21 +576,21 @@ def _event(params, tau, x_minus, jump):
                         player1_impulse_cost(params, xi), intervention_cost(params, xi))
 
 
-def _record(events, ev, max_events):
-    """Append ``ev`` to ``events``; raise ImpulseBudgetExceeded on chatter or past max_events."""
+def _record(events, ev, cap):
+    """Append ``ev`` to ``events``; raise ImpulseBudgetExceeded on chatter or past ``cap``."""
     if events and ev.tau - events[-1].tau < CHATTER_TOL:
         raise ImpulseBudgetExceeded(
             f"chattering: events at tau={events[-1].tau!r} and tau={ev.tau!r}"
         )
     events.append(ev)
-    if len(events) > max_events:
+    if len(events) > cap:
         raise ImpulseBudgetExceeded(
-            f"{len(events)} events exceed the analytic bound {max_events}"
+            f"{len(events)} events exceed the analytic bound {cap}"
         )
     return ev
 
 
-def _advance(grid, x_cur, events, max_events):
+def _advance(grid, x_cur, events, cap):
     """Segments from (grid.t0, x_cur) to T and the terminal state; exits go to ``events``."""
     path, policy, params = grid.path, grid.policy, grid.params
     T, ts = params.T, grid.ts
@@ -642,7 +630,7 @@ def _advance(grid, x_cur, events, max_events):
             segments.append((np.concatenate(seg_t + [[tau]]), np.concatenate(seg_x + [[x_new]])))
             seg_t, seg_x = [], []
             block = len(segments[-1][0])
-            ev = _record(events, _event(params, tau, x_new, jump), max_events)
+            ev = _record(events, _event(params, tau, x_new, jump), cap)
             t_cur, x_cur = tau, ev.x_plus
             node = int(ts.searchsorted(t_cur))
         seg_t.append([t_cur])
@@ -651,18 +639,17 @@ def _advance(grid, x_cur, events, max_events):
     return segments, x_cur
 
 
-def _rollout_on_grid(grid, x0, max_events):
-    """The rollout from (grid.t0, x0).  A start outside the band fires at
-    t0: its first segment is the lone sample (t0, x0), and the flow goes
-    on from the reset target."""
+def _rollout_on_grid(grid, x0):
+    """The rollout from (grid.t0, x0), its events capped by ``grid.budget_for(x0, x0)``.
+    A start outside the band fires at t0: its first segment is the lone
+    sample (t0, x0), and the flow goes on from the reset target."""
     path, policy, params = grid.path, grid.policy, grid.params
-    if max_events is None:
-        max_events = grid.budget_for(x0, x0)
+    cap = grid.budget_for(x0, x0)
     t0, events, segments = grid.t0, [], []
     if (jump := impulse_map(policy, t0, x0)) is not None:
         segments.append((np.array([t0]), np.array([x0])))
-        x0 = _record(events, _event(params, t0, x0, jump), max_events).x_plus
-    tail, x_end = _advance(grid, x0, events, max_events)
+        x0 = _record(events, _event(params, t0, x0, jump), cap).x_plus
+    tail, x_end = _advance(grid, x0, events, cap)
     segments += tail
     return Trajectory(segments, events, x_end, path, params, _value_ends(grid, segments))
 

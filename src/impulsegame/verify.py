@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InvalidParameterError
 from .model import GameParams, StateBox, validate_box
 from .policy import gamma_star, labels, phi2, sides, value_v2
 from .riccati import CoefficientPath, RiccatiConstants, hermite
@@ -495,13 +496,19 @@ def run_verification(path, policy, params: GameParams, box: StateBox,
     ``gap_tol`` is GAP_BASE_TOL plus ``max p2 * dy**2 / 8``: a jump's value
     is quadratic in its target with curvature p2, so a minimum over targets
     ``dy = XI_RESOLUTION * (x_hi - x_lo)`` apart overshoots by at most that.
+    Raises InvalidParameterError where it overflows.
     """
     validate_box(box)
     t_nodes = np.linspace(0.0, params.T, nt + 1)
     x_nodes = np.linspace(box.x_lo, box.x_hi, nx + 1)
     xi_resolution = XI_RESOLUTION * (box.x_hi - box.x_lo)
     p2_vals = path.p2_at(t_nodes)
-    gap_tol = GAP_BASE_TOL + float(np.max(p2_vals)) * xi_resolution ** 2 / 8.0
+    try:    # a float's ** raises where its * gives inf
+        gap_tol = GAP_BASE_TOL + float(np.max(p2_vals)) * xi_resolution ** 2 / 8.0
+    except OverflowError:
+        gap_tol = np.inf
+    if np.isinf(gap_tol):
+        raise InvalidParameterError(f"the obstacle tolerance over {box} overflows")
 
     qvi = qvi_check(path, policy, params, t_nodes[:, None], x_nodes, box)
     residual, gap, comp, interior_mask = qvi.residual, qvi.gap, qvi.complementarity, qvi.interior

@@ -2,6 +2,7 @@ import csv
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -355,6 +356,23 @@ def test_bound_prints_k_and_ingredients(tmp_path, capsys):
 def test_bound_rejects_degenerate_box(tmp_path):
     cfg = write_cfg(tmp_path, x_lo=5, x_hi=5)
     assert main(["bound", "--config", str(cfg)]) == 1
+
+
+@pytest.mark.parametrize("command, overrides, what", [
+    ("bound", {"x_lo": -1e200}, "impulse bound"),
+    ("simulate", {"initial_states": "2, 1e200"}, "impulse bound"),
+    ("verify", {"x_lo": -1e200}, "obstacle tolerance"),
+], ids=["bound", "simulate", "verify"])
+def test_overflowing_bound_or_tolerance_is_config_error(tmp_path, capsys, command, overrides,
+                                                        what):
+    # a box or start this far from rho2 has no finite impulse bound, nor
+    # verify a finite obstacle tolerance: exit 1 with that diagnosis, no warning
+    cfg = write_cfg(tmp_path, output_dir=tmp_path / "out", **overrides)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"config error: the {what} over StateBox\(.*\) overflows\n", err), err
 
 
 def test_event_counts_never_exceed_bound(tmp_path):

@@ -11,6 +11,7 @@ import pytest
 from impulsegame import (
     ImpulseBudgetExceeded,
     ImpulseEvent,
+    InvalidParameterError,
     StateBox,
     admissibility_check,
     build_policy,
@@ -137,6 +138,14 @@ def test_impulse_bound_linear_in_horizon(params, box):
     assert k2 == int(np.ceil(2.0 * (2.0 * params.T * h2_sup + s2_sup) / mu))
 
 
+def test_impulse_bound_overflow_is_invalid_parameter(params):
+    # (x - rho2)**2 overflows past |x - rho2| of about 1.3e154: K has no value
+    assert isinstance(impulse_bound(params, StateBox(-1e150, 10.0)), int)
+    with pytest.raises(InvalidParameterError,
+                       match=r"^the impulse bound over StateBox\(x_lo=-1e\+155, x_hi=10.0\) overflows$"):
+        impulse_bound(params, StateBox(-1e155, 10.0))
+
+
 def test_rollouts_respect_bound_over_box(path, policy, params, box):
     k = impulse_bound(params, box)
     for x0 in np.linspace(box.x_lo, box.x_hi, 21):
@@ -144,12 +153,14 @@ def test_rollouts_respect_bound_over_box(path, policy, params, box):
         assert len(traj.events) <= k
 
 
-def test_budget_guard_trips(path, policy, params):
-    # max_events=0 is a cap of zero events, not a request for the default
+def test_budget_guard_trips(path, policy, params, monkeypatch):
+    # a bound of 0 is a cap of zero events: the first event trips it
+    monkeypatch.setattr(simulate, "impulse_bound", lambda params, box: 0)
     with pytest.raises(ImpulseBudgetExceeded, match="exceed the analytic bound 0"):
-        rollout(path, policy, params, 0.0, 8.0, max_events=0)
-    assert rollout(path, policy, params, 0.0, 5.0, max_events=0).events == []
-    assert len(rollout(path, policy, params, 0.0, 8.0, max_events=1).events) == 1
+        rollout(path, policy, params, 0.0, 8.0)
+    assert rollout(path, policy, params, 0.0, 5.0).events == []
+    monkeypatch.setattr(simulate, "impulse_bound", lambda params, box: 1)
+    assert len(rollout(path, policy, params, 0.0, 8.0).events) == 1
 
 
 ENTRY_POINTS = {
@@ -490,7 +501,7 @@ def flag_only(grid, k=None):
         grid.ell2[k] = -np.inf
 
 
-def test_propagate_memo_equals_fresh_sweep(grids):
+def test_scan_to_the_horizon_equals_fresh_sweep(grids):
     # with no node flagged every scan runs to the horizon: whole-horizon
     # blocks and blocks doubled from short ones, from several start nodes
     # and back to an old one, all give one whole-array evaluation of the
@@ -507,7 +518,7 @@ def test_propagate_memo_equals_fresh_sweep(grids):
         assert got.tobytes() == fresh_sweep(grid, i0, x).tobytes(), (i0, x, block)
 
 
-def test_propagate_blocks_equal_fresh_sweep(grids):
+def test_scan_blocks_equal_fresh_sweep(grids):
     # blocks of the flow's node arrays: a short block then longer ones,
     # doubled past the flagged node ``stop``, a new i0 and a return to an
     # old one, all give one whole-array evaluation's prefix byte for byte
@@ -526,7 +537,7 @@ def test_propagate_blocks_equal_fresh_sweep(grids):
         assert got.tobytes() == want.tobytes(), (i0, x, stop)
 
 
-def test_sweep_start_propagates_once(path, policy, params, monkeypatch):
+def test_sweep_start_scans_once(path, policy, params, monkeypatch):
     # the first block of a rollout runs to the horizon: a start without a
     # mid-run event, inside the band or jumping at t0, makes one call, and
     # that call one block
@@ -567,7 +578,7 @@ def test_nonfinite_step_names_its_node(grids, when):
     grid.phi = grid.phi.copy()
     grid.phi[j + 1] = np.inf
     with pytest.raises(simulate.NonFiniteStateError, match=f"at node {j + 1} "):
-        simulate._rollout_on_grid(grid, 8.0, None)
+        simulate._rollout_on_grid(grid, 8.0)
 
 
 def test_admissibility_names_each_segments_first_bad_sample(grids):
@@ -603,7 +614,7 @@ def test_spurious_exit_flag_keeps_the_node(monkeypatch):
     p = LONG_HORIZON["table1_T200"]
     pth = solve_backward(p)
     pol = build_policy(pth, p)
-    clean = simulate._rollout_on_grid(_RolloutGrid(pth, pol, p, 0.0, p.T / 4096), 4.2, None)
+    clean = simulate._rollout_on_grid(_RolloutGrid(pth, pol, p, 0.0, p.T / 4096), 4.2)
     seg_t, seg_x = max(clean.segments, key=lambda seg: len(seg[0]))
     k = len(seg_t) // 2
 
@@ -628,7 +639,7 @@ def test_spurious_exit_flag_keeps_the_node(monkeypatch):
         return got
 
     monkeypatch.setattr(simulate, "_bisect_crossing", counting_locate)
-    doctored = simulate._rollout_on_grid(grid, 4.2, None)
+    doctored = simulate._rollout_on_grid(grid, 4.2)
     assert misses == [grid.ts[j - 1]]
     assert any(grid.ts[j] in t for t, _ in doctored.segments)
     assert admissibility_check(doctored, pol).ok
@@ -670,7 +681,7 @@ def test_located_exit_near_the_horizon_carries_no_impulse(monkeypatch, edge, off
         return located[-1]
 
     monkeypatch.setattr(simulate, "_bisect_crossing", recording_locate)
-    traj = simulate._rollout_on_grid(grid, x0, None)
+    traj = simulate._rollout_on_grid(grid, x0)
     assert located == [(tau, x_minus)]
     assert traj.events == []
     assert [(t.tolist(), x.tolist()) for t, x in traj.segments] == [([t0, p.T], [x0, x_T])]
@@ -846,7 +857,7 @@ def test_start_within_1e12_of_a_node_costs_equal_reference(path, policy, params)
     grid.t0 = float(grid.ts[5]) - 4e-13
     pairs = []
     for x0 in (2.0, 5.0, 8.0):
-        traj = simulate._rollout_on_grid(grid, x0, None)
+        traj = simulate._rollout_on_grid(grid, x0)
         seg_t = traj.segments[-1][0]
         assert seg_t[0] == grid.t0 and seg_t[1] == grid.ts[5]
         pairs.append(((traj.j1, traj.j2), reference_costs_from(path, params, traj, grid.t0)))
@@ -957,7 +968,7 @@ def test_starts_beyond_one_edge_share_no_arrays(path, policy, params):
     assert not any(np.shares_memory(x, y) for x in arrays_a for y in arrays_b)
 
 
-def test_shared_continuation_raises_what_a_fresh_rollout_raises(monkeypatch):
+def test_hook_raises_what_a_fresh_rollout_raises(monkeypatch):
     # a start below the band jumps to alpha at t0, and the rollout from
     # alpha meets the lower edge six more times
     p = STEP_SCENARIOS["event_chain"]
@@ -974,9 +985,11 @@ def test_shared_continuation_raises_what_a_fresh_rollout_raises(monkeypatch):
     hook = make_rollout_hook(pth, pol, p)
     for _ in range(2):      # before and after a rollout from alpha has finished
         for x0, cap in ((0.0, 0), (1.0, 1), (-2.0, 1)):
-            with pytest.raises(ImpulseBudgetExceeded,
-                               match=f"^{cap + 1} events exceed the analytic bound {cap}$"):
-                hook(0.0, x0, max_events=cap)
+            with monkeypatch.context() as m, pytest.raises(
+                    ImpulseBudgetExceeded,
+                    match=f"^{cap + 1} events exceed the analytic bound {cap}$"):
+                m.setattr(simulate, "impulse_bound", lambda params, box: cap)
+                hook(0.0, x0)
         full = hook(0.0, 0.0)
         assert len(full.events) == 7
     # chatter against the t0 event: the rollout from alpha's first event is
@@ -997,7 +1010,7 @@ def test_shared_continuation_raises_what_a_fresh_rollout_raises(monkeypatch):
     grid.phi[j + 1] = np.inf
     for x0 in (0.0, 1.0):
         with pytest.raises(simulate.NonFiniteStateError, match=f"at node {j + 1} "):
-            simulate._rollout_on_grid(grid, x0, None)
+            simulate._rollout_on_grid(grid, x0)
 
 
 def test_locator_ends_on_a_probed_point_outside_the_band():
@@ -1085,9 +1098,9 @@ def test_value_v1_rolls_out_only_the_first_start_per_reset_target(path, policy, 
     calls = []
     rollout_on_grid = simulate._rollout_on_grid
 
-    def counting(grid, x0, max_events):
+    def counting(grid, x0):
         calls.append(x0)
-        return rollout_on_grid(grid, x0, max_events)
+        return rollout_on_grid(grid, x0)
 
     monkeypatch.setattr(simulate, "_rollout_on_grid", counting)
     xs = np.linspace(0.0, 10.0, 201)
@@ -1139,7 +1152,7 @@ def test_value_v1_on_the_locator_regression_game():
                                  cfg.sim_step)
 
 
-def test_value_v1_batches_the_kept_rollouts_events():
+def test_value_v1_adds_each_starts_jump_to_its_targets_rollout():
     # starts below the band jump to alpha, and the rollout from alpha meets
     # the lower edge six more times: each start adds its own jump in front
     p = STEP_SCENARIOS["event_chain"]
@@ -1194,11 +1207,11 @@ def test_value_v1_holds_each_start_to_its_own_budget(monkeypatch):
 
     def far_overflowing(params, box):
         if box.x_lo < -10.0:
-            raise OverflowError("cannot convert float infinity to integer")
+            raise InvalidParameterError(f"the impulse bound over {box} overflows")
         return analytic(params, box)
 
     for bound, xs, want in ((far_capped, [-40.0, 5.0], ImpulseBudgetExceeded),
-                            (far_overflowing, [0.0, -40.0], OverflowError)):
+                            (far_overflowing, [0.0, -40.0], InvalidParameterError)):
         monkeypatch.setattr(simulate, "impulse_bound", bound)
         with pytest.raises(want) as reference:
             hook_v1(pth, pol, p, 0.0, xs)
@@ -1209,14 +1222,14 @@ def test_value_v1_holds_each_start_to_its_own_budget(monkeypatch):
 
 
 def test_a_starts_budget_is_its_box_bound(path, policy, params):
-    # the grid keeps the bound of the starts in [ell1_min, ell2_max]; any
-    # other start takes the bound of its own box
+    # every start takes the bound of its own box, which covers
+    # [ell1_min, ell2_max]: the starts in it share that bound
     grid = _RolloutGrid(path, policy, params, 0.3, params.T / 4096)
     lo, hi = grid.ell1_min, grid.ell2_max
     for x0 in (lo - 40.0, lo - 0.5, lo, 5.0, hi, hi + 0.5, hi + 40.0):
         box = StateBox(min(lo, x0) - 1.0, max(hi, x0) + 1.0)
         assert grid.budget_for(x0, x0) == impulse_bound(params, box), x0
-    assert grid.budget_for(lo - 40.0, lo - 40.0) > grid.budget == grid.budget_for(lo, hi)
+    assert grid.budget_for(lo - 40.0, lo - 40.0) > grid.budget_for(lo, hi)
 
 
 # ---------------------------------------------------------------------------
