@@ -313,6 +313,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
     """Roll out every configured initial state and write the artifacts."""
     if not cfg.initial_states:
         raise ConfigError("simulate needs a non-empty initial_states list")
+    tagged = {}     # a start per file tag
+    for x0 in cfg.initial_states:
+        if tagged.setdefault(_fmt(x0), x0) != x0:
+            raise ConfigError(f"initial_states {tagged[_fmt(x0)]!r} and {x0!r} would both "
+                              f"write trajectory_{_fmt(x0)}.csv")
     path, policy = _build(cfg)
     hook = make_rollout_hook(path, policy, cfg.params, cfg.sim_step)
     event_fields = ["tau", "x_minus", "x_plus", "xi", "cost_p1", "cost_p2"]
@@ -338,6 +343,7 @@ def cmd_value(cfg: RunConfig, t: float) -> int:
     """
     if not 0.0 <= t <= cfg.params.T:
         raise ConfigError(f"value time must lie in [0, T] (got {t!r})")
+    impulse_bound_parts(cfg.params, cfg.box)      # fails on a box too far from rho2
     path, policy = _build(cfg)
     xs = np.linspace(cfg.box.x_lo, cfg.box.x_hi, cfg.nx + 1)
     v2 = value_v2(path, policy, cfg.params, t, xs)

@@ -265,7 +265,7 @@ class CoefficientPath:
     """Coefficient paths on a uniform grid over [0, T].
 
     Node arrays are read-only.  Evaluation at arbitrary times uses the
-    exact closed forms for p1, q1, n1, p2 and a_x, and cubic Hermite
+    exact closed forms for p1, q1, n1 and p2, and cubic Hermite
     interpolation between the quadrature nodes of q2 and n2, with node
     slopes taken from their defining equations; ``integrals`` (F and the
     integral of f*M over [t, T] at the nodes, see :func:`solve_backward`)
@@ -309,9 +309,6 @@ class CoefficientPath:
 
     def p2_at(self, t):
         return p2_closed_form(self.constants, self.params, t)
-
-    def a_x_at(self, t):
-        return a_x(self.constants, t)
 
     def coefficients_at(self, t, band=True):
         """(Phi, H, p2, q2) at ``t``, or (Phi, H) without the band's p2 and q2,

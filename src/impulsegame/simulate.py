@@ -55,7 +55,7 @@ from .model import (
     player1_impulse_cost,
     validate_box,
 )
-from .policy import ThresholdPolicy, gamma_star, impulse_map, sides
+from .policy import ThresholdPolicy, impulse_map, sides
 from .riccati import DEFAULT_STEPS
 
 # Resolution of the event locator: tau is the right end of bisection's
@@ -124,20 +124,6 @@ class Trajectory:
                 return float(seg_x[k]) if seg_t[k] == t else _flow(
                     self._path, float(seg_t[k]), float(seg_x[k]), t)
         raise ValueError(f"t={t!r} outside the trajectory span")
-
-    def control_range(self):
-        """(min, max) of Player 1's realized control along the path.
-
-        Together with the event sizes this lets a user check, after the
-        fact, that the unclamped feedback stayed inside whatever control
-        set the model is meant to respect.
-        """
-        lo, hi = np.inf, -np.inf
-        for seg_t, seg_x in self.segments:
-            u = gamma_star(self._path, self._params, seg_t, seg_x)
-            lo = min(lo, float(np.min(u)))
-            hi = max(hi, float(np.max(u)))
-        return lo, hi
 
     def costs_from(self, t1):
         """Running, impulse and terminal costs accumulated on [t1, T].

@@ -12,14 +12,14 @@ coefficient.  Each check takes the whole grid in one call: the
 times as a column ``t[:, None]`` against the row of states.  The coarse
 dynamic programming oracle for Player 2's value, :func:`dp_oracle_v2`,
 is a separate, independent check that :func:`run_verification` does not
-call.  The intervention operator takes each state's best target below
-and above it from :func:`_prefix_argmins`: on rows of shifted values that
-fall strictly to their minimum, and rise strictly after it, one
-comparison per side finds them, and a batch holding any other row runs
-the running-argmin scan.  The oracle's layers check the same condition
-and, where it holds, score only the layer's two winners (the whole row's
-first argmin below and last argmin above); any other layer runs the
-same scan.
+call.  The intervention operator, :func:`_min_jump`, takes each state's
+best target below and above it from :func:`_prefix_argmins`: on rows of
+shifted values that fall strictly to their minimum, and rise strictly
+after it, one comparison per side finds them, and a batch holding any
+other row runs the running-argmin scan.  The oracle's layers check the
+same condition and, where it holds, score only the layer's two winners
+(the whole row's first argmin below and last argmin above); any other
+layer is one :func:`_min_jump` call with every node a target.
 
 The time derivatives in the residuals are central differences of the
 value quadratics themselves (closed-form p1, p2, and q1, n1, q2, n2
@@ -37,6 +37,7 @@ from .errors import InvalidParameterError
 from .model import GameParams, StateBox, validate_box
 from .policy import gamma_star, labels, phi2, sides, value_v2
 from .riccati import CoefficientPath, RiccatiConstants, hermite
+from .simulate import impulse_bound
 
 RESIDUAL_TOL = 1e-5
 GAP_BASE_TOL = 1e-6
@@ -412,9 +413,11 @@ def dp_oracle_v2(params: GameParams, path: CoefficientPath, box: StateBox,
     on top of the node's own waiting value.
 
     Any other layer (a tie or a rise on the way to a winner, q > p, a NaN,
-    or a fixed cost within rounding of the values) takes every node's
-    winners from the running-argmin scan and scores them with the same
-    arithmetic.
+    or a fixed cost within rounding of the values) is one :func:`_min_jump`
+    call with every node a target: the same winners and arithmetic.  Its
+    one extra candidate, node i's zero-size jump ``cont[i] + min(C, D)``,
+    never beats waiting: min(C, D) > 0 and rounding is monotone, so it is
+    at least cont[i] (a NaN or infinite cont[i] decides the node alone).
     """
     if nt < 16 or nx < 16:
         raise ValueError(f"oracle grids need nt, nx >= 16 (got nt={nt}, nx={nx})")
@@ -435,11 +438,7 @@ def dp_oracle_v2(params: GameParams, path: CoefficientPath, box: StateBox,
     # the fixed costs' rounding bounds 16u(W + Y) + tiny, as 8 eps W + these
     slack_d = _ROUNDING * np.abs(d_y).max() + np.finfo(float).tiny
     slack_c = _ROUNDING * np.abs(c_y_rev).max() + np.finfo(float).tiny
-    # scan fallback: w[:i] ends at i - 1 (node 0 has no target below); read
-    # backwards, the suffix past i ends at ends[nx - i]
-    ends = np.maximum(np.arange(nx + 1) - 1, 0)
-    fixed, slope = np.array([[params.D], [params.C]]), np.array([[-params.d], [params.c]])
-    winners = np.empty((2, nx + 1), dtype=np.intp)     # below, above
+    nodes = np.arange(nx + 1)     # every node a target: nodes[:i] below node i
     falls = np.empty(nx, dtype=bool)
     jump = np.empty(nx + 1)
     p_tail = q_head = -1
@@ -471,11 +470,7 @@ def dp_oracle_v2(params: GameParams, path: CoefficientPath, box: StateBox,
             jump[q:p + 1] = np.inf
             np.add(cont[p], tail[p + 1:], out=jump[p + 1:])
         else:
-            winners[0] = _running_argmin(below).take(ends)
-            np.subtract(nx, _running_argmin(above).take(ends[::-1]), out=winners[1])
-            scores = cont.take(winners) + (fixed + slope * (xg.take(winners) - xg))
-            scores[0, 0] = scores[1, -1] = np.inf
-            np.minimum(scores[0], scores[1], out=jump)
+            jump[:] = _min_jump(params, xg, cont, xg, nodes, nodes + 1)
         np.minimum(cont, jump, out=values[k])
         np.less(jump, cont, out=intervene[k])
     return DpOracleResult(t_grid=np.linspace(0.0, params.T, nt + 1), x_grid=xg,
@@ -496,7 +491,7 @@ def run_verification(path, policy, params: GameParams, box: StateBox,
     ``gap_tol`` is GAP_BASE_TOL plus ``max p2 * dy**2 / 8``: a jump's value
     is quadratic in its target with curvature p2, so a minimum over targets
     ``dy = XI_RESOLUTION * (x_hi - x_lo)`` apart overshoots by at most that.
-    Raises InvalidParameterError where it overflows.
+    Raises InvalidParameterError where it or the box's impulse bound overflows.
     """
     validate_box(box)
     t_nodes = np.linspace(0.0, params.T, nt + 1)
@@ -509,6 +504,7 @@ def run_verification(path, policy, params: GameParams, box: StateBox,
         gap_tol = np.inf
     if np.isinf(gap_tol):
         raise InvalidParameterError(f"the obstacle tolerance over {box} overflows")
+    impulse_bound(params, box)      # fails on a box too far from rho2, before V2 squares it
 
     qvi = qvi_check(path, policy, params, t_nodes[:, None], x_nodes, box)
     residual, gap, comp, interior_mask = qvi.residual, qvi.gap, qvi.complementarity, qvi.interior

@@ -33,7 +33,7 @@ def defining_rates(path, t):
     """
     pr = path.params
     b_x = -pr.b * pr.b / pr.r1
-    ax, p1, p2 = path.a_x_at(t), path.p1_at(t), path.p2_at(t)
+    ax, p1, p2 = a_x(path.constants, t), path.p1_at(t), path.p2_at(t)
     q1, q2 = path.q1_at(t), path.q2_at(t)
     return (
         -pr.w1 - b_x * p1 * p1 - 2.0 * pr.a * p1,

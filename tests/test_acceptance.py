@@ -9,6 +9,7 @@ import time
 import numpy as np
 from impulsegame import (
     StateBox,
+    a_x,
     build_policy,
     dp_oracle_v2,
     impulse_bound,
@@ -170,7 +171,7 @@ def test_criterion_6_closed_form_vs_integration(path, consts, params):
             lambda t, p: -params.w1 - b_x * p * p - 2.0 * params.a * p, params.s1)
         assert np.max(np.abs(path.p1 - p1_rk4)) < 1e-8
         p2_rk4 = rk4_backward(
-            lambda t, p: -params.w2 - 2.0 * p * path.a_x_at(t), params.s2)
+            lambda t, p: -params.w2 - 2.0 * p * a_x(path.constants, t), params.s2)
         assert np.max(np.abs(path.p2 - p2_rk4)) < 1e-8
 
         h = ts[1] - ts[0]

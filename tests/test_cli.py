@@ -204,6 +204,20 @@ def test_simulate_requires_initial_states(tmp_path):
     assert main(["simulate", "--config", str(cfg)]) == 1
 
 
+def test_simulate_rejects_distinct_starts_that_share_a_file_tag(tmp_path, capsys):
+    # both print as 5 to 12 significant digits, so one would overwrite the other's files
+    cfg = write_cfg(tmp_path, output_dir=tmp_path / "out",
+                    initial_states="2, 5.0000000000001, 5.0000000000002")
+    assert main(["simulate", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == ("config error: initial_states 5.0000000000001 and "
+                                       "5.0000000000002 would both write trajectory_5.csv\n")
+    assert not (tmp_path / "out").exists()
+    # equal starts write the same files twice, and costs.csv gets a row for each
+    cfg = write_cfg(tmp_path, output_dir=tmp_path / "out", initial_states="5, 5.0")
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    assert [r["x0"] for r in read_csv(tmp_path / "out" / "costs.csv")] == ["5", "5"]
+
+
 def test_value_command_at_zero(tmp_path):
     cfg = write_cfg(tmp_path, output_dir=tmp_path / "out", nx=500)
     assert main(["value", "--config", str(cfg), "--t", "0"]) == 0
@@ -362,7 +376,10 @@ def test_bound_rejects_degenerate_box(tmp_path):
     ("bound", {"x_lo": -1e200}, "impulse bound"),
     ("simulate", {"initial_states": "2, 1e200"}, "impulse bound"),
     ("verify", {"x_lo": -1e200}, "obstacle tolerance"),
-], ids=["bound", "simulate", "verify"])
+    ("value --t 0", {"x_lo": -1e200}, "impulse bound"),
+    ("value --t 1", {"x_lo": -1e200}, "impulse bound"),
+    ("verify", {"x_lo": -1e155}, "impulse bound"),
+], ids=["bound", "simulate", "verify", "value_at_0", "value_at_T", "verify_finite_tolerance"])
 def test_overflowing_bound_or_tolerance_is_config_error(tmp_path, capsys, command, overrides,
                                                         what):
     # a box or start this far from rho2 has no finite impulse bound, nor
@@ -370,7 +387,7 @@ def test_overflowing_bound_or_tolerance_is_config_error(tmp_path, capsys, comman
     cfg = write_cfg(tmp_path, output_dir=tmp_path / "out", **overrides)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main([command, "--config", str(cfg)]) == 1
+        assert main([*command.split(), "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert re.fullmatch(rf"config error: the {what} over StateBox\(.*\) overflows\n", err), err
 

@@ -4,6 +4,11 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "impulsegame"
+# public methods that nothing in src/ calls, kept for the callers named
+UNCALLED_METHODS = {
+    "DpOracleResult.continuation_bracket": "bench/workloads.py checks the oracle's band with it",
+    "CoefficientPath.n1_at": "bench/tracer.py traces it by name",
+}
 
 
 def private_defs_and_references():
@@ -73,3 +78,24 @@ def test_every_public_def_is_exported_or_referenced():
     unreferenced = sorted(f"{file}: {name}" for name, file in defs.items()
                           if name not in exported and name not in used)
     assert not unreferenced, unreferenced
+
+
+def test_every_public_method_is_referenced():
+    """Every public method and property of a class in src/ is used in src/
+    or listed in UNCALLED_METHODS, and every listed method exists and is
+    still unused in src/."""
+    _, used = private_defs_and_references()
+    methods = {}
+    for file in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(file.read_text(), filename=str(file))):
+            if isinstance(node, ast.ClassDef):
+                methods.update((f"{node.name}.{item.name}", file.name) for item in node.body
+                               if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                               and not item.name.startswith("_"))
+    assert len(methods) >= 15      # the walk found the classes' methods
+    unreferenced = sorted(f"{file}: {name}" for name, file in methods.items()
+                          if name.split(".")[1] not in used and name not in UNCALLED_METHODS)
+    assert not unreferenced, unreferenced
+    stale = sorted(name for name in UNCALLED_METHODS
+                   if name not in methods or name.split(".")[1] in used)
+    assert not stale, stale

@@ -7,6 +7,7 @@ import pytest
 from impulsegame import (
     ConvexityViolation,
     OrderingViolation,
+    a_x,
     admissibility_check,
     build_policy,
     gamma_star,
@@ -105,7 +106,7 @@ def test_gamma_star_equivalent_forms(path, params, consts):
     rng = np.random.default_rng(11)
     for t, x in zip(rng.uniform(0, params.T, 50), rng.uniform(0, 10, 50)):
         direct = gamma_star(path, params, t, x)
-        via_gain = ((path.a_x_at(t) - params.a) * x
+        via_gain = ((a_x(path.constants, t) - params.a) * x
                     + consts.b_x * path.q1_at(t)) / params.b
         assert direct == pytest.approx(via_gain, rel=1e-12, abs=1e-12)
     assert gamma_star(path, params, 0.0, 5.0) == pytest.approx(
@@ -119,7 +120,7 @@ def test_closed_loop_drift_identity(path, params, consts):
     xs = rng.uniform(-5.0, 15.0, 100)
     for t, x in zip(ts, xs):
         lhs = params.a * x + params.b * gamma_star(path, params, t, x)
-        rhs = path.a_x_at(t) * x + consts.b_x * path.q1_at(t)
+        rhs = a_x(path.constants, t) * x + consts.b_x * path.q1_at(t)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-13)
 
 

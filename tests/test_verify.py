@@ -780,18 +780,20 @@ def test_dp_oracle_falls_back_on_non_unimodal_layers(params, box, scans, monkeyp
     np.testing.assert_array_equal(fast.intervene, dense.intervene)
 
 
-@pytest.mark.parametrize("C, D, scanned", [(1e-13, 1e-13, 0), (1e-15, 1e-15, 2 * 100),
-                                            (3.0, 1e-15, 2 * 100), (1e-15, 5.0, 2 * 100)])
-def test_dp_oracle_equals_dense_layers_at_tiny_fixed_costs(C, D, scanned, box, scans):
+@pytest.mark.parametrize("C, D, operated", [(1e-13, 1e-13, 0), (1e-15, 1e-15, 100),
+                                             (3.0, 1e-15, 100), (1e-15, 5.0, 100)])
+def test_dp_oracle_equals_dense_layers_at_tiny_fixed_costs(C, D, operated, box, monkeypatch):
     """Fixed costs near the rounding of the values: at C = D = 1e-13 every
     layer still scores its two winners alone, while a fixed cost of 1e-15
     on either side fails its rounding bound and sends every layer to the
-    scan; each equals the every-target minimum bit for bit."""
+    intervention operator; each equals the every-target minimum bit for bit."""
     prm = variant(C=C, D=D)
     pth = solve_backward(prm)
+    calls = []
+    monkeypatch.setattr(verify, "_min_jump", lambda *a: calls.append(a) or _min_jump(*a))
     fast = dp_oracle_v2(prm, pth, box, nt=100, nx=100)
     dense, _, _ = _dense_dp_oracle(prm, pth, box, nt=100, nx=100)
-    assert len(scans) == scanned
+    assert len(calls) == operated
     np.testing.assert_array_equal(fast.values, dense.values)
     np.testing.assert_array_equal(fast.intervene, dense.intervene)
 
