@@ -5,16 +5,20 @@ All CSV output is deterministic: '.' decimal separator, 12 significant
 digits, header row, newline-terminated rows.  Every CSV goes through one
 writer, :func:`_write_csv`: each numeric cell is Python's ``'%.12g' % v``
 of the float64 value, byte for byte (``nan``, ``inf``, ``-inf``, ``-0``
-included), formatted a column at a time in numpy with a per-cell ``%``
-only where the fast path cannot be sure of the rounding.  report.csv
-formats each time's cells once: its rows are ready bytes, each node's
-cells spliced between its time's head (t) and tail (the seven per-t
-cells).
+included), formatted in numpy with a per-cell ``%`` only where the fast
+path cannot be sure of the rounding.  Each cell is a 24-byte slot of three
+little-endian uint64 words, the NULs deleted when a block is joined.
+Blocks of 2048 cells keep every temporary small enough for glibc to reuse
+its heap memory without page faults.  report.csv formats each time's
+cells once and splices its rows, each node's cells between its time's
+head (t) and tail (the seven per-t cells), in blocks of about 16384
+cells: splicing is per block, so smaller blocks cost more there.
 Exit codes: 0 success, 1 config error, 2 numeric or model violation,
 3 verification failure.
 """
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass, field, fields
@@ -129,131 +133,131 @@ def _fmt(value) -> str:
     return f"{value:.12g}"
 
 
-# '%.12g' of a float64 column, in numpy.  Cells are position-major: row j of
-# a (width, n) uint8 array is byte j of every cell.  A cell may hold NULs
-# anywhere, since _lines deletes them, so each byte has a fixed row: a float
-# cell is a sign, five bytes for "0." and up to three zeros, thirteen for
-# twelve digits with the point among them, and four for "e-XX".  With X the
-# decimal exponent, column X + 30 of _AFFIX holds the prefix and exponent
-# bytes for X in [-30, 11] (fixed notation for -4 <= X < 12, as %g has it);
-# columns 42-44 hold "nan", "inf" and "0".
-_X = np.arange(-30, 12)
-_SCI = _X < -4
-_POINT = np.concatenate([np.where(_SCI, 1, np.where(_X >= 0, _X + 1, 13)), [13, 13, 13]])
-_AFFIX = np.zeros((9, 45), np.uint8)
-_AFFIX[:5, :42] = (np.arange(5)[:, None] < 1 - _X) * (~_SCI & (_X < 0)) * np.frombuffer(
-    b"0.000", np.uint8)[:, None]
-_AFFIX[5:, :42] = np.stack([np.full(42, ord("e")), np.where(_X < 0, ord("-"), ord("+")),
-                            ord("0") + -_X // 10, ord("0") + -_X % 10]) * _SCI
-_AFFIX[:3, 42:] = np.frombuffer(b"naninf0\0\0", np.uint8).reshape(3, 3).T
-# the four digits of each group 0..9999, as one uint32, and its trailing zeros
-_GROUPS = np.stack(np.broadcast_arrays(*np.ix_(*4 * [np.frombuffer(b"0123456789", np.uint8)])),
-                   -1).reshape(10000, 4)
-_DIGITS = _GROUPS.view(np.uint32).ravel()
-_ZEROS = (_GROUPS == ord("0")).T
-_TRAILING_ZEROS = _ZEROS[3] * (1 + _ZEROS[2] * (1 + _ZEROS[1] * (1 + _ZEROS[0].astype(np.intp))))
+@functools.cache
+def _tables():
+    """:func:`_words`' masks per (column, significant digits, sign), and the
+    digits and trailing zeros of each group 0..9999, built on first use: a
+    process that writes no CSV pays neither their time nor their pages."""
+    affix = np.array([(b"0.000"[:1 - x] if -5 < x < 0 else b"").ljust(5, b"\0")
+                      + (b"e-%02d" % -x if x < -4 else b"") for x in range(-30, 12)]
+                     + [b"nan", b"inf", b"0"], "S9").view(np.uint8).reshape(45, 9)
+    col, sig, sign = np.indices((45, 13, 2)).reshape(3, -1, 1)
+    x = col - 30
+    point = np.where(x < -4, 1, np.where(x >= 0, x + 1, 13))    # 13: no point
+    shown = np.where(x >= 0, np.maximum(sig, x + 1), sig)       # an integer part's zeros show
+    length = (shown + (shown > point)) * (x < 12)
+    j = np.arange(16)
+    fixed = np.concatenate([sign * (x != 12) * ord("-"), affix[col[:, 0], :5],
+                            ((j[:13] == point) & (j[:13] < length)) * ord("."),
+                            affix[col[:, 0], 5:], 0 * sign], 1).astype(np.uint8)
+    masks = np.concatenate([(np.uint8(255) * ((j < point) & (j < length))).view("<u8"),
+                            (np.uint8(255) * ((j > point) & (j < length))).view("<u8"),
+                            fixed.view("<u8")], 1).T.copy()
+    groups = np.stack(np.broadcast_arrays(*np.ix_(*4 * [np.frombuffer(b"0123456789", np.uint8)]),
+                                          *4 * [np.uint8(0)]), -1).reshape(10000, 8)
+    zeros = sum(np.arange(10000) % 10 ** k == 0 for k in range(1, 5)).astype(np.int8)
+    return masks, groups.view("<u8").ravel(), zeros
+
+
 _POW10 = 10.0 ** np.arange(23)
-_SLOTS = np.arange(13, dtype=np.uint8)[:, None]
-_MINUS, _DOT = np.uint8(ord("-")), np.uint8(ord("."))
-_BLOCK = 16384      # cells written at a time
+_U8, _U16, _U32, _U48, _U56 = (np.uint64(k) for k in (8, 16, 32, 48, 56))
+_BLOCK = 16384      # report.csv cells formatted at a time (cmd_verify)
+_CHUNK = 2048       # other cells formatted at a time (_write_csv)
 
 
-def _format(v):
-    """``'%.12g' % x`` for every x of the float64 array ``v``, as (23, n) cells.
-
-    Finite |x| in [1e-30, 1e11) takes the fast path: an estimate of
-    X = floor(log10 |x|), corrected by +-1 where s = |x|*10**(11 - X) is
-    not in [1e11, 1e12) and s taken again there, and the twelve digits of
-    m = rint(s).  A cell whose m may not be the correctly rounded
-    mantissa, and any other nonzero finite cell, is formatted by
-    :func:`_exact`.
+def _words(v):
+    """``'%.12g' % x`` for every x of the float64 array ``v``: (3, n) '<u8'
+    words, column i cell i's 24-byte slot with NULs that _lines deletes:
+    byte 0 the sign, 1-5 the prefix ("0." and up to three zeros, "nan",
+    "inf" or "0"), 6-18 twelve digits and the point, 19-22 "e-XX", 23 the
+    separator.  Finite |x| in [1e-30, 1e11) takes the fast path: X =
+    floor(log10 |x|) from float32, corrected by +-1 where s =
+    |x|*10**(11 - X) is not in [1e11, 1e12), and the digits of m = rint(s)
+    in two words, put in place by the masks of the cell's column (X + 30;
+    42-44 for nan, inf and 0), significant digits and sign.  A cell whose
+    m may not be correctly rounded, and any other nonzero finite cell, is
+    formatted by :func:`_exact`.
     """
-    n = len(v)
     a = np.abs(v)
     fast = (a >= 1e-30) & (a < 1e11)
-    a1 = np.where(fast, a, 1.0)
-    expo = np.floor(np.log10(a1.astype(np.float32))).astype(np.intp)   # X, or X +- 1
+    a = np.where(fast, a, 1.0)
+    expo = np.floor(np.log10(a.astype(np.float32))).astype(np.intp)    # X, or X +- 1
 
     def scaled(a, expo):    # at most two products with exact powers 10**j, j <= 22
         k = 11 - expo
         return a * _POW10.take(k, mode="clip") * _POW10.take(k - 22, mode="clip")
 
-    s = scaled(a1, expo)
+    s = scaled(a, expo)
     miss = np.flatnonzero((s >= 1e12) | (s < 1e11))
     if miss.size:
         expo[miss] += np.where(s[miss] >= 1e12, 1, -1)
-        s[miss] = scaled(a1[miss], expo[miss])
+        s[miss] = scaled(a[miss], expo[miss])
     m = np.rint(s)
     # s is the exact product after at most two roundings, so within
     # 2 * 2**-53 * 1e12 < 2.3e-4 of it: m is the correctly rounded mantissa
     # unless s is within 1e-3 of a tie or near either end of [1e11, 1e12)
     unsure = (np.abs(s - m) >= 0.5 - 1e-3) | (np.abs(s - 1e11) < 0.1) | (np.abs(s - 1e12) < 1e-3)
+    del a, s        # two planes fewer alive at the digit stage's peak
     carry = m == 1e12
     expo += carry
     m[carry] = 1e11
-    # four-digit groups by float division: exact, since m < 2**53 and each
-    # quotient is over 1e-8 from the next integer, far above its rounding
-    g0 = np.floor(m / 1e8)
-    m -= g0 * 1e8
-    g1 = np.floor(m / 1e4)
-    groups = np.stack([g0, g1, m - g1 * 1e4]).astype(np.intp)
-    digits = np.zeros((14, n), np.uint8)      # NUL, the twelve digits, NUL
-    digits[1:13].reshape(3, 4, n)[:] = _DIGITS.take(groups).view(np.uint8).reshape(
-        3, n, 4).transpose(0, 2, 1)
-    g0, g1, g2 = groups
-    z0, z1, z2 = _TRAILING_ZEROS.take(groups)
-    significant = 12 - (z2 + (g2 == 0) * (z1 + (g1 == 0) * z0))
-    col = np.where(fast, expo + 30, np.where(np.isnan(v), 42, np.where(a == np.inf, 43, 44)))
-    point = _POINT.take(col).astype(np.uint8)      # digits before the point; 13: no point
-    shown = np.where(expo >= 0, np.maximum(significant, expo + 1), significant)
-    length = ((shown + (shown > point)) * fast).astype(np.uint8)
-    cells = np.empty((23, n), np.uint8)
-    cells[0] = (np.signbit(v) & ~np.isnan(v)) * _MINUS
-    affix = _AFFIX.take(col, axis=1)
-    cells[1:6], cells[19:] = affix[:5], affix[5:]
-    cells[6:19] = (digits[1:] * (_SLOTS < point) + digits[:13] * (_SLOTS > point)
-                   + (_SLOTS == point) * _DOT) * (_SLOTS < length)
-    slow = (fast & unsure) | (np.isfinite(v) & ~fast & (a != 0.0))
-    if slow.any():
-        cells[:, slow] = _exact(v[slow])
-    return cells
+    g0, m = np.divmod(m.astype(np.int64), 100000000)     # exact: m is an integer below 2**53
+    g1, g2 = np.divmod(m, 10000)
+    masks, digits, zeros = _tables()
+    lo, hi = digits.take(g0) | (digits.take(g1) << _U32), digits.take(g2)
+    shown = 12 - (zeros.take(g2) + (g2 == 0) * (zeros.take(g1) + (g1 == 0) * zeros.take(g0)))
+    cell = ((expo + 30) * 13 + shown) * 2 + np.signbit(v)
+    odd = np.flatnonzero(~fast)
+    if odd.size:    # 0, inf, nan, and finite cells out of the fast path's range
+        b = np.abs(v[odd])
+        cell[odd] = (42 + (b == np.inf) + 2 * (b == 0.0)) * 26 + np.signbit(v[odd])
+        unsure[odd] = np.isfinite(b) & (b != 0.0)
+    keep_lo, keep_hi, up_lo, up_hi = (mask.take(cell) for mask in masks[:4])
+    lo_slots = (lo & keep_lo) | ((lo << _U8) & up_lo)
+    hi_slots = (hi & keep_hi) | (((hi << _U8) | (lo >> _U56)) & up_hi)
+    words = masks[4:].take(cell, axis=1)
+    words[0] |= lo_slots << _U48
+    words[1] |= (lo_slots >> _U16) | (hi_slots << _U48)
+    words[2] |= hi_slots >> _U16
+    if unsure.any():
+        words[:, unsure] = _exact(v[unsure])
+    return words
 
 
 def _exact(v):
-    """The fast path's fallback: ``'%.12g' % x`` one cell at a time."""
-    return np.array([b"%.12g" % x for x in v.tolist()], "S23").view(np.uint8).reshape(-1, 23).T
+    """The fast path's fallback: ``'%.12g' % x`` one cell at a time, as (3, n) words."""
+    return np.array([b"%.12g" % x for x in v.tolist()], "S24").view("<u8").reshape(-1, 3).T
 
 
 def _text(column):
-    """A str or bytes column as (width, n) NUL-padded cells, verbatim."""
+    """A str or bytes column as (n, width) NUL-padded cells, verbatim."""
     if column.dtype.kind == "U":
         codes = column.view(np.uint32)
         if np.any(codes > 127):
             raise ValueError("CSV text cells must be ASCII")
         column = codes.astype(np.uint8).view(f"S{column.itemsize // 4}")
-    return column.view(np.uint8).reshape(len(column), column.itemsize).T
+    return column.view(np.uint8).reshape(len(column), column.itemsize)
 
 
 def _lines(columns) -> bytes:
-    """The CSV lines of equal-length ``columns``, newline-terminated.
-
-    str and bytes columns are written verbatim; the other columns are
-    numbers, all formatted by one :func:`_format` call.
-    """
+    """The CSV lines of equal-length ``columns``, newline-terminated: one
+    (rows, columns, words) '<u8' array of slots, numbers from one
+    :func:`_words` call put in place by one transposing copy where adjacent,
+    str and bytes cells verbatim; its bytes with the NULs deleted."""
     columns = [np.asarray(c) for c in columns]
-    text = [c.dtype.kind in "US" for c in columns]
-    numbers = [c for c, is_text in zip(columns, text) if not is_text]
-    formatted = iter(np.hsplit(_format(np.concatenate(numbers).astype(np.float64)),
-                               len(numbers)) if numbers else [])
-    cells = [_text(c) if is_text else next(formatted) for c, is_text in zip(columns, text)]
-    buf = np.empty((sum(len(c) + 1 for c in cells), len(columns[0])), np.uint8)
-    at = 0
-    for c in cells:
-        buf[at:at + len(c)] = c
-        buf[at + len(c)] = ord(",")
-        at += len(c) + 1
-    buf[-1] = ord("\n")
-    return buf.T.tobytes().translate(None, b"\0")
+    text = {j: _text(c) for j, c in enumerate(columns) if c.dtype.kind in "US"}
+    numbers = [j for j in range(len(columns)) if j not in text]
+    rows, width = len(columns[0]), max([3] + [t.shape[1] // 8 + 1 for t in text.values()])
+    block = np.zeros((rows, len(columns), width), "<u8")
+    if numbers:
+        words = _words(np.concatenate([columns[j] for j in numbers]).astype(np.float64, copy=False))
+        at = numbers if np.ptp(numbers) >= len(numbers) else slice(numbers[0], numbers[-1] + 1)
+        block[:, at, :3] = words.reshape(3, len(numbers), rows).transpose(2, 1, 0)
+    cells = block.view(np.uint8).reshape(rows, len(columns), 8 * width)
+    for j, t in text.items():
+        cells[:, j, :t.shape[1]] = t
+    cells[:, :, -1] = np.frombuffer(b"," * (len(columns) - 1) + b"\n", np.uint8)
+    return block.tobytes().translate(None, b"\0")
 
 
 def _strings(columns):
@@ -266,11 +270,20 @@ def _write_csv(path, header, blocks):
     equal-length columns.
 
     A str or bytes column is written verbatim, any other column cell by
-    cell as Python's ``'%.12g' %`` of its float64 value.  A block of
-    columns is written in pieces of about ``_BLOCK`` cells.  An existing
-    file is written over in place and then cut at the end of the new
-    bytes: truncating a file that holds data first costs more than the
-    write.
+    cell as Python's ``'%.12g' %`` of its float64 value.  Each cell is a
+    24-byte slot of three little-endian uint64 words (:func:`_words`).  A
+    block of columns is formatted by :func:`_lines` in pieces of about
+    ``_CHUNK`` (2048) cells, whatever its length; the bytes do not depend
+    on where the pieces end.  A piece's temporaries are 16-48 KB arrays,
+    few alive at once, so glibc serves them from the same heap memory piece
+    after piece, below its mmap and trim thresholds.  Pieces of 16384
+    cells take 2-4 MB of fresh pages each, which glibc hands back to the
+    OS and faults in again for the next.  report.csv's rows come here as
+    ready bytes, formatted by :func:`cmd_verify` in blocks of about
+    ``_BLOCK`` (16384) cells, since it splices its rows per block.  An
+    existing file is written over in place and then cut at the end of the
+    new bytes: truncating a file that holds data first costs more than
+    the write.
     """
     # O_BINARY (Windows only) keeps the C runtime from translating newlines
     flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
@@ -281,7 +294,7 @@ def _write_csv(path, header, blocks):
                 fh.write(block)
                 continue
             columns = [np.asarray(c) for c in block]
-            step = max(1, _BLOCK // len(columns))       # rows
+            step = max(1, _CHUNK // len(columns))       # rows
             for i in range(0, len(columns[0]), step):
                 fh.write(_lines([c[i:i + step] for c in columns]))
         fh.truncate()

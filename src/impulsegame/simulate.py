@@ -311,7 +311,9 @@ def _rollouts(path, policy, params, step):
         if not math.isfinite(x0):
             raise ValueError(f"x0 must be finite (got {x0!r})")
         if T - t0 <= HORIZON_TOL:
-            # no impulse fires at the horizon itself: the state stays, terminal costs only
+            # no impulse fires at the horizon itself: the state stays, terminal costs
+            # only, once the start passes the check on its cap that every start makes
+            grid_at(t0).budget_for(x0, x0)
             return Trajectory([(np.array([T]), np.array([x0]))], [], x0, path, params, [None])
         return _rollout_on_grid(grid_at(t0), x0)
 

@@ -121,6 +121,20 @@ def test_special_cells_and_other_number_types():
                              2.0 / 3.0, 4])
 
 
+def test_words_are_little_endian_slots_of_fixed_parts():
+    # each cell is three '<u8' words whose bytes are its slot on any host:
+    # 0 the sign, 1-5 the prefix, 6-18 digits and point, 19-22 "e-XX"; the
+    # separator (byte 23) is _lines' to fill.  An _exact cell starts at byte 0
+    words = cli._words(np.array([-0.000123456789012, 1.5e-07, 12345678901.0, np.nan]))
+    assert words.dtype == np.dtype("<u8") and words.shape == (3, 4)
+    slots = [words[:, i].tobytes() for i in range(4)]
+    assert slots == [b"-0.000123456789012" + 6 * b"\0",
+                     6 * b"\0" + b"1.5" + 10 * b"\0" + b"e-07\0",
+                     6 * b"\0" + b"12345678901" + 7 * b"\0",
+                     b"\0nan" + 20 * b"\0"]
+    assert cli._lines([np.array([-0.000123456789012, 1.5e-07, 12345678901.0, np.nan])]) == (
+        b"-0.000123456789012\n1.5e-07\n12345678901\nnan\n")
+
 
 def test_text_cells_are_written_verbatim_and_must_be_ascii():
     assert cli._lines([np.array(["below", "interior"]), np.array([b"x", b""])]) == (
@@ -129,8 +143,45 @@ def test_text_cells_are_written_verbatim_and_must_be_ascii():
         cli._lines([np.array(["caf\u00e9"])])
 
 
+def test_chunking_never_changes_the_bytes(tmp_path, monkeypatch):
+    # _write_csv formats a block _CHUNK cells at a time; however the rows
+    # are split into blocks, and wherever a chunk edge falls, the bytes are
+    # one _lines call's over all rows, which are Python's cell by cell
+    rng = np.random.default_rng(23)
+    step = cli._CHUNK // 7          # rows per chunk of the 7 columns below
+    n = 3 * step + 17               # a ragged tail
+    special = [2.0 ** -18, 1e-300, np.nan, -np.inf, -0.0]       # a 12-digit tie first
+    numbers = rng.normal(size=(4, n)) * 10.0 ** rng.integers(-12, 12, (4, n))
+    for row in (step - 1, step, 2 * step - 1, 2 * step, n - 1):   # both sides of chunk edges
+        numbers[:, row] = special[:4] if row % 2 else special[1:]
+    words = np.array(["below", "interior", "above"])[rng.integers(0, 3, n)]
+    wide = np.array([b"x" * k for k in rng.integers(0, 30, n)])      # slots of 3 and 4 words
+    columns = [words, numbers[0], numbers[1], wide, numbers[2], rng.integers(-9, 99, n),
+               numbers[3]]
+    seen = []
+    monkeypatch.setattr(cli, "_exact", lambda v, exact=cli._exact: seen.extend(v) or exact(v))
+    lines = cli._lines(columns)
+    assert {2.0 ** -18, 1e-300} <= set(seen)
+
+    def cell(c):
+        return c if isinstance(c, str) else c.decode() if isinstance(c, bytes) else f"{c:.12g}"
+
+    assert lines.decode() == "".join(",".join(map(cell, row)) + "\n"
+                                     for row in zip(*(c.tolist() for c in columns)))
+    header = [f"c{k}" for k in range(len(columns))]
+    want = b"c0,c1,c2,c3,c4,c5,c6\n" + lines
+    splits = [[0, n], [0, 0, n, n]]         # one block, and zero-row blocks around it
+    splits += [[0, k, n] for k in (1, step - 1, step, step + 1, 2 * step + 1, n - 1)]
+    splits += [list(range(0, n, 37)) + [n], [0, 5, step + 3, n - 2, n]]
+    for cuts in splits:
+        blocks = ([c[a:b] for c in columns] for a, b in zip(cuts, cuts[1:]))
+        cli._write_csv(tmp_path / "chunked.csv", header, blocks)
+        assert (tmp_path / "chunked.csv").read_bytes() == want, cuts
+
+
 def test_fast_path_covers_the_shipped_reports(tmp_path, monkeypatch, capsys):
-    # an all-fallback writer would pass every test above
+    # an all-fallback writer would pass every test above.  solve and
+    # simulate write the tables of the tabulate workload, verify report.csv
     counts = {"formatted": 0, "exact": 0}
 
     def counted(function, key):
@@ -139,14 +190,16 @@ def test_fast_path_covers_the_shipped_reports(tmp_path, monkeypatch, capsys):
             return function(v)
         return wrapper
 
-    monkeypatch.setattr(cli, "_format", counted(cli._format, "formatted"))
+    monkeypatch.setattr(cli, "_words", counted(cli._words, "formatted"))
     monkeypatch.setattr(cli, "_exact", counted(cli._exact, "exact"))
     for name in ("table1", "table1_w2_1"):
-        counts.update(formatted=0, exact=0)
         cfg = tmp_path / f"{name}.cfg"
         cfg.write_text((CONFIGS / f"{name}.cfg").read_text()
                        + f"\noutput_dir = {tmp_path / name}\n")
-        assert cli.main(["verify", "--config", str(cfg)]) == 0
-        assert counts["formatted"] >= 4 * 201 * 201
-        assert counts["exact"] <= 0.01 * counts["formatted"], (name, counts)
+        for command, cells in (("solve", 13 * 4097), ("simulate", 3 * 3 * 4097),
+                               ("verify", 4 * 201 * 201)):
+            counts.update(formatted=0, exact=0)
+            assert cli.main([command, "--config", str(cfg)]) == 0
+            assert counts["formatted"] >= cells, (name, command, counts)
+            assert counts["exact"] <= 0.01 * counts["formatted"], (name, command, counts)
     capsys.readouterr()

@@ -1228,6 +1228,31 @@ def test_a_starts_budget_is_its_box_bound(path, policy, params):
     assert grid.budget_for(lo - 40.0, lo - 40.0) > grid.budget_for(lo, hi)
 
 
+def test_a_start_at_the_horizon_is_held_to_its_cap(path, policy, params):
+    # a start within HORIZON_TOL of T fires nothing, yet its cap is checked
+    # as every other start's: where its bound overflows the rollout and the
+    # V1 sweep raise the typed error, not an OverflowError from the terminal cost
+    T = params.T
+    for t0 in (0.0, 0.5 * T, T - 0.5 * simulate.HORIZON_TOL, T):
+        with pytest.raises(InvalidParameterError, match="impulse bound .* overflows"):
+            rollout(path, policy, params, t0, 1e200)
+        with pytest.raises(InvalidParameterError, match="impulse bound .* overflows"):
+            value_v1(path, policy, params, t0, [3.0, 1e200])
+        with pytest.raises(InvalidParameterError, match="impulse bound .* overflows"):
+            make_rollout_hook(path, policy, params)(t0, -1e200)
+    # a finite start there is still the bare terminal evaluation, bit for bit
+    for t0 in (T - 0.5 * simulate.HORIZON_TOL, T):
+        for x0 in (3.0, -40.0, 1e10):
+            traj = rollout(path, policy, params, t0, x0)
+            assert [(list(t), list(x)) for t, x in traj.segments] == [([T], [x0])]
+            assert traj.events == [] and traj.terminal_state == x0
+            assert (traj.j1, traj.j2) == (0.5 * params.s1 * (x0 - params.rho1) ** 2,
+                                          0.5 * params.s2 * (x0 - params.rho2) ** 2)
+        xs = np.array([3.0, -40.0, 1e10])
+        assert value_v1(path, policy, params, t0, xs).tolist() == [
+            rollout(path, policy, params, t0, x).j1 for x in xs.tolist()]
+
+
 # ---------------------------------------------------------------------------
 # The verification identity along every rollout.  phi1 solves Player 1's
 # HJB along the feedback path and phi2 Player 2's interior equation in the
