@@ -107,7 +107,12 @@ def intervention_cost(params: GameParams, xi):
 
 
 def player1_impulse_cost(params: GameParams, xi):
-    """Cost ``z1*|xi|`` borne by Player 1 when Player 2 intervenes."""
+    """Cost ``z1*|xi|`` borne by Player 1 when Player 2 intervenes.
+
+    A float takes the same arithmetic without numpy.
+    """
+    if isinstance(xi, float):
+        return float(params.z1 * abs(xi))
     out = params.z1 * np.abs(np.asarray(xi, dtype=float))
     return float(out) if out.ndim == 0 else out
 

@@ -80,9 +80,10 @@ def _check_ordering(time_grid, ell1, alpha, beta, ell2):
     ok = (ell1 < alpha) & (alpha < beta) & (beta < ell2)
     if not np.all(ok):
         idx = int(np.flatnonzero(~ok)[0])
+        t, e1, a, b, e2 = (float(v[idx]) for v in (time_grid, ell1, alpha, beta, ell2))
         raise OrderingViolation(
-            f"threshold ordering failed at node {idx} (t={time_grid[idx]!r}): "
-            f"ell1={ell1[idx]!r} alpha={alpha[idx]!r} beta={beta[idx]!r} ell2={ell2[idx]!r}"
+            f"threshold ordering failed at node {idx} (t={t!r}): "
+            f"ell1={e1!r} alpha={a!r} beta={b!r} ell2={e2!r}"
         )
 
 
@@ -92,7 +93,7 @@ def build_policy(path: CoefficientPath, params: GameParams) -> ThresholdPolicy:
     if np.any(p2 <= 0.0):
         idx = int(np.flatnonzero(p2 <= 0.0)[0])
         raise ConvexityViolation(
-            f"p2(t) <= 0 at node {idx} (t={path.time_grid[idx]!r}, p2={p2[idx]!r})"
+            f"p2(t) <= 0 at node {idx} (t={float(path.time_grid[idx])!r}, p2={float(p2[idx])!r})"
         )
     policy = ThresholdPolicy(path, params)
     _check_ordering(path.time_grid, policy.ell1, policy.alpha, policy.beta, policy.ell2)
@@ -109,13 +110,18 @@ def gamma_star(path: CoefficientPath, params: GameParams, t, x):
 
 
 def impulse_map(policy: ThresholdPolicy, t, x):
-    """Player 2's reset rule at (t, x).
+    """Player 2's reset rule at (t, x): :func:`reset` on the band at t."""
+    return reset(policy.thresholds_at(t), x)
 
-    Returns None while ell1(t) < x < ell2(t); otherwise (:func:`sides`)
-    the pair (target, xi) with target alpha(t) from below or beta(t) from
-    above and xi = target - x.
+
+def reset(band, x):
+    """Player 2's reset rule at x on the band (ell1, alpha, beta, ell2) of one time.
+
+    Returns None while ell1 < x < ell2; otherwise (:func:`sides`) the
+    pair (target, xi) with target alpha from below or beta from above
+    and xi = target - x.
     """
-    ell1, alpha, beta, ell2 = policy.thresholds_at(t)
+    ell1, alpha, beta, ell2 = band
     below, above = sides(ell1, ell2, x)
     if below:
         return alpha, alpha - x

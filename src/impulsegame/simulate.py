@@ -12,10 +12,14 @@ or locates the exit on the step to EVENT_TIME_TOL, at bisection's point
 with far fewer probes (Illinois regula falsi and a replay of bisection's
 midpoints, as in Shampine & Thompson 2000) and always on or past a band
 edge.  Each probe evaluates the coefficients on Python floats at its own
-time only (see :mod:`.riccati`).  The impulse resets the state exactly to
-the target, and the flow resumes from it; a located exit within
-EVENT_TIME_TOL of T carries no impulse, while a start outside the band
-fires at any t0 but T itself.
+time only (see :mod:`.riccati`) and keeps them.  A step takes its
+start's terms (the flow's Phi and H and the band) from its caller: at a
+node from the grid's arrays, which hold the float path's bits, and after
+an event from the probe that located it.  The impulse resets the state
+exactly to the target of the band located at tau (:func:`.policy.reset`),
+and the flow resumes from it; a located exit within EVENT_TIME_TOL of T
+carries no impulse, while a start outside the band fires at any t0 but T
+itself.
 
 Running costs follow from the verification identity: phi1 solves Player
 1's HJB along the feedback flow and phi2 Player 2's interior equation in
@@ -55,7 +59,7 @@ from .model import (
     player1_impulse_cost,
     validate_box,
 )
-from .policy import ThresholdPolicy, impulse_map, sides
+from .policy import ThresholdPolicy, impulse_map, reset, sides
 from .riccati import DEFAULT_STEPS
 
 # Resolution of the event locator: tau is the right end of bisection's
@@ -204,7 +208,7 @@ class _RolloutGrid:
     - ``phi``, ``shift``: the flow's Phi and H at every node
       (:meth:`.riccati.CoefficientPath.coefficients_at`); between events
       the node states are ``phi*(c + shift)`` with one constant c;
-    - ``ell1``, ``ell2``: the band's edges at every node;
+    - ``ell1``, ``alpha``, ``beta``, ``ell2``: the band at every node;
     - ``quadratics``: the coefficients of both value quadratics at t0 and
       at T (:meth:`.riccati.CoefficientPath.quadratics_at`), by time, for
       :func:`_value_ends`;
@@ -223,7 +227,7 @@ class _RolloutGrid:
         self.t0 = t0
         self.ts = ts
         self.phi, self.shift = path.coefficients_at(ts, band=False)
-        self.ell1, _, _, self.ell2 = policy.thresholds_at(ts)
+        self.ell1, self.alpha, self.beta, self.ell2 = policy.thresholds_at(ts)
         self.quadratics = _quadratics_by_time(path, [t0, float(T)])
         self.ell1_min = float(np.min(policy.ell1))
         self.ell2_max = float(np.max(policy.ell2))
@@ -235,6 +239,12 @@ class _RolloutGrid:
         return impulse_bound(self.params, StateBox(min(self.ell1_min, lo) - 1.0,
                                                    max(self.ell2_max, hi) + 1.0))
 
+    def terms(self, k):
+        """The flow's Phi and H and the band (ell1, alpha, beta, ell2) at node
+        k, as Python floats: :func:`_bisect_crossing`'s terms at a node."""
+        return self.phi.item(k), self.shift.item(k), (
+            self.ell1.item(k), self.alpha.item(k), self.beta.item(k), self.ell2.item(k))
+
     def scan(self, i0, x, block):
         """Node states from node i0, starting at ``x``, through the first
         later node :func:`.policy.sides` flags, or through the horizon, and
@@ -242,27 +252,35 @@ class _RolloutGrid:
 
         The states are ``phi*(c + shift)`` with c fixed by ``x`` at i0,
         evaluated and tested in blocks: the first ``block`` nodes past i0,
-        then doubled until a block holds a flagged node.  Raises
-        NonFiniteStateError naming a block's first non-finite node.
+        then doubled until a block holds a flagged node.  ``xs`` grows with
+        the blocks.  Raises NonFiniteStateError naming the first non-finite
+        node at or before the first flagged one, so the result does not
+        depend on ``block``.
         """
         c = x / self.phi[i0] - self.shift[i0]
         phi, shift = self.phi[i0:], self.shift[i0:]
         ell1, ell2, last = self.ell1[i0:], self.ell2[i0:], len(phi) - 1
-        xs = np.full(len(phi), x)
         a, b = 0, min(last, block)
+        xs = np.empty(b + 1)
+        xs[0] = x
         while True:
             np.multiply(phi[a + 1:b + 1], c + shift[a + 1:b + 1], out=xs[a + 1:b + 1])
-            bad = np.flatnonzero(~np.isfinite(xs[a:b + 1]))
-            if bad.size:
-                k = i0 + a + int(bad[0])
-                raise NonFiniteStateError(f"state non-finite at node {k} (t={self.ts[k]!r})")
             below, above = sides(ell1[a + 1:b + 1], ell2[a + 1:b + 1], xs[a + 1:b + 1])
-            exits = np.flatnonzero(below | above)
-            if exits.size:
-                return xs[:a + 2 + int(exits[0])], True
+            flags = below | above
+            first = int(flags.argmax())
+            flagged = bool(flags[first])
+            end = a + 2 + first if flagged else b + 1     # through the first flagged node
+            finite = np.isfinite(xs[a:end])
+            if not finite.all():
+                k = i0 + a + int(finite.argmin())
+                raise NonFiniteStateError(
+                    f"state non-finite at node {k} (t={float(self.ts[k])!r})")
+            if flagged:
+                return xs[:end], True
             if b == last:
                 return xs, False
             a, b = b, min(last, 2 * b)
+            xs = np.concatenate((xs, np.empty(b - a)))
 
 
 def impulse_bound(params: GameParams, box: StateBox) -> int:
@@ -493,13 +511,23 @@ def _illinois(probe, a, fa, b, fb):
     return a, b
 
 
-def _bisect_crossing(grid, t_lo, x_lo, h):
+def _terms_at(grid, t):
+    """The flow's Phi and H and the band (ell1, alpha, beta, ell2) at the
+    float time t, from one :meth:`.riccati.CoefficientPath.coefficients_at`."""
+    phi, shift, p2, q2 = grid.path.coefficients_at(t)
+    return phi, shift, grid.policy.band(p2, q2)
+
+
+def _bisect_crossing(grid, t_lo, x_lo, h, terms):
     """Locate a threshold crossing inside one step to EVENT_TIME_TOL.
 
-    The state at a trial offset s is the closed-form flow from
-    ``(t_lo, x_lo)`` to ``t_lo + s``.  Returns ``(tau, x_minus)`` at the
-    crossing, or ``(None, x_end)`` with the step's end state when the
-    margin ``m(s) = min(x - ell1, ell2 - x)`` is positive at s = h.
+    ``terms`` are :func:`_terms_at`'s at t_lo (at a node, the grid's:
+    :meth:`_RolloutGrid.terms`).  The state at a trial offset s is the
+    closed-form flow from ``(t_lo, x_lo)`` to ``t_lo + s``, its constant
+    fixed by the Phi and H of ``terms``.  Returns ``(tau, x_minus, terms)``
+    at the crossing, or ``(None, x_end, terms)`` with the step's end
+    state when the margin ``m(s) = min(x - ell1, ell2 - x)`` is positive
+    at s = h; the terms are those of the returned point, from its probe.
     Where m changes sign once on the step, tau is within EVENT_TIME_TOL
     past that crossing.  Where it changes sign more than once, tau is
     some point with m <= 0, not necessarily past the first crossing.
@@ -519,9 +547,8 @@ def _bisect_crossing(grid, t_lo, x_lo, h):
     bisection.  Every evaluation is on the float path, which equals the
     array path bit for bit.
     """
-    path, policy = grid.path, grid.policy
-    states = {}
-    phi, shift = path.coefficients_at(t_lo, band=False)
+    probed = {}     # offset: (state, terms) there
+    phi, shift, band = terms
     c = x_lo / phi - shift
 
     def margin(x, ell1, _alpha, _beta, ell2):
@@ -529,16 +556,17 @@ def _bisect_crossing(grid, t_lo, x_lo, h):
         return min(x - ell1, ell2 - x)
 
     def probe(s):
-        phi, shift, p2, q2 = path.coefficients_at(t_lo + s)
-        x = states[s] = phi * (c + shift)
-        return margin(x, *policy.band(p2, q2))
+        terms = _terms_at(grid, t_lo + s)
+        x = terms[0] * (c + terms[1])
+        probed[s] = x, terms
+        return margin(x, *terms[2])
 
     m_h = probe(h)
     if m_h > 0.0:
-        return None, states[h]
+        return None, *probed[h]
     a, b = 0.0, h
     if h > EVENT_TIME_TOL and m_h <= 0.0:    # m_h is not NaN
-        m_0 = margin(x_lo, *policy.thresholds_at(t_lo))
+        m_0 = margin(x_lo, *band)
         if m_0 > 0.0:
             a, b = _illinois(probe, a, m_0, b, m_h)
     lo, hi = 0.0, h
@@ -552,13 +580,13 @@ def _bisect_crossing(grid, t_lo, x_lo, h):
             hi = b = mid
         else:
             lo = a = mid
-    if hi not in states and probe(hi) > 0.0:
+    if hi not in probed and probe(hi) > 0.0:
         hi = b      # probed, with m(b) <= 0, and within EVENT_TIME_TOL of hi
-    return t_lo + hi, states[hi]
+    return t_lo + hi, *probed[hi]
 
 
 def _event(params, tau, x_minus, jump):
-    """The intervention at tau from x_minus, ``jump`` being :func:`.policy.impulse_map`'s."""
+    """The intervention at tau from x_minus, ``jump`` being :func:`.policy.reset`'s."""
     target, xi = jump
     return ImpulseEvent(float(tau), float(x_minus), float(target), float(xi),
                         player1_impulse_cost(params, xi), intervention_cost(params, xi))
@@ -579,12 +607,19 @@ def _record(events, ev, cap):
 
 
 def _advance(grid, x_cur, events, cap):
-    """Segments from (grid.t0, x_cur) to T and the terminal state; exits go to ``events``."""
-    path, policy, params = grid.path, grid.policy, grid.params
+    """Segments from (grid.t0, x_cur) to T and the terminal state; exits go to ``events``.
+
+    Each step of the locator starts from the terms at t_cur: the grid's at
+    a node, the ones it located at tau after an event.  The reset at tau
+    reads the band among the located terms."""
+    path, params = grid.path, grid.params
     T, ts = params.T, grid.ts
     t_cur, segments = grid.t0, []
     seg_t, seg_x = [[t_cur]], [[x_cur]]     # the open segment, in array pieces
     node = int(ts.searchsorted(t_cur))     # the node the next step ends on
+    # a grid built for t0 starts on its node ts[0]; a t0 set between nodes
+    # starts with the locator, from the terms evaluated there
+    terms = None if ts[node] == t_cur else _terms_at(grid, t_cur)
     block = len(ts)     # a scan's first block: to the horizon, then the last closed segment's length
     while t_cur < T:
         if ts[node] == t_cur:
@@ -594,12 +629,13 @@ def _advance(grid, x_cur, events, cap):
             n = len(xs) - flagged
             seg_t.append(ts[node + 1:node + n])
             seg_x.append(xs[1:n])
-            t_cur, x_cur = float(ts[node + n - 1]), float(xs[n - 1])
+            k = node + n - 1
+            t_cur, x_cur, terms = float(ts[k]), float(xs[n - 1]), grid.terms(k)
             node += len(xs) - 1     # the flagged node, or the horizon
             continue
         # off the grid after an event, or before a flagged node (the flag
         # may be spurious): the locator steps onto ts[node] and decides
-        tau, x_new = _bisect_crossing(grid, t_cur, x_cur, float(ts[node]) - t_cur)
+        tau, x_new, located = _bisect_crossing(grid, t_cur, x_cur, float(ts[node]) - t_cur, terms)
         if tau is None:
             t_cur, x_cur = float(ts[node]), x_new
         elif tau >= T - EVENT_TIME_TOL:
@@ -609,18 +645,18 @@ def _advance(grid, x_cur, events, cap):
             t_cur, x_cur = T, x_new
         else:
             # the exit closes the segment; the next opens at the reset target.
-            # The locator found x_new's margin <= 0 at tau; impulse_map
-            # finds no reset only on a NaN band or thresholds that differ
-            if (jump := impulse_map(policy, tau, x_new)) is None:
+            # The locator's margin at tau is <= 0 or NaN, and the band it
+            # located there has no reset only where it is NaN
+            if (jump := reset(located[2], x_new)) is None:
                 raise NonFiniteStateError(
                     f"no reset at the located exit tau={tau!r}, x={x_new!r}: the "
-                    f"thresholds there are not finite or differ from the locator's")
+                    f"thresholds there are not finite")
             segments.append((np.concatenate(seg_t + [[tau]]), np.concatenate(seg_x + [[x_new]])))
             seg_t, seg_x = [], []
             block = len(segments[-1][0])
             ev = _record(events, _event(params, tau, x_new, jump), cap)
-            t_cur, x_cur = tau, ev.x_plus
-            node = int(ts.searchsorted(t_cur))
+            t_cur, x_cur, terms = tau, ev.x_plus, located
+            node += tau > ts[node]     # tau past the flagged node only by rounding
         seg_t.append([t_cur])
         seg_x.append([x_cur])
     segments.append((np.concatenate(seg_t), np.concatenate(seg_x)))
@@ -654,14 +690,15 @@ def admissibility_check(traj: Trajectory, policy: ThresholdPolicy) -> Admissibil
     violations = []
     T = policy.params.T
 
+    taus = np.array([ev.tau for ev in traj.events], dtype=float)
+    bands = zip(*(v.tolist() for v in policy.thresholds_at(taus)))
     prev_tau = None
-    for i, ev in enumerate(traj.events):
+    for i, (ev, (ell1, alpha, beta, ell2)) in enumerate(zip(traj.events, bands)):
         if ev.tau >= T:
             violations.append(f"event {i}: tau={ev.tau!r} not strictly before T")
         if prev_tau is not None and ev.tau <= prev_tau:
             violations.append(f"event {i}: tau={ev.tau!r} not after previous {prev_tau!r}")
         prev_tau = ev.tau
-        ell1, alpha, beta, ell2 = policy.thresholds_at(ev.tau)
         on_lower = abs(ev.x_minus - ell1) <= BOUNDARY_MATCH_TOL or ev.x_minus < ell1
         on_upper = abs(ev.x_minus - ell2) <= BOUNDARY_MATCH_TOL or ev.x_minus > ell2
         if ev.xi > 0:
@@ -686,7 +723,7 @@ def admissibility_check(traj: Trajectory, policy: ThresholdPolicy) -> Admissibil
     for i in np.unique(seg, return_index=True)[1]:     # each segment's first bad sample
         j = bad[i]
         violations.append(
-            f"segment {seg[i]}: sample at t={inner_t[j]!r} (x={inner_x[j]!r}) "
+            f"segment {seg[i]}: sample at t={float(inner_t[j])!r} (x={float(inner_x[j])!r}) "
             "is outside the open band before the segment end"
         )
     return AdmissibilityReport(ok=not violations, violations=violations)

@@ -85,6 +85,18 @@ def test_intervention_cost_float_path_equals_array_path(fixed):
     assert intervention_cost(prm, -0.0) == intervention_cost(prm, float("nan")) == min(fixed)
 
 
+@pytest.mark.parametrize("z1", [2.0, 3], ids=["float", "int"])
+def test_player1_impulse_cost_float_path_equals_array_path(z1):
+    prm = variant(z1=z1)
+    xi = [-2.75, -1e-300, -0.0, 0.0, 1e-300, 0.1, 7.3, float("nan")]
+    array = player1_impulse_cost(prm, np.array(xi))
+    for k, x in enumerate(xi):
+        for one in (x, np.float64(x)):
+            cost = player1_impulse_cost(prm, one)
+            assert type(cost) is float, (x, type(cost))
+            assert np.float64(cost).tobytes() == array[k].tobytes(), (x, cost, array[k])
+
+
 def test_player1_impulse_cost_values():
     assert player1_impulse_cost(BASELINE, 2.5) == pytest.approx(5.0)
     assert player1_impulse_cost(BASELINE, 0.0) == 0.0

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from impulsegame import (
+    ConvexityViolation,
     ImpulseBudgetExceeded,
     ImpulseEvent,
     InvalidParameterError,
+    OrderingViolation,
     StateBox,
     admissibility_check,
     build_policy,
@@ -26,7 +28,7 @@ from impulsegame import (
     value_v2,
 )
 from impulsegame.cli import EXIT_MODEL, load_config, main
-from impulsegame.policy import phi2
+from impulsegame.policy import ThresholdPolicy, phi2
 from impulsegame.simulate import (
     EVENT_TIME_TOL,
     Trajectory,
@@ -355,10 +357,19 @@ def reference_bisect(grid, t_lo, x_lo, h):
     return t_lo + hi, x_minus
 
 
-def reference_locate(grid, t_lo, x_lo, h):
-    """reference_bisect with the locator's return: (tau, x_minus) or (None, x_end)."""
+def reference_terms(grid, t):
+    """The flow's Phi and H and the band (ell1, alpha, beta, ell2) at t,
+    each from a one-element array."""
+    phi, shift = (float(v[0]) for v in grid.path.coefficients_at(np.array([t]), band=False))
+    return phi, shift, tuple(float(v[0]) for v in grid.policy.thresholds_at(np.array([t])))
+
+
+def reference_locate(grid, t_lo, x_lo, h, _terms):
+    """reference_bisect with the locator's return: (tau, x_minus) or (None, x_end),
+    then reference_terms at that point.  It ignores the locator's terms at t_lo."""
     hit = reference_bisect(grid, t_lo, x_lo, h)
-    return hit if hit is not None else (None, reference_step(grid.path, t_lo, x_lo, h))
+    tau, x = hit if hit is not None else (None, reference_step(grid.path, t_lo, x_lo, h))
+    return tau, x, reference_terms(grid, t_lo + h if tau is None else tau)
 
 
 LONG_HORIZON = {"table1_T200": variant(T=200.0), "table1_w2_1_T400": variant(w2=1.0, T=400.0)}
@@ -403,8 +414,8 @@ def test_locator_equals_bisection_on_seeded_steps(grids):
     counts = dict.fromkeys(("steps", "crossing", "none", "tiny_h", "no_bracket"), 0)
     for j, (name, grid) in enumerate(grids.items()):
         for t_lo, x_lo, h in seeded_steps(grid, 670, seed=100 + j):
-            got = _bisect_crossing(grid, t_lo, x_lo, h)
-            assert got == reference_locate(grid, t_lo, x_lo, h), (name, t_lo, x_lo, h)
+            got = _bisect_crossing(grid, t_lo, x_lo, h, reference_terms(grid, t_lo))
+            assert got == reference_locate(grid, t_lo, x_lo, h, None), (name, t_lo, x_lo, h)
             ell1, _, _, ell2 = grid.policy.thresholds_at(t_lo)
             counts["steps"] += 1
             counts["crossing" if got[0] is not None else "none"] += 1
@@ -416,9 +427,8 @@ def test_locator_equals_bisection_on_seeded_steps(grids):
 
 def test_locator_probe_evaluates_the_coefficients_at_one_time(grids, monkeypatch):
     # a probe evaluates one exponential (the flow's Phi and H and p2) and
-    # one q2 interpolant, at its own time only; the step's start adds at
-    # most two exponentials (the flow, then the thresholds) and one
-    # interpolant at t_lo
+    # one q2 interpolant, at its own time only; the step's start takes its
+    # terms from the caller and evaluates nothing at t_lo
     calls = {"_exponential": [], "hermite": []}
 
     def record(name, time_arg):
@@ -435,13 +445,13 @@ def test_locator_probe_evaluates_the_coefficients_at_one_time(grids, monkeypatch
     for j, name in enumerate(LONG_HORIZON):
         grid = grids[name]
         for t_lo, x_lo, h in seeded_steps(grid, 400, seed=300 + j):
+            terms = reference_terms(grid, t_lo)
             for c in calls.values():
                 c.clear()
-            _bisect_crossing(grid, t_lo, x_lo, h)
-            exps, cells = ([t for t in calls[k] if t != t_lo] for k in ("_exponential", "hermite"))
+            _bisect_crossing(grid, t_lo, x_lo, h, terms)
+            exps, cells = calls["_exponential"], calls["hermite"]
             assert exps == cells, (name, t_lo, x_lo, h)
-            assert len(calls["_exponential"]) - len(exps) <= 2, (name, t_lo, x_lo, h)
-            assert len(calls["hermite"]) - len(cells) <= 1, (name, t_lo, x_lo, h)
+            assert t_lo not in exps, (name, t_lo, x_lo, h)
             probes += len(exps)
     assert probes >= 2000
 
@@ -458,8 +468,8 @@ def test_locator_falls_back_to_bisection_without_bracket(grids, monkeypatch):
             t_lo, h = float(grid.ts[i]), float(grid.ts[i + 1] - grid.ts[i])
             ell1, _, _, ell2 = grid.policy.thresholds_at(t_lo)
             for x_lo in (ell1, ell2, ell1 - 1e-3, ell2 + 1e-3):
-                got = _bisect_crossing(grid, t_lo, x_lo, h)
-                assert got == reference_locate(grid, t_lo, x_lo, h), (name, t_lo, x_lo)
+                got = _bisect_crossing(grid, t_lo, x_lo, h, grid.terms(i))
+                assert got == reference_locate(grid, t_lo, x_lo, h, None), (name, t_lo, x_lo)
                 hits += got[0] is not None
     assert hits >= 100
 
@@ -577,6 +587,62 @@ def test_nonfinite_step_names_its_node(grids, when):
         simulate._rollout_on_grid(grid, 8.0)
 
 
+def test_scan_result_does_not_depend_on_its_block(grids):
+    # a non-finite node past the first flagged one is never reached: every
+    # block size returns the flagged node.  One at or before the flagged
+    # node raises, naming it, for every block size
+    g = grids["table1_T200"]
+    p = g.params
+    grid = _RolloutGrid(g.path, g.policy, p, 0.0, p.T / 4096)
+    seg_t, seg_x = max(rollout(g.path, g.policy, p, 0.0, 4.2, step=p.T / 4096).segments[:-1],
+                       key=lambda seg: len(seg[0]))     # the longest that ends at an event
+    i0, x = int(np.searchsorted(grid.ts, seg_t[1])), float(seg_x[1])     # a node inside the band
+    want, flagged = grid.scan(i0, x, len(grid.ts))
+    k = len(want) - 1     # the first flagged node, k nodes past i0
+    assert grid.ts[i0] == seg_t[1] and flagged and k > 5
+    clean = grid.phi
+    for bad in (k + 3, k, k - 2):
+        grid.phi = clean.copy()
+        grid.phi[i0 + bad] = np.inf
+        for block in (1, k, k + 5, len(grid.ts)):
+            if bad > k:
+                got, flagged = grid.scan(i0, x, block)
+                assert flagged and got.tobytes() == want.tobytes(), (bad, block)
+            else:
+                with pytest.raises(simulate.NonFiniteStateError, match=f"at node {i0 + bad} "):
+                    grid.scan(i0, x, block)
+
+
+def test_model_violation_messages_print_floats(grids, path, policy, params):
+    # numpy 2 prints a numpy scalar as np.float64(...), numpy 1 as a float:
+    # each message takes float() of what it prints
+    ts = np.array([0.0, 0.5, 1.0])
+    messages = []
+    for q2, p2, error in ((np.array([0.0, np.nan, 0.0]), np.ones(3), OrderingViolation),
+                          (np.zeros(3), np.array([1.0, -1.0, 1.0]), ConvexityViolation)):
+        with pytest.raises(error) as err:
+            build_policy(SimpleNamespace(time_grid=ts, p2=p2, q2=q2), params)
+        messages.append(str(err.value))
+    g = grids["table1_T200"]
+    grid = _RolloutGrid(g.path, g.policy, g.params, 0.0, g.params.T / 4096)
+    grid.phi = grid.phi.copy()
+    grid.phi[1] = np.inf
+    with pytest.raises(simulate.NonFiniteStateError) as err:
+        grid.scan(0, 5.0, len(grid.ts))
+    messages.append(str(err.value))
+    assert messages == [
+        "threshold ordering failed at node 1 (t=0.5): ell1=nan alpha=nan beta=nan ell2=nan",
+        "p2(t) <= 0 at node 1 (t=0.5, p2=-1.0)",
+        "state non-finite at node 1 (t=0.048828125)"]
+    traj = rollout(path, policy, params, 0.0, 5.0)
+    seg_t, seg_x = traj.segments[0]
+    seg_x = seg_x.copy()
+    seg_x[1] = policy.thresholds_at(float(seg_t[1]))[3] + 0.5
+    doctored = Trajectory([(seg_t, seg_x)], [], traj.terminal_state, path, params, traj._ends)
+    messages += admissibility_check(doctored, policy).violations
+    assert len(messages) == 4 and not any("np.float64(" in m for m in messages), messages
+
+
 def test_admissibility_names_each_segments_first_bad_sample(grids):
     g = grids["table1_T200"]
     p, pol = g.params, g.policy
@@ -593,7 +659,7 @@ def test_admissibility_names_each_segments_first_bad_sample(grids):
             seg_x[i] = ell2 + 0.5 if k == 3 else ell1 - 0.5
         segments[k] = seg_t, seg_x
         i = outside[0]
-        want.append(f"segment {k}: sample at t={seg_t[i]!r} (x={seg_x[i]!r}) "
+        want.append(f"segment {k}: sample at t={float(seg_t[i])!r} (x={float(seg_x[i])!r}) "
                     "is outside the open band before the segment end")
     doctored = Trajectory(segments, traj.events, traj.terminal_state, g.path, p,
                           _value_ends(g, segments))
@@ -628,8 +694,8 @@ def test_spurious_exit_flag_keeps_the_node(monkeypatch):
     misses = []
     locate = simulate._bisect_crossing
 
-    def counting_locate(g, t_lo, x_lo, h):
-        got = locate(g, t_lo, x_lo, h)
+    def counting_locate(g, t_lo, x_lo, h, terms):
+        got = locate(g, t_lo, x_lo, h, terms)
         if got[0] is None and t_lo in g.ts:   # an on-grid step that found no crossing
             misses.append(t_lo)
         return got
@@ -664,7 +730,8 @@ def test_located_exit_near_the_horizon_carries_no_impulse(monkeypatch, edge, off
     x0 = (pol.thresholds_at(t0 + offset)[edge] - add) / mult     # on the edge at t0 + offset
     ell1, _, _, ell2 = pol.thresholds_at(t0)
     assert ell1 < x0 < ell2
-    tau, x_minus = reference_locate(grid, t0, x0, p.T - t0)
+    want = reference_locate(grid, t0, x0, p.T - t0, None)
+    tau, x_minus, _ = want
     assert p.T - EVENT_TIME_TOL <= tau and (tau == p.T) == (offset == 2.7e-10)
     x_T = reference_step(pth, tau, x_minus, p.T - tau) if tau < p.T else x_minus
     assert tau == p.T or x_T != x_minus
@@ -672,13 +739,13 @@ def test_located_exit_near_the_horizon_carries_no_impulse(monkeypatch, edge, off
     located = []
     locate = simulate._bisect_crossing
 
-    def recording_locate(g, t_lo, x_lo, h):
-        located.append(locate(g, t_lo, x_lo, h))
+    def recording_locate(g, t_lo, x_lo, h, terms):
+        located.append(locate(g, t_lo, x_lo, h, terms))
         return located[-1]
 
     monkeypatch.setattr(simulate, "_bisect_crossing", recording_locate)
     traj = simulate._rollout_on_grid(grid, x0)
-    assert located == [(tau, x_minus)]
+    assert located == [want]
     assert traj.events == []
     assert [(t.tolist(), x.tolist()) for t, x in traj.segments] == [([t0, p.T], [x0, x_T])]
     assert traj.terminal_state == x_T
@@ -1023,28 +1090,60 @@ def test_locator_ends_on_a_probed_point_outside_the_band():
         probed.append(t)
         return (-1.0 if t in spikes else t - root), 0.0, 0.0, 1.0
 
-    path = SimpleNamespace(
-        coefficients_at=lambda t, band=True: (1.0, 0.0, t, 0.0) if band else (1.0, 0.0))
-    grid = SimpleNamespace(path=path, policy=SimpleNamespace(
-        band=band, thresholds_at=lambda t: band(t, 0.0)))
-    tau, x = _bisect_crossing(grid, t_lo, 0.0, h)
+    path = SimpleNamespace(coefficients_at=lambda t: (1.0, 0.0, t, 0.0))
+    grid = SimpleNamespace(path=path, policy=SimpleNamespace(band=band))
+    terms = (1.0, 0.0, band(t_lo, 0.0))
+    tau, x, _ = _bisect_crossing(grid, t_lo, 0.0, h, terms)
     assert x == 0.0 and 0.0 <= tau - root <= EVENT_TIME_TOL
     assert probed.index(tau) == len(probed) - 1     # bisection's point, probed last only
     spikes.add(tau)
     probed.clear()
-    tau_b, x_b = _bisect_crossing(grid, t_lo, 0.0, h)
+    tau_b, x_b, _ = _bisect_crossing(grid, t_lo, 0.0, h, terms)
     assert probed[-1] == tau                # probed last, inside the band
     assert tau_b in probed and x_b == 0.0
     assert 0.0 <= tau_b - root and 0.0 < tau - tau_b <= EVENT_TIME_TOL
 
 
+def test_located_events_evaluate_no_thresholds(grids, monkeypatch):
+    # a located exit resets on the band the locator found at tau, and the
+    # next step starts from the terms there: however many events a rollout
+    # has, it evaluates the thresholds once, for the jump rule at t0
+    g = grids["table1_T200"]
+    p = g.params
+    grid = _RolloutGrid(g.path, g.policy, p, 0.0, p.T / 4096)
+    calls = []
+    thresholds_at, impulse_map = ThresholdPolicy.thresholds_at, simulate.impulse_map
+
+    def counted_thresholds_at(self, t):
+        calls.append(("thresholds_at", t))
+        return thresholds_at(self, t)
+
+    def counted_impulse_map(policy, t, x):
+        calls.append(("impulse_map", t))
+        return impulse_map(policy, t, x)
+
+    monkeypatch.setattr(ThresholdPolicy, "thresholds_at", counted_thresholds_at)
+    monkeypatch.setattr(simulate, "impulse_map", counted_impulse_map)
+    traj = simulate._rollout_on_grid(grid, 4.2)
+    assert len(traj.events) >= 150
+    assert calls == [("impulse_map", 0.0), ("thresholds_at", 0.0)]
+
+
 def test_located_exit_without_a_reset_is_a_named_error(tmp_path, monkeypatch, capsys):
-    # impulse_map finding no reset where the locator located an exit (as
-    # on a NaN band) is a model violation with its tau and x, not a crash
+    # a band that is NaN at a located exit leaves the reset rule without a
+    # reset there: a model violation with its tau and x, not a crash.  The
+    # band is NaN on every float evaluation (the t0 jump and the locator's
+    # probes), while the grid's node arrays stay finite, so a start above
+    # the band does not jump at t0 and its first step locates an exit
     p = variant()
     pth = solve_backward(p)
     pol = build_policy(pth, p)
-    monkeypatch.setattr(simulate, "impulse_map", lambda policy, t, x: None)
+    band = ThresholdPolicy.band
+
+    def nan_off_the_grid(self, p2, q2):
+        return (float("nan"),) * 4 if isinstance(p2, float) else band(self, p2, q2)
+
+    monkeypatch.setattr(ThresholdPolicy, "band", nan_off_the_grid)
     message = r"no reset at the located exit tau=\S+, x=\S+: the thresholds there are not finite"
     with pytest.raises(simulate.NonFiniteStateError, match=f"^{message}"):
         rollout(pth, pol, p, 0.0, 8.0)
