@@ -24,7 +24,6 @@ from .policy import (
     ThresholdPolicy,
     build_policy,
     gamma_star,
-    impulse_map,
     value_v2,
 )
 from .riccati import (
@@ -66,7 +65,7 @@ __all__ = [
     "RiccatiConstants", "CoefficientPath", "constants",
     "p1_closed_form", "p2_closed_form", "a_x", "solve_backward",
     "ThresholdPolicy", "build_policy", "gamma_star",
-    "impulse_map", "value_v2",
+    "value_v2",
     "ImpulseEvent", "Trajectory", "AdmissibilityReport", "rollout",
     "impulse_bound", "impulse_bound_parts", "admissibility_check",
     "make_rollout_hook", "value_v1",

@@ -69,6 +69,7 @@ OPTIONAL_KEYS = {f.name: f.type for f in fields(RunConfig)
                  if f.type not in (GameParams, StateBox)}
 PARSERS = {int: (int, "is not an integer"), float: (float, "is not a number"),
            list: (_numbers, "must be comma-separated numbers"), str: (str, None)}
+MAX_CELLS = np.iinfo(np.intp).max // 8     # the most float64 values one array can address
 
 
 def parse_config(text: str) -> RunConfig:
@@ -117,8 +118,12 @@ def parse_config(text: str) -> RunConfig:
             setattr(cfg, key, value)
 
     for key, kind in OPTIONAL_KEYS.items():
-        if kind in (int, float) and getattr(cfg, key) <= 0:
-            raise ConfigError(f"{key} must be positive (got {getattr(cfg, key)!r})")
+        if kind in (int, float):    # the cell counts n_steps, nt, nx and the cell width sim_step
+            value = getattr(cfg, key)
+            if value <= 0:
+                raise ConfigError(f"{key} must be positive (got {value!r})")
+            if (value if kind is int else params.T / value) >= MAX_CELLS:
+                raise ConfigError(f"{key} = {value!r} makes more grid cells than an array can hold")
     if cfg.n_steps < 2:
         raise ConfigError(f"n_steps must be >= 2 (got {cfg.n_steps})")
     return cfg
@@ -459,6 +464,9 @@ def main(argv=None) -> int:
         return cmd_bound(cfg)
     except (ConfigError, InvalidParameterError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"config error: {exc}: lower n_steps, nt or nx, or raise sim_step", file=sys.stderr)
         return EXIT_CONFIG
     except (ConvexityViolation, OrderingViolation, ImpulseBudgetExceeded,
             NonFiniteStateError, DegenerateParameterError) as exc:

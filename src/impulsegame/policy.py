@@ -109,11 +109,6 @@ def gamma_star(path: CoefficientPath, params: GameParams, t, x):
     return -(params.b / params.r1) * (path.p1_at(t) * x + path.q1_at(t))
 
 
-def impulse_map(policy: ThresholdPolicy, t, x):
-    """Player 2's reset rule at (t, x): :func:`reset` on the band at t."""
-    return reset(policy.thresholds_at(t), x)
-
-
 def reset(band, x):
     """Player 2's reset rule at x on the band (ell1, alpha, beta, ell2) of one time.
 

@@ -310,9 +310,9 @@ class CoefficientPath:
     def p2_at(self, t):
         return p2_closed_form(self.constants, self.params, t)
 
-    def coefficients_at(self, t, band=True):
-        """(Phi, H, p2, q2) at ``t``, or (Phi, H) without the band's p2 and q2,
-        from one exponential and one Hermite cell.
+    def coefficients_at(self, t):
+        """(Phi, H, p2, q2) at ``t``: the flow's terms and the band's
+        coefficients, from one exponential and one Hermite cell.
 
         Between interventions the closed loop's state is Phi*(c + H) with c
         constant: (x/Phi)' = b_x*q1/Phi, so H = b_x*M (:func:`_m`).
@@ -322,8 +322,6 @@ class CoefficientPath:
         e, den = _exponential(consts, t)
         phi, _, g = _layer1(consts, e, den)
         shift = consts.b_x * _m(consts, self.params, phi, g)
-        if not band:
-            return phi, shift
         return phi, shift, _p2(consts, self.params, t, e, den), self._interp("q2", t)
 
     def quadratics_at(self, t):

@@ -15,11 +15,12 @@ edge.  Each probe evaluates the coefficients on Python floats at its own
 time only (see :mod:`.riccati`) and keeps them.  A step takes its
 start's terms (the flow's Phi and H and the band) from its caller: at a
 node from the grid's arrays, which hold the float path's bits, and after
-an event from the probe that located it.  The impulse resets the state
-exactly to the target of the band located at tau (:func:`.policy.reset`),
-and the flow resumes from it; a located exit within EVENT_TIME_TOL of T
-carries no impulse, while a start outside the band fires at any t0 but T
-itself.
+an event from the probe that located it.  Every start begins on the
+grid's node 0, whose band also decides the jump at t0.  The impulse
+resets the state exactly to the target of the band located at tau
+(:func:`.policy.reset`), and the flow resumes from it; a located exit
+within EVENT_TIME_TOL of T carries no impulse, while a start outside the
+band fires at any t0 but T itself.
 
 Running costs follow from the verification identity: phi1 solves Player
 1's HJB along the feedback flow and phi2 Player 2's interior equation in
@@ -32,9 +33,9 @@ evaluates the coefficients at its event times in one array call.
 
 :func:`make_rollout_hook` returns one checked body for many starts, and
 :func:`rollout` calls a fresh one once.  The body keeps the
-:class:`_RolloutGrid` of the latest start time, which computes what every
-start shares (see its docstring).  The trajectory does not keep the
-grid; ``costs_from(t1)`` evaluates the coefficients at t1 once.
+:class:`_RolloutGrid` of the latest start time before T, which computes
+what every start shares (see its docstring).  The trajectory does not
+keep the grid; ``costs_from(t1)`` evaluates the coefficients at t1 once.
 
 :func:`value_v1` gives Player 1's value at many starts at one time, each
 start's J1 bit for bit.  On one grid it takes most starts without a
@@ -59,7 +60,7 @@ from .model import (
     player1_impulse_cost,
     validate_box,
 )
-from .policy import ThresholdPolicy, impulse_map, reset, sides
+from .policy import ThresholdPolicy, reset, sides
 from .riccati import DEFAULT_STEPS
 
 # Resolution of the event locator: tau is the right end of bisection's
@@ -73,6 +74,7 @@ ILLINOIS_MAX_ITER = 40   # safety cap on the bracket narrowing; tau stays exact 
 CHATTER_TOL = 1e-8       # two events closer than this abort the rollout
 BOUNDARY_MATCH_TOL = 1e-6
 HORIZON_TOL = 1e-12      # a start this close to T is at the horizon: terminal costs only
+SCAN_BLOCK = 64          # nodes in a scan's first block; each later block doubles the scan
 
 
 @dataclass(frozen=True)
@@ -164,8 +166,8 @@ class Trajectory:
 
 def _flow(path, t0, x0, t):
     """The closed-loop state at ``t`` (a float or an array) on the flow through (t0, x0)."""
-    phi0, shift0 = path.coefficients_at(t0, band=False)
-    phi, shift = path.coefficients_at(t, band=False)
+    phi0, shift0, _, _ = path.coefficients_at(t0)
+    phi, shift, _, _ = path.coefficients_at(t)
     return phi * (x0 / phi0 - shift0 + shift)
 
 
@@ -205,15 +207,14 @@ class _RolloutGrid:
     None of the following depends on the start state, so it is cached here
     once:
 
-    - ``phi``, ``shift``: the flow's Phi and H at every node
-      (:meth:`.riccati.CoefficientPath.coefficients_at`); between events
-      the node states are ``phi*(c + shift)`` with one constant c;
-    - ``ell1``, ``alpha``, ``beta``, ``ell2``: the band at every node;
+    - ``phi``, ``shift``: the flow's Phi and H at every node, from one
+      :meth:`.riccati.CoefficientPath.coefficients_at` call; between
+      events the node states are ``phi*(c + shift)`` with one constant c;
+    - ``ell1``, ``alpha``, ``beta``, ``ell2``: the band at every node, from
+      the p2 and q2 of that same call (:meth:`.policy.ThresholdPolicy.band`);
     - ``quadratics``: the coefficients of both value quadratics at t0 and
       at T (:meth:`.riccati.CoefficientPath.quadratics_at`), by time, for
-      :func:`_value_ends`;
-    - ``ell1_min``, ``ell2_max``: the policy extremes that every start's
-      event cap covers (:meth:`budget_for`).
+      :func:`_value_ends`.
     """
 
     def __init__(self, path, policy, params, t0, step):
@@ -226,41 +227,32 @@ class _RolloutGrid:
         self.params = params
         self.t0 = t0
         self.ts = ts
-        self.phi, self.shift = path.coefficients_at(ts, band=False)
-        self.ell1, self.alpha, self.beta, self.ell2 = policy.thresholds_at(ts)
+        self.phi, self.shift, p2, q2 = path.coefficients_at(ts)
+        self.ell1, self.alpha, self.beta, self.ell2 = policy.band(p2, q2)
         self.quadratics = _quadratics_by_time(path, [t0, float(T)])
-        self.ell1_min = float(np.min(policy.ell1))
-        self.ell2_max = float(np.max(policy.ell2))
-
-    def budget_for(self, lo, hi):
-        """The analytic cap on events for starts in [lo, hi], which does not fall as
-        the box grows: over [min(ell1_min, lo) - 1, max(ell2_max, hi) + 1], a box
-        that holds every state they reach.  Raises InvalidParameterError where it overflows."""
-        return impulse_bound(self.params, StateBox(min(self.ell1_min, lo) - 1.0,
-                                                   max(self.ell2_max, hi) + 1.0))
 
     def terms(self, k):
-        """The flow's Phi and H and the band (ell1, alpha, beta, ell2) at node
-        k, as Python floats: :func:`_bisect_crossing`'s terms at a node."""
+        """The flow's Phi and H and the band (ell1, alpha, beta, ell2) at node k, as
+        Python floats: :func:`_bisect_crossing`'s terms at a node, and at t0 the jump's."""
         return self.phi.item(k), self.shift.item(k), (
             self.ell1.item(k), self.alpha.item(k), self.beta.item(k), self.ell2.item(k))
 
-    def scan(self, i0, x, block):
+    def scan(self, i0, x):
         """Node states from node i0, starting at ``x``, through the first
         later node :func:`.policy.sides` flags, or through the horizon, and
         whether a node was flagged.
 
         The states are ``phi*(c + shift)`` with c fixed by ``x`` at i0,
-        evaluated and tested in blocks: the first ``block`` nodes past i0,
-        then doubled until a block holds a flagged node.  ``xs`` grows with
-        the blocks.  Raises NonFiniteStateError naming the first non-finite
-        node at or before the first flagged one, so the result does not
-        depend on ``block``.
+        evaluated and tested in blocks: the first SCAN_BLOCK nodes past i0,
+        then as many again as the scan holds, until a block holds a flagged
+        node.  ``xs`` grows with the blocks.  Raises NonFiniteStateError
+        naming the first non-finite node at or before the first flagged
+        one, so the result does not depend on SCAN_BLOCK.
         """
         c = x / self.phi[i0] - self.shift[i0]
         phi, shift = self.phi[i0:], self.shift[i0:]
         ell1, ell2, last = self.ell1[i0:], self.ell2[i0:], len(phi) - 1
-        a, b = 0, min(last, block)
+        a, b = 0, min(last, SCAN_BLOCK)
         xs = np.empty(b + 1)
         xs[0] = x
         while True:
@@ -306,6 +298,15 @@ def impulse_bound_parts(params: GameParams, box: StateBox):
     return math.ceil(k), h2_sup, s2_sup, mu
 
 
+def _cap(policy, lo, hi):
+    """The analytic cap on events for starts in [lo, hi], which does not fall as
+    the box grows: over [min(ell1) - 1, max(ell2) + 1] of the policy's nodes,
+    widened to hold [lo - 1, hi + 1], a box that holds every state they reach.
+    Raises InvalidParameterError where it overflows."""
+    return impulse_bound(policy.params, StateBox(min(float(policy.ell1.min()), lo) - 1.0,
+                                                 max(float(policy.ell2.max()), hi) + 1.0))
+
+
 def _rollouts(path, policy, params, step):
     """The one rollout body: a checked ``run(t0, x0)``, and ``grid_at(t0)``,
     the :class:`_RolloutGrid` it runs on at t0 < T, kept for the latest t0
@@ -331,7 +332,7 @@ def _rollouts(path, policy, params, step):
         if T - t0 <= HORIZON_TOL:
             # no impulse fires at the horizon itself: the state stays, terminal costs
             # only, once the start passes the check on its cap that every start makes
-            grid_at(t0).budget_for(x0, x0)
+            _cap(policy, x0, x0)
             return Trajectory([(np.array([T]), np.array([x0]))], [], x0, path, params, [None])
         return _rollout_on_grid(grid_at(t0), x0)
 
@@ -376,7 +377,7 @@ def value_v1(path, policy, params, t, xs, step=None):
     - starts outside the band, once the first of them that jumps to the
       same target has rolled out: each adds its own t event, z1*|xi|, in
       front of that rollout's part from the target, whose event count is
-      within the smallest cap any start has, ``budget_for(ell1_min, ell2_max)``.
+      within the smallest cap any start has, ``_cap(policy, inf, -inf)``.
 
     Every other start rolls out through the hook, in the order of ``xs``;
     so does every start when t is within HORIZON_TOL of T or some start's
@@ -393,12 +394,12 @@ def value_v1(path, policy, params, t, xs, step=None):
     if 0.0 <= t <= T and T - t > HORIZON_TOL and finite.any():
         grid = grid_at(t)
         try:    # the widest box: no start's own cap raises unless this one does
-            grid.budget_for(float(xs[finite].min()), float(xs[finite].max()))
+            _cap(policy, float(xs[finite].min()), float(xs[finite].max()))
         except InvalidParameterError:
             grid = None
     if grid is not None:
-        least = grid.budget_for(grid.ell1_min, grid.ell2_max)     # the smallest cap of any start
-        ell1, alpha, beta, ell2 = policy.thresholds_at(grid.t0)
+        least = _cap(policy, math.inf, -math.inf)     # the smallest cap of any start
+        ell1, alpha, beta, ell2 = grid.terms(0)[2]
         below, above = sides(ell1, ell2, xs)
         done = _event_free(grid, xs, finite & ~below & ~above)
         x = xs[done]
@@ -463,7 +464,7 @@ def _event_free(grid, xs, inside):
 def _clear(grid, x):
     """Whether the scan from (grid.t0, x) reaches T with no flagged or non-finite node."""
     try:
-        return not grid.scan(0, x, len(grid.ts))[1]
+        return not grid.scan(0, x)[1]
     except NonFiniteStateError:
         return False
 
@@ -511,23 +512,17 @@ def _illinois(probe, a, fa, b, fb):
     return a, b
 
 
-def _terms_at(grid, t):
-    """The flow's Phi and H and the band (ell1, alpha, beta, ell2) at the
-    float time t, from one :meth:`.riccati.CoefficientPath.coefficients_at`."""
-    phi, shift, p2, q2 = grid.path.coefficients_at(t)
-    return phi, shift, grid.policy.band(p2, q2)
-
-
 def _bisect_crossing(grid, t_lo, x_lo, h, terms):
     """Locate a threshold crossing inside one step to EVENT_TIME_TOL.
 
-    ``terms`` are :func:`_terms_at`'s at t_lo (at a node, the grid's:
-    :meth:`_RolloutGrid.terms`).  The state at a trial offset s is the
-    closed-form flow from ``(t_lo, x_lo)`` to ``t_lo + s``, its constant
-    fixed by the Phi and H of ``terms``.  Returns ``(tau, x_minus, terms)``
-    at the crossing, or ``(None, x_end, terms)`` with the step's end
-    state when the margin ``m(s) = min(x - ell1, ell2 - x)`` is positive
-    at s = h; the terms are those of the returned point, from its probe.
+    ``terms`` are the flow's Phi and H and the band at t_lo: the grid's at a
+    node (:meth:`_RolloutGrid.terms`), else the ones a probe returned.  The
+    state at a trial offset s is the closed-form flow from ``(t_lo, x_lo)``
+    to ``t_lo + s``, its constant fixed by the Phi and H of ``terms``.
+    Returns ``(tau, x_minus, terms)`` at the crossing, or ``(None, x_end,
+    terms)`` with the step's end state when the margin ``m(s) = min(x -
+    ell1, ell2 - x)`` is positive at s = h; the terms are those of the
+    returned point, from its probe's one ``coefficients_at`` call.
     Where m changes sign once on the step, tau is within EVENT_TIME_TOL
     past that crossing.  Where it changes sign more than once, tau is
     some point with m <= 0, not necessarily past the first crossing.
@@ -548,25 +543,25 @@ def _bisect_crossing(grid, t_lo, x_lo, h, terms):
     array path bit for bit.
     """
     probed = {}     # offset: (state, terms) there
-    phi, shift, band = terms
-    c = x_lo / phi - shift
+    c = x_lo / terms[0] - terms[1]
 
     def margin(x, ell1, _alpha, _beta, ell2):
         # <= 0 exactly where sides() fires; Illinois needs its signed value
         return min(x - ell1, ell2 - x)
 
     def probe(s):
-        terms = _terms_at(grid, t_lo + s)
-        x = terms[0] * (c + terms[1])
-        probed[s] = x, terms
-        return margin(x, *terms[2])
+        phi, shift, p2, q2 = grid.path.coefficients_at(t_lo + s)
+        x = phi * (c + shift)
+        band = grid.policy.band(p2, q2)
+        probed[s] = x, (phi, shift, band)
+        return margin(x, *band)
 
     m_h = probe(h)
     if m_h > 0.0:
         return None, *probed[h]
     a, b = 0.0, h
     if h > EVENT_TIME_TOL and m_h <= 0.0:    # m_h is not NaN
-        m_0 = margin(x_lo, *band)
+        m_0 = margin(x_lo, *terms[2])
         if m_0 > 0.0:
             a, b = _illinois(probe, a, m_0, b, m_h)
     lo, hi = 0.0, h
@@ -606,26 +601,28 @@ def _record(events, ev, cap):
     return ev
 
 
-def _advance(grid, x_cur, events, cap):
-    """Segments from (grid.t0, x_cur) to T and the terminal state; exits go to ``events``.
+def _rollout_on_grid(grid, x0):
+    """The rollout from (grid.t0, x0), its events capped by ``_cap(policy, x0, x0)``.
 
-    Each step of the locator starts from the terms at t_cur: the grid's at
-    a node, the ones it located at tau after an event.  The reset at tau
-    reads the band among the located terms."""
+    A start outside the band at node 0 fires at t0: its first segment is
+    the lone sample (t0, x0), and the flow goes on from the reset target.
+    The first step scans from node 0.  Each step of the locator starts from
+    the terms at t_cur: the grid's at a node, the ones it located at tau
+    after an event.  The reset at tau reads the band among them."""
     path, params = grid.path, grid.params
     T, ts = params.T, grid.ts
-    t_cur, segments = grid.t0, []
+    cap = _cap(grid.policy, x0, x0)
+    t_cur, x_cur, events, segments = grid.t0, x0, [], []
+    if (jump := reset(grid.terms(0)[2], x0)) is not None:
+        segments.append((np.array([t_cur]), np.array([x0])))
+        x_cur = _record(events, _event(params, t_cur, x0, jump), cap).x_plus
     seg_t, seg_x = [[t_cur]], [[x_cur]]     # the open segment, in array pieces
-    node = int(ts.searchsorted(t_cur))     # the node the next step ends on
-    # a grid built for t0 starts on its node ts[0]; a t0 set between nodes
-    # starts with the locator, from the terms evaluated there
-    terms = None if ts[node] == t_cur else _terms_at(grid, t_cur)
-    block = len(ts)     # a scan's first block: to the horizon, then the last closed segment's length
+    node, terms = 0, None     # the node the next step ends on, or starts from if t_cur is on it
     while t_cur < T:
         if ts[node] == t_cur:
             # on the grid: scan to the first node sides() flags, or to the
             # horizon; a flagged node is left to the locator
-            xs, flagged = grid.scan(node, x_cur, block)
+            xs, flagged = grid.scan(node, x_cur)
             n = len(xs) - flagged
             seg_t.append(ts[node + 1:node + n])
             seg_x.append(xs[1:n])
@@ -653,29 +650,13 @@ def _advance(grid, x_cur, events, cap):
                     f"thresholds there are not finite")
             segments.append((np.concatenate(seg_t + [[tau]]), np.concatenate(seg_x + [[x_new]])))
             seg_t, seg_x = [], []
-            block = len(segments[-1][0])
             ev = _record(events, _event(params, tau, x_new, jump), cap)
             t_cur, x_cur, terms = tau, ev.x_plus, located
             node += tau > ts[node]     # tau past the flagged node only by rounding
         seg_t.append([t_cur])
         seg_x.append([x_cur])
     segments.append((np.concatenate(seg_t), np.concatenate(seg_x)))
-    return segments, x_cur
-
-
-def _rollout_on_grid(grid, x0):
-    """The rollout from (grid.t0, x0), its events capped by ``grid.budget_for(x0, x0)``.
-    A start outside the band fires at t0: its first segment is the lone
-    sample (t0, x0), and the flow goes on from the reset target."""
-    path, policy, params = grid.path, grid.policy, grid.params
-    cap = grid.budget_for(x0, x0)
-    t0, events, segments = grid.t0, [], []
-    if (jump := impulse_map(policy, t0, x0)) is not None:
-        segments.append((np.array([t0]), np.array([x0])))
-        x0 = _record(events, _event(params, t0, x0, jump), cap).x_plus
-    tail, x_end = _advance(grid, x0, events, cap)
-    segments += tail
-    return Trajectory(segments, events, x_end, path, params, _value_ends(grid, segments))
+    return Trajectory(segments, events, x_cur, path, params, _value_ends(grid, segments))
 
 
 def admissibility_check(traj: Trajectory, policy: ThresholdPolicy) -> AdmissibilityReport:

@@ -55,6 +55,66 @@ MUTANTS = (
            "bands = zip(*(v.tolist() for v in policy.thresholds_at(taus)))",
            "bands = zip(*(v.tolist() for v in policy.thresholds_at(taus[1:])))",
            "tests/test_simulate.py::test_mid_horizon_event_chain"),
+    # value_v1's batched sweep
+    Mutant("sweep_skips_the_end_scan_certification", "simulate.py",
+           "clear_lo, clear_hi = _clear(grid, lo), _clear(grid, hi)",
+           "clear_lo = clear_hi = True",
+           "tests/test_simulate.py::test_value_v1_certifies_its_run_by_the_scans_of_its_ends"),
+    Mutant("sweep_squares_the_terminal_term_in_numpy", "simulate.py",
+           "j1[done] += [0.5 * params.s1 * (v - params.rho1) ** 2 for v in x_T.tolist()]",
+           "j1[done] += 0.5 * params.s1 * (x_T - params.rho1) ** 2",
+           "tests/test_simulate.py::test_value_v1_equals_the_hook_bit_for_bit[table1]"),
+    Mutant("sweep_drops_the_follower_cap_check", "simulate.py",
+           "if target is not None and len(traj.events) <= least:",
+           "if target is not None:",
+           "tests/test_simulate.py::test_value_v1_holds_each_start_to_its_own_budget"),
+    Mutant("sweep_drops_the_widest_box_cap_check", "simulate.py",
+           "_cap(policy, float(xs[finite].min()), float(xs[finite].max()))",
+           "pass",
+           "tests/test_simulate.py::test_value_v1_holds_each_start_to_its_own_budget"),
+    # the rollout's start
+    Mutant("cap_box_without_its_margin", "simulate.py",
+           "StateBox(min(float(policy.ell1.min()), lo) - 1.0,\n"
+           "                                                 max(float(policy.ell2.max()), hi) + 1.0)",
+           "StateBox(min(float(policy.ell1.min()), lo), max(float(policy.ell2.max()), hi))",
+           "tests/test_simulate.py::test_a_starts_budget_is_its_box_bound"),
+    Mutant("t0_jump_reads_node_1s_band", "simulate.py",
+           "if (jump := reset(grid.terms(0)[2], x0)) is not None:",
+           "if (jump := reset(grid.terms(1)[2], x0)) is not None:",
+           "tests/test_simulate.py::test_boundary_start_fires_immediately"),
+    # dp_oracle_v2's two-winner layers
+    Mutant("oracle_keeps_a_stale_tail", "verify.py",
+           "if p != p_tail:",
+           "if p_tail < 0:",
+           "tests/test_verify.py::test_dp_oracle_equals_dense_layers[200-]"),
+    Mutant("oracle_keeps_a_stale_head", "verify.py",
+           "if q != q_head:",
+           "if q_head < 0:",
+           "tests/test_verify.py::test_dp_oracle_equals_dense_layers[200-]"),
+    Mutant("oracle_gap_ends_at_p", "verify.py",
+           "jump[q:p + 1] = np.inf",
+           "jump[q:p] = np.inf",
+           "tests/test_verify.py::test_dp_oracle_equals_dense_layers[200-]"),
+    Mutant("oracle_tail_starts_at_p_plus_2", "verify.py",
+           "np.add(cont[p], tail[p + 1:], out=jump[p + 1:])",
+           "np.add(cont[p], tail[p + 2:], out=jump[p + 2:])",
+           "tests/test_verify.py::test_dp_oracle_equals_dense_layers[200-]"),
+    Mutant("oracle_tail_targets_p_plus_1", "verify.py",
+           "np.add(cont[p], tail[p + 1:], out=jump[p + 1:])",
+           "np.add(cont[min(p + 1, nx)], tail[p + 1:], out=jump[p + 1:])",
+           "tests/test_verify.py::test_dp_oracle_equals_dense_layers[200-]"),
+    Mutant("oracle_drops_the_gap", "verify.py",
+           "            jump[q:p + 1] = np.inf\n",
+           "",
+           "tests/test_verify.py::test_dp_oracle_equals_dense_layers[200-]"),
+    Mutant("oracle_drops_the_d_rounding_bound", "verify.py",
+           "                and params.D > _ROUNDING * max(abs(below[0]), abs(below[p])) + slack_d\n",
+           "",
+           "tests/test_verify.py::test_dp_oracle_equals_dense_layers_at_tiny_fixed_costs[3.0-1e-15-100]"),
+    Mutant("oracle_drops_the_c_rounding_bound", "verify.py",
+           "\n                and params.C > _ROUNDING * max(abs(above[0]), abs(above[r])) + slack_c):",
+           "):",
+           "tests/test_verify.py::test_dp_oracle_equals_dense_layers_at_tiny_fixed_costs[1e-15-5.0-100]"),
 )
 
 

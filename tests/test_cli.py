@@ -392,6 +392,21 @@ def test_overflowing_bound_or_tolerance_is_config_error(tmp_path, capsys, comman
     assert re.fullmatch(rf"config error: the {what} over StateBox\(.*\) overflows\n", err), err
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("simulate", "sim_step", "1e-300"),
+    ("value --t 0", "sim_step", "1e-300"),
+    ("solve", "n_steps", "1000000000000000000"),
+], ids=["simulate_step", "value_step", "solve_steps"])
+def test_grid_too_large_to_allocate_is_config_error(tmp_path, capsys, command, key, value):
+    # 1e300 cells cannot be indexed, and 1e18 float64 values (8 EB) lie
+    # beyond any address space, so each fails before anything is allocated
+    # (a grid that fits the address space could be granted and fill memory)
+    cfg = write_cfg(tmp_path, output_dir=tmp_path / "out", **{key: value})
+    assert main([*command.split(), "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"config error: [^\n]*\b{key}\b[^\n]*\n", err), err
+
+
 def test_event_counts_never_exceed_bound(tmp_path):
     cfg = write_cfg(tmp_path, output_dir=tmp_path / "out")
     assert main(["simulate", "--config", str(cfg)]) == 0

@@ -92,31 +92,29 @@ def test_thresholds(solved):
 
 def test_coefficients_at_equals_each_coefficients_array_path(solved):
     # one exponential and one Hermite cell per time: the flow's Phi and H
-    # for a probe's start (no band), with p2 and q2 at its end
+    # with the band's p2 and q2, each float bit-equal to the array's
     params, path, policy = solved
     ts = probe_times(params, path)
     consts = path.constants
     p2 = p2_closed_form(consts, params, ts)
-    phi, shift = path.coefficients_at(ts, band=False)
-    want = (phi, shift, p2, path.q2_at(ts))
-    for band, n in ((True, 4), (False, 2)):
-        got = path.coefficients_at(ts, band=band)
-        floats = [path.coefficients_at(t, band=band) for t in ts.tolist()]
-        assert len(got) == n and all(len(f) == n for f in floats)
-        for k in range(n):
-            assert_same(got[k], want[k])
-            assert all(type(f[k]) is float for f in floats)
-            assert_same([f[k] for f in floats], want[k])
+    got = path.coefficients_at(ts)
+    floats = [path.coefficients_at(t) for t in ts.tolist()]
+    assert len(got) == 4 and all(len(f) == 4 for f in floats)
+    assert_same(got[2], p2)
+    assert_same(got[3], path.q2_at(ts))
+    for k in range(4):
+        assert all(type(f[k]) is float for f in floats)
+        assert_same([f[k] for f in floats], got[k])
     with np.errstate(invalid="ignore"):   # p2 < 0 far past T: NaN on both paths
-        band = _band(p2, want[3], params)
+        band = _band(p2, got[3], params)
         for k, curve in enumerate(policy.thresholds_at(ts)):
             assert_same(curve, band[k])
 
 
 def step(path, t, x, h):
     """The closed loop's state at t + h from x at t: phi*(c + shift), c fixed at t."""
-    phi, shift = path.coefficients_at(t, band=False)
-    phi_h, shift_h = path.coefficients_at(t + h, band=False)
+    phi, shift, _, _ = path.coefficients_at(t)
+    phi_h, shift_h, _, _ = path.coefficients_at(t + h)
     return phi_h * (x / phi - shift + shift_h)
 
 

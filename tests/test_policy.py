@@ -11,13 +11,12 @@ from impulsegame import (
     admissibility_check,
     build_policy,
     gamma_star,
-    impulse_map,
     make_rollout_hook,
     qvi_check,
     rollout,
     value_v2,
 )
-from impulsegame.policy import _check_ordering, phi2
+from impulsegame.policy import _check_ordering, phi2, reset
 
 from conftest import BASELINE
 
@@ -125,14 +124,14 @@ def test_closed_loop_drift_identity(path, params, consts):
 
 
 def test_impulse_map_baseline_cases(policy):
-    assert impulse_map(policy, 0.0, 5.0) is None
-    target, xi = impulse_map(policy, 0.0, 8.0)
+    assert reset(policy.thresholds_at(0.0), 5.0) is None
+    target, xi = reset(policy.thresholds_at(0.0), 8.0)
     assert target == pytest.approx(5.5731, abs=1e-2)
     assert xi == pytest.approx(-2.4269, abs=1e-2)
 
 
 def test_impulse_map_low_weight_case(policy_w2_1):
-    target, xi = impulse_map(policy_w2_1, 0.0, 1.0)
+    target, xi = reset(policy_w2_1.thresholds_at(0.0), 1.0)
     assert target == pytest.approx(3.8380, abs=1e-2)
     assert xi == pytest.approx(2.8380, abs=1e-2)
 
@@ -140,7 +139,7 @@ def test_impulse_map_low_weight_case(policy_w2_1):
 def test_impulse_map_fires_on_the_boundary(policy):
     # the intervention set is closed: x exactly at ell1 triggers a jump
     ell1, alpha, _, _ = policy.thresholds_at(0.0)
-    hit = impulse_map(policy, 0.0, ell1)
+    hit = reset(policy.thresholds_at(0.0), ell1)
     assert hit is not None
     assert hit[0] == pytest.approx(alpha, rel=1e-12)
 
@@ -163,7 +162,7 @@ def test_every_module_puts_the_band_edges_in_the_intervention_set(scenario, requ
             fired = bool(traj.events) and traj.events[0].tau == t
             assert policy.region(t, x) == side, (t, x)
             assert {0: "interior", 1: "below", 2: "above"}[branch] == side, (t, x)
-            assert impulse_map(policy, t, x) == (None if side == "interior" else (
+            assert reset(policy.thresholds_at(t), x) == (None if side == "interior" else (
                 (alpha, alpha - x) if side == "below" else (beta, beta - x))), (t, x)
             assert qvi_check(path, policy, params, t, x, box).region == side, (t, x)
             assert fired == (side != "interior"), (t, x)
@@ -218,7 +217,7 @@ def test_brute_force_jump_target_matches_impulse_map(path, policy, params):
     for x in (ell1 - 0.8, ell2 + 0.8):
         total = v2_targets + intervention_cost(params, targets - x)
         best = targets[np.argmin(total)]
-        expected = impulse_map(policy, t, x)[0]
+        expected = reset(policy.thresholds_at(t), x)[0]
         assert best == pytest.approx(expected, abs=2e-3)
 
 

@@ -94,13 +94,25 @@ def test_no_intervention_cost_decomposition(path, policy, params):
     assert traj.j2 == pytest.approx(integral + terminal, abs=1e-6)
 
 
-def test_boundary_start_fires_immediately(path, policy, params):
-    # closed intervention set: starting exactly on ell1 counts as an exit
-    ell1, alpha, _, _ = policy.thresholds_at(0.0)
-    traj = rollout(path, policy, params, 0.0, ell1)
-    assert len(traj.events) >= 1
-    assert traj.events[0].tau == 0.0
-    assert traj.events[0].x_plus == pytest.approx(alpha, rel=1e-12)
+def test_boundary_start_fires_immediately(request):
+    # closed intervention set: a start exactly on ell1 or ell2 of
+    # thresholds_at(t0) is an exit at t0 and resets exactly to alpha or
+    # beta, through rollout and the hook; value_v1, which takes an edge
+    # start as a follower of the start beyond it, gives the hook's J1
+    for scenario in ("", "_w2_1"):
+        path, policy, params = (request.getfixturevalue(f"{name}{scenario}")
+                                for name in ("path", "policy", "params"))
+        hook = make_rollout_hook(path, policy, params)
+        for t0 in (0.0, 0.3, 0.123456789):
+            ell1, alpha, beta, ell2 = policy.thresholds_at(t0)
+            for x0, target in ((ell1, alpha), (ell2, beta)):
+                for traj in (rollout(path, policy, params, t0, x0), hook(t0, x0)):
+                    assert len(traj.events) >= 1, (scenario, t0, x0)
+                    ev = traj.events[0]
+                    assert (ev.tau, ev.x_minus, ev.x_plus) == (t0, x0, target), (scenario, t0)
+            xs = [ell1 - 0.5, ell1, ell2 + 0.5, ell2]
+            want = np.array([hook(t0, x).j1 for x in xs])
+            assert value_v1(path, policy, params, t0, xs).tobytes() == want.tobytes(), (scenario, t0)
 
 
 @pytest.mark.parametrize("edge", ["ell1", "ell2"])
@@ -324,7 +336,7 @@ def test_deterministic_replay(path, policy, params):
 def reference_flow(path, t0, x0, t):
     """The closed loop's state at t from x0 at t0: phi*(c + shift) with c
     fixed at t0, both ends' terms evaluated as one array."""
-    phi, shift = path.coefficients_at(np.array([t0, t]), band=False)
+    phi, shift, _, _ = path.coefficients_at(np.array([t0, t]))
     return float(phi[1] * (x0 / phi[0] - shift[0] + shift[1]))
 
 
@@ -360,7 +372,7 @@ def reference_bisect(grid, t_lo, x_lo, h):
 def reference_terms(grid, t):
     """The flow's Phi and H and the band (ell1, alpha, beta, ell2) at t,
     each from a one-element array."""
-    phi, shift = (float(v[0]) for v in grid.path.coefficients_at(np.array([t]), band=False))
+    phi, shift = (float(v[0]) for v in grid.path.coefficients_at(np.array([t]))[:2])
     return phi, shift, tuple(float(v[0]) for v in grid.policy.thresholds_at(np.array([t])))
 
 
@@ -507,11 +519,11 @@ def flag_only(grid, k=None):
         grid.ell2[k] = -np.inf
 
 
-def test_scan_to_the_horizon_equals_fresh_sweep(grids):
+def test_scan_to_the_horizon_equals_fresh_sweep(grids, monkeypatch):
     # with no node flagged every scan runs to the horizon: whole-horizon
-    # blocks and blocks doubled from short ones, from several start nodes
-    # and back to an old one, all give one whole-array evaluation of the
-    # flow byte for byte
+    # first blocks and blocks doubled from short ones, from several start
+    # nodes and back to an old one, all give one whole-array evaluation of
+    # the flow byte for byte
     g = grids["table1_T200"]
     grid = _RolloutGrid(g.path, g.policy, g.params, 0.0, g.params.T / 4096)
     flag_only(grid)
@@ -519,13 +531,14 @@ def test_scan_to_the_horizon_equals_fresh_sweep(grids):
     for i0, x, block in ((0, 4.2, n), (1234, 4.2, n), (0, 6.1, n), (3000, 5.0, n),
                          (3000, 3.9, n), (17, 5.5, n), (0, 4.2, n),
                          (1234, 4.2, 1), (0, 6.1, 7), (3000, 3.9, 100), (17, 5.5, 2), (0, 4.2, 3)):
-        got, flagged = grid.scan(i0, x, block)
+        monkeypatch.setattr(simulate, "SCAN_BLOCK", block)
+        got, flagged = grid.scan(i0, x)
         assert not flagged
         assert got.tobytes() == fresh_sweep(grid, i0, x).tobytes(), (i0, x, block)
 
 
-def test_scan_blocks_equal_fresh_sweep(grids):
-    # blocks of the flow's node arrays: a short block then longer ones,
+def test_scan_blocks_equal_fresh_sweep(grids, monkeypatch):
+    # blocks of the flow's node arrays: a short first block then longer ones,
     # doubled past the flagged node ``stop``, a new i0 and a return to an
     # old one, all give one whole-array evaluation's prefix byte for byte
     g = grids["table1_T200"]
@@ -538,33 +551,30 @@ def test_scan_blocks_equal_fresh_sweep(grids):
                                (3000, 3.9, 3001, 1), (3000, 3.9, last, 1)):
         flag_only(grid, stop)
         want = fresh_sweep(grid, i0, x)[:stop - i0 + 1]
-        got, flagged = grid.scan(i0, x, block)
+        monkeypatch.setattr(simulate, "SCAN_BLOCK", block)
+        got, flagged = grid.scan(i0, x)
         assert flagged
         assert got.tobytes() == want.tobytes(), (i0, x, stop)
 
 
 def test_sweep_start_scans_once(path, policy, params, monkeypatch):
-    # the first block of a rollout runs to the horizon: a start without a
-    # mid-run event, inside the band or jumping at t0, makes one call, and
-    # that call one block
-    calls, block_ends = [], []
+    # a start without a mid-run event, inside the band or jumping at t0,
+    # makes one scan call, from node 0 to the horizon
+    calls = []
 
     class CountingGrid(_RolloutGrid):
-        def scan(self, i0, x, block):
-            xs, flagged = super().scan(i0, x, block)
+        def scan(self, i0, x):
+            xs, flagged = super().scan(i0, x)
             calls.append((i0, i0 + len(xs) - 1))
-            block_ends.append(min(i0 + block, len(self.ts) - 1))
             return xs, flagged
 
     monkeypatch.setattr(simulate, "_RolloutGrid", CountingGrid)
     hook = make_rollout_hook(path, policy, params)
     for x0, taus in ((5.0, []), (0.5, [0.3])):
         calls.clear()
-        block_ends.clear()
         traj = hook(0.3, x0)
         assert [ev.tau for ev in traj.events] == taus
         assert calls == [(0, len(traj.segments[-1][0]) - 1)]
-        assert block_ends == [calls[0][1]]
 
 
 @pytest.mark.parametrize("when", ["first segment", "after events"])
@@ -587,7 +597,7 @@ def test_nonfinite_step_names_its_node(grids, when):
         simulate._rollout_on_grid(grid, 8.0)
 
 
-def test_scan_result_does_not_depend_on_its_block(grids):
+def test_scan_result_does_not_depend_on_its_block(grids, monkeypatch):
     # a non-finite node past the first flagged one is never reached: every
     # block size returns the flagged node.  One at or before the flagged
     # node raises, naming it, for every block size
@@ -597,7 +607,7 @@ def test_scan_result_does_not_depend_on_its_block(grids):
     seg_t, seg_x = max(rollout(g.path, g.policy, p, 0.0, 4.2, step=p.T / 4096).segments[:-1],
                        key=lambda seg: len(seg[0]))     # the longest that ends at an event
     i0, x = int(np.searchsorted(grid.ts, seg_t[1])), float(seg_x[1])     # a node inside the band
-    want, flagged = grid.scan(i0, x, len(grid.ts))
+    want, flagged = grid.scan(i0, x)
     k = len(want) - 1     # the first flagged node, k nodes past i0
     assert grid.ts[i0] == seg_t[1] and flagged and k > 5
     clean = grid.phi
@@ -605,12 +615,13 @@ def test_scan_result_does_not_depend_on_its_block(grids):
         grid.phi = clean.copy()
         grid.phi[i0 + bad] = np.inf
         for block in (1, k, k + 5, len(grid.ts)):
+            monkeypatch.setattr(simulate, "SCAN_BLOCK", block)
             if bad > k:
-                got, flagged = grid.scan(i0, x, block)
+                got, flagged = grid.scan(i0, x)
                 assert flagged and got.tobytes() == want.tobytes(), (bad, block)
             else:
                 with pytest.raises(simulate.NonFiniteStateError, match=f"at node {i0 + bad} "):
-                    grid.scan(i0, x, block)
+                    grid.scan(i0, x)
 
 
 def test_model_violation_messages_print_floats(grids, path, policy, params):
@@ -628,7 +639,7 @@ def test_model_violation_messages_print_floats(grids, path, policy, params):
     grid.phi = grid.phi.copy()
     grid.phi[1] = np.inf
     with pytest.raises(simulate.NonFiniteStateError) as err:
-        grid.scan(0, 5.0, len(grid.ts))
+        grid.scan(0, 5.0)
     messages.append(str(err.value))
     assert messages == [
         "threshold ordering failed at node 1 (t=0.5): ell1=nan alpha=nan beta=nan ell2=nan",
@@ -681,8 +692,8 @@ def test_spurious_exit_flag_keeps_the_node(monkeypatch):
     k = len(seg_t) // 2
 
     class SpuriousFlag(_RolloutGrid):
-        def scan(self, i0, x, block):
-            xs, flagged = super().scan(i0, x, block)
+        def scan(self, i0, x):
+            xs, flagged = super().scan(i0, x)
             if i0 < j < i0 + len(xs) - flagged:
                 return xs[:j - i0 + 1], True
             return xs, flagged
@@ -777,8 +788,8 @@ def reference_segment_costs(path, params, seg_t, seg_x):
     t0 = seg_t[:-1]
     h = seg_t[1:] - t0
     tg = t0 + (0.5 * h) * (1.0 + np.array(riccati.GAUSS_NODES))[:, None]     # a row per point
-    phi0, shift0 = path.coefficients_at(t0, band=False)
-    phi, shift = path.coefficients_at(tg, band=False)
+    phi0, shift0, _, _ = path.coefficients_at(t0)
+    phi, shift, _, _ = path.coefficients_at(tg)
     g1, g2 = reference_running_costs(path, params, tg, phi * (seg_x[:-1] / phi0 - shift0 + shift))
     w0, w1, w2 = riccati.GAUSS_WEIGHTS
     j1 = float(np.sum(0.5 * h * (w0 * g1[0] + w1 * g1[1] + w2 * g1[2])))
@@ -913,19 +924,21 @@ def test_event_on_a_node_costs_equal_reference(grids, monkeypatch):
 
 
 def test_start_within_1e12_of_a_node_costs_equal_reference(path, policy, params):
-    # a time is on the grid only if it equals a node: the locator steps a
-    # start 4e-13 before a node onto that node, and the coefficients at
-    # the start are evaluated, not taken from the grid's t0
-    grid = _RolloutGrid(path, policy, params, 0.0, params.T / 4096)
-    grid.t0 = float(grid.ts[5]) - 4e-13
+    # a start 4e-13 before a node of the t0 = 0 grid builds its own grid:
+    # its coefficients are evaluated at t0, off the path's nodes, and its
+    # last cell, 4e-13 wide, ends on T
+    step = params.T / 4096
+    t0 = 5 * step - 4e-13
+    grid = _RolloutGrid(path, policy, params, t0, step)
+    assert grid.ts[0] == t0 and 0.0 < params.T - grid.ts[-2] < 1e-12
     pairs = []
     for x0 in (2.0, 5.0, 8.0):
         traj = simulate._rollout_on_grid(grid, x0)
         seg_t = traj.segments[-1][0]
-        assert seg_t[0] == grid.t0 and seg_t[1] == grid.ts[5]
-        pairs.append(((traj.j1, traj.j2), reference_costs_from(path, params, traj, grid.t0)))
+        assert seg_t[0] == t0 and seg_t[1] == grid.ts[1]
+        pairs.append(((traj.j1, traj.j2), reference_costs_from(path, params, traj, t0)))
         pairs += [(traj.costs_from(t1), reference_costs_from(path, params, traj, t1))
-                  for t1 in (grid.t0 + 1e-5, float(grid.ts[6]), 0.5)]
+                  for t1 in (t0 + 1e-5, 6 * step, 0.5)]
     assert np.all(cost_defects(pairs) <= COST_TOL), cost_defects(pairs)
 
 
@@ -1105,37 +1118,35 @@ def test_locator_ends_on_a_probed_point_outside_the_band():
 
 
 def test_located_events_evaluate_no_thresholds(grids, monkeypatch):
-    # a located exit resets on the band the locator found at tau, and the
-    # next step starts from the terms there: however many events a rollout
-    # has, it evaluates the thresholds once, for the jump rule at t0
+    # the grid takes its band from its own coefficients, the jump rule at
+    # t0 reads node 0, a located exit resets on the band the locator found
+    # at tau, and the next step starts from the terms there: however many
+    # events a rollout has, it evaluates no thresholds
     g = grids["table1_T200"]
     p = g.params
-    grid = _RolloutGrid(g.path, g.policy, p, 0.0, p.T / 4096)
     calls = []
-    thresholds_at, impulse_map = ThresholdPolicy.thresholds_at, simulate.impulse_map
+    thresholds_at = ThresholdPolicy.thresholds_at
 
     def counted_thresholds_at(self, t):
-        calls.append(("thresholds_at", t))
+        calls.append(t)
         return thresholds_at(self, t)
 
-    def counted_impulse_map(policy, t, x):
-        calls.append(("impulse_map", t))
-        return impulse_map(policy, t, x)
-
     monkeypatch.setattr(ThresholdPolicy, "thresholds_at", counted_thresholds_at)
-    monkeypatch.setattr(simulate, "impulse_map", counted_impulse_map)
-    traj = simulate._rollout_on_grid(grid, 4.2)
-    assert len(traj.events) >= 150
-    assert calls == [("impulse_map", 0.0), ("thresholds_at", 0.0)]
+    grid = _RolloutGrid(g.path, g.policy, p, 0.0, p.T / 4096)
+    for x0, jumps in ((grid.alpha.item(0), False), (grid.ell1.item(0) - 1.0, True)):
+        traj = simulate._rollout_on_grid(grid, x0)
+        assert len(traj.events) >= 150 and (traj.events[0].tau == 0.0) == jumps
+    assert calls == []
 
 
 def test_located_exit_without_a_reset_is_a_named_error(tmp_path, monkeypatch, capsys):
     # a band that is NaN at a located exit leaves the reset rule without a
     # reset there: a model violation with its tau and x, not a crash.  The
-    # band is NaN on every float evaluation (the t0 jump and the locator's
-    # probes), while the grid's node arrays stay finite, so a start above
-    # the band does not jump at t0 and its first step locates an exit
-    p = variant()
+    # band is NaN on every float evaluation (the locator's probes), while
+    # the grid's node arrays stay finite, so a start inside the band at
+    # T=200 scans to its first flagged node and the locator's step onto it
+    # ends on a NaN band
+    p = variant(T=200.0)
     pth = solve_backward(p)
     pol = build_policy(pth, p)
     band = ThresholdPolicy.band
@@ -1146,9 +1157,10 @@ def test_located_exit_without_a_reset_is_a_named_error(tmp_path, monkeypatch, ca
     monkeypatch.setattr(ThresholdPolicy, "band", nan_off_the_grid)
     message = r"no reset at the located exit tau=\S+, x=\S+: the thresholds there are not finite"
     with pytest.raises(simulate.NonFiniteStateError, match=f"^{message}"):
-        rollout(pth, pol, p, 0.0, 8.0)
+        rollout(pth, pol, p, 0.0, 4.2)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text((CONFIGS / "table1.cfg").read_text() + f"\noutput_dir = {tmp_path / 'out'}\n")
+    cfg.write_text((CONFIGS / "table1.cfg").read_text()
+                   + f"\nT = 200\noutput_dir = {tmp_path / 'out'}\n")
     assert main(["simulate", "--config", str(cfg)]) == EXIT_MODEL
     assert re.match(f"model violation: {message}", capsys.readouterr().err)
 
@@ -1317,14 +1329,13 @@ def test_value_v1_holds_each_start_to_its_own_budget(monkeypatch):
 
 
 def test_a_starts_budget_is_its_box_bound(path, policy, params):
-    # every start takes the bound of its own box, which covers
-    # [ell1_min, ell2_max]: the starts in it share that bound
-    grid = _RolloutGrid(path, policy, params, 0.3, params.T / 4096)
-    lo, hi = grid.ell1_min, grid.ell2_max
+    # every start takes the bound of its own box, which covers the
+    # policy's [min ell1, max ell2]: the starts in it share that bound
+    lo, hi = float(policy.ell1.min()), float(policy.ell2.max())
     for x0 in (lo - 40.0, lo - 0.5, lo, 5.0, hi, hi + 0.5, hi + 40.0):
         box = StateBox(min(lo, x0) - 1.0, max(hi, x0) + 1.0)
-        assert grid.budget_for(x0, x0) == impulse_bound(params, box), x0
-    assert grid.budget_for(lo - 40.0, lo - 40.0) > grid.budget_for(lo, hi)
+        assert simulate._cap(policy, x0, x0) == impulse_bound(params, box), x0
+    assert simulate._cap(policy, lo - 40.0, lo - 40.0) > simulate._cap(policy, lo, hi)
 
 
 def test_a_start_at_the_horizon_is_held_to_its_cap(path, policy, params):
