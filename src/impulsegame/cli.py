@@ -34,7 +34,7 @@ from .errors import (
     NonFiniteStateError,
     OrderingViolation,
 )
-from .model import GameParams, StateBox, validate, validate_box
+from .model import MAX_CELLS, GameParams, StateBox, validate, validate_box
 from .policy import build_policy, gamma_star, value_v2
 from .riccati import DEFAULT_STEPS, solve_backward
 from .simulate import impulse_bound_parts, make_rollout_hook, value_v1
@@ -69,7 +69,6 @@ OPTIONAL_KEYS = {f.name: f.type for f in fields(RunConfig)
                  if f.type not in (GameParams, StateBox)}
 PARSERS = {int: (int, "is not an integer"), float: (float, "is not a number"),
            list: (_numbers, "must be comma-separated numbers"), str: (str, None)}
-MAX_CELLS = np.iinfo(np.intp).max // 8     # the most float64 values one array can address
 
 
 def parse_config(text: str) -> RunConfig:

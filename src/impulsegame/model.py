@@ -15,6 +15,7 @@ from .errors import InvalidParameterError
 
 # Fields that must be strictly positive for the game to be well posed.
 POSITIVE_FIELDS = ("w1", "r1", "z1", "s1", "w2", "s2", "C", "D", "c", "d", "T")
+MAX_CELLS = np.iinfo(np.intp).max // 8     # the most float64 values one array can address
 
 
 @dataclass(frozen=True)
@@ -89,32 +90,31 @@ def intervention_cost(params: GameParams, xi):
     """Player 2's cost of an impulse of size ``xi``.
 
     Piecewise linear with a fixed part: ``C + c*xi`` upward, ``D - d*xi``
-    downward, and ``min(C, D)`` for a zero-size intervention.  Accepts
-    scalars or arrays; the infimum over all sizes is ``min(C, D) > 0``.
-    A float takes the same comparisons and arithmetic without numpy.
+    downward, and ``min(C, D)`` for a zero-size intervention; the infimum
+    over all sizes is ``min(C, D) > 0``.  A float takes the same comparisons
+    and arithmetic without numpy; any other ``xi`` gives an array of its shape.
     """
     if isinstance(xi, float):
         if xi > 0.0:
             return float(params.C + params.c * xi)
         return float(params.D - params.d * xi if xi < 0.0 else min(params.C, params.D))
     xi = np.asarray(xi, dtype=float)
-    cost = np.where(
+    return np.where(
         xi > 0.0,
         params.C + params.c * xi,
         np.where(xi < 0.0, params.D - params.d * xi, min(params.C, params.D)),
     )
-    return float(cost) if cost.ndim == 0 else cost
 
 
 def player1_impulse_cost(params: GameParams, xi):
     """Cost ``z1*|xi|`` borne by Player 1 when Player 2 intervenes.
 
-    A float takes the same arithmetic without numpy.
+    A float takes the same arithmetic without numpy; any other ``xi`` gives
+    an array of its shape.
     """
     if isinstance(xi, float):
         return float(params.z1 * abs(xi))
-    out = params.z1 * np.abs(np.asarray(xi, dtype=float))
-    return float(out) if out.ndim == 0 else out
+    return params.z1 * np.abs(np.asarray(xi, dtype=float))
 
 
 def min_intervention_cost(params: GameParams) -> float:

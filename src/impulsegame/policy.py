@@ -26,9 +26,8 @@ def sides(ell1, ell2, x):
 
 
 def labels(below, above):
-    """Region names from the masks of :func:`sides`: a str for a scalar, else an array."""
-    out = np.where(below, "below", np.where(above, "above", "interior"))
-    return str(out) if np.ndim(out) == 0 else out
+    """Region names from the masks of :func:`sides`, an array of their shape."""
+    return np.where(below, "below", np.where(above, "above", "interior"))
 
 
 def _sqrt(x):
@@ -62,7 +61,7 @@ class ThresholdPolicy:
             arr.flags.writeable = False
 
     def thresholds_at(self, t):
-        """(ell1, alpha, beta, ell2) at time ``t``: floats for a scalar, else arrays."""
+        """(ell1, alpha, beta, ell2) at time ``t``: floats for a float, else arrays."""
         return self.band(self.path.p2_at(t), self.path.q2_at(t))
 
     def band(self, p2, q2):
@@ -70,7 +69,7 @@ class ThresholdPolicy:
         return _band(p2, q2, self.params)
 
     def region(self, t, x):
-        """Classify ``x`` (scalar or array) at time ``t`` by :func:`sides`."""
+        """Classify ``x`` at time ``t`` by :func:`sides`: labels of their broadcast shape."""
         ell1, _, _, ell2 = self.thresholds_at(t)
         return labels(*sides(ell1, ell2, x))
 
@@ -136,13 +135,12 @@ def value_v2(path: CoefficientPath, policy: ThresholdPolicy, params: GameParams,
 
     The edges take the linear form (:func:`sides`); it meets the quadratic
     there by construction of ell1 and ell2, as ``value_continuity`` checks.
-    Accepts scalars or arrays ``t`` and ``x``, broadcast together.
+    ``t`` and ``x`` broadcast together into an array, 0-d for scalars.
     """
     x_arr = np.asarray(x, dtype=float)
     ell1, alpha, beta, ell2 = policy.thresholds_at(t)
     v_below = phi2(path, t, alpha) + params.C + params.c * (alpha - x_arr)
     v_above = phi2(path, t, beta) + params.D + params.d * (x_arr - beta)
     below, above = sides(ell1, ell2, x_arr)
-    out = np.where(below, v_below, np.where(above, v_above, phi2(path, t, x_arr)))
-    return float(out) if np.ndim(out) == 0 else out
+    return np.where(below, v_below, np.where(above, v_above, phi2(path, t, x_arr)))
 

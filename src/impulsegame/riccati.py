@@ -15,14 +15,15 @@ them from :meth:`CoefficientPath.quadratics_at`, the node sums plus one
 on the partial cell, exact at any time.  Nothing here integrates an ODE.
 
 Every formula here has one body that serves a Python float and an array.
-A scalar time (float, int or 0-d array) runs through it on Python floats
-and returns a float: no array round trip, and :func:`hermite` finds the
-cell with :func:`bisect.bisect_right` on node lists that each
-``CoefficientPath`` builds once.  A rollout's event locator evaluates
-:meth:`CoefficientPath.coefficients_at` once per probe.  The float path
-equals the array path bit for bit: both round each operation once, both
-use ``np.exp`` (``math.exp`` differs from it in the last ulp for some
-arguments), and a square root is correctly rounded either way.
+A Python float time (``np.float64`` included) runs through it on Python
+floats and returns a float: no array round trip, and :func:`hermite` finds
+the cell with :func:`bisect.bisect_right` on node lists that each
+``CoefficientPath`` builds once.  Any other time, an int or a 0-d array
+included, gives an array of its shape.  A rollout's event locator
+evaluates :meth:`CoefficientPath.coefficients_at` once per probe.  The
+float path equals the array path bit for bit: both round each operation
+once, both use ``np.exp`` (``math.exp`` differs from it in the last ulp
+for some arguments), and a square root is correctly rounded either way.
 """
 
 import bisect
@@ -106,11 +107,8 @@ def constants(params: GameParams) -> RiccatiConstants:
 
 
 def _float_or_array(t):
-    """``t`` as a Python float if it is a scalar, else as a float array."""
-    if isinstance(t, float):
-        return t
-    t = np.asarray(t, dtype=float)
-    return float(t) if t.ndim == 0 else t
+    """``t`` itself if it is a Python float, else ``t`` as a float array."""
+    return t if isinstance(t, float) else np.asarray(t, dtype=float)
 
 
 def _exponential(consts: RiccatiConstants, t):

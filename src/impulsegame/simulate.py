@@ -53,6 +53,7 @@ import numpy as np
 
 from .errors import ImpulseBudgetExceeded, InvalidParameterError, NonFiniteStateError
 from .model import (
+    MAX_CELLS,
     GameParams,
     StateBox,
     intervention_cost,
@@ -313,8 +314,8 @@ def _rollouts(path, policy, params, step):
     only.  The step defaults to T/DEFAULT_STEPS."""
     T = params.T
     step = T / DEFAULT_STEPS if step is None else float(step)
-    if not (math.isfinite(step) and step > 0.0):
-        raise ValueError(f"step must be finite and > 0 (got {step!r})")
+    if not (math.isfinite(step) and step > 0.0 and T / step < MAX_CELLS):
+        raise ValueError(f"step must be finite and > 0, with T/step < MAX_CELLS (got {step!r})")
     latest = None
 
     def grid_at(t0):
@@ -344,11 +345,12 @@ def rollout(path, policy, params: GameParams, t0, x0, step=None):
 
     If x0 is on or outside a threshold at t0 an intervention fires
     immediately.  Raises ValueError for t0 outside [0, T], a non-finite
-    x0 or a step that is not finite and positive; InvalidParameterError
-    where the analytic bound on its events overflows; ImpulseBudgetExceeded
-    when the event count passes that bound or two events chatter;
-    NonFiniteStateError if the state diverges.  Starting within HORIZON_TOL
-    of the horizon yields the bare terminal evaluation.
+    x0 or a step that is not finite and positive or cuts T into MAX_CELLS
+    cells or more; InvalidParameterError where the analytic bound on its
+    events overflows; ImpulseBudgetExceeded when the event count passes
+    that bound or two events chatter; NonFiniteStateError if the state
+    diverges.  Starting within HORIZON_TOL of the horizon yields the bare
+    terminal evaluation.
     """
     return _rollouts(path, policy, params, step)[0](t0, x0)
 

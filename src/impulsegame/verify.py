@@ -56,23 +56,21 @@ _ROUNDING = 8.0 * np.finfo(float).eps
 
 @dataclass(frozen=True)
 class QviSample:
-    """The three inequality-system quantities, the region and its interior mask.
-
-    Scalars for one state, arrays of the states' shape for several.
+    """The three inequality-system quantities, the region and its interior mask:
+    arrays of the broadcast shape of the times and states, 0-d for one of each.
     """
 
-    residual: float
-    gap: float
-    complementarity: float
-    region: str
-    interior: bool
+    residual: np.ndarray
+    gap: np.ndarray
+    complementarity: np.ndarray
+    region: np.ndarray
+    interior: np.ndarray
 
 
 @dataclass(frozen=True)
 class SufficiencySample:
-    """Root conditions certifying the exterior residual sign.
-
-    Scalars at one time, arrays of the times' shape at several.
+    """Root conditions certifying the exterior residual sign: arrays of the
+    times' shape, 0-d at one time.
 
     ``x11``/``x22`` are the relevant roots of the residual quadratics
     below and above the band; the sufficient conditions are
@@ -83,14 +81,14 @@ class SufficiencySample:
     A NaN discriminant is applicable with a NaN root and margin: it fails.
     """
 
-    x11: float
-    x22: float
-    theta_alpha: float
-    theta_beta: float
-    margin_ell1: float
-    margin_ell2: float
-    alpha_applicable: bool
-    beta_applicable: bool
+    x11: np.ndarray
+    x22: np.ndarray
+    theta_alpha: np.ndarray
+    theta_beta: np.ndarray
+    margin_ell1: np.ndarray
+    margin_ell2: np.ndarray
+    alpha_applicable: np.ndarray
+    beta_applicable: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -264,7 +262,8 @@ def brute_force_rv2(path, policy, params, t, x, box: StateBox):
     1001-point target grid of (value at the target) + (cost of jumping
     there), found in linear time.  Vectorized in x; a column of times
     ``t[:, None]`` evaluates every row of a (t, x) grid in one call, all
-    rows sharing one placement of the states among the targets."""
+    rows sharing one placement of the states among the targets.  An array
+    of the broadcast shape of ``t`` and ``x``, 0-d for scalars."""
     validate_box(box)
     targets = np.linspace(box.x_lo, box.x_hi, round(1.0 / XI_RESOLUTION) + 1)
     v2_targets = value_v2(path, policy, params, t, targets)
@@ -273,17 +272,17 @@ def brute_force_rv2(path, policy, params, t, x, box: StateBox):
     lead = np.broadcast_shapes(v2_targets.shape[:-1], x_arr.shape[:-1])
     x_arr, v2_targets = (np.broadcast_to(a, lead + a.shape[-1:]) for a in (x_arr, v2_targets))
     out = _min_jump(params, targets, v2_targets, x_arr, lo, hi)
-    return float(out[0]) if np.ndim(x) == 0 and np.ndim(t) == 0 else out
+    return out.reshape(np.broadcast_shapes(np.shape(t), np.shape(x)))
 
 
 def qvi_check(path, policy, params, t, x, box: StateBox) -> QviSample:
     """Evaluate the inequality-system triple at time(s) ``t`` and state(s) ``x``.
 
     ``t`` is a scalar or a column ``t[:, None]``, ``x`` a scalar or an
-    array; the sample's fields have their broadcast shape.  Inside the
-    band the residual should vanish and the gap be strictly negative;
-    outside, the residual should be nonnegative and the gap zero up to
-    the target-grid resolution.
+    array; the sample's fields are arrays of their broadcast shape.
+    Inside the band the residual should vanish and the gap be strictly
+    negative; outside, the residual should be nonnegative and the gap zero
+    up to the target-grid resolution.
     """
     ell1, alpha, beta, ell2 = policy.thresholds_at(t)
     x_arr = np.asarray(x, dtype=float)
@@ -301,17 +300,13 @@ def qvi_check(path, policy, params, t, x, box: StateBox) -> QviSample:
     # Player 1's feedback only acts while the state is inside the band.
     drift = params.a * x_arr + np.where(interior, params.b * gamma_star(path, params, t, x_arr), 0.0)
     residual = dv2_dt + 0.5 * params.w2 * (x_arr - params.rho2) ** 2 + dv2_dx * drift
-    region = labels(below, above)
-    if np.ndim(residual) == 0:
-        return QviSample(float(residual), float(gap), float(gap * residual), region,
-                         bool(interior))
-    return QviSample(residual, gap, gap * residual, region, interior)
+    return QviSample(residual, gap, gap * residual, labels(below, above), interior)
 
 
 def sufficiency_margins(path, policy, params, t) -> SufficiencySample:
     """Root conditions for the exterior residual sign at time(s) ``t``.
 
-    ``t`` is a scalar or an array; the sample's fields have its shape.
+    ``t`` is a scalar or an array; the sample's fields are arrays of its shape.
     """
     a, c, d, w2, rho2 = params.a, params.c, params.d, params.w2, params.rho2
     ell1, alpha, beta, ell2 = policy.thresholds_at(t)
@@ -330,25 +325,22 @@ def sufficiency_margins(path, policy, params, t) -> SufficiencySample:
         (-(d * a - w2 * rho2) + np.sqrt(np.maximum(theta_beta, 0.0))) / w2,
         np.nan,
     )
-    fields = (x11, x22, theta_alpha, theta_beta,
-              np.where(alpha_ok, x11 - ell1, np.inf),
-              np.where(beta_ok, ell2 - x22, np.inf))
-    if np.ndim(t) == 0:
-        return SufficiencySample(*map(float, fields), bool(alpha_ok), bool(beta_ok))
-    return SufficiencySample(*fields, alpha_ok, beta_ok)
+    return SufficiencySample(x11, x22, theta_alpha, theta_beta,
+                             np.where(alpha_ok, x11 - ell1, np.inf),
+                             np.where(beta_ok, ell2 - x22, np.inf), alpha_ok, beta_ok)
 
 
 def convexity_margin(consts: RiccatiConstants, params: GameParams, t):
     """Margin of the strict-convexity condition on Player 2's value.
 
     Positive iff h_const*theta + w2*(1 - e^(t*theta)*c1^2 - 2*t*theta*c1)
-    is positive; its sign must agree with the sign of p2(t).
+    is positive, elementwise over ``t``; its sign must agree with the sign
+    of p2(t).
     """
-    t_arr = np.asarray(t, dtype=float)
+    t = np.asarray(t, dtype=float)
     theta, c1 = consts.theta, consts.c1
-    e = np.exp(t_arr * theta)
-    out = consts.h_const * theta + params.w2 * (1.0 - e * c1 * c1 - 2.0 * t_arr * theta * c1)
-    return float(out) if np.ndim(t) == 0 else out
+    e = np.exp(t * theta)
+    return consts.h_const * theta + params.w2 * (1.0 - e * c1 * c1 - 2.0 * t * theta * c1)
 
 
 @dataclass
@@ -440,7 +432,7 @@ def dp_oracle_v2(params: GameParams, path: CoefficientPath, box: StateBox,
     slack_c = _ROUNDING * np.abs(c_y_rev).max() + np.finfo(float).tiny
     nodes = np.arange(nx + 1)     # every node a target: nodes[:i] below node i
     falls = np.empty(nx, dtype=bool)
-    jump = np.empty(nx + 1)
+    jump = np.zeros(nx + 1)     # each layer writes all of it; a range it missed would read 0
     p_tail = q_head = -1
     for k in range(nt - 1, -1, -1):
         v_next = values[k + 1]

@@ -4,15 +4,18 @@ Each mutant is an exact patch: a file of ``src/impulsegame``, the old text
 (found there exactly once), the new text, and a pytest selector.  The
 runner copies ``src/``, ``tests/``, ``configs/`` and ``pyproject.toml`` to
 a temporary directory, requires every selector to pass on that clean
-copy, then applies each patch alone and requires its selector to fail.
-Add a PR's mutants here rather than describing them in prose.
+copy, then applies each patch alone and requires its selector to fail,
+or, for a mutant listed as equivalent (with the reason it changes no
+result), to pass.  Add a change's mutants here rather than describing
+them in prose.
 
 Run from anywhere, with the interpreter that runs the tests::
 
     python tests/mutants.py
 
-It exits 0 when every mutant is killed.  Pytest is not told to
-collect this file: its name does not match ``test_*.py``.
+It exits 0 when every mutant is killed and every equivalent one passes.
+Pytest is not told to collect this file: its name does not match
+``test_*.py``.
 """
 
 import os
@@ -36,6 +39,7 @@ class Mutant:
     old: str
     new: str
     selector: str       # pytest node id, relative to the repository root
+    equivalent: str = ""    # why the patch changes no result a test can see: its selector must pass
 
 
 MUTANTS = (
@@ -115,6 +119,99 @@ MUTANTS = (
            "\n                and params.C > _ROUNDING * max(abs(above[0]), abs(above[r])) + slack_c):",
            "):",
            "tests/test_verify.py::test_dp_oracle_equals_dense_layers_at_tiny_fixed_costs[1e-15-5.0-100]"),
+    Mutant("oracle_tail_starts_at_p", "verify.py",
+           "np.add(cont[p], tail[p + 1:], out=jump[p + 1:])",
+           "np.add(cont[p], tail[p:], out=jump[p:])",
+           "tests/test_verify.py::test_dp_oracle_equals_dense_layers[200-]",
+           equivalent="node p's jump to itself scores cont[p] + D >= cont[p], which never "
+                      "beats waiting"),
+    Mutant("oracle_drops_the_q_le_p_check", "verify.py",
+           "if (q <= p and _falls_to(",
+           "if (_falls_to(",
+           "tests/test_verify.py::test_dp_oracle_equals_dense_layers[200-]",
+           equivalent="w[p] <= w[q] and v[q] <= v[p] give (c + d)*(y_q - y_p) <= 0, so q <= p "
+                      "but where w and v tie within rounding, a layer no test reaches"),
+    # the two-winner layers' fall checks
+    Mutant("oracle_falls_on_ties", "verify.py",
+           "np.less(w[1:p + 1], w[:p], out=buf[:p])",
+           "np.less_equal(w[1:p + 1], w[:p], out=buf[:p])",
+           "tests/test_verify.py::test_prefix_argmins_equals_running_argmin"),
+    Mutant("oracle_fall_check_one_short", "verify.py",
+           "return np.count_nonzero(buf[:p]) == p",
+           "return np.count_nonzero(buf[:max(p - 1, 0)]) == max(p - 1, 0)",
+           "tests/test_verify.py::test_prefix_argmins_equals_running_argmin"),
+    Mutant("oracle_fall_check_takes_any_fall", "verify.py",
+           "return np.count_nonzero(buf[:p]) == p",
+           "return np.count_nonzero(buf[:p]) > 0 or p == 0",
+           "tests/test_verify.py::test_prefix_argmins_equals_running_argmin"),
+    Mutant("oracle_skips_the_below_fall_check", "verify.py",
+           "_falls_to(below, p, falls) and _falls_to(above, r, falls)",
+           "_falls_to(above, r, falls)",
+           "tests/test_verify.py::test_dp_oracle_falls_back_on_non_unimodal_layers"),
+    Mutant("oracle_skips_the_above_fall_check", "verify.py",
+           "_falls_to(below, p, falls) and _falls_to(above, r, falls)",
+           "_falls_to(below, p, falls)",
+           "tests/test_verify.py::test_dp_oracle_falls_back_on_non_unimodal_layers"),
+    # the intervention operator's argmin shortcut
+    Mutant("prefix_argmins_never_shortcut", "verify.py",
+           "if falls.argmin(axis=-1, keepdims=True).tolist() == p.tolist():",
+           "if False:",
+           "tests/test_verify.py::test_run_verification_takes_the_operator_shortcut_on_every_row"
+           "[table1]"),
+    Mutant("prefix_argmins_always_shortcut", "verify.py",
+           "if falls.argmin(axis=-1, keepdims=True).tolist() == p.tolist():",
+           "if True:",
+           "tests/test_verify.py::test_prefix_argmins_equals_running_argmin"),
+    Mutant("prefix_argmins_falls_on_ties", "verify.py",
+           "np.less(w[..., 1:], w[..., :-1], out=falls[..., :-1])",
+           "np.less_equal(w[..., 1:], w[..., :-1], out=falls[..., :-1])",
+           "tests/test_verify.py::test_prefix_argmins_equals_running_argmin"),
+    # exact costs between nodes
+    Mutant("quadratics_at_drops_the_partial_cell", "riccati.py",
+           "big_f[k] + gauss_sum(h, f), big_fm[k] + gauss_sum(h, fm))",
+           "big_f[k], big_fm[k])",
+           "tests/test_riccati.py::test_quadratics_at_is_exact_between_nodes[table1_T200]"),
+    Mutant("costs_from_skips_the_t1_evaluation", "simulate.py",
+           "            if seg_t[0] < t1:\n"
+           "                a1, a2 = _values(*_quadratics_by_time(self._path, [t1])[t1], "
+           "self.state_at(t1))\n",
+           "",
+           "tests/test_simulate.py::test_long_horizon_costs_equal_reference[table1_T200-x0s0]"),
+    Mutant("event_free_drops_the_phi_sign_guard", "simulate.py",
+           "if not (np.all(phi > 0.0) and all(np.isfinite(a).all() for a in (phi, shift, ell1, ell2))):",
+           "if not all(np.isfinite(a).all() for a in (phi, shift, ell1, ell2)):",
+           "tests/test_simulate.py::test_value_v1_certifies_its_run_by_the_scans_of_its_ends",
+           equivalent="each node state fl(Phi*fl(c + H)) is monotone in x whatever the signs of "
+                      "Phi at t0 and at the node, so the run's two end scans still bound it"),
+    Mutant("event_free_keeps_a_failing_high_end", "simulate.py",
+           "            run &= xs < hi\n",
+           "",
+           "tests/test_simulate.py::test_value_v1_gives_way_where_the_high_ends_scan_fails[flagged]"),
+    # the CSV writer
+    Mutant("write_csv_keeps_an_old_tail", "cli.py",
+           "        fh.truncate()\n",
+           "",
+           "tests/test_cli.py::test_write_csv_over_an_existing_file_leaves_a_fresh_writes_bytes"),
+    Mutant("words_scale_the_corrected_cells_once", "cli.py",
+           'return a * _POW10.take(k, mode="clip") * _POW10.take(k - 22, mode="clip")',
+           'return a * _POW10.take(k, mode="clip")',
+           "tests/test_format.py::test_values_whose_float32_exponent_estimate_misses"),
+    # input checks
+    Mutant("rollout_grid_has_no_cell_limit", "simulate.py",
+           " and T / step < MAX_CELLS",
+           "",
+           "tests/test_simulate.py::test_bad_rollout_input_is_value_error_naming_it"
+           "[0.0-5.0-1e-300-step-rollout]"),
+    Mutant("admissibility_allows_an_event_at_T", "simulate.py",
+           "        if ev.tau >= T:\n"
+           "            violations.append(f\"event {i}: tau={ev.tau!r} not strictly before T\")\n",
+           "",
+           "tests/test_simulate.py::test_admissibility_rejects_interior_event"),
+    Mutant("theta_zero_unchecked", "riccati.py",
+           "    if theta == 0.0:\n"
+           "        raise DegenerateParameterError(\"theta = 0: control has no authority\")\n",
+           "",
+           "tests/test_riccati.py::test_degenerate_parameters_name_their_cause[theta_zero]"),
 )
 
 
@@ -169,7 +266,7 @@ def main():
             path = package / m.file
             clean = path.read_text()
             if clean.count(m.old) != 1:
-                failures.append(m.name)
+                failures.append(m)
                 print(f"{m.name}: the old text occurs {clean.count(m.old)} times in {m.file}")
                 continue
             path.write_text(clean.replace(m.old, m.new))
@@ -178,11 +275,18 @@ def main():
                 passed, tail = pytest_run(root, [m.selector])
             finally:
                 path.write_text(clean)
-            print(f"{m.name}: {'SURVIVES' if passed else 'killed'} ({time.perf_counter() - start:.1f} s)")
-            if passed:
-                failures.append(m.name)
+            if m.equivalent:
+                verdict = "passes (equivalent)" if passed else "FAILS, though listed as equivalent"
+            else:
+                verdict = "SURVIVES" if passed else "killed"
+            print(f"{m.name}: {verdict} ({time.perf_counter() - start:.1f} s)")
+            if passed != bool(m.equivalent):
+                failures.append(m)
                 print(tail)
-    print(f"{len(MUTANTS) - len(failures)} of {len(MUTANTS)} mutants killed")
+    killable = [m for m in MUTANTS if not m.equivalent]
+    equivalent = [m for m in MUTANTS if m.equivalent]
+    print(f"{sum(m not in failures for m in killable)} of {len(killable)} mutants killed, "
+          f"{sum(m not in failures for m in equivalent)} of {len(equivalent)} equivalent ones pass")
     return 1 if failures else 0
 
 

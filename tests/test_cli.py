@@ -392,6 +392,24 @@ def test_overflowing_bound_or_tolerance_is_config_error(tmp_path, capsys, comman
     assert re.fullmatch(rf"config error: the {what} over StateBox\(.*\) overflows\n", err), err
 
 
+@pytest.mark.parametrize("command, line, message", [
+    ("value --t 1.5", "nx = 200", r"value time must lie in \[0, T\] \(got 1\.5\)"),
+    ("value --t -0.1", "nx = 200", r"value time must lie in \[0, T\] \(got -0\.1\)"),
+    ("bound", "x_lo = -inf",
+     r"state box endpoints must be finite \(got StateBox\(x_lo=-inf, x_hi=10\.0\)\)"),
+    ("bound", "a line without an equals sign",
+     r"line {n}: expected key=value, got 'a line without an equals sign'"),
+], ids=["value_past_T", "value_before_0", "infinite_box", "line_without_equals"])
+def test_config_error_exits_one_naming_it(tmp_path, capsys, command, line, message):
+    # the CLI smoke step's config errors: exit 1 with one line naming the fault
+    cfg = write_cfg(tmp_path, output_dir=tmp_path / "out")
+    cfg.write_text(cfg.read_text() + f"\n{line}\n")
+    n = 1 + cfg.read_text().splitlines().index(line)
+    assert main([*command.split(), "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(f"config error: {message.format(n=n)}\n", err), err
+
+
 @pytest.mark.parametrize("command, key, value", [
     ("simulate", "sim_step", "1e-300"),
     ("value --t 0", "sim_step", "1e-300"),
@@ -424,10 +442,14 @@ def test_invalid_parameter_exits_one(tmp_path):
     assert main(["solve", "--config", str(cfg)]) == 1
 
 
-def test_degenerate_model_exits_two(tmp_path):
-    # b = 0 passes validation but the closed forms degenerate
-    cfg = write_cfg(tmp_path, output_dir=tmp_path / "out", b=0)
-    assert main(["solve", "--config", str(cfg)]) == 2
+def test_degenerate_model_exits_two(tmp_path, capsys):
+    # b = 0 passes validation but the closed forms degenerate: with a > 0
+    # c1's divisor vanishes, with a < 0 p1's closed form divides by b_x = 0
+    for a, cause in ((0.1, "theta + 2*(b^2/r1)*s1 - 2*a vanished"),
+                     (-0.1, "b = 0: p1 closed form undefined")):
+        cfg = write_cfg(tmp_path, output_dir=tmp_path / "out", b=0, a=a)
+        assert main(["solve", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"model violation: {cause}")
 
 
 def test_console_entry_point_runs():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -126,6 +128,17 @@ def test_degenerate_divisor_raises():
     # b = 0 with a > 0 makes theta + 2*(b^2/r1)*s1 - 2*a vanish
     with pytest.raises(DegenerateParameterError):
         constants(variant(b=0.0))
+
+
+@pytest.mark.parametrize("overrides, message", [
+    # a*a and b*b underflow, so theta = 2*sqrt(a^2 + w1*b^2/r1) is 0
+    ({"a": 1e-200, "b": 1e-200}, "theta = 0: control has no authority"),
+    # with a < 0 the divisor stays 0.4, but p1 = (a_x - a)/b_x has no b_x
+    ({"a": -0.1, "b": 0.0}, "b = 0: p1 closed form undefined"),
+], ids=["theta_zero", "b_zero"])
+def test_degenerate_parameters_name_their_cause(overrides, message):
+    with pytest.raises(DegenerateParameterError, match=f"^{re.escape(message)}$"):
+        solve_backward(variant(**overrides))
 
 
 @pytest.mark.parametrize("t", [0.0, 0, np.float64(0.0), np.array(0.0), np.array([0.0]),

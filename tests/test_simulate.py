@@ -182,6 +182,8 @@ ENTRY_POINTS = {
         path, policy, params, t0, x0, step),
     "make_rollout_hook": lambda path, policy, params, t0, x0, step: make_rollout_hook(
         path, policy, params, step)(t0, x0),
+    "value_v1": lambda path, policy, params, t0, x0, step: value_v1(
+        path, policy, params, t0, [x0], step),
 }
 
 
@@ -192,6 +194,8 @@ ENTRY_POINTS = {
     (1.0, float("-inf"), None, "x0"),
     (0.0, 5.0, 0.0, "step"), (0.0, 5.0, -1e-3, "step"), (0.0, 5.0, float("inf"), "step"),
     (0.0, 5.0, float("nan"), "step"),
+    # 1e300 cells: more than an array can address, refused before any allocation
+    (0.0, 5.0, 1e-300, "step"),
 ])
 def test_bad_rollout_input_is_value_error_naming_it(path, policy, params, entry, t0, x0,
                                                     step, arg):
@@ -206,15 +210,29 @@ def test_admissibility_of_own_rollouts(path, policy, params):
 
 
 def test_admissibility_rejects_interior_event(path, policy, params):
+    # an interior event, then upward jumps from ell1 to alpha that each break
+    # one rule: at T, twice at one time, from inside the band, to a reset off alpha
     base = rollout(path, policy, params, 0.0, 5.0)
-    fake_event = ImpulseEvent(tau=0.5, x_minus=5.0, x_plus=4.6,
-                              xi=-0.4, cost_p1=0.8, cost_p2=6.2)
     grid = _RolloutGrid(path, policy, params, 0.0, params.T / 4096)
-    doctored = Trajectory(base.segments, [fake_event], base.terminal_state,
-                          path, params, _value_ends(grid, base.segments))
-    report = admissibility_check(doctored, policy)
-    assert not report.ok
-    assert any("event 0" in v for v in report.violations)
+
+    def up(tau, x_minus=None, miss=0.0):
+        ell1, alpha, _, _ = policy.thresholds_at(tau)
+        x_minus = ell1 if x_minus is None else x_minus
+        return ImpulseEvent(tau, x_minus, alpha + miss, alpha - x_minus, 0.8, 4.2)
+
+    for events, message in (
+        ([ImpulseEvent(tau=0.5, x_minus=5.0, x_plus=4.6, xi=-0.4, cost_p1=0.8, cost_p2=6.2)],
+         "event 0: x_minus=5.0 not at the upper boundary"),
+        ([up(params.T)], f"event 0: tau={params.T!r} not strictly before T"),
+        ([up(0.5), up(0.5)], "event 1: tau=0.5 not after previous 0.5"),
+        ([up(0.5, x_minus=4.0)], "event 0: x_minus=4.0 not at the lower boundary"),
+        ([up(0.5, miss=1e-3)], "event 0: reset"),
+    ):
+        doctored = Trajectory(base.segments, events, base.terminal_state,
+                              path, params, _value_ends(grid, base.segments))
+        report = admissibility_check(doctored, policy)
+        assert not report.ok
+        assert [v for v in report.violations if v.startswith(message)], (message, report)
 
 
 def test_step_halving_changes_costs_below_tolerance(path, policy, params):
@@ -1251,6 +1269,33 @@ def test_value_v1_certifies_its_run_by_the_scans_of_its_ends():
     assert_value_v1_is_the_hooks(pth, pol, p, [t], both)
 
 
+@pytest.mark.parametrize("failure", ["flagged", "non-finite"])
+def test_value_v1_gives_way_where_the_high_ends_scan_fails(path, policy, params, monkeypatch,
+                                                           failure):
+    # on table1 at t=0 every start in [4, 6] stays inside the band; a first
+    # scan from the highest that reports a flagged or a non-finite node drops
+    # it from the event-free run, and it rolls out through the hook instead
+    xs = np.linspace(4.0, 6.0, 21)
+    want = hook_v1(path, policy, params, 0.0, xs)
+    scan, failed = _RolloutGrid.scan, []
+
+    def failing_once(grid, i0, x):
+        if i0 == 0 and x == xs[-1] and not failed:
+            failed.append(x)
+            if failure == "flagged":
+                return scan(grid, i0, x)[0][:2], True
+            raise simulate.NonFiniteStateError("state non-finite at node 1")
+        return scan(grid, i0, x)
+
+    rolled = []
+    rollout_on_grid = simulate._rollout_on_grid
+    monkeypatch.setattr(_RolloutGrid, "scan", failing_once)
+    monkeypatch.setattr(simulate, "_rollout_on_grid",
+                        lambda grid, x0: rolled.append(x0) or rollout_on_grid(grid, x0))
+    assert value_v1(path, policy, params, 0.0, xs).tobytes() == want.tobytes()
+    assert failed == rolled == [xs[-1]]
+
+
 def test_value_v1_on_the_locator_regression_game():
     cfg, pth, pol = solved(str(Path(__file__).parent / "data" / "locator_inside_band.cfg"))
     T = cfg.params.T
@@ -1500,6 +1545,9 @@ def test_costs_from_past_the_horizon_raises(path, policy, params):
             traj.costs_from(t)
         with pytest.raises(ValueError, match="outside the trajectory span"):
             traj.state_at(t)
+    # and at the other end, before a later start
+    with pytest.raises(ValueError, match="^t1=0.499999999 precedes the trajectory start$"):
+        rollout(path, policy, params, 0.5, 5.0).costs_from(0.5 - 1e-9)
 
 
 def test_table1_rolls_out_at_its_longest_solvable_horizon():

@@ -24,7 +24,8 @@ from impulsegame import (
 from impulsegame.cli import load_config
 from impulsegame.model import intervention_cost
 from impulsegame.verify import (GAP_BASE_TOL, XI_RESOLUTION, DpOracleResult, QviSample,
-                                _min_jump, _phi_rates, _prefix_argmins, _running_argmin)
+                                _falls_to, _min_jump, _phi_rates, _prefix_argmins,
+                                _running_argmin)
 
 from conftest import defining_rates, variant
 
@@ -281,6 +282,10 @@ def test_dp_oracle_brackets_boundaries(path, policy, params, box):
     cell = oracle.x_grid[1] - oracle.x_grid[0]
     assert abs(lo - ell1) <= 2 * cell
     assert abs(hi - ell2) <= 2 * cell
+    # a layer where every node jumps has no bracket
+    everywhere = replace(oracle, intervene=np.ones_like(oracle.intervene))
+    with pytest.raises(ValueError, match="^no continuation nodes in layer 3$"):
+        everywhere.continuation_bracket(3)
 
 
 def test_dp_oracle_never_intervenes_when_jumps_cannot_pay():
@@ -699,19 +704,22 @@ def scans(monkeypatch):
 def test_prefix_argmins_equals_running_argmin(scans):
     """The shortcut's winners equal the running argmin's on every row, read
     forwards (targets below) and backwards (targets above, as the operator
-    reads ``v + c*y`` reversed), and the shortcut is taken where it applies."""
+    reads ``v + c*y`` reversed), and the shortcut is taken where it applies,
+    which is where :func:`_falls_to` holds."""
     for case, row in enumerate(_prefix_argmin_rows(np.random.default_rng(20261019))):
         for w in (row, row[::-1]):
             m = w.size
             ends = np.maximum(np.arange(-1, m - 1), 0)
+            p = np.argmin(w)
+            descends = bool(np.all(w[1:p + 1] < w[:p]))
             for e in (ends, np.arange(m)):
                 scans.clear()
                 got = _prefix_argmins(w, e)
                 np.testing.assert_array_equal(got, _running_argmin(w).take(e),
                                               err_msg=f"case {case}: {w}")
-                p = np.argmin(w)
-                descends = bool(np.all(w[1:p + 1] < w[:p]))
                 assert len(scans) == (0 if descends else 1), (case, w)
+            # the DP oracle's layers test the same fall with _falls_to
+            assert _falls_to(w, p, np.empty(m, dtype=bool)) == descends, (case, w)
 
 
 @pytest.mark.parametrize("name", ["table1", "table1_w2_1"])
@@ -770,7 +778,11 @@ def test_dp_oracle_takes_the_shortcut_on_every_shipped_layer(name, scans):
 
 def test_dp_oracle_falls_back_on_non_unimodal_layers(params, box, scans, monkeypatch):
     """Layers whose waiting values rise and fall run the scan, and the
-    values still equal the every-target minimum's bit for bit."""
+    values still equal the every-target minimum's bit for bit.  With fixed
+    costs of 0.1, a sawtooth on the states above 6 alone, or below 4 alone,
+    makes one side's shifted values rise by more than a jump costs on the
+    way to its winner: that side's fall check alone sends those layers to
+    the scan."""
     pth = solve_backward(params)
     monkeypatch.setattr(verify, "gamma_star", _sawtooth)
     fast = dp_oracle_v2(params, pth, box, nt=100, nx=100)
@@ -778,6 +790,20 @@ def test_dp_oracle_falls_back_on_non_unimodal_layers(params, box, scans, monkeyp
     assert len(scans) == 2 * 100, len(scans)       # every layer, on both sides
     np.testing.assert_array_equal(fast.values, dense.values)
     np.testing.assert_array_equal(fast.intervene, dense.intervene)
+    cheap = variant(C=0.1, D=0.1)
+    cheap_path = solve_backward(cheap)
+    for lo, hi in ((6.0, np.inf), (-np.inf, 4.0)):
+        def one_sided(path, params, t, x, lo=lo, hi=hi):
+            inside = (x > lo) & (x < hi)
+            return np.where(inside, _sawtooth(path, params, t, x), gamma_star(path, params, t, x))
+
+        monkeypatch.setattr(verify, "gamma_star", one_sided)
+        scans.clear()
+        fast = dp_oracle_v2(cheap, cheap_path, box, nt=100, nx=100)
+        dense, _, _ = _dense_dp_oracle(cheap, cheap_path, box, nt=100, nx=100, control=one_sided)
+        assert scans, (lo, hi)
+        np.testing.assert_array_equal(fast.values, dense.values)
+        np.testing.assert_array_equal(fast.intervene, dense.intervene)
 
 
 @pytest.mark.parametrize("C, D, operated", [(1e-13, 1e-13, 0), (1e-15, 1e-15, 100),
